@@ -79,34 +79,23 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.shear is not None and args.anchor is None:
         raise ValueError("--shear requires --anchor")
 
-    metadata: dict = {"tool_version": __version__}
-    anchor_note = ""
     if args.anchor is not None:
         anchor = _parse_coord(args.anchor)
         shear = args.shear if args.shear is not None else args.t - 1
         result = letterbox_construct(dims, args.t, DiamondLattice(args.t, anchor, shear))
-        towers = result.towers
-        metadata.update(
-            anchor=(anchor.x, anchor.y), raw_count=result.raw_count, generator="letterbox"
-        )
-        if args.shear is not None:
-            metadata["shear"] = shear
-        anchor_note = f" anchor=({anchor.x},{anchor.y})"
-    elif dims.m == 1 or dims.n == 1:
-        towers = construct(dims, args.t)
-        metadata["generator"] = "path"
     else:
         result = best_anchor_construct(dims, args.t)
-        towers = result.towers
-        metadata.update(
-            anchor=(result.anchor.x, result.anchor.y),
-            raw_count=result.raw_count,
-            generator="best-anchor",
-        )
-        anchor_note = f" anchor=({result.anchor.x},{result.anchor.y})"
 
-    doc = BroadcastDocument(m=args.m, n=args.n, t=args.t, r=2, towers=towers, metadata=metadata)
-    summary = f"size={len(towers)} bound={upper_t2(args.m, args.n, args.t)}{anchor_note}"
+    metadata: dict = {"generator": result.generator, "tool_version": __version__}
+    summary = f"size={len(result.towers)} bound={upper_t2(args.m, args.n, args.t)}"
+    if result.anchor is not None:
+        metadata.update(anchor=(result.anchor.x, result.anchor.y), raw_count=result.raw_count)
+        summary += f" anchor=({result.anchor.x},{result.anchor.y})"
+    if args.shear is not None:
+        metadata["shear"] = args.shear
+    doc = BroadcastDocument(
+        m=args.m, n=args.n, t=args.t, r=2, towers=result.towers, metadata=metadata
+    )
     _emit_document(doc, args.out, summary)
     return 0
 

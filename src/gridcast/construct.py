@@ -10,27 +10,26 @@ collides and never reduces any vertex's signal, so the result verifies as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import upper_t2
 from .grid import BroadcastParams, Coord, GridDims, TowerSet, check_broadcast
 from .lattice import (
     DiamondLattice,
     count_in_window,
-    pattern_is_valid,
     rectilinear_lattice,
     towers_in_window,
 )
 
 
 class ConstructionInvariantError(RuntimeError):
-    """A letterbox consistency check failed: a replacement collided or the
-    result failed verification.
+    """A construction consistency check failed: a replacement collided, the
+    result failed verification, or it exceeded the upper bound.
 
-    Unreachable for rectilinear patterns, whose halo intersection always
-    dominates the grid. A sheared pattern can be a perfectly good infinite
-    broadcast and still lack that halo property, and then this is the gate
-    that catches it.
+    Unreachable for paths and rectilinear patterns, whose halo intersection
+    always dominates the grid. A sheared pattern is always a good infinite
+    broadcast but can still lack that halo property, and then this is the
+    gate that catches it.
     """
 
 
@@ -62,16 +61,18 @@ def embedding(dims: GridDims, t: int) -> Embedding:
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A letterbox construction with its provenance.
+    """A verified construction; ``generator`` is "path", "letterbox" or "best-anchor".
 
     raw_count is the tower count of the halo intersection before replacement;
-    replacement preserves cardinality, so len(towers) == raw_count.
+    replacement preserves cardinality, so len(towers) == raw_count. A path
+    has no pattern: its anchor is None and it has no replacements.
     """
 
     towers: TowerSet
-    anchor: Coord
+    anchor: Coord | None
     raw_count: int
     replacements: tuple[tuple[Coord, Coord], ...]
+    generator: str
 
 
 def clamp_to_grid(v: Coord, dims: GridDims) -> Coord:
@@ -102,49 +103,35 @@ def path_construct(m: int, t: int) -> TowerSet:
 
 
 def letterbox_construct(dims: GridDims, t: int, lattice: DiamondLattice) -> ConstructionResult:
-    """Intersect a valid pattern with the halo grid and clamp outside towers in.
+    """Intersect a pattern with the halo grid and clamp outside towers in.
 
-    Raises ValueError for bad inputs (m or n of 1, strength mismatch, pattern
-    failing validation). Raises ConstructionInvariantError if a replacement
-    collides or the final verification fails; neither can happen for a
-    rectilinear pattern.
+    Raises ValueError for bad inputs (m or n of 1, strength mismatch). Raises
+    ConstructionInvariantError if a replacement collides or the final
+    verification fails; neither can happen for a rectilinear pattern.
     """
     if dims.m <= 1 or dims.n <= 1:
         raise ValueError("letterboxing requires m, n > 1; use path_construct for paths")
-    if t < 3:
-        raise ValueError(f"letterboxing requires t >= 3, got {t}")
     if lattice.t != t:
         raise ValueError(f"lattice strength {lattice.t} does not match t={t}")
-    if not pattern_is_valid(lattice):
-        raise ValueError(
-            f"pattern (t={lattice.t}, shear={lattice.shear}, scale={lattice.scale}) "
-            "fails validation; refusing to construct from it"
-        )
 
     emb = embedding(dims, t)
     raw = towers_in_window(lattice, emb.lo, emb.hi)
-    kept = [tw for tw in raw if dims.contains(tw)]
-    moved = [tw for tw in raw if not dims.contains(tw)]
-    replacements = tuple((tw, clamp_to_grid(tw, dims)) for tw in moved)
-
-    targets = [to for _, to in replacements]
-    if len(set(targets)) != len(targets) or set(targets) & set(kept):
+    replacements = tuple((tw, clamp_to_grid(tw, dims)) for tw in raw if not dims.contains(tw))
+    # raw holds distinct towers, so the set shrinks iff a replacement landed
+    # on a kept tower or on another replacement.
+    towers = TowerSet([tw for tw in raw if dims.contains(tw)] + [to for _, to in replacements])
+    if len(towers) != len(raw):
         raise ConstructionInvariantError(
             f"replacement collision letterboxing {dims.m}x{dims.n}, t={t}, "
             f"anchor={lattice.anchor}"
         )
-    towers = TowerSet(kept + targets)
-    if len(towers) != len(raw):
-        raise ConstructionInvariantError("replacement changed the tower count")
     verdict = check_broadcast(dims, BroadcastParams(t, 2), towers)
     if not verdict.valid:
         raise ConstructionInvariantError(
             f"letterbox result failed verification on {dims.m}x{dims.n}, t={t}, "
             f"anchor={lattice.anchor}; first deficiency {verdict.deficiencies[0]}"
         )
-    return ConstructionResult(
-        towers=towers, anchor=lattice.anchor, raw_count=len(raw), replacements=replacements
-    )
+    return ConstructionResult(towers, lattice.anchor, len(raw), replacements, "letterbox")
 
 
 def anchor_raw_counts(dims: GridDims, t: int) -> dict[Coord, int]:
@@ -164,38 +151,37 @@ def anchor_raw_counts(dims: GridDims, t: int) -> dict[Coord, int]:
 
 
 def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
-    """Letterbox at the anchor minimizing raw_count (ties: lexicographically least).
+    """Build a verified (t,2) broadcast on any grid, within the floor bound.
 
-    Only the winning anchor is fully constructed and verified; the sweep
-    itself needs nothing but the counts.
+    Paths use the spacing construction (letterboxing assumes m, n > 1).
+    Everything else letterboxes at the anchor minimizing raw_count (ties:
+    lexicographically least); only the winning anchor is fully constructed
+    and verified, the sweep itself needs nothing but the counts.
     """
-    counts = anchor_raw_counts(dims, t)
-    best_anchor = min(counts, key=lambda a: (counts[a], a))
-    result = letterbox_construct(dims, t, rectilinear_lattice(t, best_anchor))
+    if t < 3:
+        raise ValueError(f"construction requires t >= 3, got {t}")
+    if dims.m > 1 and dims.n > 1:
+        counts = anchor_raw_counts(dims, t)
+        best_anchor = min(counts, key=lambda a: (counts[a], a))
+        result = replace(
+            letterbox_construct(dims, t, rectilinear_lattice(t, best_anchor)),
+            generator="best-anchor",
+        )
+    else:
+        if dims.n == 1:
+            towers = path_construct(dims.m, t)
+        else:
+            towers = TowerSet(Coord(0, c.x) for c in path_construct(dims.n, t))
+        result = ConstructionResult(towers, None, len(towers), (), "path")
     bound = upper_t2(dims.m, dims.n, t)
     if len(result.towers) > bound:
         raise ConstructionInvariantError(
-            f"best-anchor result size {len(result.towers)} exceeds bound {bound}"
+            f"{result.generator} result size {len(result.towers)} exceeds bound {bound} "
+            f"on {dims.m}x{dims.n}, t={t}"
         )
     return result
 
 
 def construct(dims: GridDims, t: int) -> TowerSet:
-    """Build a verified (t,2) broadcast on any grid, within the floor bound.
-
-    Paths use the spacing construction (letterboxing assumes m, n > 1);
-    everything else letterboxes at the best anchor.
-    """
-    if t < 3:
-        raise ValueError(f"construction requires t >= 3, got {t}")
-    if dims.n == 1:
-        towers = path_construct(dims.m, t)
-    elif dims.m == 1:
-        towers = TowerSet(Coord(0, c.x) for c in path_construct(dims.n, t))
-    else:
-        return best_anchor_construct(dims, t).towers
-    if len(towers) > upper_t2(dims.m, dims.n, t):
-        raise ConstructionInvariantError(
-            f"path result size {len(towers)} exceeds bound on {dims.m}x{dims.n}, t={t}"
-        )
-    return towers
+    """The towers of best_anchor_construct: verified, within the floor bound."""
+    return best_anchor_construct(dims, t).towers

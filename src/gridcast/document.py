@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from .grid import Coord, TowerSet
 
 _METADATA_KEYS = ("anchor", "raw_count", "shear", "generator", "tool_version")
+# Value type of every metadata key but anchor, which is an integer pair.
+_METADATA_TYPES = {"raw_count": int, "shear": int, "generator": str, "tool_version": str}
 
 
 class DocumentError(ValueError):
@@ -95,7 +97,12 @@ def parse_document(text: str) -> BroadcastDocument:
     for key, value in raw_meta.items():
         if key not in _METADATA_KEYS:
             raise DocumentError(f"unknown metadata key: {key!r}")
-        metadata[key] = _int_pair(value, "metadata anchor") if key == "anchor" else value
+        if key == "anchor":
+            value = _int_pair(value, "metadata anchor")
+        elif not isinstance(value, _METADATA_TYPES[key]) or isinstance(value, bool):
+            expected = _METADATA_TYPES[key].__name__
+            raise DocumentError(f"metadata {key} must be of type {expected}, got {value!r}")
+        metadata[key] = value
     return BroadcastDocument(
         m=payload["m"], n=payload["n"], t=payload["t"], r=payload["r"],
         towers=towers, metadata=metadata,

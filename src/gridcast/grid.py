@@ -31,9 +31,6 @@ class Coord:
     x: int
     y: int
 
-    def translate(self, dx: int, dy: int) -> "Coord":
-        return Coord(self.x + dx, self.y + dy)
-
 
 @dataclass(frozen=True)
 class GridDims:
@@ -45,10 +42,6 @@ class GridDims:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.m}x{self.n}")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.m * self.n
 
     def contains(self, v: Coord) -> bool:
         return 0 <= v.x < self.m and 0 <= v.y < self.n
@@ -103,12 +96,6 @@ class SignalField:
 
     dims: GridDims
     values: np.ndarray
-
-    def at(self, v: Coord) -> int:
-        return int(self.values[v.x, v.y])
-
-    def min_signal(self) -> int:
-        return int(self.values.min())
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,22 @@ A DiamondLattice places towers at ``anchor + a*u + b*w`` for all integer
 The basis determinant is -2(t-1)^2 for every shear, so each pattern has one
 tower per 2(t-1)^2 cells. ``shear = t-1`` gives the rectilinear pattern whose
 diamond outlines align into a diagonal lattice; other shears produce offset
-tilings and must pass validate_pattern before the construction module will
-accept them.
+tilings.
+
+Every pattern supplies total signal >= 2 to every plane vertex, whatever its
+shear and anchor, so validate_pattern accepts them all. In p = x+y, q = x-y
+the Manhattan distance is max(|dp|, |dq|). Towers lie on the lines
+q = q0 (mod 2(t-1)), spaced 2(t-1) apart in p. Any vertex is within t-1 in q
+of some line and within t-1 in p of a tower on it; if both offsets are below
+t-1 that tower supplies >= 2. An offset of exactly t-1 puts the vertex midway
+between two lines, or between two towers on one line, so two towers at
+distance t-1 supply 1 each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .grid import Coord, TowerSet, manhattan_dist
 
@@ -34,32 +41,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiamondLattice:
-    """Periodic tower pattern of strength-t towers.
-
-    ``scale`` multiplies both basis vectors and defaults to 1; a scale above 1
-    deliberately spreads the towers too thin and exists so that degenerate
-    patterns can be built and rejected by validate_pattern.
-    """
+    """Periodic tower pattern of strength-t towers."""
 
     t: int
     anchor: Coord
     shear: int
-    scale: int = 1
 
     def __post_init__(self) -> None:
         if self.t < 3:
             raise ValueError(f"lattice strength t must be >= 3, got {self.t}")
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
 
     @property
     def basis_u(self) -> Coord:
-        s = (self.t - 1) * self.scale
-        return Coord(s, s)
+        return Coord(self.t - 1, self.t - 1)
 
     @property
     def basis_w(self) -> Coord:
-        return Coord(self.shear * self.scale, (self.shear - 2 * (self.t - 1)) * self.scale)
+        return Coord(self.shear, self.shear - 2 * (self.t - 1))
 
 
 @dataclass(frozen=True)
@@ -82,30 +80,6 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _coefficients(lattice: DiamondLattice, v: Coord) -> tuple[int, int] | None:
-    """Solve v = anchor + a*u + b*w over the integers; None if no solution.
-
-    Subtracting the two coordinate equations isolates b (the basis vectors
-    differ only in y, by 2(t-1)*scale), after which a follows by division.
-    """
-    dx = v.x - lattice.anchor.x
-    dy = v.y - lattice.anchor.y
-    period = 2 * (lattice.t - 1) * lattice.scale
-    if (dx - dy) % period:
-        return None
-    b = (dx - dy) // period
-    step = (lattice.t - 1) * lattice.scale
-    rem = dx - b * lattice.shear * lattice.scale
-    if rem % step:
-        return None
-    return rem // step, b
-
-
-def lattice_contains(lattice: DiamondLattice, v: Coord) -> bool:
-    """True iff v is a tower of the pattern."""
-    return _coefficients(lattice, v) is not None
-
-
 def _window_coefficient_rows(
     lattice: DiamondLattice, x0: int, x1: int, y0: int, y1: int
 ):
@@ -115,9 +89,9 @@ def _window_coefficient_rows(
     by x - y modulo the basis, and for each b the feasible a values form an
     interval (intersection of the x-window and y-window constraints).
     """
-    step = (lattice.t - 1) * lattice.scale
+    step = lattice.t - 1
     period = 2 * step
-    wx = lattice.shear * lattice.scale
+    wx = lattice.shear
     wy = wx - period
     rx0, rx1 = x0 - lattice.anchor.x, x1 - lattice.anchor.x
     ry0, ry1 = y0 - lattice.anchor.y, y1 - lattice.anchor.y
@@ -134,8 +108,8 @@ def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
     """All towers with lo <= (x, y) <= hi componentwise, canonically ordered."""
     if lo.x > hi.x or lo.y > hi.y:
         raise ValueError(f"inverted window: {lo} .. {hi}")
-    step = (lattice.t - 1) * lattice.scale
-    wx = lattice.shear * lattice.scale
+    step = lattice.t - 1
+    wx = lattice.shear
     wy = wx - 2 * step
     ax, ay = lattice.anchor.x, lattice.anchor.y
     points = []
@@ -155,6 +129,11 @@ def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
     )
 
 
+def lattice_contains(lattice: DiamondLattice, v: Coord) -> bool:
+    """True iff v is a tower of the pattern."""
+    return count_in_window(lattice, v, v) == 1
+
+
 def window_density(lattice: DiamondLattice, side: int) -> Fraction:
     """Tower fraction of the side x side window anchored at the origin, exact."""
     if side < 1:
@@ -167,16 +146,16 @@ def fundamental_domain_vertices(lattice: DiamondLattice) -> tuple[Coord, ...]:
     """One vertex per residue class of the pattern, in lexicographic order.
 
     These are the integer points of the half-open parallelogram spanned by the
-    basis at the anchor; there are exactly 2(t-1)^2 * scale^2 of them, and
+    basis at the anchor; there are exactly 2(t-1)^2 of them, and
     every plane vertex is a lattice translate of exactly one.
     """
     u, w = lattice.basis_u, lattice.basis_w
     ax, ay = lattice.anchor.x, lattice.anchor.y
     xs = (ax, ax + u.x, ax + w.x, ax + u.x + w.x)
     ys = (ay, ay + u.y, ay + w.y, ay + u.y + w.y)
-    step = (lattice.t - 1) * lattice.scale
+    step = lattice.t - 1
     period = 2 * step
-    wx = lattice.shear * lattice.scale
+    wx = lattice.shear
     out = []
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
@@ -208,21 +187,10 @@ def validate_pattern(lattice: DiamondLattice) -> PatternVerdict:
 
     Periodicity reduces the check to one representative per residue class (the
     fundamental parallelogram); the first failing vertex, in lexicographic
-    order, is returned as a counterexample.
+    order, is returned as a counterexample. Every pattern passes (see above).
     """
     for v in fundamental_domain_vertices(lattice):
         if _pattern_signal_at(lattice, v) < 2:
             return PatternVerdict(False, v)
     return PatternVerdict(True, None)
 
-
-@lru_cache(maxsize=None)
-def _pattern_shape_is_valid(t: int, shear: int, scale: int) -> bool:
-    # Validity is anchor-invariant (the pattern just translates), so the
-    # construction gate caches it per (t, shear, scale).
-    return validate_pattern(DiamondLattice(t, Coord(0, 0), shear, scale)).valid
-
-
-def pattern_is_valid(lattice: DiamondLattice) -> bool:
-    """Anchor-independent validity, cached for repeated construction calls."""
-    return _pattern_shape_is_valid(lattice.t, lattice.shear, lattice.scale)

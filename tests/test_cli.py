@@ -98,6 +98,64 @@ class TestConstructCommand:
         capsys.readouterr()
 
 
+# (argv after "construct", exit code, stdout, stderr), frozen byte for byte.
+CONSTRUCT_GOLDEN = [
+    (
+        "--m 17 --n 1 --t 4", 0,
+        '{"m":17,"n":1,"t":4,"r":2,"towers":[[2,0],[8,0],[14,0]],'
+        '"metadata":{"generator":"path","tool_version":"0.1.0"}}\n',
+        "size=3 bound=5\n",
+    ),
+    (
+        "--m 1 --n 17 --t 4", 0,
+        '{"m":1,"n":17,"t":4,"r":2,"towers":[[0,2],[0,8],[0,14]],'
+        '"metadata":{"generator":"path","tool_version":"0.1.0"}}\n',
+        "size=3 bound=5\n",
+    ),
+    (
+        "--m 12 --n 6 --t 4 --best", 0,
+        '{"m":12,"n":6,"t":4,"r":2,"towers":[[0,2],[3,0],[3,5],[6,2],[9,0],[9,5],[11,2]],'
+        '"metadata":{"anchor":[0,2],"raw_count":7,"generator":"best-anchor",'
+        '"tool_version":"0.1.0"}}\n',
+        "size=7 bound=8 anchor=(0,2)\n",
+    ),
+    (
+        "--m 12 --n 6 --t 4", 0,
+        '{"m":12,"n":6,"t":4,"r":2,"towers":[[0,2],[3,0],[3,5],[6,2],[9,0],[9,5],[11,2]],'
+        '"metadata":{"anchor":[0,2],"raw_count":7,"generator":"best-anchor",'
+        '"tool_version":"0.1.0"}}\n',
+        "size=7 bound=8 anchor=(0,2)\n",
+    ),
+    (
+        "--m 12 --n 6 --t 4 --anchor 1,4", 0,
+        '{"m":12,"n":6,"t":4,"r":2,"towers":[[0,1],[0,5],[1,0],[1,4],[4,1],[4,5],[7,0],'
+        '[7,4],[10,1],[10,5],[11,0],[11,4]],"metadata":{"anchor":[1,4],"raw_count":12,'
+        '"generator":"letterbox","tool_version":"0.1.0"}}\n',
+        "size=12 bound=8 anchor=(1,4)\n",
+    ),
+    (
+        "--m 6 --n 6 --t 5 --anchor 0,0 --shear 2", 0,
+        '{"m":6,"n":6,"t":5,"r":2,"towers":[[0,0],[0,5],[4,4],[5,0],[5,5]],'
+        '"metadata":{"anchor":[0,0],"raw_count":5,"shear":2,"generator":"letterbox",'
+        '"tool_version":"0.1.0"}}\n',
+        "size=5 bound=4 anchor=(0,0)\n",
+    ),
+    (
+        "--m 9 --n 13 --t 5 --anchor 0,0 --shear 2", 1,
+        "",
+        "error: letterbox result failed verification on 9x13, t=5, "
+        "anchor=Coord(x=0, y=0); first deficiency (Coord(x=0, y=12), 1)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err", CONSTRUCT_GOLDEN, ids=[case[0] for case in CONSTRUCT_GOLDEN]
+)
+def test_construct_golden(capsys, argv, code, out, err):
+    assert run_cli(capsys, "construct", *argv.split()) == (code, out, err)
+
+
 class TestVerifyCommand:
     def test_valid_document(self, capsys, tmp_path):
         doc = BroadcastDocument(
@@ -137,6 +195,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert "error" in err
+
+    def test_ill_typed_metadata_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "typed.json"
+        path.write_text(
+            '{"m":5,"n":1,"t":4,"r":2,"towers":[[2,0]],"metadata":{"raw_count":[1,{"a":null}],'
+            '"generator":7,"shear":true,"tool_version":1.5}}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: metadata raw_count must be of type int")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "verify", str(tmp_path / "absent.json"))

@@ -117,11 +117,6 @@ class TestLetterboxConstruct:
         with pytest.raises(ValueError):
             letterbox_construct(GridDims(4, 4), 4, rectilinear_lattice(3))
 
-    def test_rejects_invalid_pattern(self):
-        sparse = DiamondLattice(t=3, anchor=Coord(0, 0), shear=2, scale=2)
-        with pytest.raises(ValueError, match="fails validation"):
-            letterbox_construct(GridDims(6, 6), 3, sparse)
-
     def test_valid_sheared_pattern_may_still_fail_the_gate(self):
         # a perfectly good infinite pattern whose halo intersection does not
         # dominate this grid; the verification gate must catch it
@@ -241,6 +236,16 @@ class TestConstructDispatcher:
     def test_rejects_small_t(self):
         with pytest.raises(ValueError):
             construct(GridDims(4, 4), 2)
+
+    def test_result_names_its_generator(self):
+        path = best_anchor_construct(GridDims(1, 17), 4)
+        assert (path.generator, path.anchor, path.replacements) == ("path", None, ())
+        assert path.raw_count == len(path.towers) == 3
+        best = best_anchor_construct(GridDims(12, 6), 4)
+        assert (best.generator, best.anchor, best.raw_count) == ("best-anchor", Coord(0, 2), 7)
+        forced = letterbox_construct(GridDims(12, 6), 4, rectilinear_lattice(4, Coord(0, 2)))
+        assert forced.generator == "letterbox"
+        assert (forced.towers, forced.replacements) == (best.towers, best.replacements)
 
     @given(m=st.integers(1, 24), n=st.integers(1, 24), t=st.integers(3, 6))
     @settings(max_examples=100, deadline=None)

@@ -99,6 +99,36 @@ class TestParsing:
         with pytest.raises(DocumentError):
             parse_document('{"m":5,"n":1,"t":4,"r":true,"towers":[]}')
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("raw_count", '[1,{"a":null}]'),
+            ("raw_count", "true"),
+            ("raw_count", "1.5"),
+            ("raw_count", '"7"'),
+            ("shear", "true"),
+            ("shear", "2.0"),
+            ("shear", "null"),
+            ("generator", "7"),
+            ("generator", '["path"]'),
+            ("generator", "null"),
+            ("tool_version", "1.5"),
+            ("tool_version", "false"),
+            ("anchor", "[0,true]"),
+        ],
+    )
+    def test_rejects_ill_typed_metadata(self, key, value):
+        text = '{"m":5,"n":1,"t":4,"r":2,"towers":[],"metadata":{"%s":%s}}' % (key, value)
+        with pytest.raises(DocumentError, match=key):
+            parse_document(text)
+
+    def test_accepts_well_typed_metadata(self):
+        text = (
+            '{"m":5,"n":1,"t":4,"r":2,"towers":[],"metadata":{"anchor":[0,-1],'
+            '"raw_count":0,"shear":-3,"generator":"letterbox","tool_version":"x"}}\n'
+        )
+        assert serialize_document(parse_document(text)) == text
+
     def test_rejects_unknown_metadata(self):
         with pytest.raises(DocumentError, match="metadata"):
             parse_document(

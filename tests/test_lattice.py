@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridcast.lattice as lattice_module
 from gridcast import (
     Coord,
     DiamondLattice,
+    PatternVerdict,
     count_in_window,
     fundamental_domain_vertices,
     lattice_contains,
-    manhattan_dist,
     rectilinear_lattice,
     towers_in_window,
     validate_pattern,
@@ -147,7 +148,7 @@ class TestTowersInWindow:
             Coord(lo.x + step.x, lo.y + step.y),
             Coord(hi.x + step.x, hi.y + step.y),
         )
-        assert {c.translate(step.x, step.y) for c in base} == set(shifted)
+        assert {Coord(c.x + step.x, c.y + step.y) for c in base} == set(shifted)
 
 
 class TestWindowDensity:
@@ -190,18 +191,25 @@ class TestValidatePattern:
     def test_offset_tiling_is_valid(self):
         assert validate_pattern(OFFSET_TILING).valid
 
-    def test_doubled_basis_is_rejected(self):
-        sparse = DiamondLattice(t=3, anchor=Coord(0, 0), shear=2, scale=2)
-        assert window_density(sparse, 8) == Fraction(1, 32)
-        verdict = validate_pattern(sparse)
-        assert not verdict.valid
-        # the counterexample really is under-supplied
-        v = verdict.counterexample
-        total = sum(
-            max(3 - manhattan_dist(tower, v), 0)
-            for tower in brute_force_members(sparse, coeff_range=6)
+    @pytest.mark.parametrize("t", range(3, 11))
+    def test_every_shear_is_valid(self, t):
+        # the lattice module docstring proves this for every shear; one
+        # shear period either side of the rectilinear t-1 checks it
+        for shear in range(-(t - 1), 2 * (t - 1) + 1):
+            verdict = validate_pattern(DiamondLattice(t=t, anchor=Coord(0, 0), shear=shear))
+            assert verdict == PatternVerdict(True, None), shear
+
+    def test_reports_first_under_supplied_vertex(self, monkeypatch):
+        # no pattern fails, so starve two residue classes of signal instead
+        reps = fundamental_domain_vertices(OFFSET_TILING)
+        starved = {reps[3], reps[5]}
+        real = lattice_module._pattern_signal_at
+        monkeypatch.setattr(
+            lattice_module,
+            "_pattern_signal_at",
+            lambda lattice, v: 1 if v in starved else real(lattice, v),
         )
-        assert total < 2
+        assert validate_pattern(OFFSET_TILING) == PatternVerdict(False, reps[3])
 
     @pytest.mark.parametrize("t", range(3, 7))
     def test_fundamental_domain_size(self, t):
