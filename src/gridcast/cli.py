@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success/valid, 1 invalid broadcast or failed internal
-verification, 2 usage or parse error, 3 search budget exhausted.
+verification, 2 usage or parse error or an input too large to hold, 3 search
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -253,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -11,9 +11,18 @@ collides and never reduces any vertex's signal, so the result verifies as a
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import numpy as np
 
 from .bounds import upper_t2
-from .grid import BroadcastParams, Coord, GridDims, TowerSet, check_broadcast
+from .grid import (
+    BroadcastParams,
+    Coord,
+    GridDims,
+    TowerSet,
+    check_broadcast,
+    check_cell_cap,
+    coords_of,
+)
 from .lattice import (
     DiamondLattice,
     count_in_window,
@@ -114,12 +123,16 @@ def letterbox_construct(dims: GridDims, t: int, lattice: DiamondLattice) -> Cons
     if lattice.t != t:
         raise ValueError(f"lattice strength {lattice.t} does not match t={t}")
 
+    check_cell_cap(dims)
+
     emb = embedding(dims, t)
     raw = towers_in_window(lattice, emb.lo, emb.hi)
-    replacements = tuple((tw, clamp_to_grid(tw, dims)) for tw in raw if not dims.contains(tw))
+    clamped = np.clip(raw.xy, 0, (dims.m - 1, dims.n - 1))
+    moved = (clamped != raw.xy).any(axis=1)
+    replacements = tuple(zip(coords_of(raw.xy[moved]), coords_of(clamped[moved])))
     # raw holds distinct towers, so the set shrinks iff a replacement landed
     # on a kept tower or on another replacement.
-    towers = TowerSet([tw for tw in raw if dims.contains(tw)] + [to for _, to in replacements])
+    towers = TowerSet(clamped)
     if len(towers) != len(raw):
         raise ConstructionInvariantError(
             f"replacement collision letterboxing {dims.m}x{dims.n}, t={t}, "
@@ -160,6 +173,7 @@ def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
     """
     if t < 3:
         raise ValueError(f"construction requires t >= 3, got {t}")
+    check_cell_cap(dims)
     if dims.m > 1 and dims.n > 1:
         counts = anchor_raw_counts(dims, t)
         best_anchor = min(counts, key=lambda a: (counts[a], a))

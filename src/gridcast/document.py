@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .grid import Coord, TowerSet
+import numpy as np
+
+from .grid import TowerSet
 
 _METADATA_KEYS = ("anchor", "raw_count", "shear", "generator", "tool_version")
 # Value type of every metadata key but anchor, which is an integer pair.
@@ -46,7 +48,7 @@ def serialize_document(doc: BroadcastDocument) -> str:
         "n": doc.n,
         "t": doc.t,
         "r": doc.r,
-        "towers": [[c.x, c.y] for c in doc.towers],
+        "towers": doc.towers.xy.tolist(),
     }
     if doc.metadata:
         meta = {}
@@ -88,7 +90,12 @@ def parse_document(text: str) -> BroadcastDocument:
             raise DocumentError(f"{name} must be a positive integer, got {value!r}")
     if not isinstance(payload["towers"], list):
         raise DocumentError("towers must be a list of [x, y] pairs")
-    towers = TowerSet(Coord(*_int_pair(pair, "tower")) for pair in payload["towers"])
+    for pair in payload["towers"]:
+        _int_pair(pair, "tower")
+    try:
+        towers = TowerSet(np.array(payload["towers"], dtype=np.int64).reshape(-1, 2))
+    except OverflowError:
+        raise DocumentError("tower coordinates must fit in 64-bit integers") from None
 
     metadata: dict = {}
     raw_meta = payload.get("metadata", {})

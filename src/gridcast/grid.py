@@ -18,14 +18,19 @@ import numpy as np
 # vertex is t * |towers|, so with the caps below it stays under 1e10 << 2**63.
 MAX_STRENGTH = 10_000
 MAX_TOWERS = 1_000_000
+# Largest grid (m * n vertices) that gets a per-vertex array: an int64 signal
+# field of this size takes 256 MiB.
+MAX_CELLS = 2**25
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Coord:
     """Integer lattice point (x, y).
 
     Coordinates may be negative: positions on the infinite grid are legal.
-    Membership in a finite grid is always checked against a GridDims.
+    Membership in a finite grid is always checked against a GridDims. Coords
+    appear only at the API and document edges (towers live in TowerSet.xy),
+    but a deficiency report can hold one per grid vertex, hence the slots.
     """
 
     x: int
@@ -67,27 +72,79 @@ class BroadcastParams:
             raise ValueError(f"required signal r must be >= 1, got {self.r}")
 
 
-@dataclass(frozen=True)
+def coords_of(xy: np.ndarray) -> Iterator[Coord]:
+    """The rows of a (k, 2) integer array as Coords, in row order."""
+    return map(Coord, xy[:, 0].tolist(), xy[:, 1].tolist())
+
+
+def _as_xy(towers: Iterable[Coord] | np.ndarray) -> np.ndarray:
+    """Towers as a (k, 2) int64 array, in input order and with duplicates kept."""
+    if isinstance(towers, TowerSet):
+        return towers.xy
+    if isinstance(towers, np.ndarray):
+        if not np.issubdtype(towers.dtype, np.integer):
+            raise ValueError(f"tower arrays must hold integers, got {towers.dtype}")
+        return np.asarray(towers, dtype=np.int64).reshape(-1, 2)
+    try:
+        return np.array([(c.x, c.y) for c in towers], dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError("tower coordinates must fit in 64-bit integers") from None
+
+
 class TowerSet:
     """A deduplicated tower set in lexicographic order.
 
-    Canonical ordering makes serialization and test output deterministic;
-    any iterable of Coords is normalized on construction.
+    ``xy`` is the one representation: a read-only (k, 2) int64 array of
+    distinct rows sorted by (x, y). Canonical ordering makes serialization and
+    test output deterministic. Any iterable of Coords, or any (k, 2) integer
+    array, is normalized on construction; iteration yields Coords.
     """
 
-    towers: tuple[Coord, ...] = ()
+    __slots__ = ("xy",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "towers", tuple(sorted(set(self.towers))))
+    def __init__(self, towers: Iterable[Coord] | np.ndarray = ()) -> None:
+        xy = _as_xy(towers)
+        if not isinstance(towers, TowerSet):
+            x, y = xy[:, 0], xy[:, 1]
+            if ((x[:-1] < x[1:]) | ((x[:-1] == x[1:]) & (y[:-1] < y[1:]))).all():
+                xy = xy.copy()
+            else:
+                xy = xy[np.lexsort((y, x))]
+                distinct = np.ones(len(xy), dtype=bool)
+                distinct[1:] = (xy[1:] != xy[:-1]).any(axis=1)
+                xy = xy[distinct]
+            xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("TowerSet is immutable")
+
+    @property
+    def towers(self) -> tuple[Coord, ...]:
+        return tuple(self)
 
     def __iter__(self) -> Iterator[Coord]:
-        return iter(self.towers)
+        return coords_of(self.xy)
 
     def __len__(self) -> int:
-        return len(self.towers)
+        return len(self.xy)
 
     def __contains__(self, v: object) -> bool:
-        return v in self.towers
+        if not isinstance(v, Coord):
+            return False
+        x, y = self.xy[:, 0], self.xy[:, 1]
+        return bool(((x == v.x) & (y == v.y)).any())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TowerSet):
+            return NotImplemented
+        return np.array_equal(self.xy, other.xy)
+
+    def __hash__(self) -> int:
+        return hash(self.xy.tobytes())
+
+    def __repr__(self) -> str:
+        return f"TowerSet({list(self)!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,35 +189,94 @@ def _diamond_kernel(t: int) -> np.ndarray:
     return np.maximum(t - (offsets[:, None] + offsets[None, :]), 0).astype(np.int64)
 
 
+# Rough fixed cost of one Python-level step (a stamp or a shifted slice), in
+# array-element operations; it only decides which of the two field algorithms
+# in signal_field is cheaper.
+_STEP_OVERHEAD = 3000
+
+
+def check_cell_cap(dims: GridDims) -> None:
+    """Raise ValueError if the grid has more than MAX_CELLS vertices.
+
+    Called before any per-cell array or grid-sized tower list is built, so an
+    oversized request fails fast instead of exhausting memory.
+    """
+    if dims.m * dims.n > MAX_CELLS:
+        raise ValueError(
+            f"grid {dims.m}x{dims.n} has {dims.m * dims.n} vertices, "
+            f"more than the supported {MAX_CELLS}"
+        )
+
+
 def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> SignalField:
     """Accumulate the total signal every grid vertex receives.
 
     Towers outside the grid are legal (their signal radiates in); this is
     needed when evaluating a halo of an infinite pattern against the grid.
+    A tower repeated in a plain list counts once per copy.
+
+    Dense towers: image of tower counts, padded by t-1, added once per diamond
+    offset as a shifted slice. Sparse towers with large t: each tower's
+    diamond is stamped on its own. The cheaper one is chosen from the grid
+    size, t and the tower count.
     """
-    towers = list(towers)
     if t < 1:
         raise ValueError(f"signal strength t must be >= 1, got {t}")
+    if not isinstance(towers, (TowerSet, np.ndarray)):
+        towers = list(towers)
     if t > MAX_STRENGTH or len(towers) > MAX_TOWERS:
         raise ValueError(
             f"inputs exceed documented bounds (t <= {MAX_STRENGTH}, "
             f"|towers| <= {MAX_TOWERS}); signal totals could overflow"
         )
-    values = np.zeros((dims.m, dims.n), dtype=np.int64)
+    check_cell_cap(dims)
+    xy = _as_xy(towers)
+    m, n = dims.m, dims.n
+    radius = t - 1
+    x, y = xy[:, 0], xy[:, 1]
+    near = xy[(x > -t) & (x < m + radius) & (y > -t) & (y < n + radius)]
+    values = np.zeros((m, n), dtype=np.int64)
+    if _shift_is_cheaper(m, n, t, len(near)):
+        _add_shifted(values, near, radius)
+    else:
+        _add_stamps(values, near.tolist(), t)
+    return SignalField(dims, values)
+
+
+def _shift_is_cheaper(m: int, n: int, t: int, towers: int) -> bool:
+    # One shifted slice per diamond offset, against one stamp per tower.
+    offsets = 2 * t * (t - 1) + 1
+    return offsets * (m * n + _STEP_OVERHEAD) <= towers * (_STEP_OVERHEAD + (2 * t - 1) ** 2)
+
+
+def _add_shifted(values: np.ndarray, near: np.ndarray, radius: int) -> None:
+    # A tower at distance d supplies t - d = radius + 1 - d, which is the number
+    # of k in [d, radius]; so the field is the sum over k of ``within``, the
+    # tower count in the radius-k diamond around each vertex.
+    m, n = values.shape
+    # Every count below is at most len(near) <= MAX_TOWERS < 2**31.
+    image = np.zeros((m + 2 * radius, n + 2 * radius), dtype=np.int32)
+    np.add.at(image, (near[:, 0] + radius, near[:, 1] + radius), 1)
+    within = np.zeros((m, n), dtype=np.int32)
+    for d in range(radius + 1):
+        for dx in range(-d, d + 1):
+            dy = d - abs(dx)
+            for sy in {-dy, dy}:
+                within += image[radius + dx : radius + dx + m, radius + sy : radius + sy + n]
+        values += within
+
+
+def _add_stamps(values: np.ndarray, near: list[list[int]], t: int) -> None:
+    m, n = values.shape
     radius = t - 1
     kernel = _diamond_kernel(t)
-    for tw in towers:
-        x0 = max(tw.x - radius, 0)
-        x1 = min(tw.x + radius, dims.m - 1)
-        y0 = max(tw.y - radius, 0)
-        y1 = min(tw.y + radius, dims.n - 1)
-        if x0 > x1 or y0 > y1:
-            continue
+    for tx, ty in near:
+        x0, x1 = max(tx - radius, 0), min(tx + radius, m - 1)
+        y0, y1 = max(ty - radius, 0), min(ty + radius, n - 1)
         values[x0 : x1 + 1, y0 : y1 + 1] += kernel[
-            x0 - tw.x + radius : x1 - tw.x + radius + 1,
-            y0 - tw.y + radius : y1 - tw.y + radius + 1,
+            x0 - tx + radius : x1 - tx + radius + 1,
+            y0 - ty + radius : y1 - ty + radius + 1,
         ]
-    return SignalField(dims, values)
 
 
 def check_broadcast(dims: GridDims, params: BroadcastParams, towers: TowerSet) -> BroadcastVerdict:
@@ -169,10 +285,10 @@ def check_broadcast(dims: GridDims, params: BroadcastParams, towers: TowerSet) -
     Valid iff every vertex receives total signal >= r. Deficient vertices are
     reported lexicographically with their received totals.
     """
-    field = signal_field(dims, params.t, towers)
-    short = np.argwhere(field.values < params.r)
-    deficiencies = tuple(
-        (Coord(int(x), int(y)), int(field.values[x, y])) for x, y in short
-    )
-    outside = tuple(tw for tw in towers if not dims.contains(tw))
+    values = signal_field(dims, params.t, towers).values
+    short = np.argwhere(values < params.r)
+    deficiencies = tuple(zip(coords_of(short), values[short[:, 0], short[:, 1]].tolist()))
+    xy = _as_xy(towers)
+    x, y = xy[:, 0], xy[:, 1]
+    outside = tuple(coords_of(xy[(x < 0) | (x >= dims.m) | (y < 0) | (y >= dims.n)]))
     return BroadcastVerdict(not deficiencies, deficiencies, outside)

@@ -25,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grid import Coord, TowerSet, manhattan_dist
+import numpy as np
+
+from .grid import Coord, TowerSet
 
 __all__ = [
     "DiamondLattice",
@@ -112,11 +114,18 @@ def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
     wx = lattice.shear
     wy = wx - 2 * step
     ax, ay = lattice.anchor.x, lattice.anchor.y
-    points = []
-    for b, a_lo, a_hi in _window_coefficient_rows(lattice, lo.x, hi.x, lo.y, hi.y):
-        for a in range(a_lo, a_hi + 1):
-            points.append(Coord(ax + a * step + b * wx, ay + a * step + b * wy))
-    return TowerSet(points)
+    rows = list(_window_coefficient_rows(lattice, lo.x, hi.x, lo.y, hi.y))
+    # Along one row both coordinates grow by `step` per tower. Each row's first
+    # tower lies in the window, so it fits in int64 however large a and b are.
+    first_x = [ax + a_lo * step + b * wx for b, a_lo, _ in rows]
+    first_y = [ay + a_lo * step + b * wy for b, a_lo, _ in rows]
+    lengths = np.array([a_hi - a_lo + 1 for _, a_lo, a_hi in rows], dtype=np.int64)
+    row_start = np.cumsum(lengths) - lengths
+    along = (np.arange(lengths.sum()) - np.repeat(row_start, lengths)) * step
+    xy = np.empty((len(along), 2), dtype=np.int64)
+    xy[:, 0] = np.repeat(np.array(first_x, dtype=np.int64), lengths) + along
+    xy[:, 1] = np.repeat(np.array(first_y, dtype=np.int64), lengths) + along
+    return TowerSet(xy)
 
 
 def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
@@ -175,11 +184,19 @@ def _pattern_signal_at(lattice: DiamondLattice, v: Coord) -> int:
     Only towers within distance t-1 contribute, so a (2t-1)-square window
     around v captures everything.
     """
-    radius = lattice.t - 1
-    nearby = towers_in_window(
-        lattice, Coord(v.x - radius, v.y - radius), Coord(v.x + radius, v.y + radius)
-    )
-    return sum(max(lattice.t - manhattan_dist(tw, v), 0) for tw in nearby)
+    t = lattice.t
+    step = t - 1
+    wx = lattice.shear
+    wy = wx - 2 * step
+    dx0, dy0 = lattice.anchor.x - v.x, lattice.anchor.y - v.y
+    total = 0
+    for b, a_lo, a_hi in _window_coefficient_rows(
+        lattice, v.x - step, v.x + step, v.y - step, v.y + step
+    ):
+        for a in range(a_lo, a_hi + 1):
+            dist = abs(dx0 + a * step + b * wx) + abs(dy0 + a * step + b * wy)
+            total += max(t - dist, 0)
+    return total
 
 
 def validate_pattern(lattice: DiamondLattice) -> PatternVerdict:

@@ -21,7 +21,14 @@ import time
 from dataclasses import dataclass
 
 from .bounds import lower_t2
-from .grid import BroadcastParams, Coord, GridDims, TowerSet, check_broadcast
+from .grid import (
+    BroadcastParams,
+    Coord,
+    GridDims,
+    TowerSet,
+    check_broadcast,
+    check_cell_cap,
+)
 
 DEFAULT_MAX_NODES = 10_000_000
 
@@ -239,6 +246,7 @@ def exact_gamma(
     certifies that no smaller broadcast exists, so the first hit is optimal.
     """
     budget = budget or SearchBudget()
+    check_cell_cap(dims)
     if not check_broadcast(dims, params, TowerSet(dims.vertices())).valid:
         raise ValueError(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "

@@ -1,11 +1,16 @@
 """Command-line surface: flows, golden lines, exit codes, renderers."""
 
+import hashlib
+import importlib
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from gridcast import Coord, TowerSet, parse_document
+from gridcast import Coord, TowerSet, grid, parse_document, solver
 from gridcast.cli import main
 from gridcast.document import BroadcastDocument, serialize_document
 from gridcast.render import render_ascii, render_svg
@@ -154,6 +159,101 @@ CONSTRUCT_GOLDEN = [
 )
 def test_construct_golden(capsys, argv, code, out, err):
     assert run_cli(capsys, "construct", *argv.split()) == (code, out, err)
+
+
+# sha256 of stdout + stderr of `construct --best`, frozen from the
+# implementation that kept towers as sorted tuples of Coord objects.
+CONSTRUCT_DIGESTS = [
+    ("220", "223", "3", "23912170e76849a90be878c16c855eaf777b0af20c149309e4c2c7dbdea5bee8"),
+    ("500", "497", "3", "b6e0ce0fa1dab72cd8af288d71be9884026f6bfc43656da1bdae2ab76ee87ef2"),
+    ("720", "715", "4", "c572c9db5c959f8e1e16008f061b35cc4241601f1fc323dba12682e92bb9b48c"),
+    ("1300", "1290", "48", "9d3964c7c9eda541c4fddbc8a4318982e22dbcf7432463e6d27e5988f8c7bd7c"),
+]
+
+
+def digest(out, err):
+    return hashlib.sha256((out + err).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m,n,t,expected", CONSTRUCT_DIGESTS, ids=lambda v: str(v)[:8])
+def test_construct_digest(capsys, m, n, t, expected):
+    code, out, err = run_cli(capsys, "construct", "--m", m, "--n", n, "--t", t, "--best")
+    assert code == 0
+    assert digest(out, err) == expected
+
+
+def test_verify_half_removed_digest(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "construct", "--m", "300", "--n", "297", "--t", "3")
+    assert code == 0
+    payload = json.loads(out)
+    payload["towers"] = payload["towers"][::2]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out.startswith("INVALID: 44586 deficient vertices\n")
+    assert digest(out, err) == "eec9bffe05d1f666ac1dffa0cce9ff1c3f6b4a5b5e99344a6245c760d5f6916c"
+
+
+class TestCellCap:
+    """Requests one vertex over MAX_CELLS exit 2 before any per-vertex work."""
+
+    # 2**25 + 1 = 3 * 11184811
+    M, N = 3, (grid.MAX_CELLS + 1) // 3
+
+    @pytest.fixture(autouse=True)
+    def no_grid_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-vertex work started on an oversized grid")
+
+        construct_module = importlib.import_module("gridcast.construct")
+        monkeypatch.setattr(grid.np, "zeros", refuse)
+        for module, name in (
+            (construct_module, "towers_in_window"),
+            (construct_module, "path_construct"),
+            (construct_module, "anchor_raw_counts"),
+            (solver, "check_broadcast"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+
+    def assert_refused(self, capsys, m, n, *argv):
+        assert m * n == grid.MAX_CELLS + 1
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: grid {m}x{n} has {grid.MAX_CELLS + 1} vertices, "
+            f"more than the supported {grid.MAX_CELLS}\n"
+        )
+
+    def test_verify(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            f'{{"m":{self.M},"n":{self.N},"t":3,"r":2,"towers":[[0,0]]}}\n', encoding="utf-8"
+        )
+        self.assert_refused(capsys, self.M, self.N, "verify", str(path))
+
+    @pytest.mark.parametrize("extra", [[], ["--anchor", "0,0"]], ids=["best", "anchor"])
+    def test_construct(self, capsys, extra):
+        argv = ["construct", "--m", str(self.M), "--n", str(self.N), "--t", "3", *extra]
+        self.assert_refused(capsys, self.M, self.N, *argv)
+
+    def test_construct_path(self, capsys):
+        m = grid.MAX_CELLS + 1
+        self.assert_refused(capsys, m, 1, "construct", "--m", str(m), "--n", "1", "--t", "3")
+
+    def test_exact(self, capsys):
+        argv = ["exact", "--m", str(self.M), "--n", str(self.N), "--t", "3", "--r", "2"]
+        self.assert_refused(capsys, self.M, self.N, *argv)
+
+
+def test_out_of_memory_is_exit_2(capsys, monkeypatch, tmp_path):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(grid, "signal_field", exhausted)
+    path = tmp_path / "doc.json"
+    path.write_text('{"m":5,"n":1,"t":4,"r":2,"towers":[[2,0]]}\n', encoding="utf-8")
+    assert run_cli(capsys, "verify", str(path)) == (2, "", "error: out of memory\n")
 
 
 class TestVerifyCommand:
@@ -389,10 +489,15 @@ class TestUsageErrors:
 
 
 def test_module_entry_point_smoke():
+    # The package may be uninstalled (pytest finds it through pythonpath).
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "gridcast", "bounds", "--m", "12", "--n", "6", "--t", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "12,6,3,9,14,1.555556"

@@ -93,6 +93,12 @@ class TestParsing:
         with pytest.raises(DocumentError):
             parse_document('{"m":5,"n":1,"t":4,"r":2,"towers":[[1,"a"]]}')
 
+    def test_rejects_towers_beyond_int64(self):
+        with pytest.raises(DocumentError, match="64-bit"):
+            parse_document('{"m":5,"n":1,"t":4,"r":2,"towers":[[0,0],[9223372036854775808,0]]}')
+        far = parse_document('{"m":5,"n":1,"t":4,"r":2,"towers":[[-9223372036854775808,0]]}')
+        assert far.towers.towers == (Coord(-(2**63), 0),)
+
     def test_rejects_nonpositive_dimensions(self):
         with pytest.raises(DocumentError):
             parse_document('{"m":0,"n":1,"t":4,"r":2,"towers":[]}')

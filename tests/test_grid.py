@@ -15,7 +15,19 @@ from gridcast import (
     signal,
     signal_field,
 )
+from gridcast import grid
 from naive_oracle import bfs_distances
+
+coords = st.builds(Coord, st.integers(-6, 6), st.integers(-6, 6))
+
+
+def per_tower_field(m, n, t, towers):
+    """Reference field: every tower's signal summed, one tower at a time."""
+    xs, ys = np.indices((m, n))
+    values = np.zeros((m, n), dtype=np.int64)
+    for tw in towers:
+        values += np.maximum(t - (abs(xs - tw.x) + abs(ys - tw.y)), 0)
+    return values
 
 
 class TestManhattanDist:
@@ -128,6 +140,58 @@ class TestSignalField:
         )
         assert np.array_equal(shifted.values[dx:, dy:], base.values)
 
+    @pytest.mark.parametrize("shift", [True, False], ids=["shifted", "stamped"])
+    @given(
+        m=st.integers(1, 30),
+        n=st.integers(1, 30),
+        t=st.integers(1, 25),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_tower_reference(self, shift, m, n, t, data):
+        # Lists may hold duplicates (each counts) and towers far outside.
+        near = st.builds(Coord, st.integers(-t - 2, m + t + 1), st.integers(-t - 2, n + t + 1))
+        towers = data.draw(st.lists(near, max_size=12))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid, "_shift_is_cheaper", lambda *args: shift)
+            field = signal_field(GridDims(m, n), t, towers)
+        assert field.values.dtype == np.int64
+        assert np.array_equal(field.values, per_tower_field(m, n, t, towers))
+
+    @pytest.mark.parametrize(
+        "m,n,t,towers,branch",
+        [
+            # dense: 5 shifted slices of 6x7 cost less than 6 stamps
+            (
+                6, 7, 2,
+                [Coord(1, 1), Coord(1, 1), Coord(5, 3), Coord(-1, 3), Coord(6, 7), Coord(0, 0)],
+                "_add_shifted",
+            ),
+            # sparse, large t: 1201 slices of 40x40 cost more than three stamps
+            (40, 40, 25, [Coord(3, 4), Coord(3, 4), Coord(41, -2), Coord(70, 0)], "_add_stamps"),
+        ],
+    )
+    def test_cheaper_algorithm_is_chosen(self, monkeypatch, m, n, t, towers, branch):
+        calls = []
+        original = getattr(grid, branch)
+        monkeypatch.setattr(grid, branch, lambda *a: calls.append(1) or original(*a))
+        values = signal_field(GridDims(m, n), t, towers).values
+        assert calls == [1]
+        assert np.array_equal(values, per_tower_field(m, n, t, towers))
+
+    def test_cell_cap_refuses_before_allocating(self, monkeypatch):
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("np.zeros called for an oversized grid")
+
+        monkeypatch.setattr(grid.np, "zeros", no_zeros)
+        # 2**25 + 1 = 3 * 11184811: one vertex over the cap.
+        dims = GridDims(3, (grid.MAX_CELLS + 1) // 3)
+        assert dims.m * dims.n == grid.MAX_CELLS + 1
+        with pytest.raises(ValueError, match="more than the supported"):
+            signal_field(dims, 3, TowerSet([Coord(0, 0)]))
+        with pytest.raises(ValueError, match="more than the supported"):
+            check_broadcast(dims, BroadcastParams(3, 2), TowerSet())
+
 
 class TestCheckBroadcast:
     def test_valid_path(self):
@@ -181,6 +245,47 @@ class TestTowerSet:
         assert ts.towers == (Coord(0, 1), Coord(0, 2), Coord(3, 1))
         assert len(ts) == 3
         assert Coord(3, 1) in ts
+
+    @given(st.lists(coords, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_sorted_set(self, towers):
+        ts = TowerSet(towers)
+        assert ts.towers == tuple(sorted(set(towers)))
+        assert list(ts) == sorted(set(towers))
+        assert len(ts) == len(set(towers))
+        assert ts.xy.shape == (len(ts), 2) and ts.xy.dtype == np.int64
+
+    @given(st.lists(coords, max_size=30), coords)
+    @settings(max_examples=150, deadline=None)
+    def test_list_and_array_forms_agree(self, towers, probe):
+        from_list = TowerSet(towers)
+        rows = np.array([(c.x, c.y) for c in towers], dtype=np.int64).reshape(-1, 2)
+        from_array = TowerSet(rows)
+        assert from_list == from_array
+        assert hash(from_list) == hash(from_array)
+        assert TowerSet(from_list) == from_list
+        assert (probe in from_list) == (probe in from_array) == (probe in towers)
+        assert all(type(c) is Coord for c in from_array)
+        assert list(from_list) == list(from_array)
+
+    def test_sets_differ(self):
+        assert TowerSet([Coord(0, 0)]) != TowerSet([Coord(0, 1)])
+        assert TowerSet() == TowerSet([]) == TowerSet(np.empty((0, 2), dtype=np.int64))
+        assert TowerSet() != ()
+
+    def test_rejects_non_integer_arrays(self):
+        with pytest.raises(ValueError, match="integers"):
+            TowerSet(np.array([[0.5, 1.0]]))
+
+    def test_xy_is_read_only(self):
+        source = np.array([[0, 5], [1, 2]], dtype=np.int64)  # already canonical
+        ts = TowerSet(source)
+        with pytest.raises(ValueError):
+            ts.xy[0, 0] = 7
+        source[0, 0] = 9  # the caller's array stays the caller's
+        assert ts.towers == (Coord(0, 5), Coord(1, 2))
+        with pytest.raises(AttributeError):
+            ts.xy = source
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
