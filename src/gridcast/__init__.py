@@ -42,7 +42,6 @@ from .grid import (
     BroadcastVerdict,
     Coord,
     GridDims,
-    SignalField,
     TowerSet,
     check_broadcast,
     manhattan_dist,

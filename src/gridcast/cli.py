@@ -104,17 +104,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     doc = load_document(args.path)
     verdict = document_verdict(doc)
-    for tower in verdict.outside_towers:
-        print(
-            f"warning: tower ({tower.x},{tower.y}) lies outside the {doc.m}x{doc.n} grid",
-            file=sys.stderr,
-        )
+    for x, y in verdict.outside_towers.tolist():
+        print(f"warning: tower ({x},{y}) lies outside the {doc.m}x{doc.n} grid", file=sys.stderr)
     if verdict.valid:
         print("VALID")
         return 0
     print(f"INVALID: {len(verdict.deficiencies)} deficient vertices")
-    for coord, got in verdict.deficiencies[:10]:
-        print(f"({coord.x},{coord.y}) signal={got}")
+    for (x, y), got in zip(verdict.deficiencies[:10].tolist(), verdict.received[:10].tolist()):
+        print(f"({x},{y}) signal={got}")
     return 1
 
 

@@ -142,7 +142,8 @@ def letterbox_construct(dims: GridDims, t: int, lattice: DiamondLattice) -> Cons
     if not verdict.valid:
         raise ConstructionInvariantError(
             f"letterbox result failed verification on {dims.m}x{dims.n}, t={t}, "
-            f"anchor={lattice.anchor}; first deficiency {verdict.deficiencies[0]}"
+            f"anchor={lattice.anchor}; first deficiency "
+            f"({Coord(*verdict.deficiencies[0].tolist())!r}, {verdict.received[0]})"
         )
     return ConstructionResult(towers, lattice.anchor, len(raw), replacements, "letterbox")
 

@@ -29,8 +29,8 @@ class Coord:
 
     Coordinates may be negative: positions on the infinite grid are legal.
     Membership in a finite grid is always checked against a GridDims. Coords
-    appear only at the API and document edges (towers live in TowerSet.xy),
-    but a deficiency report can hold one per grid vertex, hence the slots.
+    appear only at the API and document edges: towers live in TowerSet.xy and
+    verdicts in integer arrays.
     """
 
     x: int
@@ -147,27 +147,30 @@ class TowerSet:
         return f"TowerSet({list(self)!r})"
 
 
+class _Field(np.ndarray):
+    # signal_field's array, which also answers ``.values`` (itself, as a plain
+    # ndarray): the benchmark's library test (perfbench/test_perfbench.py)
+    # still reads the field through that attribute of the old wrapper.
+    @property
+    def values(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+
 @dataclass(frozen=True, eq=False)
-class SignalField:
-    """Total received signal per vertex; ``values[x, y]`` is the total at (x, y)."""
-
-    dims: GridDims
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class BroadcastVerdict:
-    """Outcome of check_broadcast.
+    """Outcome of check_broadcast, as int64 arrays.
 
-    ``deficiencies`` lists every vertex receiving less than r, with its total,
-    in lexicographic order. ``outside_towers`` is a warning, not an error:
-    towers outside the grid still radiate signal inward, but a final broadcast
-    must lie inside the grid.
+    ``deficiencies`` is the (k, 2) array of vertices receiving less than r, in
+    lexicographic order, and ``received`` the (k,) array of their totals.
+    ``outside_towers`` (j, 2) is a warning, not an error: towers outside the
+    grid still radiate signal inward, but a final broadcast must lie inside
+    the grid.
     """
 
     valid: bool
-    deficiencies: tuple[tuple[Coord, int], ...] = ()
-    outside_towers: tuple[Coord, ...] = ()
+    deficiencies: np.ndarray
+    received: np.ndarray
+    outside_towers: np.ndarray
 
 
 def manhattan_dist(u: Coord, v: Coord) -> int:
@@ -182,11 +185,14 @@ def signal(t: int, tower: Coord, v: Coord) -> int:
     return max(t - manhattan_dist(tower, v), 0)
 
 
-@lru_cache(maxsize=None)
-def _diamond_kernel(t: int) -> np.ndarray:
-    # (2t-1) x (2t-1) stamp of one tower's signal, centered at index (t-1, t-1).
-    offsets = np.abs(np.arange(2 * t - 1) - (t - 1))
-    return np.maximum(t - (offsets[:, None] + offsets[None, :]), 0).astype(np.int64)
+@lru_cache(maxsize=16)
+def _diamond_kernel(t: int, a: int, b: int) -> np.ndarray:
+    # (2a+1) x (2b+1) stamp of one tower's signal, centered at index (a, b).
+    # a and b are at most the grid sides minus one: no larger offset between
+    # two vertices of the grid exists, so the kernel is bounded by the grid.
+    ox = np.abs(np.arange(2 * a + 1) - a)
+    oy = np.abs(np.arange(2 * b + 1) - b)
+    return np.maximum(t - (ox[:, None] + oy[None, :]), 0).astype(np.int64)
 
 
 # Rough fixed cost of one Python-level step (a stamp or a shifted slice), in
@@ -208,8 +214,8 @@ def check_cell_cap(dims: GridDims) -> None:
         )
 
 
-def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> SignalField:
-    """Accumulate the total signal every grid vertex receives.
+def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
+    """The (m, n) int64 array of total signal; ``[x, y]`` is the total at (x, y).
 
     Towers outside the grid are legal (their signal radiates in); this is
     needed when evaluating a halo of an infinite pattern against the grid.
@@ -239,14 +245,16 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> SignalField
     if _shift_is_cheaper(m, n, t, len(near)):
         _add_shifted(values, near, radius)
     else:
-        _add_stamps(values, near.tolist(), t)
-    return SignalField(dims, values)
+        _add_stamps(values, near, t)
+    return values.view(_Field)
 
 
 def _shift_is_cheaper(m: int, n: int, t: int, towers: int) -> bool:
-    # One shifted slice per diamond offset, against one stamp per tower.
+    # One shifted slice per diamond offset, against one stamp per tower; a
+    # stamp covers at most its diamond's bounding box clipped to the grid.
     offsets = 2 * t * (t - 1) + 1
-    return offsets * (m * n + _STEP_OVERHEAD) <= towers * (_STEP_OVERHEAD + (2 * t - 1) ** 2)
+    stamp = min(2 * t - 1, m) * min(2 * t - 1, n)
+    return offsets * (m * n + _STEP_OVERHEAD) <= towers * (_STEP_OVERHEAD + stamp)
 
 
 def _add_shifted(values: np.ndarray, near: np.ndarray, radius: int) -> None:
@@ -266,17 +274,20 @@ def _add_shifted(values: np.ndarray, near: np.ndarray, radius: int) -> None:
         values += within
 
 
-def _add_stamps(values: np.ndarray, near: list[list[int]], t: int) -> None:
+def _add_stamps(values: np.ndarray, near: np.ndarray, t: int) -> None:
+    # A tower outside the grid reaches each vertex through the tower's
+    # clamped image, so it acts like that image with strength t - excess,
+    # excess being its L1 distance to the grid.
     m, n = values.shape
-    radius = t - 1
-    kernel = _diamond_kernel(t)
-    for tx, ty in near:
-        x0, x1 = max(tx - radius, 0), min(tx + radius, m - 1)
-        y0, y1 = max(ty - radius, 0), min(ty + radius, n - 1)
-        values[x0 : x1 + 1, y0 : y1 + 1] += kernel[
-            x0 - tx + radius : x1 - tx + radius + 1,
-            y0 - ty + radius : y1 - ty + radius + 1,
-        ]
+    a, b = min(t, m) - 1, min(t, n) - 1
+    kernel = _diamond_kernel(t, a, b)
+    clamped = np.clip(near, 0, (m - 1, n - 1))
+    excess = np.abs(near - clamped).sum(axis=1)
+    for tx, ty, e in zip(clamped[:, 0].tolist(), clamped[:, 1].tolist(), excess.tolist()):
+        x0, x1 = max(tx - a, 0), min(tx + a, m - 1)
+        y0, y1 = max(ty - b, 0), min(ty + b, n - 1)
+        stamp = kernel[x0 - tx + a : x1 - tx + a + 1, y0 - ty + b : y1 - ty + b + 1]
+        values[x0 : x1 + 1, y0 : y1 + 1] += np.maximum(stamp - e, 0) if e else stamp
 
 
 def check_broadcast(dims: GridDims, params: BroadcastParams, towers: TowerSet) -> BroadcastVerdict:
@@ -285,10 +296,9 @@ def check_broadcast(dims: GridDims, params: BroadcastParams, towers: TowerSet) -
     Valid iff every vertex receives total signal >= r. Deficient vertices are
     reported lexicographically with their received totals.
     """
-    values = signal_field(dims, params.t, towers).values
+    values = signal_field(dims, params.t, towers).view(np.ndarray)
     short = np.argwhere(values < params.r)
-    deficiencies = tuple(zip(coords_of(short), values[short[:, 0], short[:, 1]].tolist()))
     xy = _as_xy(towers)
     x, y = xy[:, 0], xy[:, 1]
-    outside = tuple(coords_of(xy[(x < 0) | (x >= dims.m) | (y < 0) | (y >= dims.n)]))
-    return BroadcastVerdict(not deficiencies, deficiencies, outside)
+    outside = xy[(x < 0) | (x >= dims.m) | (y < 0) | (y >= dims.n)]
+    return BroadcastVerdict(not len(short), short, values[short[:, 0], short[:, 1]], outside)

@@ -7,8 +7,10 @@ row (y = n-1) first.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .document import BroadcastDocument
-from .grid import BroadcastParams, BroadcastVerdict, Coord, GridDims, check_broadcast
+from .grid import BroadcastParams, BroadcastVerdict, GridDims, check_broadcast
 
 _CELL = 24  # svg pixels per grid step
 
@@ -20,17 +22,12 @@ def document_verdict(doc: BroadcastDocument) -> BroadcastVerdict:
 def render_ascii(doc: BroadcastDocument) -> str:
     """Towers as 'T', satisfied vertices as '.', deficient vertices as '!'."""
     verdict = document_verdict(doc)
-    deficient = {coord for coord, _ in verdict.deficiencies}
-    towers = set(doc.towers)
-    rows = []
-    for y in range(doc.n - 1, -1, -1):
-        rows.append(
-            "".join(
-                "!" if Coord(x, y) in deficient else "T" if Coord(x, y) in towers else "."
-                for x in range(doc.m)
-            )
-        )
-    return "\n".join(rows) + "\n"
+    cells = np.full((doc.m, doc.n), ".")
+    xy = doc.towers.xy
+    inside = (xy >= 0).all(axis=1) & (xy < (doc.m, doc.n)).all(axis=1)
+    cells[xy[inside, 0], xy[inside, 1]] = "T"
+    cells[verdict.deficiencies[:, 0], verdict.deficiencies[:, 1]] = "!"
+    return "".join("".join(row) + "\n" for row in cells.T[::-1])
 
 
 def render_svg(doc: BroadcastDocument) -> str:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import lower_t2
 from .grid import (
     BroadcastParams,
@@ -35,7 +37,11 @@ DEFAULT_MAX_NODES = 10_000_000
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps on one search: node expansions, and optionally wall-clock seconds."""
+    """Caps on node expansions and, optionally, wall-clock seconds.
+
+    Passed to exact_gamma, they bound the whole solve; passed to
+    find_broadcast_of_size, one level including its setup.
+    """
 
     max_nodes: int = DEFAULT_MAX_NODES
     max_seconds: float | None = None
@@ -95,6 +101,10 @@ class _Search:
     """
 
     def __init__(self, dims: GridDims, params: BroadcastParams, budget: SearchBudget):
+        # The clock starts before setup, so setup is charged to max_seconds.
+        self.deadline = (
+            None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+        )
         m, n, t, r = dims.m, dims.n, params.t, params.r
         self.n = n
         self.r = r
@@ -120,9 +130,6 @@ class _Search:
         self.stack: list[int] = []
         self.symmetries = _grid_symmetries(m, n)
         self.nodes = 0
-        self.deadline = (
-            None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-        )
 
     def _place(self, u: int) -> None:
         field, r = self.field, self.r
@@ -244,10 +251,14 @@ def exact_gamma(
     Levels k are tried in increasing order starting from the area lower bound
     (when it applies, i.e. t >= 3 and r >= 2) or from 1; each exhausted level
     certifies that no smaller broadcast exists, so the first hit is optimal.
+    The budget covers the whole solve: each level gets the nodes and seconds
+    the earlier ones left.
     """
     budget = budget or SearchBudget()
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
     check_cell_cap(dims)
-    if not check_broadcast(dims, params, TowerSet(dims.vertices())).valid:
+    every_vertex = np.indices((dims.m, dims.n)).reshape(2, -1).T
+    if not check_broadcast(dims, params, TowerSet(every_vertex)).valid:
         raise ValueError(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"
@@ -258,8 +269,12 @@ def exact_gamma(
         k = 1
     total_nodes = 0
     while True:
+        seconds = None if deadline is None else deadline - time.monotonic()
+        if total_nodes >= budget.max_nodes or (seconds is not None and seconds <= 0):
+            return SolveResult("budget_exhausted", None, None, total_nodes)
+        left = SearchBudget(budget.max_nodes - total_nodes, seconds)
         try:
-            witness, nodes = find_broadcast_of_size(dims, params, k, budget)
+            witness, nodes = find_broadcast_of_size(dims, params, k, left)
         except BudgetExhaustedError as exc:
             return SolveResult("budget_exhausted", None, None, total_nodes + exc.nodes_expanded)
         total_nodes += nodes

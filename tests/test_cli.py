@@ -9,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcast import Coord, TowerSet, grid, parse_document, solver
+from gridcast import Coord, TowerSet, grid, parse_document, signal, solver
 from gridcast.cli import main
 from gridcast.document import BroadcastDocument, serialize_document
 from gridcast.render import render_ascii, render_svg
@@ -462,10 +464,64 @@ class TestRenderCommand:
         assert code == 2
 
 
+def write_raw(tmp_path, payload):
+    # Bypass TowerSet so towers outside the grid reach the document as written.
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_render_ascii_golden(capsys, tmp_path):
+    # r > t, so the lone towers at (6,1) and (4,4) stand on deficient vertices;
+    # the tower at (-1,2) lies outside and lifts (0,1) and (0,3) to exactly r.
+    payload = {"m": 8, "n": 5, "t": 3, "r": 4, "towers": [[-1, 2], [0, 2], [1, 2], [6, 1], [4, 4]]}
+    assert run_cli(capsys, "render", write_raw(tmp_path, payload)) == (
+        0, "!!!!!!!!\n.!!!!!!!\nTT!!!!!!\n.!!!!!!!\n!!!!!!!!\n", ""
+    )
+
+
+def test_verify_golden(capsys, tmp_path):
+    payload = {"m": 6, "n": 5, "t": 3, "r": 2, "towers": [[-2, 0], [2, 2], [7, 4]]}
+    assert run_cli(capsys, "verify", write_raw(tmp_path, payload)) == (
+        1,
+        "INVALID: 25 deficient vertices\n"
+        "(0,0) signal=1\n(0,1) signal=0\n(0,2) signal=1\n(0,3) signal=0\n(0,4) signal=0\n"
+        "(1,0) signal=0\n(1,1) signal=1\n(1,3) signal=1\n(1,4) signal=0\n(2,0) signal=1\n",
+        "warning: tower (-2,0) lies outside the 6x5 grid\n"
+        "warning: tower (7,4) lies outside the 6x5 grid\n",
+    )
+
+
+def test_verify_at_max_strength_on_a_small_grid(capsys, tmp_path):
+    payload = {"m": 3, "n": 3, "t": 10_000, "r": 2, "towers": [[1, 1]]}
+    assert run_cli(capsys, "verify", write_raw(tmp_path, payload)) == (0, "VALID\n", "")
+
+
 class TestRendererFunctions:
     def test_orientation_puts_high_y_first(self):
         doc = BroadcastDocument(m=2, n=3, t=3, r=2, towers=TowerSet([Coord(0, 0), Coord(1, 2)]))
         assert render_ascii(doc) == ".T\n..\nT.\n"
+
+    @given(
+        m=st.integers(1, 7),
+        n=st.integers(1, 7),
+        t=st.integers(1, 4),
+        r=st.integers(1, 5),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ascii_matches_per_cell_reference(self, m, n, t, r, data):
+        near = st.builds(Coord, st.integers(-2, m + 1), st.integers(-2, n + 1))
+        towers = TowerSet(data.draw(st.lists(near, max_size=6)))
+        doc = BroadcastDocument(m=m, n=n, t=t, r=r, towers=towers)
+
+        def mark(v):
+            if sum(signal(t, u, v) for u in towers) < r:
+                return "!"
+            return "T" if v in towers else "."
+
+        rows = ("".join(mark(Coord(x, y)) for x in range(m)) for y in reversed(range(n)))
+        assert render_ascii(doc) == "".join(row + "\n" for row in rows)
 
     def test_svg_is_well_formed_enough(self):
         doc = BroadcastDocument(m=3, n=3, t=3, r=2, towers=TowerSet([Coord(1, 1)]))

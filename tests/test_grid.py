@@ -1,5 +1,7 @@
 """Core geometry, signal arithmetic, and the verifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,23 +80,48 @@ class TestSignal:
 class TestSignalField:
     def test_single_cell(self):
         field = signal_field(GridDims(1, 1), 3, TowerSet([Coord(0, 0)]))
-        assert field.values.tolist() == [[3]]
+        assert field.tolist() == [[3]]
 
     def test_path_profile(self):
         field = signal_field(GridDims(5, 1), 4, TowerSet([Coord(2, 0)]))
-        assert field.values[:, 0].tolist() == [2, 3, 4, 3, 2]
+        assert field[:, 0].tolist() == [2, 3, 4, 3, 2]
 
     def test_two_towers_side_by_side(self):
         field = signal_field(GridDims(3, 3), 3, TowerSet([Coord(0, 1), Coord(2, 1)]))
         # frozen from summing per-tower signals by hand
-        assert field.values.min() == 2
-        assert field.values[1, 0] == 2
-        assert field.values[1, 2] == 2
-        assert field.values[1, 1] == 4
+        assert field.min() == 2
+        assert field[1, 0] == 2
+        assert field[1, 2] == 2
+        assert field[1, 1] == 4
 
     def test_outside_tower_radiates_in(self):
         field = signal_field(GridDims(3, 1), 4, TowerSet([Coord(-1, 0)]))
-        assert field.values[:, 0].tolist() == [3, 2, 1]
+        assert field[:, 0].tolist() == [3, 2, 1]
+
+    def test_returns_the_int64_array(self):
+        field = signal_field(GridDims(4, 2), 3, [Coord(0, 0)])
+        assert isinstance(field, np.ndarray)
+        assert (field.shape, field.dtype) == ((4, 2), np.int64)
+
+    def test_stamp_kernel_is_bounded_by_the_grid(self):
+        # A (2t-1)^2 kernel at t=1000 alone would take 61 MiB.
+        tracemalloc.start()
+        try:
+            field = signal_field(GridDims(3, 3), 1000, [Coord(1, 1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert field.tolist() == [[998, 999, 998], [999, 1000, 999], [998, 999, 998]]
+
+    def test_large_strength_outside_towers_act_through_their_clamped_image(self):
+        towers = [Coord(1, 1), Coord(-5, 1), Coord(7, -9), Coord(-2000, 0)]
+        field = signal_field(GridDims(3, 4), 1000, towers)
+        assert np.array_equal(field, per_tower_field(3, 4, 1000, towers))
+
+    def test_small_grid_never_takes_the_shifted_path_at_large_strength(self):
+        # The shifted path pads its image by t-1 on every side.
+        assert not grid._shift_is_cheaper(3, 3, grid.MAX_STRENGTH, grid.MAX_TOWERS)
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError, match="documented bounds"):
@@ -118,7 +145,7 @@ class TestSignalField:
         extra = data.draw(coords)
         before = signal_field(dims, t, TowerSet(base))
         after = signal_field(dims, t, TowerSet(base + [extra]))
-        assert (after.values >= before.values).all()
+        assert (after >= before).all()
 
     @given(
         m=st.integers(1, 8),
@@ -138,7 +165,7 @@ class TestSignalField:
             t,
             TowerSet(Coord(c.x + dx, c.y + dy) for c in towers),
         )
-        assert np.array_equal(shifted.values[dx:, dy:], base.values)
+        assert np.array_equal(shifted[dx:, dy:], base)
 
     @pytest.mark.parametrize("shift", [True, False], ids=["shifted", "stamped"])
     @given(
@@ -155,8 +182,8 @@ class TestSignalField:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grid, "_shift_is_cheaper", lambda *args: shift)
             field = signal_field(GridDims(m, n), t, towers)
-        assert field.values.dtype == np.int64
-        assert np.array_equal(field.values, per_tower_field(m, n, t, towers))
+        assert field.dtype == np.int64
+        assert np.array_equal(field, per_tower_field(m, n, t, towers))
 
     @pytest.mark.parametrize(
         "m,n,t,towers,branch",
@@ -175,7 +202,7 @@ class TestSignalField:
         calls = []
         original = getattr(grid, branch)
         monkeypatch.setattr(grid, branch, lambda *a: calls.append(1) or original(*a))
-        values = signal_field(GridDims(m, n), t, towers).values
+        values = signal_field(GridDims(m, n), t, towers)
         assert calls == [1]
         assert np.array_equal(values, per_tower_field(m, n, t, towers))
 
@@ -199,14 +226,17 @@ class TestCheckBroadcast:
             GridDims(5, 1), BroadcastParams(4, 2), TowerSet([Coord(2, 0)])
         )
         assert verdict.valid
-        assert verdict.deficiencies == ()
+        assert verdict.deficiencies.shape == (0, 2)
+        assert verdict.received.shape == (0,)
 
     def test_deficiencies_reported_in_order(self):
         verdict = check_broadcast(
             GridDims(5, 1), BroadcastParams(4, 2), TowerSet([Coord(0, 0)])
         )
         assert not verdict.valid
-        assert verdict.deficiencies == ((Coord(3, 0), 1), (Coord(4, 0), 0))
+        assert verdict.deficiencies.tolist() == [[3, 0], [4, 0]]
+        assert verdict.received.tolist() == [1, 0]
+        assert verdict.deficiencies.dtype == verdict.received.dtype == np.int64
 
     def test_three_tower_path(self):
         verdict = check_broadcast(
@@ -220,7 +250,7 @@ class TestCheckBroadcast:
         verdict = check_broadcast(
             GridDims(3, 1), BroadcastParams(4, 2), TowerSet([Coord(-1, 0), Coord(1, 0)])
         )
-        assert verdict.outside_towers == (Coord(-1, 0),)
+        assert verdict.outside_towers.tolist() == [[-1, 0]]
         assert verdict.valid  # signal still radiates in; warning is not an error
 
     @given(
@@ -236,7 +266,7 @@ class TestCheckBroadcast:
         coords = st.builds(Coord, st.integers(0, m - 1), st.integers(0, n - 1))
         towers = TowerSet(data.draw(st.lists(coords, max_size=6)))
         verdict = check_broadcast(dims, BroadcastParams(t, r), towers)
-        assert verdict.valid == (signal_field(dims, t, towers).values.min() >= r)
+        assert verdict.valid == (signal_field(dims, t, towers).min() >= r)
 
 
 class TestTowerSet:
