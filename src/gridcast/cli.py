@@ -115,11 +115,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+def _budget(args: argparse.Namespace) -> SearchBudget:
+    return SearchBudget(max_nodes=args.budget, max_seconds=args.max_seconds)
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
     result = exact_gamma(
         GridDims(args.m, args.n),
         BroadcastParams(args.t, args.r),
-        SearchBudget(max_nodes=args.budget),
+        _budget(args),
     )
     if result.status == "optimal":
         print(f"gamma={result.gamma} nodes={result.nodes_expanded}")
@@ -141,6 +145,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ms = _parse_range(args.m_range)
     ns = _parse_range(args.n_range)
+    budget = _budget(args)
     lines = ["m,n,t,construct_size,upper,lower,exact,gap"]
     for m in ms:
         for n in ns:
@@ -150,11 +155,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             lower = lower_t2(m, n, args.t)
             exact_text = ""
             if args.exact:
-                result = exact_gamma(
-                    dims, BroadcastParams(args.t, 2), SearchBudget(max_nodes=args.budget)
-                )
-                if result.status == "optimal":
-                    exact_text = str(result.gamma)
+                result = exact_gamma(dims, BroadcastParams(args.t, 2), budget)
+                # "?" marks an exhausted search; blank means --exact was not given.
+                exact_text = str(result.gamma) if result.status == "optimal" else "?"
             lines.append(f"{m},{n},{args.t},{size},{upper},{lower},{exact_text},{upper - size}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -206,6 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES, help="node expansion cap")
+    p.add_argument("--max-seconds", type=float, help="wall-clock cap on the whole solve")
     p.set_defaults(handler=_cmd_exact)
 
     p = sub.add_parser("bounds", help="closed-form (t,2) bounds as one CSV row")
@@ -220,6 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="also solve each cell exactly")
     p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-seconds", type=float, help="wall-clock cap on each exact solve")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(handler=_cmd_sweep)
 

@@ -10,11 +10,14 @@ collides and never reduces any vertex's signal, so the result verifies as a
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .bounds import upper_t2
 from .grid import (
+    MAX_STRENGTH,
     BroadcastParams,
     Coord,
     GridDims,
@@ -25,7 +28,7 @@ from .grid import (
 )
 from .lattice import (
     DiamondLattice,
-    count_in_window,
+    count_in_window,  # noqa: F401 -- unused; perfbench/bench_trace.py patches this attribute
     rectilinear_lattice,
     towers_in_window,
 )
@@ -148,20 +151,87 @@ def letterbox_construct(dims: GridDims, t: int, lattice: DiamondLattice) -> Cons
     return ConstructionResult(towers, lattice.anchor, len(raw), replacements, "letterbox")
 
 
-def anchor_raw_counts(dims: GridDims, t: int) -> dict[Coord, int]:
+class AnchorCounts(Mapping[Coord, int]):
+    """Read-only map from each anchor in [0, 2(t-1))^2 to its halo tower count.
+
+    ``array`` is the (2(t-1), 2(t-1)) int64 array of counts, ``array[x, y]``
+    the count at anchor (x, y). It is the sum over the parity p of
+    outer(cx[p], cy[p]), where cx[p][x] counts the halo x-coordinates of
+    parity-p towers at anchor x; only the factors are stored.
+    """
+
+    def __init__(self, cx: np.ndarray, cy: np.ndarray):
+        self._cx, self._cy = cx, cy
+
+    @property
+    def period(self) -> int:
+        return self._cx.shape[1]
+
+    @property
+    def array(self) -> np.ndarray:
+        counts = self._cx.T @ self._cy
+        counts.setflags(write=False)
+        return counts
+
+    def __getitem__(self, anchor: Coord) -> int:
+        match anchor:
+            case Coord(x, y) if 0 <= x < self.period and 0 <= y < self.period:
+                return int(self._cx[:, x] @ self._cy[:, y])
+        raise KeyError(anchor)
+
+    def __iter__(self) -> Iterator[Coord]:
+        return (Coord(x, y) for x in range(self.period) for y in range(self.period))
+
+    def __len__(self) -> int:
+        return self.period**2
+
+    def best_anchor(self) -> Coord:
+        """The lexicographically least anchor of least count: np.argmin of ``array``.
+
+        An anchor's count depends only on its factor columns cx[:, x] and
+        cy[:, y], and an axis has at most four distinct columns (a residue
+        class meets an interval of length L floor(L/P) or ceil(L/P) times), so
+        comparing the distinct pairs finds the minimum without the full array.
+        """
+        xs, x_first = np.unique(self._cx, axis=1, return_index=True)
+        ys, y_first = np.unique(self._cy, axis=1, return_index=True)
+        pair_counts = xs.T @ ys
+        i, j = np.nonzero(pair_counts == pair_counts.min())
+        x = x_first[i].min()
+        return Coord(int(x), int(y_first[j[x_first[i] == x]].min()))
+
+
+def anchor_raw_counts(dims: GridDims, t: int) -> AnchorCounts:
     """Halo-intersection tower count for every rectilinear anchor in [0, 2(t-1))^2.
 
     Anchors outside one period are redundant, so this sweep is exhaustive. The
     counts average to exactly (m+2(t-2))(n+2(t-2)) / (2(t-1)^2) over the
     period, which is what guarantees the minimum meets the floor bound.
+
+    Closed form: the rectilinear pattern at anchor a is
+    {a + (i, j)(t-1) : i = j mod 2}, and the halo window is the product of two
+    intervals. For each parity p, the pattern's towers with i = j = p mod 2
+    are exactly the points whose x is congruent to a.x + p(t-1) and whose y
+    is congruent to a.y + p(t-1) modulo 2(t-1): a product set. So the count
+    at a is the sum over p of two per-axis residue counts multiplied, exact
+    in integer arithmetic with no per-anchor loop. Grids over MAX_CELLS and
+    t over MAX_STRENGTH are refused, which also keeps every count in int64.
     """
     emb = embedding(dims, t)
-    period = 2 * (t - 1)
-    return {
-        Coord(x, y): count_in_window(rectilinear_lattice(t, Coord(x, y)), emb.lo, emb.hi)
-        for x in range(period)
-        for y in range(period)
-    }
+    if t > MAX_STRENGTH:
+        raise ValueError(f"construction requires t <= {MAX_STRENGTH}, got {t}")
+    check_cell_cap(dims)
+    step = t - 1
+    period = 2 * step
+    # residues[p, a]: the class, mod period, of the parity-p towers at anchor a.
+    residues = np.arange(period) + np.array([[0], [step]])
+
+    def axis_counts(side: int) -> np.ndarray:
+        # Integers in [-halo, side - 1 + halo] congruent to each residue.
+        lo, hi = -emb.halo, side - 1 + emb.halo
+        return (hi - residues) // period - (lo - 1 - residues) // period
+
+    return AnchorCounts(axis_counts(dims.m), axis_counts(dims.n))
 
 
 def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
@@ -177,11 +247,18 @@ def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
     check_cell_cap(dims)
     if dims.m > 1 and dims.n > 1:
         counts = anchor_raw_counts(dims, t)
-        best_anchor = min(counts, key=lambda a: (counts[a], a))
+        best_anchor = counts.best_anchor()
         result = replace(
             letterbox_construct(dims, t, rectilinear_lattice(t, best_anchor)),
             generator="best-anchor",
         )
+        # The closed form and the enumeration share no code: check they agree.
+        if result.raw_count != counts[best_anchor]:
+            raise ConstructionInvariantError(
+                f"closed-form count {counts[best_anchor]} at anchor {best_anchor} "
+                f"differs from the {result.raw_count} towers enumerated on "
+                f"{dims.m}x{dims.n}, t={t}"
+            )
     else:
         if dims.n == 1:
             towers = path_construct(dims.m, t)

@@ -17,6 +17,7 @@ applies no such reduction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -49,6 +50,10 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if self.max_seconds is not None and not (
+            math.isfinite(self.max_seconds) and self.max_seconds > 0
+        ):
+            raise ValueError(f"max_seconds must be finite and > 0, got {self.max_seconds}")
 
 
 class BudgetExhaustedError(Exception):

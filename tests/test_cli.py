@@ -2,14 +2,17 @@
 
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridcast import Coord, TowerSet, grid, parse_document, signal, solver
@@ -345,6 +348,29 @@ class TestExactCommand:
         assert out.startswith("UNSOLVED nodes=")
 
 
+    def test_max_seconds_caps_the_solve(self, capsys, monkeypatch):
+        # A clock that advances 1 s per reading: 1.5 s runs out before any node.
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        argv = ["exact", "--m", "3", "--n", "3", "--t", "3", "--r", "2"]
+        assert run_cli(capsys, *argv, "--max-seconds", "1.5") == (3, "UNSOLVED nodes=0\n", "")
+        assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=8\n")
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+    def test_max_seconds_must_be_finite_and_positive(self, capsys, seconds):
+        code, out, err = run_cli(
+            capsys, "exact", "--m", "3", "--n", "3", "--t", "3", "--r", "2",
+            "--max-seconds", seconds,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: max_seconds must be finite and > 0")
+
+
 class TestBoundsCommand:
     def test_golden_row(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--m", "12", "--n", "6", "--t", "3")
@@ -374,6 +400,32 @@ class TestSweepCommand:
             m, n, t, size, upper, lower, exact, gap = line.split(",")
             assert int(lower) <= int(exact) <= int(size) <= int(upper)
             assert int(gap) == int(upper) - int(size)
+
+    def test_exhausted_cell_is_marked(self, capsys):
+        # The 2x2 and 2x3 cells solve within two nodes; 3x3 runs out.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m-range", "2,3", "--n-range", "2,3", "--t", "3",
+            "--exact", "--budget", "2",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "2,2,3,2,2,1,2,0", "2,3,3,2,2,1,2,0", "3,2,3,2,2,1,2,0", "3,3,3,2,3,2,?,1",
+        ]
+
+    def test_max_seconds_reaches_every_cell(self, capsys, monkeypatch):
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m-range", "3", "--n-range", "3:4", "--t", "3",
+            "--exact", "--max-seconds", "1.5",
+        )
+        assert code == 0
+        assert [line.split(",")[6] for line in out.splitlines()[1:]] == ["?", "?"]
 
     def test_deterministic_row_order(self, capsys):
         code, out, _ = run_cli(
@@ -495,6 +547,85 @@ def test_verify_golden(capsys, tmp_path):
 def test_verify_at_max_strength_on_a_small_grid(capsys, tmp_path):
     payload = {"m": 3, "n": 3, "t": 10_000, "r": 2, "towers": [[1, 1]]}
     assert run_cli(capsys, "verify", write_raw(tmp_path, payload)) == (0, "VALID\n", "")
+
+
+class TestHostileInputs:
+    """Whatever integers arrive, the CLI exits 0, 1, 2 or 3 and raises nothing.
+
+    Grids stay small. Sides whose product is over MAX_CELLS probe the size
+    cap, which refuses them before any per-vertex work.
+    """
+
+    SIDE = st.integers(-2, 20)
+    STRENGTH = st.one_of(
+        st.integers(-2, 9),
+        st.integers(grid.MAX_STRENGTH - 3, grid.MAX_STRENGTH + 2),
+    )
+
+    @staticmethod
+    def exit_code(*argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([str(arg) for arg in argv])
+        assert code in (0, 1, 2, 3)
+        event(f"exit {code}")
+        return code
+
+    @staticmethod
+    def write_payload(tmp_path_factory, **payload):
+        path = tmp_path_factory.mktemp("hostile") / "doc.json"
+        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        return path
+
+    @given(
+        m=SIDE,
+        n=SIDE,
+        t=STRENGTH,
+        anchor=st.none() | st.tuples(st.integers(-3, 9), st.integers(-3, 9)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_construct(self, m, n, t, anchor):
+        extra = () if anchor is None else ("--anchor", f"{anchor[0]},{anchor[1]}")
+        self.exit_code("construct", "--m", m, "--n", n, "--t", t, *extra)
+
+    @given(m=SIDE, n=SIDE, t=STRENGTH, r=st.integers(-2, 6), budget=st.integers(-1, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_exact(self, m, n, t, r, budget):
+        self.exit_code("exact", "--m", m, "--n", n, "--t", t, "--r", r, "--budget", budget)
+
+    @given(
+        m=st.integers(-3, 10**12),
+        n=st.integers(-3, 10**12),
+        t=st.one_of(st.integers(-3, 9), st.integers(10, 10**12)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds(self, m, n, t):
+        self.exit_code("bounds", "--m", m, "--n", n, "--t", t)
+
+    @given(
+        m=SIDE,
+        n=SIDE,
+        t=STRENGTH,
+        r=st.one_of(st.integers(-2, 6), st.integers(7, 10**6)),
+        towers=st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verify(self, tmp_path_factory, m, n, t, r, towers):
+        path = self.write_payload(tmp_path_factory, m=m, n=n, t=t, r=r, towers=towers)
+        self.exit_code("verify", path)
+
+    @given(
+        m=st.integers(6000, 10**7),
+        n=st.integers(6000, 10**7),
+        huge=st.integers(2**63, 2**70),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_out_of_range_is_refused(self, tmp_path_factory, m, n, huge):
+        assert self.exit_code("construct", "--m", m, "--n", n, "--t", 3) == 2
+        assert self.exit_code("exact", "--m", m, "--n", n, "--t", 3, "--r", 2) == 2
+        path = self.write_payload(tmp_path_factory, m=m, n=n, t=3, r=2, towers=[[0, 0]])
+        assert self.exit_code("verify", path) == 2
+        path = self.write_payload(tmp_path_factory, m=3, n=3, t=3, r=2, towers=[[huge, 0]])
+        assert self.exit_code("verify", path) == 2
 
 
 class TestRendererFunctions:

@@ -1,7 +1,10 @@
 """Path and letterbox constructions."""
 
+import importlib
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +14,10 @@ from gridcast import (
     Coord,
     DiamondLattice,
     GridDims,
+    ConstructionInvariantError,
     TowerSet,
     anchor_raw_counts,
+    count_in_window,
     best_anchor_construct,
     check_broadcast,
     clamp_to_grid,
@@ -216,6 +221,69 @@ class TestBestAnchor:
         mean = Fraction(sum(counts.values()), len(counts))
         pad = 2 * (t - 2)
         assert mean == Fraction((m + pad) * (n + pad), 2 * (t - 1) ** 2)
+
+
+class TestClosedFormSweep:
+    """anchor_raw_counts against count_in_window, which enumerates lattice rows."""
+
+    @given(m=st.integers(2, 40), n=st.integers(2, 40), t=st.integers(3, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_every_anchor_matches_the_window_count(self, m, n, t):
+        # Grids smaller than one period (halo wider than the grid) included.
+        emb = embedding(GridDims(m, n), t)
+        counts = anchor_raw_counts(GridDims(m, n), t)
+        period = 2 * (t - 1)
+        assert len(counts) == period**2 == counts.array.size
+        for anchor, count in counts.items():
+            assert count == count_in_window(rectilinear_lattice(t, anchor), emb.lo, emb.hi)
+            assert count == counts.array[anchor.x, anchor.y]
+        assert counts.best_anchor() == min(counts, key=lambda a: (counts[a], a))
+        assert counts.best_anchor() == Coord(
+            *np.unravel_index(np.argmin(counts.array), counts.array.shape)
+        )
+
+    def test_keys_are_the_period_in_lexicographic_order(self):
+        counts = anchor_raw_counts(GridDims(12, 6), 4)
+        assert list(counts) == sorted(Coord(x, y) for x in range(6) for y in range(6))
+        assert all(type(v) is int for v in counts.values())
+        for outside in (Coord(6, 0), Coord(-1, 0), Coord(0, 6), (0, 0)):
+            assert outside not in counts
+            with pytest.raises(KeyError):
+                counts[outside]
+
+    def test_array_is_read_only(self):
+        counts = anchor_raw_counts(GridDims(12, 6), 4)
+        assert counts.array.dtype == np.int64
+        with pytest.raises(ValueError):
+            counts.array[0, 0] = 0
+
+    def test_large_grid_sample(self):
+        dims, t = GridDims(1900, 1900), 60
+        emb = embedding(dims, t)
+        counts = anchor_raw_counts(dims, t)
+        assert len(counts) == 118**2
+        for anchor in list(counts)[::97]:
+            lattice = rectilinear_lattice(t, anchor)
+            assert counts[anchor] == count_in_window(lattice, emb.lo, emb.hi)
+
+    def test_max_strength_needs_no_quadratic_array(self):
+        counts = anchor_raw_counts(GridDims(3, 3), 10_000)
+        assert len(counts) == 19_998**2
+        assert (counts.best_anchor(), counts[Coord(0, 0)]) == (Coord(0, 0), 2)
+        with pytest.raises(ValueError):
+            anchor_raw_counts(GridDims(3, 3), 10_001)
+
+    def test_enumeration_disagreeing_with_the_closed_form_is_caught(self, monkeypatch):
+        construct_module = importlib.import_module("gridcast.construct")
+        original = construct_module.letterbox_construct
+
+        def off_by_one(dims, t, lattice):
+            result = original(dims, t, lattice)
+            return replace(result, raw_count=result.raw_count + 1)
+
+        monkeypatch.setattr(construct_module, "letterbox_construct", off_by_one)
+        with pytest.raises(ConstructionInvariantError, match="closed-form count 7"):
+            best_anchor_construct(GridDims(12, 6), 4)
 
 
 class TestConstructDispatcher:

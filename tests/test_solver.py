@@ -75,11 +75,19 @@ class TestExactGamma:
         assert result.witness is None
         assert result.nodes_expanded >= 2
 
-    def test_wall_clock_budget(self):
+    def test_wall_clock_budget(self, monkeypatch):
+        # A clock that advances 1 s per reading runs out before any node.
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         result = exact_gamma(
-            GridDims(6, 6), BroadcastParams(3, 2), SearchBudget(max_seconds=0.0)
+            GridDims(6, 6), BroadcastParams(3, 2), SearchBudget(max_seconds=1.5)
         )
-        assert result.status == "budget_exhausted"
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 0)
 
     def test_existence_check_builds_every_vertex_from_an_array(self, monkeypatch):
         def refuse(self):
@@ -204,6 +212,11 @@ class TestSearchBudget:
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=0)
+
+    @pytest.mark.parametrize("seconds", [0, 0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_seconds_that_are_not_finite_and_positive(self, seconds):
+        with pytest.raises(ValueError, match="max_seconds must be finite and > 0"):
+            SearchBudget(max_seconds=seconds)
 
     def test_default_cap(self):
         assert SearchBudget().max_nodes == 10_000_000
