@@ -8,6 +8,15 @@ grid vertices that supply it positive signal, tried in order of decreasing
 marginal deficiency coverage (ties broken lexicographically), with candidates
 already refuted at a branch point excluded from the subtree.
 
+Every child is counted as one node expansion, but only interior children are
+placed. A child's gain (the deficiency it would repair) is computed once, when
+the candidates are ranked: a child whose gain covers the whole deficit is the
+answer, and one that leaves more deficit than the remaining towers could
+repair (each repairs at most `max_unit_coverage`) is refuted, both without
+touching the signal totals. The same bound prunes whole levels: exact_gamma
+starts at the deficit bound ceil(r*m*n / max_unit_coverage), below which a
+level's root is already refuted.
+
 At the root only, candidates are additionally reduced to one representative
 per orbit of the grid's symmetry group (8 symmetries for square grids, 4
 otherwise). This is sound because the domination number is invariant under
@@ -70,6 +79,8 @@ class SolveResult:
     gamma: int | None
     witness: TowerSet | None
     nodes_expanded: int
+    # (k, nodes expanded at level k) for every level searched, in order.
+    level_nodes: tuple[tuple[int, int], ...] = ()
 
 
 def _grid_symmetries(m: int, n: int) -> list[list[int]]:
@@ -98,6 +109,22 @@ def _grid_symmetries(m: int, n: int) -> list[list[int]]:
     return perms
 
 
+def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
+    """The most total deficiency one tower can repair on an empty grid.
+
+    That is the capped coverage sum(min(r, signal)) of a tower on the central
+    vertex ((m-1)//2, (n-1)//2). For every radius, the number of grid
+    vertices within that L1 distance of a tower is largest at the centre
+    (per axis, min(d, x) + min(d, m-1-x) is largest when x is central), and
+    the capped signal is a non-increasing function of the distance, so no
+    tower covers more. Placed towers only shrink what a later one can repair.
+    """
+    m, n, t = dims.m, dims.n, params.t
+    dist = np.abs(np.arange(m) - (m - 1) // 2)[:, None] + np.abs(np.arange(n) - (n - 1) // 2)
+    # Signals never exceed t, so capping at min(r, t) keeps the sum in int64.
+    return int(np.minimum(np.maximum(t - dist, 0), min(params.r, t)).sum())
+
+
 class _Search:
     """One complete search for a broadcast of at most `slots` towers.
 
@@ -111,7 +138,6 @@ class _Search:
             None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         )
         m, n, t, r = dims.m, dims.n, params.t, params.r
-        self.n = n
         self.r = r
         self.budget = budget
         radius = t - 1
@@ -125,97 +151,83 @@ class _Search:
                         entries.append((ux * n + uy, t - abs(ux - x) - abs(uy - y)))
                 cover.append(entries)
         self.cover = cover
-        # No tower can repair more total deficiency than this, anywhere.
-        self.max_unit_coverage = max(
-            sum(min(r, s) for _, s in entries) for entries in cover
-        )
+        self.max_unit_coverage = max_unit_coverage(dims, params)
         self.field = [0] * (m * n)
-        self.total_deficit = r * m * n
         self.placed = [False] * (m * n)
         self.stack: list[int] = []
         self.symmetries = _grid_symmetries(m, n)
         self.nodes = 0
 
-    def _place(self, u: int) -> None:
-        field, r = self.field, self.r
-        repaired = 0
-        for c, s in self.cover[u]:
-            old = field[c]
-            new = old + s
-            field[c] = new
-            if old < r:
-                repaired += (r - old) - (r - new if new < r else 0)
-        self.total_deficit -= repaired
-        self.placed[u] = True
-
-    def _unplace(self, u: int) -> None:
-        field, r = self.field, self.r
-        restored = 0
-        for c, s in self.cover[u]:
-            old = field[c]
-            new = old - s
-            field[c] = new
-            if new < r:
-                restored += (r - new) - (r - old if old < r else 0)
-        self.total_deficit += restored
-        self.placed[u] = False
-
-    def _first_deficient(self) -> int:
-        r = self.r
-        for c, v in enumerate(self.field):
-            if v < r:
-                return c
-        return -1
-
-    def _marginal_coverage(self, u: int) -> int:
-        field, r = self.field, self.r
-        total = 0
-        for c, s in self.cover[u]:
-            d = r - field[c]
-            if d > 0:
-                total += d if d < s else s
-        return total
-
-    def _root_representatives(self, order: list[int]) -> list[int]:
-        rank = {u: i for i, u in enumerate(order)}
-        kept = []
-        for u in order:
-            my_rank = rank[u]
-            if all(
-                rank.get(perm[u], my_rank) >= my_rank for perm in self.symmetries
-            ):
-                kept.append(u)
-        return kept
+    def _root_representatives(self, ranked: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Keep the first-ranked candidate of each symmetry orbit."""
+        rank = {u: i for i, (_, u) in enumerate(ranked)}
+        return [
+            (g, u)
+            for i, (g, u) in enumerate(ranked)
+            if all(rank.get(perm[u], i) >= i for perm in self.symmetries)
+        ]
 
     def run(self, slots: int) -> list[int] | None:
-        return self._dfs(slots, set())
-
-    def _dfs(self, slots: int, forbidden: set[int]) -> list[int] | None:
-        if self.total_deficit == 0:
-            return list(self.stack)
-        if slots == 0 or self.total_deficit > slots * self.max_unit_coverage:
+        # r >= 1, so the empty grid is deficient; prune a hopeless root.
+        deficit = self.r * len(self.field)
+        if deficit > slots * self.max_unit_coverage:
             return None
-        v = self._first_deficient()
-        candidates = [
-            u for u, _ in self.cover[v] if not self.placed[u] and u not in forbidden
-        ]
-        candidates.sort(key=lambda u: (-self._marginal_coverage(u), u))
+        return self._dfs(slots, deficit, set(), 0)
+
+    def _dfs(
+        self, slots: int, deficit: int, forbidden: set[int], start: int
+    ) -> list[int] | None:
+        """Branch on the first deficient cell at or after `start`.
+
+        Cells before `start` are satisfied. The caller has checked that
+        `deficit`, the total shortfall, is positive and that `slots`
+        towers could still repair it. Each child is counted as a node; one
+        that covers the whole deficit, or leaves more than the remaining
+        towers could repair, is decided from its gain without being placed.
+        """
+        field, r, cover, placed = self.field, self.r, self.cover, self.placed
+        v = start
+        while field[v] >= r:
+            v += 1
+        # Rank by gain, the deficiency each candidate would repair.
+        ranked = []
+        for u, _ in cover[v]:
+            if placed[u] or u in forbidden:
+                continue
+            gain = 0
+            for c, s in cover[u]:
+                d = r - field[c]
+                if d > 0:
+                    gain += d if d < s else s
+            ranked.append((-gain, u))
+        ranked.sort()
         if not self.stack:
-            candidates = self._root_representatives(candidates)
+            ranked = self._root_representatives(ranked)
+        reach = (slots - 1) * self.max_unit_coverage
+        max_nodes, deadline = self.budget.max_nodes, self.deadline
         tried = []
-        for u in candidates:
-            if self.nodes >= self.budget.max_nodes:
+        for neg_gain, u in ranked:
+            if self.nodes >= max_nodes:
                 raise BudgetExhaustedError(self.nodes)
-            if self.deadline is not None and time.monotonic() > self.deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhaustedError(self.nodes)
             self.nodes += 1
-            self._place(u)
-            self.stack.append(u)
-            found = self._dfs(slots - 1, forbidden)
-            self.stack.pop()
-            self._unplace(u)
-            if found is not None:
-                return found
+            left = deficit + neg_gain
+            if left == 0:
+                return self.stack + [u]
+            if left <= reach:
+                cells = cover[u]
+                for c, s in cells:
+                    field[c] += s
+                placed[u] = True
+                self.stack.append(u)
+                found = self._dfs(slots - 1, left, forbidden, v)
+                self.stack.pop()
+                placed[u] = False
+                for c, s in cells:
+                    field[c] -= s
+                if found is not None:
+                    return found
             forbidden.add(u)
             tried.append(u)
         for u in tried:
@@ -253,11 +265,12 @@ def exact_gamma(
 ) -> SolveResult:
     """The minimum size of a (t,r) broadcast, with a witness.
 
-    Levels k are tried in increasing order starting from the area lower bound
-    (when it applies, i.e. t >= 3 and r >= 2) or from 1; each exhausted level
-    certifies that no smaller broadcast exists, so the first hit is optimal.
-    The budget covers the whole solve: each level gets the nodes and seconds
-    the earlier ones left.
+    Levels k are tried in increasing order; each exhausted level certifies
+    that no smaller broadcast exists, so the first hit is optimal. The first
+    level is the deficit bound ceil(r*m*n / max_unit_coverage), below which a
+    level's root is pruned, raised to the area lower bound when that applies
+    (t >= 3 and r >= 2). The budget covers the whole solve: each level gets
+    the nodes and seconds the earlier ones left.
     """
     budget = budget or SearchBudget()
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
@@ -268,21 +281,25 @@ def exact_gamma(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"
         )
+    k = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
     if params.t >= 3 and params.r >= 2:
-        k = lower_t2(dims.m, dims.n, params.t)
-    else:
-        k = 1
+        k = max(k, lower_t2(dims.m, dims.n, params.t))
     total_nodes = 0
+    levels: list[tuple[int, int]] = []
     while True:
         seconds = None if deadline is None else deadline - time.monotonic()
         if total_nodes >= budget.max_nodes or (seconds is not None and seconds <= 0):
-            return SolveResult("budget_exhausted", None, None, total_nodes)
+            return SolveResult("budget_exhausted", None, None, total_nodes, tuple(levels))
         left = SearchBudget(budget.max_nodes - total_nodes, seconds)
         try:
             witness, nodes = find_broadcast_of_size(dims, params, k, left)
         except BudgetExhaustedError as exc:
-            return SolveResult("budget_exhausted", None, None, total_nodes + exc.nodes_expanded)
+            levels.append((k, exc.nodes_expanded))
+            return SolveResult(
+                "budget_exhausted", None, None, total_nodes + exc.nodes_expanded, tuple(levels)
+            )
         total_nodes += nodes
+        levels.append((k, nodes))
         if witness is not None:
-            return SolveResult("optimal", len(witness), witness, total_nodes)
+            return SolveResult("optimal", len(witness), witness, total_nodes, tuple(levels))
         k += 1

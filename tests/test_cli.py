@@ -549,6 +549,23 @@ def test_verify_at_max_strength_on_a_small_grid(capsys, tmp_path):
     assert run_cli(capsys, "verify", write_raw(tmp_path, payload)) == (0, "VALID\n", "")
 
 
+def readme_command_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("gridcast ")]
+
+
+@pytest.mark.parametrize("command", ["exact", "bounds", "density"])
+def test_readme_example_prints_its_comment(capsys, command):
+    # The comment holds the printed lines, joined by " / ".
+    (line,) = [line for line in readme_command_lines() if line.split()[1] == command]
+    argv, comment = line.split("#", 1)
+    code, out, err = run_cli(capsys, *argv.split()[1:])
+    assert (code, err) == (0, "")
+    assert " / ".join(out.splitlines()) == comment.strip()
+
+
 class TestHostileInputs:
     """Whatever integers arrive, the CLI exits 0, 1, 2 or 3 and raises nothing.
 

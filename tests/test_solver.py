@@ -1,8 +1,11 @@
 """Exact solver: level searches, iterative deepening, budgets, oracle checks."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcast import (
     BroadcastParams,
@@ -18,7 +21,32 @@ from gridcast import (
     lower_t2,
 )
 from gridcast import solver
+from gridcast.solver import max_unit_coverage
 from naive_oracle import naive_gamma
+
+SEARCH_TREES = Path(__file__).parent / "data" / "solver_tree.txt"
+
+
+def _frozen_trees() -> dict[tuple[int, int], list[tuple]]:
+    """The rows of the search-tree table, grouped by grid shape."""
+    rows: dict[tuple[int, int], list[tuple]] = {}
+    for line in SEARCH_TREES.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            continue
+        m, n, t, r, cap, status, nodes, witness = line.split()
+        rows.setdefault((int(m), int(n)), []).append(
+            (int(t), int(r), int(cap), (status, int(nodes), witness))
+        )
+    return rows
+
+
+FROZEN_TREES = _frozen_trees()
+
+
+def _witness_text(witness: TowerSet | None) -> str:
+    if witness is None:
+        return "-"
+    return ";".join(f"{x},{y}" for x, y in witness.xy.tolist())
 
 
 class TestFindBroadcastOfSize:
@@ -220,3 +248,112 @@ class TestSearchBudget:
 
     def test_default_cap(self):
         assert SearchBudget().max_nodes == 10_000_000
+
+
+class TestMaxUnitCoverage:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.integers(1, 7), st.integers(1, 5)
+    )
+    def test_equals_the_largest_capped_coverage_of_the_cover(self, m, n, t, r):
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        cover = solver._Search(dims, params, SearchBudget()).cover
+        expected = max(sum(min(r, s) for _, s in entries) for entries in cover)
+        assert max_unit_coverage(dims, params) == expected
+
+    def test_huge_r_is_capped_by_the_signal(self):
+        # Every vertex of a 3x3 grid is within distance 2 of the centre.
+        params = BroadcastParams(4, 2**80)
+        assert max_unit_coverage(GridDims(3, 3), params) == 4 + 4 * 3 + 4 * 2
+
+
+class TestDeficitBoundStart:
+    """exact_gamma skips the levels whose root is pruned, and only those."""
+
+    def test_hopeless_levels_are_not_searched(self, monkeypatch):
+        # Levels 1..100 of this instance have a pruned root.
+        calls = []
+        original = solver.find_broadcast_of_size
+
+        def recorded(dims, params, k, budget):
+            calls.append(k)
+            return original(dims, params, k, budget)
+
+        monkeypatch.setattr(solver, "find_broadcast_of_size", recorded)
+        dims, params = GridDims(20, 20), BroadcastParams(10_000, 1_000_000)
+        result = exact_gamma(dims, params, SearchBudget(max_nodes=1))
+        start = -(-params.r * 400 // max_unit_coverage(dims, params))
+        assert calls == [start]
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 1)
+
+    @pytest.mark.parametrize("m,n,area,start", [(5, 7, 5, 6), (6, 6, 5, 6)])
+    def test_skipped_level_expands_no_node(self, m, n, area, start):
+        dims, params = GridDims(m, n), BroadcastParams(3, 3)
+        assert lower_t2(m, n, 3) == area
+        assert find_broadcast_of_size(dims, params, area) == (None, 0)
+        assert exact_gamma(dims, params).level_nodes[0][0] == start
+
+
+class TestLevelNodes:
+    # 6x8, t=3, r=2 (see TestSolveWideBudget).
+    @pytest.mark.parametrize(
+        "max_nodes,levels",
+        [
+            (None, ((6, 135), (7, 5343), (8, 2469))),
+            (5478, ((6, 135), (7, 5343))),
+            (5477, ((6, 135), (7, 5342))),
+            (100, ((6, 100),)),
+        ],
+    )
+    def test_one_entry_per_level_tried(self, max_nodes, levels):
+        budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
+        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2), budget)
+        assert result.level_nodes == levels
+
+    @pytest.mark.parametrize(
+        "m,n,t,r", [(6, 8, 3, 2), (5, 7, 3, 3), (6, 6, 3, 1), (4, 9, 2, 2), (7, 1, 4, 2)]
+    )
+    @pytest.mark.parametrize("max_nodes", [None, 40])
+    def test_counts_sum_to_the_total_from_the_start_bound(self, m, n, t, r, max_nodes):
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
+        result = exact_gamma(dims, params, budget)
+        start = -(-r * m * n // max_unit_coverage(dims, params))
+        if t >= 3 and r >= 2:
+            start = max(start, lower_t2(m, n, t))
+        ks = [k for k, _ in result.level_nodes]
+        assert ks == list(range(start, start + len(ks)))
+        assert sum(nodes for _, nodes in result.level_nodes) == result.nodes_expanded
+        if result.status == "optimal":
+            assert ks[-1] == result.gamma
+
+
+class TestSearchTreeGolden:
+    """The search expands the same nodes and finds the same witnesses as the
+    solver that placed every child (table frozen from it)."""
+
+    @pytest.mark.parametrize("shape", sorted(FROZEN_TREES), ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_the_frozen_table(self, shape):
+        mismatches = []
+        for t, r, cap, expected in FROZEN_TREES[shape]:
+            result = exact_gamma(
+                GridDims(*shape), BroadcastParams(t, r), SearchBudget(max_nodes=cap)
+            )
+            got = (result.status, result.nodes_expanded, _witness_text(result.witness))
+            if got != expected:
+                mismatches.append(((t, r, cap), got, expected))
+        assert mismatches == []
+
+    def test_table_covers_every_solvable_small_instance(self):
+        solvable = set()
+        for m in range(1, 7):
+            for n in range(1, 7):
+                for t in range(1, 6):
+                    for r in range(1, 4):
+                        # A broadcast exists iff towers on every vertex suffice.
+                        every = TowerSet([Coord(x, y) for x in range(m) for y in range(n)])
+                        if check_broadcast(GridDims(m, n), BroadcastParams(t, r), every).valid:
+                            solvable.add((m, n, t, r))
+        frozen = {(m, n, t, r) for (m, n), rows in FROZEN_TREES.items() for t, r, *_ in rows}
+        assert solvable <= frozen
+        assert {(6, 8, 3, 2), (7, 7, 3, 2), (5, 7, 3, 3), (7, 9, 3, 2), (9, 9, 4, 2)} <= frozen
