@@ -3,12 +3,19 @@
 A document is one flat JSON object with keys in fixed order (m, n, t, r,
 towers, metadata), towers sorted lexicographically, UTF-8, one line. The
 byte-exact output makes golden-file tests possible; parse(serialize(d)) == d.
+
+The tower list is written from the two coordinate columns and checked on
+reading in whole-list passes (every entry a list, every length 2, every
+coordinate an int and not a bool). Only when a pass fails are the pairs walked
+one by one, to name the first bad one. A repeated key in any object, or
+nesting too deep for the JSON decoder, is a DocumentError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -43,21 +50,18 @@ class BroadcastDocument:
 
 
 def serialize_document(doc: BroadcastDocument) -> str:
-    payload: dict = {
-        "m": doc.m,
-        "n": doc.n,
-        "t": doc.t,
-        "r": doc.r,
-        "towers": doc.towers.xy.tolist(),
-    }
+    header = json.dumps({"m": doc.m, "n": doc.n, "t": doc.t, "r": doc.r}, separators=(",", ":"))
+    xy = doc.towers.xy
+    towers = ",".join(map("[{},{}]".format, xy[:, 0].tolist(), xy[:, 1].tolist()))
+    text = f'{header[:-1]},"towers":[{towers}]'
     if doc.metadata:
         meta = {}
         for key in _METADATA_KEYS:
             if key in doc.metadata:
                 value = doc.metadata[key]
                 meta[key] = list(value) if key == "anchor" else value
-        payload["metadata"] = meta
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+        text += ',"metadata":' + json.dumps(meta, separators=(",", ":"))
+    return text + "}\n"
 
 
 def _int_pair(value, what: str) -> tuple[int, int]:
@@ -70,11 +74,37 @@ def _int_pair(value, what: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of repeated keys; a document may not repeat one.
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"duplicate key: {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _tower_array(towers: list) -> np.ndarray:
+    """The (k, 2) int64 array of a list of [x, y] pairs, checked in whole-list passes."""
+    flat: list = []
+    if set(map(type, towers)) <= {list} and set(map(len, towers)) <= {2}:
+        flat = list(chain.from_iterable(towers))
+    # numpy would truncate 2.5 to 2 and read true as 1, so the type pass stays.
+    if len(flat) != 2 * len(towers) or not set(map(type, flat)) <= {int}:
+        flat = [c for pair in towers for c in _int_pair(pair, "tower")]
+    try:
+        return np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise DocumentError("tower coordinates must fit in 64-bit integers") from None
+
+
 def parse_document(text: str) -> BroadcastDocument:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("not valid JSON: nesting too deep") from None
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     required = {"m", "n", "t", "r", "towers"}
@@ -90,12 +120,7 @@ def parse_document(text: str) -> BroadcastDocument:
             raise DocumentError(f"{name} must be a positive integer, got {value!r}")
     if not isinstance(payload["towers"], list):
         raise DocumentError("towers must be a list of [x, y] pairs")
-    for pair in payload["towers"]:
-        _int_pair(pair, "tower")
-    try:
-        towers = TowerSet(np.array(payload["towers"], dtype=np.int64).reshape(-1, 2))
-    except OverflowError:
-        raise DocumentError("tower coordinates must fit in 64-bit integers") from None
+    towers = TowerSet(_tower_array(payload["towers"]))
 
     metadata: dict = {}
     raw_meta = payload.get("metadata", {})

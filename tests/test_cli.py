@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -316,6 +318,33 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{"m":5,"n":1,"t":4,"r":2,"towers":%s}',
+            '{"m":5,"n":1,"t":4,"r":2,"towers":[],"metadata":{"raw_count":%s}}',
+        ],
+    )
+    def test_deep_nesting_is_usage_error(self, capsys, tmp_path, template):
+        depth = 200_000
+        path = tmp_path / "deep.json"
+        path.write_text(template % ("[" * depth + "]" * depth) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out, err) == (2, "", "error: not valid JSON: nesting too deep\n")
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"m":3,"n":3,"t":3,"r":2,"towers":[[1,1]],"m":4}', "m"),
+            ('{"m":3,"n":3,"t":3,"r":2,"towers":[],"metadata":{"shear":1,"shear":2}}', "shear"),
+        ],
+    )
+    def test_duplicate_key_is_usage_error(self, capsys, tmp_path, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out, err) == (2, "", f"error: duplicate key: {key!r}\n")
+
 
 class TestExactCommand:
     def test_solved_line(self, capsys):
@@ -480,6 +509,18 @@ class TestDensityCommand:
             capsys, "density", "--t", "3", "--side", "8", "--shear", "3"
         )
         assert out.strip() == "1/8"
+
+    def test_huge_side_counts_per_period(self, capsys):
+        # The t=3 rectilinear pattern is {(2i, 2j) : i = j mod 2}; with
+        # k = ceil(side / 2) candidate values per axis it holds
+        # ceil(k/2)^2 + floor(k/2)^2 towers of the window.
+        side = 10**9 + 3
+        k = (side + 1) // 2
+        expected = Fraction(((k + 1) // 2) ** 2 + (k // 2) ** 2, side * side)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "density", "--t", "3", "--side", str(side))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, f"{expected}\n", "")
 
 
 class TestRenderCommand:

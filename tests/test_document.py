@@ -1,7 +1,10 @@
 """Document format: byte-exact serialization and strict parsing."""
 
+import json
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcast import (
@@ -140,3 +143,116 @@ class TestParsing:
             parse_document(
                 '{"m":5,"n":1,"t":4,"r":2,"towers":[],"metadata":{"color":"red"}}'
             )
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"m":3,"n":3,"t":3,"r":2,"towers":[],"m":4}', "m"),
+            ('{"m":3,"n":3,"t":3,"r":2,"towers":[[0,0]],"towers":[]}', "towers"),
+            ('{"m":3,"n":3,"t":3,"r":2,"towers":[],"metadata":{"shear":1,"shear":1}}', "shear"),
+        ],
+    )
+    def test_rejects_duplicate_keys(self, text, key):
+        with pytest.raises(DocumentError, match=f"^duplicate key: {key!r}$"):
+            parse_document(text)
+
+
+INT64_EDGES = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64, -(2**64)]
+
+
+def reference_towers(towers):
+    """The per-pair tower check that whole-list passes replace."""
+    for pair in towers:
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in pair)
+        ):
+            raise DocumentError(f"tower must be a pair of integers, got {pair!r}")
+    try:
+        return TowerSet(np.array(towers, dtype=np.int64).reshape(-1, 2))
+    except OverflowError:
+        raise DocumentError("tower coordinates must fit in 64-bit integers") from None
+
+
+def reference_serialize(doc):
+    """The document bytes written through one json.dumps of the whole payload."""
+    payload = {"m": doc.m, "n": doc.n, "t": doc.t, "r": doc.r, "towers": doc.towers.xy.tolist()}
+    if doc.metadata:
+        payload["metadata"] = {
+            key: list(doc.metadata[key]) if key == "anchor" else doc.metadata[key]
+            for key in ("anchor", "raw_count", "shear", "generator", "tool_version")
+            if key in doc.metadata
+        }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except DocumentError as exc:
+        return "error", str(exc)
+
+
+coordinates = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from(INT64_EDGES),
+    st.integers(-(2**70), 2**70),
+)
+int64s = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([2**63 - 1, -(2**63)]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+junk = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# Pairs of integers appear twice, so that many lists are valid throughout.
+entries = st.one_of(
+    st.lists(coordinates, min_size=2, max_size=2),
+    st.lists(coordinates, min_size=2, max_size=2),
+    st.lists(st.one_of(coordinates, junk), min_size=2, max_size=2),
+    st.lists(coordinates, max_size=4),
+    junk,
+    coordinates,
+    st.lists(st.lists(coordinates, max_size=2), min_size=2, max_size=2),
+)
+
+
+class TestWholeListPasses:
+    @given(towers=st.lists(entries, max_size=12))
+    @example(towers=[[1, 2, 3], [4]])  # as many coordinates as two pairs hold
+    @example(towers=[[0, 0], [2.5, 1], [True, 0]])
+    @settings(max_examples=400, deadline=None)
+    def test_parse_matches_per_pair_reference(self, towers):
+        text = json.dumps({"m": 3, "n": 3, "t": 3, "r": 2, "towers": towers})
+        expected = outcome(reference_towers, json.loads(text)["towers"])
+        got = outcome(parse_document, text)
+        if got[0] == "ok":
+            got = ("ok", got[1].towers)
+        assert got == expected
+
+    @given(
+        xy=st.lists(st.tuples(int64s, int64s), max_size=12),
+        metadata=st.fixed_dictionaries(
+            {},
+            optional={
+                "anchor": st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                "raw_count": st.integers(0, 2**63),
+                "shear": st.integers(-9, 9),
+                "generator": st.text(max_size=4),
+                "tool_version": st.just("0.1.0"),
+            },
+        ),
+        dims=st.tuples(*[st.integers(1, 2**40)] * 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_serialize_matches_one_json_dumps(self, xy, metadata, dims):
+        towers = TowerSet(np.array(xy, dtype=np.int64).reshape(-1, 2))
+        m, n, t, r = dims
+        doc = BroadcastDocument(m=m, n=n, t=t, r=r, towers=towers, metadata=metadata)
+        assert serialize_document(doc) == reference_serialize(doc)

@@ -183,6 +183,39 @@ class TestWindowDensity:
         assert count * 2 * (t - 1) ** 2 == side * side
 
 
+def row_loop_count(lattice, lo, hi):
+    """count_in_window as one sum over every lattice row of the window."""
+    rows = lattice_module._window_coefficient_rows(lattice, lo.x, hi.x, lo.y, hi.y)
+    return sum(a_hi - a_lo + 1 for _, a_lo, a_hi in rows)
+
+
+class TestCountPerPeriod:
+    @given(
+        t=st.integers(3, 7),
+        shear=st.integers(-15, 15),
+        ax=st.integers(-40, 40),
+        ay=st.integers(-40, 40),
+        x0=st.integers(-300, 300),
+        y0=st.integers(-300, 300),
+        width=st.integers(1, 400),
+        height=st.integers(1, 400),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_loop(self, t, shear, ax, ay, x0, y0, width, height):
+        lattice = DiamondLattice(t=t, anchor=Coord(ax, ay), shear=shear)
+        lo, hi = Coord(x0, y0), Coord(x0 + width - 1, y0 + height - 1)
+        assert count_in_window(lattice, lo, hi) == row_loop_count(lattice, lo, hi)
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_whole_periods_and_their_edges(self, t):
+        period = 2 * (t - 1) ** 2
+        lattice = DiamondLattice(t=t, anchor=Coord(1, -2), shear=t)
+        for width in (period - 1, period, period + 1, 3 * period):
+            for height in (1, period, 2 * period + 1):
+                lo, hi = Coord(-5, 7), Coord(-5 + width - 1, 7 + height - 1)
+                assert count_in_window(lattice, lo, hi) == row_loop_count(lattice, lo, hi)
+
+
 class TestValidatePattern:
     @pytest.mark.parametrize("t", range(3, 9))
     def test_rectilinear_patterns_are_valid(self, t):
