@@ -23,7 +23,6 @@ from .grid import (
     GridDims,
     TowerSet,
     check_broadcast,
-    check_cell_cap,
     coords_of,
 )
 from .lattice import (
@@ -126,8 +125,6 @@ def letterbox_construct(dims: GridDims, t: int, lattice: DiamondLattice) -> Cons
     if lattice.t != t:
         raise ValueError(f"lattice strength {lattice.t} does not match t={t}")
 
-    check_cell_cap(dims)
-
     emb = embedding(dims, t)
     raw = towers_in_window(lattice, emb.lo, emb.hi)
     clamped = np.clip(raw.xy, 0, (dims.m - 1, dims.n - 1))
@@ -214,13 +211,13 @@ def anchor_raw_counts(dims: GridDims, t: int) -> AnchorCounts:
     are exactly the points whose x is congruent to a.x + p(t-1) and whose y
     is congruent to a.y + p(t-1) modulo 2(t-1): a product set. So the count
     at a is the sum over p of two per-axis residue counts multiplied, exact
-    in integer arithmetic with no per-anchor loop. Grids over MAX_CELLS and
-    t over MAX_STRENGTH are refused, which also keeps every count in int64.
+    in integer arithmetic with no per-anchor loop. Grids over MAX_CELLS
+    (refused by GridDims) and t over MAX_STRENGTH (refused here) never get
+    this far, which keeps every count in int64.
     """
     emb = embedding(dims, t)
     if t > MAX_STRENGTH:
         raise ValueError(f"construction requires t <= {MAX_STRENGTH}, got {t}")
-    check_cell_cap(dims)
     step = t - 1
     period = 2 * step
     # residues[p, a]: the class, mod period, of the parity-p towers at anchor a.
@@ -244,7 +241,6 @@ def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
     """
     if t < 3:
         raise ValueError(f"construction requires t >= 3, got {t}")
-    check_cell_cap(dims)
     if dims.m > 1 and dims.n > 1:
         counts = anchor_raw_counts(dims, t)
         best_anchor = counts.best_anchor()

@@ -15,11 +15,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 # Signal totals are ordinary 64-bit integers. The worst-case total at one
-# vertex is t * |towers|, so with the caps below it stays under 1e10 << 2**63.
+# vertex is t * |towers|; towers are capped at MAX_CELLS too, so it stays
+# under 3.4e11 << 2**63.
 MAX_STRENGTH = 10_000
-MAX_TOWERS = 1_000_000
-# Largest grid (m * n vertices) that gets a per-vertex array: an int64 signal
-# field of this size takes 256 MiB.
+# Largest grid (m * n vertices): an int64 signal field of this size takes
+# 256 MiB.
 MAX_CELLS = 2**25
 
 
@@ -39,7 +39,11 @@ class Coord:
 
 @dataclass(frozen=True)
 class GridDims:
-    """Dimensions of an m x n grid graph with vertex set {0..m-1} x {0..n-1}."""
+    """Dimensions of an m x n grid graph with vertex set {0..m-1} x {0..n-1}.
+
+    Grids of more than MAX_CELLS vertices are refused here, so an oversized
+    request fails fast before any per-vertex array or tower list is built.
+    """
 
     m: int
     n: int
@@ -47,6 +51,11 @@ class GridDims:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.m}x{self.n}")
+        if self.m * self.n > MAX_CELLS:
+            raise ValueError(
+                f"grid {self.m}x{self.n} has {self.m * self.n} vertices, "
+                f"more than the supported {MAX_CELLS}"
+            )
 
     def contains(self, v: Coord) -> bool:
         return 0 <= v.x < self.m and 0 <= v.y < self.n
@@ -201,19 +210,6 @@ def _diamond_kernel(t: int, a: int, b: int) -> np.ndarray:
 _STEP_OVERHEAD = 3000
 
 
-def check_cell_cap(dims: GridDims) -> None:
-    """Raise ValueError if the grid has more than MAX_CELLS vertices.
-
-    Called before any per-cell array or grid-sized tower list is built, so an
-    oversized request fails fast instead of exhausting memory.
-    """
-    if dims.m * dims.n > MAX_CELLS:
-        raise ValueError(
-            f"grid {dims.m}x{dims.n} has {dims.m * dims.n} vertices, "
-            f"more than the supported {MAX_CELLS}"
-        )
-
-
 def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     """The (m, n) int64 array of total signal; ``[x, y]`` is the total at (x, y).
 
@@ -230,12 +226,11 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
         raise ValueError(f"signal strength t must be >= 1, got {t}")
     if not isinstance(towers, (TowerSet, np.ndarray)):
         towers = list(towers)
-    if t > MAX_STRENGTH or len(towers) > MAX_TOWERS:
+    if t > MAX_STRENGTH or len(towers) > MAX_CELLS:
         raise ValueError(
             f"inputs exceed documented bounds (t <= {MAX_STRENGTH}, "
-            f"|towers| <= {MAX_TOWERS}); signal totals could overflow"
+            f"|towers| <= {MAX_CELLS}); signal totals could overflow"
         )
-    check_cell_cap(dims)
     xy = _as_xy(towers)
     m, n = dims.m, dims.n
     radius = t - 1
@@ -262,7 +257,7 @@ def _add_shifted(values: np.ndarray, near: np.ndarray, radius: int) -> None:
     # of k in [d, radius]; so the field is the sum over k of ``within``, the
     # tower count in the radius-k diamond around each vertex.
     m, n = values.shape
-    # Every count below is at most len(near) <= MAX_TOWERS < 2**31.
+    # Every count below is at most len(near) <= MAX_CELLS < 2**31.
     image = np.zeros((m + 2 * radius, n + 2 * radius), dtype=np.int32)
     np.add.at(image, (near[:, 0] + radius, near[:, 1] + radius), 1)
     within = np.zeros((m, n), dtype=np.int32)

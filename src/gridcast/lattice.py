@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Coord, TowerSet
+from .grid import MAX_STRENGTH, Coord, TowerSet
 
 __all__ = [
     "DiamondLattice",
@@ -52,6 +52,8 @@ class DiamondLattice:
     def __post_init__(self) -> None:
         if self.t < 3:
             raise ValueError(f"lattice strength t must be >= 3, got {self.t}")
+        if self.t > MAX_STRENGTH:
+            raise ValueError(f"lattice strength t must be <= {MAX_STRENGTH}, got {self.t}")
 
     @property
     def basis_u(self) -> Coord:

@@ -32,6 +32,7 @@ def render_ascii(doc: BroadcastDocument) -> str:
 
 def render_svg(doc: BroadcastDocument) -> str:
     """Grid, towers, and one diamond outline (radius t-1) per tower."""
+    GridDims(doc.m, doc.n)  # refuses a grid over the cell cap before drawing
     radius = doc.t - 1
     pad = radius + 1
     width = (doc.m - 1 + 2 * pad) * _CELL

@@ -22,6 +22,12 @@ per orbit of the grid's symmetry group (8 symmetries for square grids, 4
 otherwise). This is sound because the domination number is invariant under
 grid automorphisms; the naive enumerator used to cross-check the solver
 applies no such reduction.
+
+Setup builds no per-cell table: a cell's cover (the cells a tower there
+reaches, with their signals) is built from one offset list the first time the
+search reads it, and symmetry images are computed only for the root's
+candidates. So a level's setup is O(mn) and everything after it is bounded
+by the budget.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .grid import (
     GridDims,
     TowerSet,
     check_broadcast,
-    check_cell_cap,
 )
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -83,30 +88,13 @@ class SolveResult:
     level_nodes: tuple[tuple[int, int], ...] = ()
 
 
-def _grid_symmetries(m: int, n: int) -> list[list[int]]:
-    """Index permutations for the grid's automorphisms (cell index = x*n + y)."""
-    transforms = [
-        lambda x, y: (x, y),
-        lambda x, y: (m - 1 - x, y),
-        lambda x, y: (x, n - 1 - y),
-        lambda x, y: (m - 1 - x, n - 1 - y),
-    ]
+def _cell_images(u: int, m: int, n: int) -> list[int]:
+    """The images of cell u = x*n + y under the grid's 4 or 8 automorphisms."""
+    x, y = divmod(u, n)
+    images = [(x, y), (m - 1 - x, y), (x, n - 1 - y), (m - 1 - x, n - 1 - y)]
     if m == n:
-        transforms += [
-            lambda x, y: (y, x),
-            lambda x, y: (m - 1 - y, x),
-            lambda x, y: (y, m - 1 - x),
-            lambda x, y: (m - 1 - y, m - 1 - x),
-        ]
-    perms = []
-    for f in transforms:
-        perm = [0] * (m * n)
-        for x in range(m):
-            for y in range(n):
-                fx, fy = f(x, y)
-                perm[x * n + y] = fx * n + fy
-        perms.append(perm)
-    return perms
+        images += [(y, x), (m - 1 - y, x), (y, m - 1 - x), (m - 1 - y, m - 1 - x)]
+    return [a * n + b for a, b in images]
 
 
 def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
@@ -137,26 +125,35 @@ class _Search:
         self.deadline = (
             None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         )
-        m, n, t, r = dims.m, dims.n, params.t, params.r
-        self.r = r
+        m, n, t = dims.m, dims.n, params.t
+        self.m, self.n, self.r = m, n, params.r
         self.budget = budget
-        radius = t - 1
-        cover: list[list[tuple[int, int]]] = []
-        for x in range(m):
-            for y in range(n):
-                entries = []
-                for ux in range(max(0, x - radius), min(m, x + radius + 1)):
-                    span = radius - abs(ux - x)
-                    for uy in range(max(0, y - span), min(n, y + span + 1)):
-                        entries.append((ux * n + uy, t - abs(ux - x) - abs(uy - y)))
-                cover.append(entries)
-        self.cover = cover
+        # (dx, dy, signal) for every offset within distance t-1 that fits in
+        # the grid, in (dx, dy) order; covers are built from it on first use.
+        wx, wy = min(t - 1, m - 1), min(t - 1, n - 1)
+        self.offsets = [
+            (dx, dy, t - abs(dx) - abs(dy))
+            for dx in range(-wx, wx + 1)
+            for dy in range(-wy, wy + 1)
+            if abs(dx) + abs(dy) < t
+        ]
+        self.cover: list[list[tuple[int, int]] | None] = [None] * (m * n)
         self.max_unit_coverage = max_unit_coverage(dims, params)
         self.field = [0] * (m * n)
-        self.placed = [False] * (m * n)
         self.stack: list[int] = []
-        self.symmetries = _grid_symmetries(m, n)
         self.nodes = 0
+
+    def _cover(self, u: int) -> list[tuple[int, int]]:
+        """The (cell, signal) pairs a tower on u supplies, in cell order; cached."""
+        m, n = self.m, self.n
+        x, y = divmod(u, n)
+        cells = [
+            (u + dx * n + dy, s)
+            for dx, dy, s in self.offsets
+            if 0 <= x + dx < m and 0 <= y + dy < n
+        ]
+        self.cover[u] = cells
+        return cells
 
     def _root_representatives(self, ranked: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Keep the first-ranked candidate of each symmetry orbit."""
@@ -164,7 +161,7 @@ class _Search:
         return [
             (g, u)
             for i, (g, u) in enumerate(ranked)
-            if all(rank.get(perm[u], i) >= i for perm in self.symmetries)
+            if all(rank.get(w, i) >= i for w in _cell_images(u, self.m, self.n))
         ]
 
     def run(self, slots: int) -> list[int] | None:
@@ -185,17 +182,18 @@ class _Search:
         that covers the whole deficit, or leaves more than the remaining
         towers could repair, is decided from its gain without being placed.
         """
-        field, r, cover, placed = self.field, self.r, self.cover, self.placed
+        field, r, cover = self.field, self.r, self.cover
         v = start
         while field[v] >= r:
             v += 1
-        # Rank by gain, the deficiency each candidate would repair.
+        # Rank by gain, the deficiency each candidate would repair. Placed
+        # towers are in `forbidden` too.
         ranked = []
-        for u, _ in cover[v]:
-            if placed[u] or u in forbidden:
+        for u, _ in cover[v] or self._cover(v):
+            if u in forbidden:
                 continue
             gain = 0
-            for c, s in cover[u]:
+            for c, s in cover[u] or self._cover(u):
                 d = r - field[c]
                 if d > 0:
                     gain += d if d < s else s
@@ -215,21 +213,19 @@ class _Search:
             left = deficit + neg_gain
             if left == 0:
                 return self.stack + [u]
+            forbidden.add(u)
+            tried.append(u)
             if left <= reach:
                 cells = cover[u]
                 for c, s in cells:
                     field[c] += s
-                placed[u] = True
                 self.stack.append(u)
                 found = self._dfs(slots - 1, left, forbidden, v)
                 self.stack.pop()
-                placed[u] = False
                 for c, s in cells:
                     field[c] -= s
                 if found is not None:
                     return found
-            forbidden.add(u)
-            tried.append(u)
         for u in tried:
             forbidden.discard(u)
         return None
@@ -274,7 +270,6 @@ def exact_gamma(
     """
     budget = budget or SearchBudget()
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    check_cell_cap(dims)
     every_vertex = np.indices((dims.m, dims.n)).reshape(2, -1).T
     if not check_broadcast(dims, params, TowerSet(every_vertex)).valid:
         raise ValueError(

@@ -252,6 +252,14 @@ class TestCellCap:
         argv = ["exact", "--m", str(self.M), "--n", str(self.N), "--t", "3", "--r", "2"]
         self.assert_refused(capsys, self.M, self.N, *argv)
 
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_render(self, capsys, tmp_path, fmt):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            f'{{"m":{self.M},"n":{self.N},"t":3,"r":2,"towers":[[0,0]]}}\n', encoding="utf-8"
+        )
+        self.assert_refused(capsys, self.M, self.N, "render", str(path), "--format", fmt)
+
 
 def test_out_of_memory_is_exit_2(capsys, monkeypatch, tmp_path):
     def exhausted(*args, **kwargs):
@@ -376,6 +384,9 @@ class TestExactCommand:
         assert code == 3
         assert out.startswith("UNSOLVED nodes=")
 
+    def test_large_grid_setup_stays_within_the_budget(self, capsys):
+        argv = ["exact", "--m", "300", "--n", "300", "--t", "6", "--r", "2", "--budget", "1"]
+        assert run_cli(capsys, *argv) == (3, "UNSOLVED nodes=1\n", "")
 
     def test_max_seconds_caps_the_solve(self, capsys, monkeypatch):
         # A clock that advances 1 s per reading: 1.5 s runs out before any node.
@@ -521,6 +532,12 @@ class TestDensityCommand:
         code, out, err = run_cli(capsys, "density", "--t", "3", "--side", str(side))
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (0, f"{expected}\n", "")
+
+    def test_strength_over_the_cap_is_usage_error(self, capsys):
+        t = str(grid.MAX_STRENGTH + 1)
+        code, out, err = run_cli(capsys, "density", "--t", t, "--side", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRenderCommand:

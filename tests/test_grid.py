@@ -121,13 +121,21 @@ class TestSignalField:
 
     def test_small_grid_never_takes_the_shifted_path_at_large_strength(self):
         # The shifted path pads its image by t-1 on every side.
-        assert not grid._shift_is_cheaper(3, 3, grid.MAX_STRENGTH, grid.MAX_TOWERS)
+        assert not grid._shift_is_cheaper(3, 3, grid.MAX_STRENGTH, grid.MAX_CELLS)
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError, match="documented bounds"):
             signal_field(GridDims(2, 2), 10_001, TowerSet([Coord(0, 0)]))
+        # A zero-stride view: MAX_CELLS + 1 rows without allocating them.
+        too_many = np.broadcast_to(np.zeros((1, 2), dtype=np.int64), (grid.MAX_CELLS + 1, 2))
         with pytest.raises(ValueError, match="documented bounds"):
-            signal_field(GridDims(2, 2), 3, [Coord(0, 0)] * 1_000_001)
+            signal_field(GridDims(2, 2), 3, too_many)
+
+    def test_more_than_a_million_towers_are_accepted(self):
+        # The first 1 000 001 vertices of a 1001x1000 grid, each a tower.
+        towers = np.indices((1001, 1000)).reshape(2, -1).T[:1_000_001]
+        field = signal_field(GridDims(1001, 1000), 1, towers)
+        assert field.sum() == 1_000_001
 
     @given(
         m=st.integers(1, 10),
@@ -212,12 +220,15 @@ class TestSignalField:
 
         monkeypatch.setattr(grid.np, "zeros", no_zeros)
         # 2**25 + 1 = 3 * 11184811: one vertex over the cap.
-        dims = GridDims(3, (grid.MAX_CELLS + 1) // 3)
-        assert dims.m * dims.n == grid.MAX_CELLS + 1
-        with pytest.raises(ValueError, match="more than the supported"):
-            signal_field(dims, 3, TowerSet([Coord(0, 0)]))
-        with pytest.raises(ValueError, match="more than the supported"):
-            check_broadcast(dims, BroadcastParams(3, 2), TowerSet())
+        m, n = 3, (grid.MAX_CELLS + 1) // 3
+        assert m * n == grid.MAX_CELLS + 1
+        with pytest.raises(ValueError) as refused:
+            GridDims(m, n)
+        assert str(refused.value) == (
+            f"grid {m}x{n} has {grid.MAX_CELLS + 1} vertices, "
+            f"more than the supported {grid.MAX_CELLS}"
+        )
+        assert GridDims(1, grid.MAX_CELLS).n == grid.MAX_CELLS
 
 
 class TestCheckBroadcast:

@@ -19,6 +19,7 @@ from gridcast import (
     validate_pattern,
     window_density,
 )
+from gridcast.grid import MAX_STRENGTH
 
 OFFSET_TILING = DiamondLattice(t=3, anchor=Coord(0, 0), shear=3)
 
@@ -57,6 +58,11 @@ class TestRectilinearLattice:
             rectilinear_lattice(2)
         with pytest.raises(ValueError):
             DiamondLattice(t=2, anchor=Coord(0, 0), shear=1)
+
+    def test_rejects_strength_over_the_cap(self):
+        assert rectilinear_lattice(MAX_STRENGTH).t == MAX_STRENGTH
+        with pytest.raises(ValueError, match="must be <= 10000"):
+            DiamondLattice(t=MAX_STRENGTH + 1, anchor=Coord(0, 0), shear=1)
 
     def test_basis(self):
         lattice = rectilinear_lattice(4)

@@ -1,8 +1,10 @@
 """Exact solver: level searches, iterative deepening, budgets, oracle checks."""
 
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,13 +225,13 @@ class TestSolveWideBudget:
     def test_level_setup_is_charged_to_the_seconds(self, monkeypatch):
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        original_symmetries = solver._grid_symmetries
+        original_coverage = solver.max_unit_coverage
 
-        def slow_setup(m, n):
+        def slow_setup(dims, params):
             clock.now += 10.0
-            return original_symmetries(m, n)
+            return original_coverage(dims, params)
 
-        monkeypatch.setattr(solver, "_grid_symmetries", slow_setup)
+        monkeypatch.setattr(solver, "max_unit_coverage", slow_setup)
         with pytest.raises(BudgetExhaustedError):
             find_broadcast_of_size(
                 GridDims(4, 4), BroadcastParams(3, 2), 3, SearchBudget(max_seconds=5)
@@ -257,7 +259,8 @@ class TestMaxUnitCoverage:
     )
     def test_equals_the_largest_capped_coverage_of_the_cover(self, m, n, t, r):
         dims, params = GridDims(m, n), BroadcastParams(t, r)
-        cover = solver._Search(dims, params, SearchBudget()).cover
+        search = solver._Search(dims, params, SearchBudget())
+        cover = [search._cover(u) for u in range(m * n)]
         expected = max(sum(min(r, s) for _, s in entries) for entries in cover)
         assert max_unit_coverage(dims, params) == expected
 
@@ -265,6 +268,42 @@ class TestMaxUnitCoverage:
         # Every vertex of a 3x3 grid is within distance 2 of the centre.
         params = BroadcastParams(4, 2**80)
         assert max_unit_coverage(GridDims(3, 3), params) == 4 + 4 * 3 + 4 * 2
+
+
+class TestTableFreeSetup:
+    """A level's setup builds no per-cell table, so the budget bounds the work."""
+
+    def test_large_grid_expands_its_one_node_at_once(self):
+        start = time.perf_counter()
+        result = exact_gamma(
+            GridDims(300, 300), BroadcastParams(6, 2), SearchBudget(max_nodes=1)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    def test_root_representatives_match_permutation_tables(self, m, n, data):
+        # The 4 or 8 automorphisms as flips and transposes of the index array.
+        idx = np.arange(m * n).reshape(m, n)
+        views = [idx.T] if m == n else []
+        tables = [
+            v[::sx, ::sy].ravel().tolist()
+            for v in [idx, *views]
+            for sx in (1, -1)
+            for sy in (1, -1)
+        ]
+        cells = data.draw(st.permutations(range(m * n)))
+        cells = cells[: data.draw(st.integers(0, m * n))]
+        ranked = [(-data.draw(st.integers(0, 3)), u) for u in cells]
+        rank = {u: i for i, (_, u) in enumerate(ranked)}
+        expected = [
+            (g, u)
+            for i, (g, u) in enumerate(ranked)
+            if all(rank.get(perm[u], i) >= i for perm in tables)
+        ]
+        search = solver._Search(GridDims(m, n), BroadcastParams(2, 1), SearchBudget())
+        assert search._root_representatives(ranked) == expected
 
 
 class TestDeficitBoundStart:
