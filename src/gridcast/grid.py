@@ -217,10 +217,11 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     needed when evaluating a halo of an infinite pattern against the grid.
     A tower repeated in a plain list counts once per copy.
 
-    Dense towers: image of tower counts, padded by t-1, added once per diamond
-    offset as a shifted slice. Sparse towers with large t: each tower's
-    diamond is stamped on its own. The cheaper one is chosen from the grid
-    size, t and the tower count.
+    Dense towers: image of tower counts, padded by t-1 and built by one
+    bincount of flat padded indices, added once per diamond offset as a
+    shifted slice. Sparse towers with large t: each tower's diamond is stamped
+    on its own. The cheaper one is chosen from the grid size, t and the tower
+    count.
     """
     if t < 1:
         raise ValueError(f"signal strength t must be >= 1, got {t}")
@@ -258,8 +259,9 @@ def _add_shifted(values: np.ndarray, near: np.ndarray, radius: int) -> None:
     # tower count in the radius-k diamond around each vertex.
     m, n = values.shape
     # Every count below is at most len(near) <= MAX_CELLS < 2**31.
-    image = np.zeros((m + 2 * radius, n + 2 * radius), dtype=np.int32)
-    np.add.at(image, (near[:, 0] + radius, near[:, 1] + radius), 1)
+    h, w = m + 2 * radius, n + 2 * radius
+    flat = (near[:, 0] + radius) * w + (near[:, 1] + radius)
+    image = np.bincount(flat, minlength=h * w).astype(np.int32).reshape(h, w)
     within = np.zeros((m, n), dtype=np.int32)
     for d in range(radius + 1):
         for dx in range(-d, d + 1):
@@ -289,11 +291,14 @@ def check_broadcast(dims: GridDims, params: BroadcastParams, towers: TowerSet) -
     """Decide whether ``towers`` is a (t,r) broadcast on the grid.
 
     Valid iff every vertex receives total signal >= r. Deficient vertices are
-    reported lexicographically with their received totals.
+    reported lexicographically with their received totals: they come from one
+    scan of the flattened field, whose ascending indices x*n + y are already
+    in (x, y) order, split back into coordinates by divmod with n.
     """
-    values = signal_field(dims, params.t, towers).view(np.ndarray)
-    short = np.argwhere(values < params.r)
+    values = signal_field(dims, params.t, towers).view(np.ndarray).reshape(-1)
+    flat = np.flatnonzero(values < params.r)
+    short = np.stack(divmod(flat, dims.n), axis=1)
     xy = _as_xy(towers)
     x, y = xy[:, 0], xy[:, 1]
     outside = xy[(x < 0) | (x >= dims.m) | (y < 0) | (y >= dims.n)]
-    return BroadcastVerdict(not len(short), short, values[short[:, 0], short[:, 1]], outside)
+    return BroadcastVerdict(not len(flat), short, values[flat], outside)

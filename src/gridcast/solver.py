@@ -267,11 +267,25 @@ def exact_gamma(
     level's root is pruned, raised to the area lower bound when that applies
     (t >= 3 and r >= 2). The budget covers the whole solve: each level gets
     the nodes and seconds the earlier ones left.
+
+    A broadcast exists iff towers on every vertex are one, and that is
+    decided on the min(m,t) x min(n,t) corner box with towers on all of it,
+    so its arrays grow with the box, not the grid. With towers everywhere,
+    vertex (x, y) receives the sum of t - |x-a| - |y-b| over the towers
+    (a, b) within reach. Per axis the distances from a corner are 0, 1, ...,
+    m-1, and from any x the i-th smallest distance is at most i, because at
+    least min(i+1, m) positions lie within distance i of x. Signal falls with
+    distance, so pairing distances in sorted order shows no vertex receives
+    less than a corner: the grid is valid iff (0, 0) receives r. Only towers
+    with a < t and b < t reach (0, 0), and those are exactly the box's, so
+    (0, 0) receives the same total in the box; by the same argument it is the
+    box's minimum, and the box's verdict is the grid's.
     """
     budget = budget or SearchBudget()
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    every_vertex = np.indices((dims.m, dims.n)).reshape(2, -1).T
-    if not check_broadcast(dims, params, TowerSet(every_vertex)).valid:
+    box = GridDims(min(dims.m, params.t), min(dims.n, params.t))
+    every_vertex = np.indices((box.m, box.n)).reshape(2, -1).T
+    if not check_broadcast(box, params, TowerSet(every_vertex)).valid:
         raise ValueError(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"

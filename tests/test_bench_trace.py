@@ -32,6 +32,8 @@ def test_trace_records_every_layer(tmp_path):
         "construct.letterbox",
         "lattice.towers_in_window",
         "grid.check_broadcast",
+        "grid.signal_field",
+        "solver.existence_check",
         "solver.search",
         "document.serialize",
         "document.parse",

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcast import (
@@ -278,6 +278,36 @@ class TestCheckBroadcast:
         towers = TowerSet(data.draw(st.lists(coords, max_size=6)))
         verdict = check_broadcast(dims, BroadcastParams(t, r), towers)
         assert verdict.valid == (signal_field(dims, t, towers).min() >= r)
+
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        t=st.integers(1, 6),
+        r=st.integers(1, 8),
+        data=st.data(),
+    )
+    @example(m=1, n=7, t=2, r=9, data=None)  # every vertex deficient
+    @example(m=6, n=1, t=3, r=1, data=None)  # valid
+    @example(m=1, n=1, t=1, r=2, data=None)  # one deficient vertex
+    @example(m=3, n=11, t=2, r=3, data=None)  # valid, m != n
+    @settings(max_examples=120, deadline=None)
+    def test_deficiencies_match_a_multi_dimensional_scan(self, m, n, t, r, data):
+        # Towers may lie outside the grid; a missing draw means towers on
+        # every vertex.
+        if data is None:
+            towers = [Coord(x, y) for x in range(m) for y in range(n)]
+        else:
+            near = st.builds(Coord, st.integers(-t, m + t - 1), st.integers(-t, n + t - 1))
+            towers = data.draw(st.lists(near, max_size=10))
+        verdict = check_broadcast(GridDims(m, n), BroadcastParams(t, r), TowerSet(towers))
+        field = per_tower_field(m, n, t, set(towers))
+        short = np.argwhere(field < r)
+        assert verdict.deficiencies.shape == short.shape
+        assert verdict.deficiencies.dtype == short.dtype == np.int64
+        assert np.array_equal(verdict.deficiencies, short)
+        assert verdict.received.dtype == np.int64
+        assert np.array_equal(verdict.received, field[field < r])
+        assert verdict.valid == (len(short) == 0)
 
 
 class TestTowerSet:

@@ -127,13 +127,39 @@ class TestExactGamma:
         original = solver.check_broadcast
 
         def recorded(dims, params, towers):
-            seen.append(towers)
+            seen.append((dims, towers))
             return original(dims, params, towers)
 
         monkeypatch.setattr(GridDims, "vertices", refuse)
         monkeypatch.setattr(solver, "check_broadcast", recorded)
-        assert exact_gamma(GridDims(3, 4), BroadcastParams(3, 2)).status == "optimal"
-        assert seen == [TowerSet([Coord(x, y) for x in range(3) for y in range(4)])]
+        # Only the min(m,t) x min(n,t) corner box is checked, every vertex a tower.
+        for m, n, t, (a, b) in [(3, 4, 3, (3, 3)), (6, 7, 4, (4, 4))]:
+            seen.clear()
+            assert exact_gamma(GridDims(m, n), BroadcastParams(t, 2)).status == "optimal"
+            corner = TowerSet([Coord(x, y) for x in range(a) for y in range(b)])
+            assert seen == [(GridDims(a, b), corner)]
+
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        t=st.integers(1, 6),
+        r=st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_corner_box_decides_existence_like_the_full_grid(self, m, n, t, r):
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        every_vertex = TowerSet([Coord(x, y) for x in range(m) for y in range(n)])
+        exists = check_broadcast(dims, params, every_vertex).valid
+        try:
+            exact_gamma(dims, params, SearchBudget(max_nodes=1))
+        except ValueError as refused:
+            assert not exists
+            assert str(refused) == (
+                f"no ({t},{r}) broadcast exists on {m}x{n}: "
+                "even towers on every vertex fall short"
+            )
+        else:
+            assert exists
 
     def test_infeasible_parameters_rejected(self):
         # strength 1 cannot deliver 2 signal anywhere, whatever the set
