@@ -52,7 +52,6 @@ from .lattice import (
     DiamondLattice,
     PatternVerdict,
     count_in_window,
-    fundamental_domain_vertices,
     lattice_contains,
     rectilinear_lattice,
     towers_in_window,

@@ -83,7 +83,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.anchor is not None:
         anchor = _parse_coord(args.anchor)
         shear = args.shear if args.shear is not None else args.t - 1
-        result = letterbox_construct(dims, args.t, DiamondLattice(args.t, anchor, shear))
+        result = letterbox_construct(dims, DiamondLattice(args.t, anchor, shear))
     else:
         result = best_anchor_construct(dims, args.t)
 

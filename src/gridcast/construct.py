@@ -113,18 +113,17 @@ def path_construct(m: int, t: int) -> TowerSet:
     return towers
 
 
-def letterbox_construct(dims: GridDims, t: int, lattice: DiamondLattice) -> ConstructionResult:
+def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> ConstructionResult:
     """Intersect a pattern with the halo grid and clamp outside towers in.
 
-    Raises ValueError for bad inputs (m or n of 1, strength mismatch). Raises
-    ConstructionInvariantError if a replacement collides or the final
-    verification fails; neither can happen for a rectilinear pattern.
+    The broadcast has the pattern's strength t. Raises ValueError for a path
+    (m or n of 1). Raises ConstructionInvariantError if a replacement collides
+    or the final verification fails; neither can happen for a rectilinear
+    pattern.
     """
     if dims.m <= 1 or dims.n <= 1:
         raise ValueError("letterboxing requires m, n > 1; use path_construct for paths")
-    if lattice.t != t:
-        raise ValueError(f"lattice strength {lattice.t} does not match t={t}")
-
+    t = lattice.t
     emb = embedding(dims, t)
     raw = towers_in_window(lattice, emb.lo, emb.hi)
     clamped = np.clip(raw.xy, 0, (dims.m - 1, dims.n - 1))
@@ -245,7 +244,7 @@ def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
         counts = anchor_raw_counts(dims, t)
         best_anchor = counts.best_anchor()
         result = replace(
-            letterbox_construct(dims, t, rectilinear_lattice(t, best_anchor)),
+            letterbox_construct(dims, rectilinear_lattice(t, best_anchor)),
             generator="best-anchor",
         )
         # The closed form and the enumeration share no code: check they agree.

@@ -40,13 +40,31 @@ class BroadcastDocument:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("m", "n", "t", "r"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise DocumentError(f"{name} must be a positive integer, got {value!r}")
-        unknown = set(self.metadata) - set(_METADATA_KEYS)
-        if unknown:
-            raise DocumentError(f"unknown metadata keys: {sorted(unknown)}")
+        """Refuse what parse_document refuses, so parse(serialize(d)) == d.
+
+        The metadata is kept as a copy with the anchor as a tuple; its keys
+        are checked in their order, so a parse reports the first bad one.
+        """
+        _check_dimensions(self.m, self.n, self.t, self.r)
+        if not isinstance(self.metadata, dict):
+            raise DocumentError("metadata must be an object")
+        metadata = {}
+        for key, value in self.metadata.items():
+            if key not in _METADATA_KEYS:
+                raise DocumentError(f"unknown metadata key: {key!r}")
+            if key == "anchor":
+                value = _int_pair(value, "metadata anchor")
+            elif not isinstance(value, _METADATA_TYPES[key]) or isinstance(value, bool):
+                expected = _METADATA_TYPES[key].__name__
+                raise DocumentError(f"metadata {key} must be of type {expected}, got {value!r}")
+            metadata[key] = value
+        object.__setattr__(self, "metadata", metadata)
+
+
+def _check_dimensions(*values: object) -> None:
+    for name, value in zip(("m", "n", "t", "r"), values):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DocumentError(f"{name} must be a positive integer, got {value!r}")
 
 
 def serialize_document(doc: BroadcastDocument) -> str:
@@ -66,7 +84,7 @@ def serialize_document(doc: BroadcastDocument) -> str:
 
 def _int_pair(value, what: str) -> tuple[int, int]:
     if (
-        not isinstance(value, list)
+        not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(c, int) and not isinstance(c, bool) for c in value)
     ):
@@ -114,30 +132,14 @@ def parse_document(text: str) -> BroadcastDocument:
     extra = set(payload) - required - {"metadata"}
     if extra:
         raise DocumentError(f"unknown keys: {sorted(extra)}")
-    for name in ("m", "n", "t", "r"):
-        value = payload[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DocumentError(f"{name} must be a positive integer, got {value!r}")
+    _check_dimensions(*(payload[name] for name in ("m", "n", "t", "r")))
     if not isinstance(payload["towers"], list):
         raise DocumentError("towers must be a list of [x, y] pairs")
     towers = TowerSet(_tower_array(payload["towers"]))
 
-    metadata: dict = {}
-    raw_meta = payload.get("metadata", {})
-    if not isinstance(raw_meta, dict):
-        raise DocumentError("metadata must be an object")
-    for key, value in raw_meta.items():
-        if key not in _METADATA_KEYS:
-            raise DocumentError(f"unknown metadata key: {key!r}")
-        if key == "anchor":
-            value = _int_pair(value, "metadata anchor")
-        elif not isinstance(value, _METADATA_TYPES[key]) or isinstance(value, bool):
-            expected = _METADATA_TYPES[key].__name__
-            raise DocumentError(f"metadata {key} must be of type {expected}, got {value!r}")
-        metadata[key] = value
     return BroadcastDocument(
         m=payload["m"], n=payload["n"], t=payload["t"], r=payload["r"],
-        towers=towers, metadata=metadata,
+        towers=towers, metadata=payload.get("metadata", {}),
     )
 
 

@@ -17,7 +17,8 @@ q = q0 (mod 2(t-1)), spaced 2(t-1) apart in p. Any vertex is within t-1 in q
 of some line and within t-1 in p of a tower on it; if both offsets are below
 t-1 that tower supplies >= 2. An offset of exactly t-1 puts the vertex midway
 between two lines, or between two towers on one line, so two towers at
-distance t-1 supply 1 each.
+distance t-1 supply 1 each. validate_pattern confirms it with the grid
+verifier, check_broadcast, on one finite box per pattern.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import MAX_STRENGTH, Coord, TowerSet
+from .grid import (
+    MAX_CELLS, MAX_STRENGTH, BroadcastParams, Coord, GridDims, TowerSet, check_broadcast,
+)
 
 __all__ = [
     "DiamondLattice",
@@ -172,63 +175,30 @@ def window_density(lattice: DiamondLattice, side: int) -> Fraction:
     return Fraction(count, side * side)
 
 
-def fundamental_domain_vertices(lattice: DiamondLattice) -> tuple[Coord, ...]:
-    """One vertex per residue class of the pattern, in lexicographic order.
-
-    These are the integer points of the half-open parallelogram spanned by the
-    basis at the anchor; there are exactly 2(t-1)^2 of them, and
-    every plane vertex is a lattice translate of exactly one.
-    """
-    u, w = lattice.basis_u, lattice.basis_w
-    ax, ay = lattice.anchor.x, lattice.anchor.y
-    xs = (ax, ax + u.x, ax + w.x, ax + u.x + w.x)
-    ys = (ay, ay + u.y, ay + w.y, ay + u.y + w.y)
-    step = lattice.t - 1
-    period = 2 * step
-    wx = lattice.shear
-    out = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            beta = Fraction(x - ax - (y - ay), period)
-            if not 0 <= beta < 1:
-                continue
-            alpha = Fraction(x - ax - beta * wx, step)
-            if 0 <= alpha < 1:
-                out.append(Coord(x, y))
-    out.sort()
-    return tuple(out)
-
-
-def _pattern_signal_at(lattice: DiamondLattice, v: Coord) -> int:
-    """Total signal v receives from the infinite pattern.
-
-    Only towers within distance t-1 contribute, so a (2t-1)-square window
-    around v captures everything.
-    """
-    t = lattice.t
-    step = t - 1
-    wx = lattice.shear
-    wy = wx - 2 * step
-    dx0, dy0 = lattice.anchor.x - v.x, lattice.anchor.y - v.y
-    total = 0
-    for b, a_lo, a_hi in _window_coefficient_rows(
-        lattice, v.x - step, v.x + step, v.y - step, v.y + step
-    ):
-        for a in range(a_lo, a_hi + 1):
-            dist = abs(dx0 + a * step + b * wx) + abs(dy0 + a * step + b * wy)
-            total += max(t - dist, 0)
-    return total
-
-
 def validate_pattern(lattice: DiamondLattice) -> PatternVerdict:
     """Check that the pattern supplies total signal >= 2 to every plane vertex.
 
-    Periodicity reduces the check to one representative per residue class (the
-    fundamental parallelogram); the first failing vertex, in lexicographic
-    order, is returned as a counterexample. Every pattern passes (see above).
+    Periodicity reduces the check to one vertex per residue class. With
+    s = t-1 the shear reduces to c = shear mod s (w + u may replace w); the
+    half-open parallelogram of u and the reduced w holds one vertex of each
+    class and lies in the (s+c+1) x (3s-c+1) box at anchor + (0, c-2s).
+    check_broadcast evaluates the box with every tower within s of it, and
+    its first deficient vertex is the counterexample. A box over MAX_CELLS
+    (some shears from t = 2897 on) raises ValueError.
     """
-    for v in fundamental_domain_vertices(lattice):
-        if _pattern_signal_at(lattice, v) < 2:
-            return PatternVerdict(False, v)
-    return PatternVerdict(True, None)
-
+    s = lattice.t - 1
+    c = lattice.shear % s
+    lo = Coord(lattice.anchor.x, lattice.anchor.y + c - 2 * s)
+    m, n = s + c + 1, 3 * s - c + 1
+    if m * n > MAX_CELLS:
+        raise ValueError(
+            f"pattern check at t={lattice.t} needs a {m}x{n} box, "
+            f"more than the supported {MAX_CELLS} vertices"
+        )
+    reach = Coord(lo.x - s, lo.y - s), Coord(lo.x + m - 1 + s, lo.y + n - 1 + s)
+    shifted = TowerSet(towers_in_window(lattice, *reach).xy - (lo.x, lo.y))
+    verdict = check_broadcast(GridDims(m, n), BroadcastParams(lattice.t, 2), shifted)
+    if verdict.valid:
+        return PatternVerdict(True, None)
+    x, y = verdict.deficiencies[0].tolist()
+    return PatternVerdict(False, Coord(lo.x + x, lo.y + y))

@@ -27,7 +27,8 @@ Setup builds no per-cell table: a cell's cover (the cells a tower there
 reaches, with their signals) is built from one offset list the first time the
 search reads it, and symmetry images are computed only for the root's
 candidates. So a level's setup is O(mn) and everything after it is bounded
-by the budget.
+by the budget. Ranking one cell's candidates may build a cover for each
+before a node is counted, so max_seconds is checked as covers are built too.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .grid import (
     GridDims,
     TowerSet,
     check_broadcast,
+    signal_field,
 )
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -106,11 +108,16 @@ def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
     (per axis, min(d, x) + min(d, m-1-x) is largest when x is central), and
     the capped signal is a non-increasing function of the distance, so no
     tower covers more. Placed towers only shrink what a later one can repair.
+    The sum reads signal_field on the grid clipped to distance t-1 of the
+    centre, at most (2t-1)^2 vertices: the tower supplies nothing beyond it.
     """
-    m, n, t = dims.m, dims.n, params.t
-    dist = np.abs(np.arange(m) - (m - 1) // 2)[:, None] + np.abs(np.arange(n) - (n - 1) // 2)
+    reach = params.t - 1
+    cx, cy = (dims.m - 1) // 2, (dims.n - 1) // 2
+    x0, y0 = max(cx - reach, 0), max(cy - reach, 0)
+    box = GridDims(min(cx + reach, dims.m - 1) - x0 + 1, min(cy + reach, dims.n - 1) - y0 + 1)
+    field = signal_field(box, params.t, np.array([[cx - x0, cy - y0]]))
     # Signals never exceed t, so capping at min(r, t) keeps the sum in int64.
-    return int(np.minimum(np.maximum(t - dist, 0), min(params.r, t)).sum())
+    return int(np.minimum(field, min(params.r, params.t)).sum())
 
 
 class _Search:
@@ -145,6 +152,9 @@ class _Search:
 
     def _cover(self, u: int) -> list[tuple[int, int]]:
         """The (cell, signal) pairs a tower on u supplies, in cell order; cached."""
+        # Ranking builds a cover per candidate before any node is counted.
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhaustedError(self.nodes)
         m, n = self.m, self.n
         x, y = divmod(u, n)
         cells = [

@@ -74,7 +74,7 @@ def test_criterion_2_letterbox_layout():
         ]
     )
     with criterion(2, "12x6 t=4 letterbox at anchor (1,4) gives the known 12-tower layout", 1.0):
-        result = letterbox_construct(GridDims(12, 6), 4, rectilinear_lattice(4, Coord(1, 4)))
+        result = letterbox_construct(GridDims(12, 6), rectilinear_lattice(4, Coord(1, 4)))
         assert result.towers == expected_towers
         assert len(result.replacements) == 8
         assert result.raw_count == len(result.towers) == 12
@@ -87,7 +87,7 @@ def test_criterion_3_halo_count():
         assert (emb.hi.x - emb.lo.x + 1, emb.hi.y - emb.lo.y + 1) == (14, 8)
         assert len(towers_in_window(lattice, emb.lo, emb.hi)) == 14
         assert upper_t2(12, 6, 3) == 14
-        assert letterbox_construct(GridDims(12, 6), 3, lattice).raw_count == 14
+        assert letterbox_construct(GridDims(12, 6), lattice).raw_count == 14
 
 
 def test_criterion_4_construction_conformance_sweep():

@@ -96,7 +96,7 @@ class TestPathConstruct:
 
 class TestLetterboxConstruct:
     def test_reproduces_12x6_t4_layout(self):
-        result = letterbox_construct(GridDims(12, 6), 4, rectilinear_lattice(4, Coord(1, 4)))
+        result = letterbox_construct(GridDims(12, 6), rectilinear_lattice(4, Coord(1, 4)))
         assert {(c.x, c.y) for c in result.towers} == KNOWN_12X6_T4_LAYOUT
         assert result.raw_count == 12
         assert len(result.towers) == 12
@@ -108,19 +108,17 @@ class TestLetterboxConstruct:
         emb = embedding(GridDims(12, 6), 3)
         assert (emb.lo, emb.hi) == (Coord(-1, -1), Coord(12, 6))
         assert len(towers_in_window(lattice, emb.lo, emb.hi)) == 14
-        result = letterbox_construct(GridDims(12, 6), 3, lattice)
+        result = letterbox_construct(GridDims(12, 6), lattice)
         assert result.raw_count == 14
 
     def test_tiny_grid_clamps_everything_inside(self):
-        result = letterbox_construct(GridDims(2, 2), 3, rectilinear_lattice(3))
+        result = letterbox_construct(GridDims(2, 2), rectilinear_lattice(3))
         assert all(GridDims(2, 2).contains(c) for c in result.towers)
         assert check_broadcast(GridDims(2, 2), BroadcastParams(3, 2), result.towers).valid
 
     def test_rejects_paths_and_mismatched_strength(self):
         with pytest.raises(ValueError):
-            letterbox_construct(GridDims(1, 9), 3, rectilinear_lattice(3))
-        with pytest.raises(ValueError):
-            letterbox_construct(GridDims(4, 4), 4, rectilinear_lattice(3))
+            letterbox_construct(GridDims(1, 9), rectilinear_lattice(3))
 
     def test_valid_sheared_pattern_may_still_fail_the_gate(self):
         # a perfectly good infinite pattern whose halo intersection does not
@@ -130,11 +128,11 @@ class TestLetterboxConstruct:
         sheared = DiamondLattice(t=5, anchor=Coord(0, 0), shear=2)
         assert validate_pattern(sheared).valid
         with pytest.raises(ConstructionInvariantError, match="failed verification"):
-            letterbox_construct(GridDims(9, 13), 5, sheared)
+            letterbox_construct(GridDims(9, 13), sheared)
 
     def test_sheared_pattern_letterbox_when_it_works(self):
         sheared = DiamondLattice(t=5, anchor=Coord(0, 0), shear=2)
-        result = letterbox_construct(GridDims(6, 6), 5, sheared)
+        result = letterbox_construct(GridDims(6, 6), sheared)
         assert check_broadcast(GridDims(6, 6), BroadcastParams(5, 2), result.towers).valid
 
     @given(
@@ -147,7 +145,7 @@ class TestLetterboxConstruct:
     @settings(max_examples=120, deadline=None)
     def test_invariants(self, m, n, t, ax, ay):
         dims = GridDims(m, n)
-        result = letterbox_construct(dims, t, rectilinear_lattice(t, Coord(ax, ay)))
+        result = letterbox_construct(dims, rectilinear_lattice(t, Coord(ax, ay)))
         # cardinality preserved, all towers inside, replacements injective
         assert len(result.towers) == result.raw_count
         assert all(dims.contains(c) for c in result.towers)
@@ -277,8 +275,8 @@ class TestClosedFormSweep:
         construct_module = importlib.import_module("gridcast.construct")
         original = construct_module.letterbox_construct
 
-        def off_by_one(dims, t, lattice):
-            result = original(dims, t, lattice)
+        def off_by_one(dims, lattice):
+            result = original(dims, lattice)
             return replace(result, raw_count=result.raw_count + 1)
 
         monkeypatch.setattr(construct_module, "letterbox_construct", off_by_one)
@@ -311,7 +309,7 @@ class TestConstructDispatcher:
         assert path.raw_count == len(path.towers) == 3
         best = best_anchor_construct(GridDims(12, 6), 4)
         assert (best.generator, best.anchor, best.raw_count) == ("best-anchor", Coord(0, 2), 7)
-        forced = letterbox_construct(GridDims(12, 6), 4, rectilinear_lattice(4, Coord(0, 2)))
+        forced = letterbox_construct(GridDims(12, 6), rectilinear_lattice(4, Coord(0, 2)))
         assert forced.generator == "letterbox"
         assert (forced.towers, forced.replacements) == (best.towers, best.replacements)
 

@@ -77,6 +77,61 @@ class TestSerialization:
         assert parse_document(serialize_document(doc)) == doc
 
 
+ANY_VALUE = st.one_of(
+    st.integers(-5, 2**70),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.tuples(st.integers(-5, 5), st.booleans()),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
+    st.lists(st.integers(-5, 5), max_size=3),
+)
+
+
+class TestConstructionRefusesWhatParsingRefuses:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"m": True},
+            {"r": False},
+            {"metadata": {"raw_count": True}},
+            {"metadata": {"shear": "x"}},
+            {"metadata": {"generator": 5}},
+            {"metadata": {"anchor": (1, 2, 3)}},
+            {"metadata": {"anchor": (1, True)}},
+            {"metadata": {"color": "red"}},
+            {"metadata": [("generator", "path")]},
+        ],
+    )
+    def test_refuses_what_would_not_parse_back(self, overrides):
+        with pytest.raises(DocumentError):
+            make_doc(**overrides)
+
+    def test_keeps_the_anchor_as_a_tuple(self):
+        doc = make_doc(metadata={"anchor": [3, -1]})
+        assert doc.metadata == {"anchor": (3, -1)}
+        assert parse_document(serialize_document(doc)) == doc
+
+    @given(
+        dims=st.tuples(*[st.one_of(st.integers(-1, 2**40), st.booleans())] * 4),
+        metadata=st.dictionaries(
+            st.sampled_from(["anchor", "raw_count", "shear", "generator", "tool_version", "x"]),
+            ANY_VALUE,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_constructed_document_round_trips(self, dims, metadata):
+        m, n, t, r = dims
+        try:
+            doc = BroadcastDocument(m, n, t, r, TowerSet([Coord(0, 0)]), metadata)
+        except DocumentError:
+            return
+        assert parse_document(serialize_document(doc)) == doc
+
+
 class TestParsing:
     def test_rejects_truncated_input(self):
         with pytest.raises(DocumentError):

@@ -1,5 +1,6 @@
 """Periodic tower patterns: membership, windows, density, validation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,11 @@ from gridcast import (
     Coord,
     DiamondLattice,
     PatternVerdict,
+    TowerSet,
     count_in_window,
-    fundamental_domain_vertices,
     lattice_contains,
     rectilinear_lattice,
+    signal,
     towers_in_window,
     validate_pattern,
     window_density,
@@ -22,6 +24,18 @@ from gridcast import (
 from gridcast.grid import MAX_STRENGTH
 
 OFFSET_TILING = DiamondLattice(t=3, anchor=Coord(0, 0), shear=3)
+
+
+def pattern_box(lattice):
+    """Corners of the box validate_pattern checks, from its docstring."""
+    s = lattice.t - 1
+    c = lattice.shear % s
+    lo = Coord(lattice.anchor.x, lattice.anchor.y + c - 2 * s)
+    return lo, Coord(lo.x + s + c, lo.y + 3 * s - c)
+
+
+def box_vertices(lo, hi):
+    return [Coord(x, y) for x in range(lo.x, hi.x + 1) for y in range(lo.y, hi.y + 1)]
 
 
 def brute_force_members(lattice, coeff_range=25):
@@ -239,32 +253,64 @@ class TestValidatePattern:
             assert verdict == PatternVerdict(True, None), shear
 
     def test_reports_first_under_supplied_vertex(self, monkeypatch):
-        # no pattern fails, so starve two residue classes of signal instead
-        reps = fundamental_domain_vertices(OFFSET_TILING)
-        starved = {reps[3], reps[5]}
-        real = lattice_module._pattern_signal_at
-        monkeypatch.setattr(
-            lattice_module,
-            "_pattern_signal_at",
-            lambda lattice, v: 1 if v in starved else real(lattice, v),
-        )
-        assert validate_pattern(OFFSET_TILING) == PatternVerdict(False, reps[3])
+        # No pattern fails, so drop the lowest tower inside the checked box;
+        # the counterexample must be the first box vertex that then receives
+        # less than 2, by a per-tower signal sum.
+        for lattice in (OFFSET_TILING, DiamondLattice(t=5, anchor=Coord(2, -1), shear=-7)):
+            lo, hi = pattern_box(lattice)
+            s = lattice.t - 1
+            real = lattice_module.towers_in_window
+            dropped = min(real(lattice, lo, hi), key=lambda c: (c.y, c.x))
+            kept = set(real(lattice, Coord(lo.x - s, lo.y - s), Coord(hi.x + s, hi.y + s)))
+            kept.discard(dropped)
+            first = next(
+                v
+                for v in box_vertices(lo, hi)
+                if sum(signal(lattice.t, tower, v) for tower in kept) < 2
+            )
+            monkeypatch.setattr(
+                lattice_module,
+                "towers_in_window",
+                lambda lat, a, b: TowerSet([c for c in real(lat, a, b) if c != dropped]),
+            )
+            assert validate_pattern(lattice) == PatternVerdict(False, first)
+            monkeypatch.undo()
 
-    @pytest.mark.parametrize("t", range(3, 7))
-    def test_fundamental_domain_size(self, t):
-        for shear in (0, 1, t - 1, t, 2 * t - 2):
+    @pytest.mark.parametrize("t", range(3, 6))
+    def test_box_holds_every_residue_class(self, t):
+        # Every plane vertex v is a lattice translate of some box vertex b:
+        # anchor + (v - b) is a tower.
+        for shear in (-2 * t, 0, 1, t - 1, t, 3 * t + 1):
             lattice = DiamondLattice(t=t, anchor=Coord(1, -2), shear=shear)
-            assert len(fundamental_domain_vertices(lattice)) == 2 * (t - 1) ** 2
+            box = box_vertices(*pattern_box(lattice))
+            for vx in range(-4, 5):
+                for vy in range(-4, 5):
+                    assert any(
+                        lattice_contains(lattice, Coord(1 + vx - b.x, -2 + vy - b.y))
+                        for b in box
+                    ), (shear, vx, vy)
 
-    def test_fundamental_domain_classes_are_distinct(self):
-        lattice = OFFSET_TILING
-        reps = fundamental_domain_vertices(lattice)
-        for i, a in enumerate(reps):
-            for b in reps[i + 1 :]:
-                diff = Coord(b.x - a.x, b.y - a.y)
-                assert not lattice_contains(
-                    DiamondLattice(lattice.t, Coord(0, 0), lattice.shear), diff
-                )
+    @pytest.mark.parametrize(
+        "lattice,seconds",
+        [
+            (DiamondLattice(t=3, anchor=Coord(0, 0), shear=10**12), 0.05),
+            (rectilinear_lattice(400), 0.1),
+        ],
+    )
+    def test_check_takes_milliseconds(self, lattice, seconds):
+        # The box is set by t and shear mod (t-1) alone, so a huge shear costs
+        # what a small one does. Best of three, to ride out a busy machine.
+        timings = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert validate_pattern(lattice) == PatternVerdict(True, None)
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < seconds
+
+    def test_box_over_the_cell_cap_is_refused_before_it_is_built(self):
+        lattice = DiamondLattice(t=2897, anchor=Coord(0, 0), shear=2895)
+        with pytest.raises(ValueError, match=r"^pattern check at t=2897 needs a 5792x5794 box"):
+            validate_pattern(lattice)
 
 
 class TestTowerSeparation:

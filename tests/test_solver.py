@@ -263,6 +263,28 @@ class TestSolveWideBudget:
                 GridDims(4, 4), BroadcastParams(3, 2), 3, SearchBudget(max_seconds=5)
             )
 
+    def test_cover_building_is_charged_to_the_seconds(self, monkeypatch):
+        # Each cover built takes 1 s on this clock. Ranking the first
+        # deficient cell's candidates builds a cover for each of them before
+        # any node is counted, so the seconds must be checked as they are
+        # built: the third cover finds the 2.5 s spent.
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        built = []
+        original = solver._Search._cover
+
+        def slow_cover(self, u):
+            built.append(u)
+            clock.now += 1.0
+            return original(self, u)
+
+        monkeypatch.setattr(solver._Search, "_cover", slow_cover)
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(
+                GridDims(8, 8), BroadcastParams(8, 2), 5, SearchBudget(max_seconds=2.5)
+            )
+        assert (exhausted.value.nodes_expanded, len(built)) == (0, 3)
+
 
 class TestSearchBudget:
     def test_rejects_nonpositive_cap(self):
@@ -289,6 +311,16 @@ class TestMaxUnitCoverage:
         cover = [search._cover(u) for u in range(m * n)]
         expected = max(sum(min(r, s) for _, s in entries) for entries in cover)
         assert max_unit_coverage(dims, params) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(1, 12), st.integers(1, 30)
+    )
+    def test_equals_the_whole_grid_sum(self, m, n, t, r):
+        # The reference builds the central tower's distance to every vertex.
+        dist = np.abs(np.arange(m) - (m - 1) // 2)[:, None] + np.abs(np.arange(n) - (n - 1) // 2)
+        expected = int(np.minimum(np.maximum(t - dist, 0), min(r, t)).sum())
+        assert max_unit_coverage(GridDims(m, n), BroadcastParams(t, r)) == expected
 
     def test_huge_r_is_capped_by_the_signal(self):
         # Every vertex of a 3x3 grid is within distance 2 of the centre.
