@@ -24,7 +24,6 @@ from .construct import (
     Embedding,
     anchor_raw_counts,
     best_anchor_construct,
-    clamp_to_grid,
     construct,
     embedding,
     letterbox_construct,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -35,23 +37,27 @@ def _parse_coord(text: str) -> Coord:
     return Coord(x, y)
 
 
-def _parse_range(text: str) -> list[int]:
-    """Accepts 'a:b' (inclusive), single values, and comma lists thereof."""
-    values: list[int] = []
+def _parse_range(text: str) -> list[range]:
+    """Accepts 'a:b' (inclusive), single values, and comma lists thereof.
+
+    Each part stays a range, so a wide one is checked without being expanded.
+    """
+    parts: list[range] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if ":" in part:
             lo, hi = part.split(":", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            parts.append(range(int(lo), int(hi) + 1))
         else:
-            values.append(int(part))
-    if not values:
+            value = int(part)
+            parts.append(range(value, value + 1))
+    if not any(parts):
         raise ValueError(f"empty range: {text!r}")
-    if any(v < 1 for v in values):
+    if any(part and part.start < 1 for part in parts):
         raise ValueError(f"range values must be positive: {text!r}")
-    return values
+    return parts
 
 
 def _decimal6(value: Fraction) -> str:
@@ -147,8 +153,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ns = _parse_range(args.n_range)
     budget = _budget(args)
     lines = ["m,n,t,construct_size,upper,lower,exact,gap"]
-    for m in ms:
-        for n in ns:
+    for m in chain.from_iterable(ms):
+        for n in chain.from_iterable(ns):
             dims = GridDims(m, n)
             size = len(construct(dims, args.t))
             upper = upper_t2(m, n, args.t)
@@ -180,7 +186,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = argparse.ArgumentParser(
         prog="gridcast",
         description="Broadcast domination on finite grid graphs: construct, "

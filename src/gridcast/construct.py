@@ -86,11 +86,6 @@ class ConstructionResult:
     generator: str
 
 
-def clamp_to_grid(v: Coord, dims: GridDims) -> Coord:
-    """The unique grid vertex nearest to v (axis-aligned rectangle, separable metric)."""
-    return Coord(min(max(v.x, 0), dims.m - 1), min(max(v.y, 0), dims.n - 1))
-
-
 def path_construct(m: int, t: int) -> TowerSet:
     """Broadcast for the m x 1 path: towers at intervals of 2(t-1).
 

@@ -4,11 +4,13 @@ A document is one flat JSON object with keys in fixed order (m, n, t, r,
 towers, metadata), towers sorted lexicographically, UTF-8, one line. The
 byte-exact output makes golden-file tests possible; parse(serialize(d)) == d.
 
-The tower list is written from the two coordinate columns and checked on
-reading in whole-list passes (every entry a list, every length 2, every
-coordinate an int and not a bool). Only when a pass fails are the pairs walked
-one by one, to name the first bad one. A repeated key in any object, or
-nesting too deep for the JSON decoder, is a DocumentError.
+The tower list is written by one printf-style ``%`` pass: a "[%d,%d]"
+template repeated once per tower, filled from the row-major coordinate array,
+so no Python-level call is made per tower. On reading it is checked in
+whole-list passes (every entry a list, every length 2, every coordinate an int
+and not a bool). Only when a pass fails are the pairs walked one by one, to
+name the first bad one. A repeated key in any object, or nesting too deep for
+the JSON decoder, is a DocumentError.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _check_dimensions(*values: object) -> None:
 def serialize_document(doc: BroadcastDocument) -> str:
     header = json.dumps({"m": doc.m, "n": doc.n, "t": doc.t, "r": doc.r}, separators=(",", ":"))
     xy = doc.towers.xy
-    towers = ",".join(map("[{},{}]".format, xy[:, 0].tolist(), xy[:, 1].tolist()))
+    towers = ",".join(["[%d,%d]"] * len(xy)) % tuple(xy.ravel().tolist())
     text = f'{header[:-1]},"towers":[{towers}]'
     if doc.metadata:
         meta = {}

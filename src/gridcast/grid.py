@@ -57,15 +57,6 @@ class GridDims:
                 f"more than the supported {MAX_CELLS}"
             )
 
-    def contains(self, v: Coord) -> bool:
-        return 0 <= v.x < self.m and 0 <= v.y < self.n
-
-    def vertices(self) -> Iterator[Coord]:
-        """All vertices in lexicographic (x, y) order."""
-        for x in range(self.m):
-            for y in range(self.n):
-                yield Coord(x, y)
-
 
 @dataclass(frozen=True)
 class BroadcastParams:

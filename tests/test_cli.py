@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gridcast import Coord, TowerSet, grid, parse_document, signal, solver
+from gridcast import Coord, TowerSet, cli, grid, parse_document, signal, solver
 from gridcast.cli import main
 from gridcast.document import BroadcastDocument, serialize_document
 from gridcast.render import render_ascii, render_svg
@@ -187,6 +188,36 @@ def test_construct_digest(capsys, m, n, t, expected):
     code, out, err = run_cli(capsys, "construct", "--m", m, "--n", n, "--t", t, "--best")
     assert code == 0
     assert digest(out, err) == expected
+
+
+# sha256 of the stdout document alone, frozen from the writer that formatted
+# one tower per Python call; the tower counts run from 684 to 42 340.
+DOCUMENT_DIGESTS = [
+    ("520", "4", "14b86c4a18e3b3e6db477a1cbed70753177e73761a5b780286f56d4089844dee"),
+    ("580", "3", "c8b77381fb86e0778d10bdebda71afd8bd21201dda70840a82241010f2c28594"),
+    ("1950", "56", "9458a1e7331e31ef769877be37202b7c0b41aaa03c2355b1b4f390e812ffbdd0"),
+]
+
+
+@pytest.mark.parametrize("side,t,expected", DOCUMENT_DIGESTS, ids=lambda v: str(v)[:8])
+def test_construct_document_digest(capsys, side, t, expected):
+    code, out, _ = run_cli(capsys, "construct", "--m", side, "--n", side, "--t", t, "--best")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    best = ("construct", "--m", "12", "--n", "6", "--t", "4", "--best")
+    cli._build_parser.cache_clear()
+    fresh = run_cli(capsys, *best)
+    cli._build_parser.cache_clear()
+    sheared = run_cli(
+        capsys, "construct", "--m", "12", "--n", "6", "--t", "4", "--anchor", "1,1",
+        "--shear", "2",
+    )
+    assert sheared[0] == 0 and '"shear":2' in sheared[1]
+    # The second call reuses the first's parser and must not see its flags.
+    assert run_cli(capsys, *best) == fresh
 
 
 def test_verify_half_removed_digest(capsys, tmp_path):
@@ -493,6 +524,24 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "empty range" in err
+
+    def test_wide_range_is_refused_without_being_expanded(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "sweep", "--m-range", "1:5000000", "--n-range", "0", "--t", "3"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (2, "error: range values must be positive: '0'\n")
+        assert peak < 2**20
+
+    def test_empty_parts_are_skipped(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m-range", "6:2,3,", "--n-range", "0:-4,2", "--t", "3"
+        )
+        assert (code, out.splitlines()[1:]) == (0, ["3,2,3,2,2,1,,0"])
 
     def test_csv_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

@@ -20,7 +20,6 @@ from gridcast import (
     count_in_window,
     best_anchor_construct,
     check_broadcast,
-    clamp_to_grid,
     construct,
     embedding,
     letterbox_construct,
@@ -37,6 +36,21 @@ KNOWN_12X6_T4_LAYOUT = {
     # halo towers after clamping inward
     (0, 1), (1, 0), (7, 0), (0, 5), (4, 5), (10, 5), (11, 0), (11, 4),
 }
+
+
+# Reference helpers: Coord-level geometry the library computes in arrays.
+def contains(dims, v):
+    return 0 <= v.x < dims.m and 0 <= v.y < dims.n
+
+
+def vertices(dims):
+    """All vertices in lexicographic (x, y) order."""
+    return (Coord(x, y) for x in range(dims.m) for y in range(dims.n))
+
+
+def clamp_to_grid(v, dims):
+    """The unique grid vertex nearest to v (axis-aligned rectangle, separable metric)."""
+    return Coord(min(max(v.x, 0), dims.m - 1), min(max(v.y, 0), dims.n - 1))
 
 
 class TestClampToGrid:
@@ -62,8 +76,8 @@ class TestClampToGrid:
         dims = GridDims(m, n)
         v = Coord(vx, vy)
         clamped = clamp_to_grid(v, dims)
-        assert dims.contains(clamped)
-        best = min(manhattan_dist(v, w) for w in dims.vertices())
+        assert contains(dims, clamped)
+        best = min(manhattan_dist(v, w) for w in vertices(dims))
         assert manhattan_dist(v, clamped) == best
 
 
@@ -113,7 +127,7 @@ class TestLetterboxConstruct:
 
     def test_tiny_grid_clamps_everything_inside(self):
         result = letterbox_construct(GridDims(2, 2), rectilinear_lattice(3))
-        assert all(GridDims(2, 2).contains(c) for c in result.towers)
+        assert all(contains(GridDims(2, 2), c) for c in result.towers)
         assert check_broadcast(GridDims(2, 2), BroadcastParams(3, 2), result.towers).valid
 
     def test_rejects_paths_and_mismatched_strength(self):
@@ -148,16 +162,16 @@ class TestLetterboxConstruct:
         result = letterbox_construct(dims, rectilinear_lattice(t, Coord(ax, ay)))
         # cardinality preserved, all towers inside, replacements injective
         assert len(result.towers) == result.raw_count
-        assert all(dims.contains(c) for c in result.towers)
+        assert all(contains(dims, c) for c in result.towers)
         targets = [to for _, to in result.replacements]
         assert len(set(targets)) == len(targets)
         raw = towers_in_window(rectilinear_lattice(t, Coord(ax, ay)),
                                embedding(dims, t).lo, embedding(dims, t).hi)
-        kept = {c for c in raw if dims.contains(c)}
+        kept = {c for c in raw if contains(dims, c)}
         assert set(targets).isdisjoint(kept)
         for origin, target in result.replacements:
-            assert not dims.contains(origin)
-            assert dims.contains(target)
+            assert not contains(dims, origin)
+            assert target == clamp_to_grid(origin, dims)
             # moving inward strictly shortens the distance to every grid vertex
             for w in (Coord(0, 0), Coord(m - 1, 0), Coord(0, n - 1), Coord(m - 1, n - 1),
                       Coord((m - 1) // 2, (n - 1) // 2)):

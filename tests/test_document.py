@@ -47,6 +47,10 @@ class TestSerialization:
         doc = make_doc(m=3, n=3, towers=TowerSet([Coord(2, 1), Coord(0, 1)]), metadata={})
         assert '"towers":[[0,1],[2,1]]' in serialize_document(doc)
 
+    def test_empty_tower_set(self):
+        doc = make_doc(towers=TowerSet(), metadata={})
+        assert serialize_document(doc) == '{"m":5,"n":1,"t":4,"r":2,"towers":[]}\n'
+
     def test_round_trip_identity(self):
         doc = make_doc(metadata={"anchor": (0, 2), "raw_count": 7, "generator": "best-anchor"})
         assert parse_document(serialize_document(doc)) == doc

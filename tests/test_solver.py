@@ -120,8 +120,11 @@ class TestExactGamma:
         assert (result.status, result.nodes_expanded) == ("budget_exhausted", 0)
 
     def test_existence_check_builds_every_vertex_from_an_array(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("existence check built a Coord per vertex")
+        built = []
+
+        def counted(x, y):
+            built.append((x, y))
+            return Coord(x, y)
 
         seen = []
         original = solver.check_broadcast
@@ -130,14 +133,19 @@ class TestExactGamma:
             seen.append((dims, towers))
             return original(dims, params, towers)
 
-        monkeypatch.setattr(GridDims, "vertices", refuse)
+        monkeypatch.setattr(solver, "Coord", counted)
         monkeypatch.setattr(solver, "check_broadcast", recorded)
         # Only the min(m,t) x min(n,t) corner box is checked, every vertex a tower.
         for m, n, t, (a, b) in [(3, 4, 3, (3, 3)), (6, 7, 4, (4, 4))]:
             seen.clear()
-            assert exact_gamma(GridDims(m, n), BroadcastParams(t, 2)).status == "optimal"
+            built.clear()
+            result = exact_gamma(GridDims(m, n), BroadcastParams(t, 2))
+            assert result.status == "optimal"
             corner = TowerSet([Coord(x, y) for x in range(a) for y in range(b)])
             assert seen == [(GridDims(a, b), corner)]
+            # The solver makes a Coord only for each witness tower, none per vertex.
+            assert TowerSet(Coord(*c) for c in built) == result.witness
+            assert len(built) == result.gamma
 
     @given(
         m=st.integers(1, 12),
