@@ -62,6 +62,7 @@ from .solver import (
     BudgetExhaustedError,
     SearchBudget,
     SolveResult,
+    SolverInvariantError,
     exact_gamma,
     find_broadcast_of_size,
 )

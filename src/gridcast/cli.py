@@ -26,7 +26,7 @@ from .document import BroadcastDocument, load_document, serialize_document
 from .grid import BroadcastParams, Coord, GridDims
 from .lattice import DiamondLattice, window_density
 from .render import document_verdict, render_ascii, render_svg
-from .solver import DEFAULT_MAX_NODES, SearchBudget, exact_gamma
+from .solver import DEFAULT_MAX_NODES, SearchBudget, SolverInvariantError, exact_gamma
 
 
 def _parse_coord(text: str) -> Coord:
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ConstructionInvariantError as exc:
+    except (ConstructionInvariantError, SolverInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

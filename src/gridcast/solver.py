@@ -23,12 +23,16 @@ otherwise). This is sound because the domination number is invariant under
 grid automorphisms; the naive enumerator used to cross-check the solver
 applies no such reduction.
 
-Setup builds no per-cell table: a cell's cover (the cells a tower there
-reaches, with their signals) is built from one offset list the first time the
-search reads it, and symmetry images are computed only for the root's
-candidates. So a level's setup is O(mn) and everything after it is bounded
-by the budget. Ranking one cell's candidates may build a cover for each
-before a node is counted, so max_seconds is checked as covers are built too.
+The search is one loop over an explicit stack of frames, one per branch
+point on the current path, so its depth is bounded by the tower count, not
+by Python's recursion limit. Setup builds no table: a cell's cover (the cells
+a tower there reaches, with their signals) is built from the row spans of its
+diamond the first time the search reads it, and symmetry images are computed
+only for the root's candidates. So a level's setup is O(mn) and everything
+after it is bounded by the budget. Ranking one cell's candidates may build a
+cover for each before a node is counted, so max_seconds is checked as covers
+are built too. Every witness is re-checked by check_broadcast before it is
+returned.
 """
 
 from __future__ import annotations
@@ -99,6 +103,14 @@ def _cell_images(u: int, m: int, n: int) -> list[int]:
     return [a * n + b for a, b in images]
 
 
+def _one_tower_field(dims: GridDims, t: int, x: int, y: int) -> np.ndarray:
+    """One tower's signal_field on the at most (2t-1)^2 vertices it reaches."""
+    reach = t - 1
+    x0, y0 = max(x - reach, 0), max(y - reach, 0)
+    box = GridDims(min(x + reach, dims.m - 1) - x0 + 1, min(y + reach, dims.n - 1) - y0 + 1)
+    return signal_field(box, t, np.array([[x - x0, y - y0]]))
+
+
 def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
     """The most total deficiency one tower can repair on an empty grid.
 
@@ -108,16 +120,14 @@ def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
     (per axis, min(d, x) + min(d, m-1-x) is largest when x is central), and
     the capped signal is a non-increasing function of the distance, so no
     tower covers more. Placed towers only shrink what a later one can repair.
-    The sum reads signal_field on the grid clipped to distance t-1 of the
-    centre, at most (2t-1)^2 vertices: the tower supplies nothing beyond it.
     """
-    reach = params.t - 1
-    cx, cy = (dims.m - 1) // 2, (dims.n - 1) // 2
-    x0, y0 = max(cx - reach, 0), max(cy - reach, 0)
-    box = GridDims(min(cx + reach, dims.m - 1) - x0 + 1, min(cy + reach, dims.n - 1) - y0 + 1)
-    field = signal_field(box, params.t, np.array([[cx - x0, cy - y0]]))
+    field = _one_tower_field(dims, params.t, (dims.m - 1) // 2, (dims.n - 1) // 2)
     # Signals never exceed t, so capping at min(r, t) keeps the sum in int64.
     return int(np.minimum(field, min(params.r, params.t)).sum())
+
+
+class SolverInvariantError(RuntimeError):
+    """A witness the search returned failed the independent verifier."""
 
 
 class _Search:
@@ -132,22 +142,11 @@ class _Search:
         self.deadline = (
             None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         )
-        m, n, t = dims.m, dims.n, params.t
-        self.m, self.n, self.r = m, n, params.r
+        self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
         self.budget = budget
-        # (dx, dy, signal) for every offset within distance t-1 that fits in
-        # the grid, in (dx, dy) order; covers are built from it on first use.
-        wx, wy = min(t - 1, m - 1), min(t - 1, n - 1)
-        self.offsets = [
-            (dx, dy, t - abs(dx) - abs(dy))
-            for dx in range(-wx, wx + 1)
-            for dy in range(-wy, wy + 1)
-            if abs(dx) + abs(dy) < t
-        ]
-        self.cover: list[list[tuple[int, int]] | None] = [None] * (m * n)
+        self.cover: list[list[tuple[int, int]] | None] = [None] * (dims.m * dims.n)
         self.max_unit_coverage = max_unit_coverage(dims, params)
-        self.field = [0] * (m * n)
-        self.stack: list[int] = []
+        self.field = [0] * (dims.m * dims.n)
         self.nodes = 0
 
     def _cover(self, u: int) -> list[tuple[int, int]]:
@@ -155,13 +154,13 @@ class _Search:
         # Ranking builds a cover per candidate before any node is counted.
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhaustedError(self.nodes)
-        m, n = self.m, self.n
+        m, n, t = self.m, self.n, self.t
         x, y = divmod(u, n)
-        cells = [
-            (u + dx * n + dy, s)
-            for dx, dy, s in self.offsets
-            if 0 <= x + dx < m and 0 <= y + dy < n
-        ]
+        cells = []
+        # Row a of the diamond: signal s on column y, falling by one per column.
+        for a in range(max(x - t + 1, 0), min(x + t, m)):
+            s = t - abs(a - x)
+            cells += [(a * n + b, s - abs(b - y)) for b in range(max(y - s + 1, 0), min(y + s, n))]
         self.cover[u] = cells
         return cells
 
@@ -174,30 +173,9 @@ class _Search:
             if all(rank.get(w, i) >= i for w in _cell_images(u, self.m, self.n))
         ]
 
-    def run(self, slots: int) -> list[int] | None:
-        # r >= 1, so the empty grid is deficient; prune a hopeless root.
-        deficit = self.r * len(self.field)
-        if deficit > slots * self.max_unit_coverage:
-            return None
-        return self._dfs(slots, deficit, set(), 0)
-
-    def _dfs(
-        self, slots: int, deficit: int, forbidden: set[int], start: int
-    ) -> list[int] | None:
-        """Branch on the first deficient cell at or after `start`.
-
-        Cells before `start` are satisfied. The caller has checked that
-        `deficit`, the total shortfall, is positive and that `slots`
-        towers could still repair it. Each child is counted as a node; one
-        that covers the whole deficit, or leaves more than the remaining
-        towers could repair, is decided from its gain without being placed.
-        """
+    def _ranked(self, v: int, forbidden: set[int]) -> list[tuple[int, int]]:
+        """(-gain, u) for each allowed u reaching v, sorted; gain is the deficiency repaired."""
         field, r, cover = self.field, self.r, self.cover
-        v = start
-        while field[v] >= r:
-            v += 1
-        # Rank by gain, the deficiency each candidate would repair. Placed
-        # towers are in `forbidden` too.
         ranked = []
         for u, _ in cover[v] or self._cover(v):
             if u in forbidden:
@@ -209,35 +187,58 @@ class _Search:
                     gain += d if d < s else s
             ranked.append((-gain, u))
         ranked.sort()
-        if not self.stack:
-            ranked = self._root_representatives(ranked)
-        reach = (slots - 1) * self.max_unit_coverage
+        return ranked
+
+    def run(self, slots: int) -> list[int] | None:
+        """The cells of a broadcast of at most `slots` towers, or None.
+
+        A frame is one branch point: its ranked children still to try, the
+        cell it branches on, the deficit (the total shortfall, positive) and
+        the towers left. Each child is counted as a node; one that covers the
+        whole deficit, or leaves more than the remaining towers could repair,
+        is decided from its gain without being placed. Any other is placed,
+        and the frame of its subtree branches on the first deficient cell at
+        or after the parent's, because cells before it are satisfied. Tried
+        children stay forbidden until their frame is done.
+        """
+        field, r, cover, unit = self.field, self.r, self.cover, self.max_unit_coverage
         max_nodes, deadline = self.budget.max_nodes, self.deadline
-        tried = []
-        for neg_gain, u in ranked:
-            if self.nodes >= max_nodes:
-                raise BudgetExhaustedError(self.nodes)
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhaustedError(self.nodes)
-            self.nodes += 1
-            left = deficit + neg_gain
-            if left == 0:
-                return self.stack + [u]
-            forbidden.add(u)
-            tried.append(u)
-            if left <= reach:
-                cells = cover[u]
-                for c, s in cells:
-                    field[c] += s
-                self.stack.append(u)
-                found = self._dfs(slots - 1, left, forbidden, v)
-                self.stack.pop()
-                for c, s in cells:
-                    field[c] -= s
-                if found is not None:
-                    return found
-        for u in tried:
-            forbidden.discard(u)
+        # r >= 1, so the empty grid is deficient; prune a hopeless root.
+        deficit = r * len(field)
+        if deficit > slots * unit:
+            return None
+        forbidden: set[int] = set()
+        placed: list[int] = []
+        # Only the root's candidates are reduced by the grid's symmetries.
+        ranked = self._root_representatives(self._ranked(0, forbidden))
+        frames = [(iter(ranked), ranked, 0, deficit, slots)]
+        while frames:
+            children, ranked, v, deficit, slots = frames[-1]
+            for neg_gain, u in children:
+                if self.nodes >= max_nodes:
+                    raise BudgetExhaustedError(self.nodes)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExhaustedError(self.nodes)
+                self.nodes += 1
+                left = deficit + neg_gain
+                if left == 0:
+                    return placed + [u]
+                forbidden.add(u)
+                if left <= (slots - 1) * unit:
+                    for c, s in cover[u]:
+                        field[c] += s
+                    placed.append(u)
+                    while field[v] >= r:
+                        v += 1
+                    ranked = self._ranked(v, forbidden)
+                    frames.append((iter(ranked), ranked, v, left, slots - 1))
+                    break
+            else:
+                frames.pop()
+                forbidden.difference_update([u for _, u in ranked])
+                if placed:
+                    for c, s in cover[placed.pop()]:
+                        field[c] -= s
         return None
 
 
@@ -252,7 +253,8 @@ def find_broadcast_of_size(
     Returns (witness, nodes_expanded); the witness is None when no broadcast
     of size k exists, which doubles as an optimality certificate for k+1 and
     above. Raises BudgetExhaustedError (carrying the node count) if the
-    budget runs out before the level is decided.
+    budget runs out before the level is decided. Every witness is re-checked
+    with check_broadcast first; one that fails raises SolverInvariantError.
     """
     if k < 0:
         raise ValueError(f"tower count k must be >= 0, got {k}")
@@ -260,8 +262,13 @@ def find_broadcast_of_size(
     found = search.run(k)
     if found is None:
         return None, search.nodes
-    n = dims.n
-    return TowerSet(Coord(u // n, u % n) for u in found), search.nodes
+    witness = TowerSet(Coord(u // dims.n, u % dims.n) for u in found)
+    if not check_broadcast(dims, params, witness).valid:
+        raise SolverInvariantError(
+            f"the solver's {len(witness)}-tower witness on {dims.m}x{dims.n} "
+            f"is not a ({params.t},{params.r}) broadcast"
+        )
+    return witness, search.nodes
 
 
 def exact_gamma(
@@ -278,24 +285,20 @@ def exact_gamma(
     (t >= 3 and r >= 2). The budget covers the whole solve: each level gets
     the nodes and seconds the earlier ones left.
 
-    A broadcast exists iff towers on every vertex are one, and that is
-    decided on the min(m,t) x min(n,t) corner box with towers on all of it,
-    so its arrays grow with the box, not the grid. With towers everywhere,
-    vertex (x, y) receives the sum of t - |x-a| - |y-b| over the towers
-    (a, b) within reach. Per axis the distances from a corner are 0, 1, ...,
-    m-1, and from any x the i-th smallest distance is at most i, because at
-    least min(i+1, m) positions lie within distance i of x. Signal falls with
-    distance, so pairing distances in sorted order shows no vertex receives
-    less than a corner: the grid is valid iff (0, 0) receives r. Only towers
-    with a < t and b < t reach (0, 0), and those are exactly the box's, so
-    (0, 0) receives the same total in the box; by the same argument it is the
-    box's minimum, and the box's verdict is the grid's.
+    A broadcast exists iff towers on every vertex are one. With towers
+    everywhere, vertex (x, y) receives the sum of t - |x-a| - |y-b| over the
+    towers (a, b) within reach. Per axis the distances from a corner are 0,
+    1, ..., m-1, and from any x the i-th smallest distance is at most i,
+    because at least min(i+1, m) positions lie within distance i of x. Signal
+    falls with distance, so pairing distances in sorted order shows no vertex
+    receives less than a corner: the grid is valid iff (0, 0) receives r.
+    Only towers with a < t and b < t reach (0, 0), and by symmetry the tower
+    on (a, b) sends (0, 0) what a tower on (0, 0) sends (a, b). So (0, 0)
+    receives one tower's field summed over the min(m,t) x min(n,t) box.
     """
     budget = budget or SearchBudget()
     deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    box = GridDims(min(dims.m, params.t), min(dims.n, params.t))
-    every_vertex = np.indices((box.m, box.n)).reshape(2, -1).T
-    if not check_broadcast(box, params, TowerSet(every_vertex)).valid:
+    if int(_one_tower_field(dims, params.t, 0, 0).sum()) < params.r:
         raise ValueError(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"

@@ -432,6 +432,19 @@ class TestExactCommand:
         assert run_cli(capsys, *argv, "--max-seconds", "1.5") == (3, "UNSOLVED nodes=0\n", "")
         assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=8\n")
 
+    def test_deep_search_exhausts_the_budget(self, capsys):
+        # The first level has thousands of slots: the path outgrows any
+        # recursion limit long before the budget runs out.
+        argv = ["exact", "--m", "150", "--n", "150", "--t", "3", "--r", "2", "--budget", "3000"]
+        assert run_cli(capsys, *argv) == (3, "UNSOLVED nodes=3000\n", "")
+
+    def test_invalid_witness_is_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver._Search, "run", lambda self, slots: [0])
+        argv = ["exact", "--m", "6", "--n", "8", "--t", "3", "--r", "2"]
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: the solver's 1-tower witness on 6x8 is not a (3,2) broadcast\n"
+        )
+
     @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
     def test_max_seconds_must_be_finite_and_positive(self, capsys, seconds):
         code, out, err = run_cli(
@@ -482,6 +495,14 @@ class TestSweepCommand:
         assert out.splitlines()[1:] == [
             "2,2,3,2,2,1,2,0", "2,3,3,2,2,1,2,0", "3,2,3,2,2,1,2,0", "3,3,3,2,3,2,?,1",
         ]
+
+    def test_deep_exhausted_cell_is_marked(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--m-range", "150", "--n-range", "150", "--t", "3",
+            "--exact", "--budget", "3000",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[6] == "?"
 
     def test_max_seconds_reaches_every_cell(self, capsys, monkeypatch):
         clock = SimpleNamespace(now=0.0)

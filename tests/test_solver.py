@@ -119,7 +119,7 @@ class TestExactGamma:
         )
         assert (result.status, result.nodes_expanded) == ("budget_exhausted", 0)
 
-    def test_existence_check_builds_every_vertex_from_an_array(self, monkeypatch):
+    def test_only_the_witness_is_checked_and_built(self, monkeypatch):
         built = []
 
         def counted(x, y):
@@ -135,17 +135,53 @@ class TestExactGamma:
 
         monkeypatch.setattr(solver, "Coord", counted)
         monkeypatch.setattr(solver, "check_broadcast", recorded)
-        # Only the min(m,t) x min(n,t) corner box is checked, every vertex a tower.
-        for m, n, t, (a, b) in [(3, 4, 3, (3, 3)), (6, 7, 4, (4, 4))]:
+        for m, n, t in [(3, 4, 3), (6, 7, 4)]:
             seen.clear()
             built.clear()
             result = exact_gamma(GridDims(m, n), BroadcastParams(t, 2))
             assert result.status == "optimal"
-            corner = TowerSet([Coord(x, y) for x in range(a) for y in range(b)])
-            assert seen == [(GridDims(a, b), corner)]
+            # Existence needs no verifier call: check_broadcast re-checks the witness only.
+            assert seen == [(GridDims(m, n), result.witness)]
             # The solver makes a Coord only for each witness tower, none per vertex.
             assert TowerSet(Coord(*c) for c in built) == result.witness
             assert len(built) == result.gamma
+
+    @pytest.mark.parametrize("m,n,t,r", [(3, 4, 3, 2), (6, 7, 4, 2), (40, 30, 12, 5)])
+    def test_existence_check_reads_one_tower(self, monkeypatch, m, n, t, r):
+        fields = []
+        original = solver.signal_field
+
+        def recorded(dims, t, towers):
+            fields.append((dims, len(towers)))
+            return original(dims, t, towers)
+
+        monkeypatch.setattr(solver, "signal_field", recorded)
+        exact_gamma(GridDims(m, n), BroadcastParams(t, r), SearchBudget(max_nodes=1))
+        # The existence check reads the first field, max_unit_coverage the
+        # others; each holds a single tower.
+        assert fields[0] == (GridDims(min(m, t), min(n, t)), 1)
+        assert {count for _, count in fields} == {1}
+
+    def test_existence_check_does_not_grow_with_t_squared(self):
+        start = time.perf_counter()
+        result = exact_gamma(
+            GridDims(300, 300), BroadcastParams(300, 2), SearchBudget(max_seconds=0.5)
+        )
+        assert time.perf_counter() - start < 3.0
+        assert result.status == "budget_exhausted"
+
+    def test_deep_search_is_not_limited_by_recursion(self):
+        # The first level holds thousands of towers, one frame per placement.
+        result = exact_gamma(
+            GridDims(150, 150), BroadcastParams(3, 2), SearchBudget(max_nodes=3000)
+        )
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 3000)
+
+    def test_invalid_witness_is_refused(self, monkeypatch):
+        # A search that claims one tower in the corner covers the grid.
+        monkeypatch.setattr(solver._Search, "run", lambda self, slots: [0])
+        with pytest.raises(solver.SolverInvariantError, match="is not a \\(3,2\\) broadcast"):
+            exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
 
     @given(
         m=st.integers(1, 12),
