@@ -4,18 +4,23 @@ A document is one flat JSON object with keys in fixed order (m, n, t, r,
 towers, metadata), towers sorted lexicographically, UTF-8, one line. The
 byte-exact output makes golden-file tests possible; parse(serialize(d)) == d.
 
-The tower list is written by one printf-style ``%`` pass: a "[%d,%d]"
-template repeated once per tower, filled from the row-major coordinate array,
-so no Python-level call is made per tower. On reading it is checked in
-whole-list passes (every entry a list, every length 2, every coordinate an int
-and not a bool). Only when a pass fails are the pairs walked one by one, to
-name the first bad one. A repeated key in any object, or nesting too deep for
-the JSON decoder, is a DocumentError.
+The tower list is written by one printf-style ``%`` pass: fill() repeats a
+"[%d,%d]" template once per tower and fills it from the row-major coordinate
+array, so no Python-level call is made per tower. The SVG renderer writes its
+grid lines, vertex dots and towers through the same fill. The metadata is
+kept in the fixed key order and written by one ``json.dumps``.
+
+On reading, the tower list is checked in whole-list passes (every entry a
+list, every length 2, every coordinate an int and not a bool). Only when a
+pass fails are the pairs walked one by one, to name the first bad one. A
+repeated key in any object, or nesting too deep for the JSON decoder, is a
+DocumentError.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -44,8 +49,9 @@ class BroadcastDocument:
     def __post_init__(self) -> None:
         """Refuse what parse_document refuses, so parse(serialize(d)) == d.
 
-        The metadata is kept as a copy with the anchor as a tuple; its keys
-        are checked in their order, so a parse reports the first bad one.
+        The metadata is kept as a copy in the fixed key order, with the anchor
+        as a tuple; its keys are checked in the caller's order, so a parse
+        reports the first bad one.
         """
         _check_dimensions(self.m, self.n, self.t, self.r)
         if not isinstance(self.metadata, dict):
@@ -60,7 +66,8 @@ class BroadcastDocument:
                 expected = _METADATA_TYPES[key].__name__
                 raise DocumentError(f"metadata {key} must be of type {expected}, got {value!r}")
             metadata[key] = value
-        object.__setattr__(self, "metadata", metadata)
+        ordered = {key: metadata[key] for key in _METADATA_KEYS if key in metadata}
+        object.__setattr__(self, "metadata", ordered)
 
 
 def _check_dimensions(*values: object) -> None:
@@ -69,18 +76,17 @@ def _check_dimensions(*values: object) -> None:
             raise DocumentError(f"{name} must be a positive integer, got {value!r}")
 
 
+def fill(template: str, sep: str, count: int, values: Iterable) -> str:
+    """``count`` copies of a printf-style template joined by ``sep``, filled in one ``%``."""
+    return sep.join([template] * count) % tuple(values)
+
+
 def serialize_document(doc: BroadcastDocument) -> str:
     header = json.dumps({"m": doc.m, "n": doc.n, "t": doc.t, "r": doc.r}, separators=(",", ":"))
     xy = doc.towers.xy
-    towers = ",".join(["[%d,%d]"] * len(xy)) % tuple(xy.ravel().tolist())
-    text = f'{header[:-1]},"towers":[{towers}]'
+    text = f'{header[:-1]},"towers":[{fill("[%d,%d]", ",", len(xy), xy.ravel().tolist())}]'
     if doc.metadata:
-        meta = {}
-        for key in _METADATA_KEYS:
-            if key in doc.metadata:
-                value = doc.metadata[key]
-                meta[key] = list(value) if key == "anchor" else value
-        text += ',"metadata":' + json.dumps(meta, separators=(",", ":"))
+        text += ',"metadata":' + json.dumps(doc.metadata, separators=(",", ":"))
     return text + "}\n"
 
 

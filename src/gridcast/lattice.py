@@ -77,9 +77,7 @@ class PatternVerdict:
 
 def rectilinear_lattice(t: int, anchor: Coord = Coord(0, 0)) -> DiamondLattice:
     """The aligned diagonal pattern: basis ((t-1, t-1), (t-1, -(t-1)))."""
-    if t < 3:
-        raise ValueError(f"rectilinear pattern requires t >= 3, got {t}")
-    return DiamondLattice(t=t, anchor=anchor, shear=t - 1)
+    return DiamondLattice(t, anchor, t - 1)
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -87,50 +85,41 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _window_coefficient_rows(
-    lattice: DiamondLattice, x0: int, x1: int, y0: int, y1: int
-):
-    """Yield (b, a_lo, a_hi) for all towers in [x0,x1] x [y0,y1].
+def _window_rows(lattice: DiamondLattice, x0: int, x1: int, y0: int, y1: int):
+    """Yield (x, y, k) per lattice row in [x0,x1] x [y0,y1]: first tower, tower count.
 
-    Ranges over lattice coefficients rather than scanning cells: b is pinned
-    by x - y modulo the basis, and for each b the feasible a values form an
-    interval (intersection of the x-window and y-window constraints).
+    A row holds the towers anchor + a*u + b*w of one b, and along it both
+    coordinates grow by t-1. The walk ranges over lattice coefficients rather
+    than scanning cells: b is pinned by x - y modulo the basis, and for each b
+    the feasible a values form an interval (intersection of the x-window and
+    y-window constraints). Shear c and c + (t-1) give the same lattice (w + u
+    replaces w), so the walk uses the shear reduced mod t-1. Each row's first
+    tower lies in the window, so it fits in int64 however large the shear is.
     """
     step = lattice.t - 1
     period = 2 * step
-    wx = lattice.shear
+    wx = lattice.shear % step
     wy = wx - period
-    rx0, rx1 = x0 - lattice.anchor.x, x1 - lattice.anchor.x
-    ry0, ry1 = y0 - lattice.anchor.y, y1 - lattice.anchor.y
-    b_lo = _ceil_div(rx0 - ry1, period)
-    b_hi = (rx1 - ry0) // period
-    for b in range(b_lo, b_hi + 1):
+    ax, ay = lattice.anchor.x, lattice.anchor.y
+    rx0, rx1 = x0 - ax, x1 - ax
+    ry0, ry1 = y0 - ay, y1 - ay
+    for b in range(_ceil_div(rx0 - ry1, period), (rx1 - ry0) // period + 1):
         a_lo = max(_ceil_div(rx0 - b * wx, step), _ceil_div(ry0 - b * wy, step))
         a_hi = min((rx1 - b * wx) // step, (ry1 - b * wy) // step)
         if a_lo <= a_hi:
-            yield b, a_lo, a_hi
+            yield ax + a_lo * step + b * wx, ay + a_lo * step + b * wy, a_hi - a_lo + 1
 
 
 def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
     """All towers with lo <= (x, y) <= hi componentwise, canonically ordered."""
     if lo.x > hi.x or lo.y > hi.y:
         raise ValueError(f"inverted window: {lo} .. {hi}")
-    step = lattice.t - 1
-    wx = lattice.shear
-    wy = wx - 2 * step
-    ax, ay = lattice.anchor.x, lattice.anchor.y
-    rows = list(_window_coefficient_rows(lattice, lo.x, hi.x, lo.y, hi.y))
-    # Along one row both coordinates grow by `step` per tower. Each row's first
-    # tower lies in the window, so it fits in int64 however large a and b are.
-    first_x = [ax + a_lo * step + b * wx for b, a_lo, _ in rows]
-    first_y = [ay + a_lo * step + b * wy for b, a_lo, _ in rows]
-    lengths = np.array([a_hi - a_lo + 1 for _, a_lo, a_hi in rows], dtype=np.int64)
-    row_start = np.cumsum(lengths) - lengths
-    along = (np.arange(lengths.sum()) - np.repeat(row_start, lengths)) * step
-    xy = np.empty((len(along), 2), dtype=np.int64)
-    xy[:, 0] = np.repeat(np.array(first_x, dtype=np.int64), lengths) + along
-    xy[:, 1] = np.repeat(np.array(first_y, dtype=np.int64), lengths) + along
-    return TowerSet(xy)
+    rows = np.array(list(_window_rows(lattice, lo.x, hi.x, lo.y, hi.y)), dtype=np.int64)
+    rows = rows.reshape(-1, 3)  # (0, 3) when no row meets the window
+    lengths = rows[:, 2]
+    # A tower's index along its row; both coordinates grow by t-1 per tower.
+    along = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return TowerSet(np.repeat(rows[:, :2], lengths, axis=0) + (along * (lattice.t - 1))[:, None])
 
 
 def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
@@ -149,10 +138,8 @@ def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
 
     def strip(width: int, height: int) -> int:
         # An empty strip (width or height 0) has no feasible rows.
-        rows = _window_coefficient_rows(
-            lattice, lo.x, lo.x + width - 1, lo.y, lo.y + height - 1
-        )
-        return sum(a_hi - a_lo + 1 for _, a_lo, a_hi in rows)
+        rows = _window_rows(lattice, lo.x, lo.x + width - 1, lo.y, lo.y + height - 1)
+        return sum(k for _, _, k in rows)
 
     return (
         qx * qy * period

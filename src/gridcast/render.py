@@ -3,13 +3,23 @@
 Coordinates follow the library convention: (0, 0) is the lower-left vertex,
 x grows rightward, y grows upward. The ascii view therefore prints the top
 row (y = n-1) first.
+
+Each view is written in one pass. The ascii view paints one byte per vertex
+into an n x (m+1) array whose last column holds the newlines, and decodes it
+once. The svg view is a header plus five template fills (vertical lines,
+horizontal lines, vertex dots, tower diamonds, tower dots) through the
+document writer's fill(), so no format call is made per vertex or per tower.
+Its pixel coordinates stay Python ints: a document's t and tower coordinates
+are unbounded, and int64 pixel arithmetic would overflow from |x| ~ 3.8e17.
 """
 
 from __future__ import annotations
 
+from itertools import chain, product
+
 import numpy as np
 
-from .document import BroadcastDocument
+from .document import BroadcastDocument, fill
 from .grid import BroadcastParams, BroadcastVerdict, GridDims, check_broadcast
 
 _CELL = 24  # svg pixels per grid step
@@ -21,64 +31,47 @@ def document_verdict(doc: BroadcastDocument) -> BroadcastVerdict:
 
 def render_ascii(doc: BroadcastDocument) -> str:
     """Towers as 'T', satisfied vertices as '.', deficient vertices as '!'."""
-    verdict = document_verdict(doc)
-    cells = np.full((doc.m, doc.n), ".")
+    bad = document_verdict(doc).deficiencies
+    # Row i of the text holds grid row n-1-i and ends in its newline; cells is
+    # the view of the vertices indexed by (x, y).
+    text = np.full((doc.n, doc.m + 1), ord("."), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    cells = text[::-1, :-1].T
     xy = doc.towers.xy
     inside = (xy >= 0).all(axis=1) & (xy < (doc.m, doc.n)).all(axis=1)
-    cells[xy[inside, 0], xy[inside, 1]] = "T"
-    cells[verdict.deficiencies[:, 0], verdict.deficiencies[:, 1]] = "!"
-    return "".join("".join(row) + "\n" for row in cells.T[::-1])
+    cells[tuple(xy[inside].T)] = ord("T")
+    cells[tuple(bad.T)] = ord("!")
+    return text.tobytes().decode("ascii")
 
 
 def render_svg(doc: BroadcastDocument) -> str:
     """Grid, towers, and one diamond outline (radius t-1) per tower."""
     GridDims(doc.m, doc.n)  # refuses a grid over the cell cap before drawing
-    radius = doc.t - 1
-    pad = radius + 1
-    width = (doc.m - 1 + 2 * pad) * _CELL
-    height = (doc.n - 1 + 2 * pad) * _CELL
-
-    def px(x: int) -> int:
-        return (x + pad) * _CELL
-
-    def py(y: int) -> int:
-        return (doc.n - 1 - y + pad) * _CELL
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    # Pixel column of x = 0..m-1 and pixel row of y = 0..n-1 (y runs downward),
+    # with a margin of t steps: the diamond radius t-1, plus one.
+    cols = range(doc.t * _CELL, (doc.m + doc.t) * _CELL, _CELL)
+    rows = range((doc.n - 1 + doc.t) * _CELL, (doc.t - 1) * _CELL, -_CELL)
+    width, height = cols[0] + cols[-1], rows[0] + rows[-1]
+    reach = (doc.t - 1) * _CELL
+    centres = [(cols[0] + x * _CELL, rows[0] - y * _CELL) for x, y in doc.towers.xy.tolist()]
+    # A generator, so the corner values are freed once their fill is made.
+    diamonds = (
+        v for x, y in centres for v in (x - reach, y, x, y - reach, x + reach, y, x, y + reach)
+    )
+    return "".join([
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for x in range(doc.m):
-        parts.append(
-            f'<line x1="{px(x)}" y1="{py(0)}" x2="{px(x)}" y2="{py(doc.n - 1)}" '
-            'stroke="#cccccc" stroke-width="1"/>'
-        )
-    for y in range(doc.n):
-        parts.append(
-            f'<line x1="{px(0)}" y1="{py(y)}" x2="{px(doc.m - 1)}" y2="{py(y)}" '
-            'stroke="#cccccc" stroke-width="1"/>'
-        )
-    for x in range(doc.m):
-        for y in range(doc.n):
-            parts.append(f'<circle cx="{px(x)}" cy="{py(y)}" r="2" fill="#999999"/>')
-    for tower in doc.towers:
-        points = " ".join(
-            f"{x},{y}"
-            for x, y in (
-                (px(tower.x - radius), py(tower.y)),
-                (px(tower.x), py(tower.y + radius)),
-                (px(tower.x + radius), py(tower.y)),
-                (px(tower.x), py(tower.y - radius)),
-            )
-        )
-        parts.append(
-            f'<polygon points="{points}" fill="none" stroke="#2060c0" stroke-width="1.5"/>'
-        )
-    for tower in doc.towers:
-        parts.append(
-            f'<circle cx="{px(tower.x)}" cy="{py(tower.y)}" r="5" fill="#2060c0"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n',
+        fill(f'<line x1="%d" y1="{rows[0]}" x2="%d" y2="{rows[-1]}" stroke="#cccccc" '
+             'stroke-width="1"/>\n', "", len(cols), chain.from_iterable(zip(cols, cols))),
+        fill(f'<line x1="{cols[0]}" y1="%d" x2="{cols[-1]}" y2="%d" stroke="#cccccc" '
+             'stroke-width="1"/>\n', "", len(rows), chain.from_iterable(zip(rows, rows))),
+        fill('<circle cx="%d" cy="%d" r="2" fill="#999999"/>\n', "",
+             len(cols) * len(rows), chain.from_iterable(product(cols, rows))),
+        fill('<polygon points="%d,%d %d,%d %d,%d %d,%d" fill="none" stroke="#2060c0" '
+             'stroke-width="1.5"/>\n', "", len(centres), diamonds),
+        fill('<circle cx="%d" cy="%d" r="5" fill="#2060c0"/>\n', "",
+             len(centres), chain.from_iterable(centres)),
+        "</svg>\n",
+    ])

@@ -660,6 +660,82 @@ def test_render_ascii_golden(capsys, tmp_path):
     )
 
 
+def constructed_payload(capsys, tmp_path, m, n, t, keep_every=1):
+    path = tmp_path / "built.json"
+    code, _, _ = run_cli(capsys, "construct", "--m", m, "--n", n, "--t", t, "--out", str(path))
+    assert code == 0
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["towers"] = payload["towers"][::keep_every]
+    return payload
+
+
+# The documents of RENDER_DIGESTS: `construct` arguments plus the stride of
+# the towers kept, or a payload written as it stands.
+RENDER_DOCUMENTS = {
+    "best-12x6": ("12", "6", "4", 1),
+    "path-17x1": ("17", "1", "4", 1),
+    # Every other tower removed, so deficient '!' cells appear.
+    "halved-40x31": ("40", "31", "5", 2),
+    "outside": {
+        "m": 6, "n": 4, "t": 3, "r": 2, "towers": [[-2, 1], [1, 1], [7, 3], [2**62, -(2**62)]]
+    },
+    "empty": {"m": 5, "n": 3, "t": 3, "r": 2, "towers": []},
+    # Pixel coordinates far beyond int64; the ascii view refuses t > MAX_STRENGTH.
+    "huge-t": {"m": 3, "n": 2, "t": 10**30, "r": 2, "towers": [[1, 1]]},
+}
+
+
+def render_document(capsys, tmp_path, name):
+    spec = RENDER_DOCUMENTS[name]
+    payload = spec if isinstance(spec, dict) else constructed_payload(capsys, tmp_path, *spec)
+    return write_raw(tmp_path, payload)
+
+
+# sha256 of `render` stdout, frozen from the renderer that formatted every
+# vertex, grid line and tower with its own f-string.
+RENDER_DIGESTS = [
+    ("best-12x6", "ascii", "0928448e7557d597ebadd30b22f1f004e9fb6385cda214b05261f181ef147afe"),
+    ("best-12x6", "svg", "33c6165adcd1ef738ccdd77c54742b84e81e4d88e71fdf60fe69174eeaf89003"),
+    ("path-17x1", "ascii", "2af2d01572c079512fc9826bad5dd57dd1ae1bbf62f6a516a6ebb6beff4acd5b"),
+    ("path-17x1", "svg", "a86d81980f2fcca641768f9641de4c75872254a499860c10eab201ac7474ab2a"),
+    ("halved-40x31", "ascii", "638742d3ce1f03cdfbf6157b1bd0cfc2889e62cd97f33abbd3a18cc9ad8c5434"),
+    ("halved-40x31", "svg", "f5f5e0922e83913bdab66a0ca703ca0823e471cdb39e01771ca4a0f3a5b08e5b"),
+    ("outside", "ascii", "2b9fe586a2826bb3325f022c976860ba74acf6501b2f9d1d59cc98cedf9dddf4"),
+    ("outside", "svg", "6e33902533d826a3bd07a94c22949c5c0713dd45e161aa1416f530001734dac4"),
+    ("empty", "ascii", "92cfded6ad6f2bbceb1c7dde858f117a7575159d1c125c9eb11d34bb9cc14865"),
+    ("empty", "svg", "177b8908617a4b1f53bd0050be84bf02638e597d4afaa8b81708f89b887e1637"),
+    ("huge-t", "svg", "e2483c18485e95fa3f967428b7813f03484823df083f126669bb7c615092ec40"),
+]
+
+
+@pytest.mark.parametrize("name,fmt,expected", RENDER_DIGESTS, ids=lambda v: str(v)[:12])
+def test_render_digest(capsys, tmp_path, name, fmt, expected):
+    path = render_document(capsys, tmp_path, name)
+    code, out, err = run_cli(capsys, "render", path, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    if name == "halved-40x31" and fmt == "ascii":
+        assert "!" in out
+
+
+def test_render_ascii_refuses_huge_strength(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "render", render_document(capsys, tmp_path, "huge-t"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_render_svg_allocates_little_beyond_its_output(capsys, tmp_path):
+    payload = constructed_payload(capsys, tmp_path, "400", "400", "3")
+    doc = parse_document(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        text = render_svg(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
+
+
 def test_verify_golden(capsys, tmp_path):
     payload = {"m": 6, "n": 5, "t": 3, "r": 2, "towers": [[-2, 0], [2, 2], [7, 4]]}
     assert run_cli(capsys, "verify", write_raw(tmp_path, payload)) == (

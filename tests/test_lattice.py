@@ -170,6 +170,29 @@ class TestTowersInWindow:
         )
         assert {Coord(c.x + step.x, c.y + step.y) for c in base} == set(shifted)
 
+    @given(
+        t=st.integers(3, 7),
+        shear=st.integers(-15, 15),
+        k=st.sampled_from([-2, 1, 10**30]),
+        ax=st.integers(-40, 40),
+        ay=st.integers(-40, 40),
+        x0=st.integers(-200, 200),
+        y0=st.integers(-200, 200),
+        width=st.integers(1, 300),
+        height=st.integers(1, 300),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shear_is_taken_mod_t_minus_1(self, t, shear, k, ax, ay, x0, y0, width, height):
+        # w + k*u has shear c + k(t-1), so both shears span one lattice; the
+        # lattice still reports the shear it was given.
+        lo, hi = Coord(x0, y0), Coord(x0 + width - 1, y0 + height - 1)
+        base = DiamondLattice(t=t, anchor=Coord(ax, ay), shear=shear)
+        moved = DiamondLattice(t=t, anchor=Coord(ax, ay), shear=shear + k * (t - 1))
+        assert moved.shear == shear + k * (t - 1)
+        assert towers_in_window(moved, lo, hi) == towers_in_window(base, lo, hi)
+        far = Coord(hi.x + 7 * width, hi.y + 5 * height)
+        assert count_in_window(moved, lo, far) == count_in_window(base, lo, far)
+
 
 class TestWindowDensity:
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -205,8 +228,8 @@ class TestWindowDensity:
 
 def row_loop_count(lattice, lo, hi):
     """count_in_window as one sum over every lattice row of the window."""
-    rows = lattice_module._window_coefficient_rows(lattice, lo.x, hi.x, lo.y, hi.y)
-    return sum(a_hi - a_lo + 1 for _, a_lo, a_hi in rows)
+    rows = lattice_module._window_rows(lattice, lo.x, hi.x, lo.y, hi.y)
+    return sum(k for _, _, k in rows)
 
 
 class TestCountPerPeriod:
