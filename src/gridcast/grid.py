@@ -4,6 +4,12 @@ Every other module trusts the primitives here: Manhattan distance in closed
 form (the grid graph itself is never materialized), per-tower signal, dense
 signal-field accumulation, and the validity check that a candidate tower set
 supplies at least ``r`` total signal to every grid vertex.
+
+The signal field is exact in the narrowest integer dtype that holds it:
+int32 when t * |towers| < 2**31, int64 otherwise. It is built either by one
+stamp per tower or, for dense towers, by a row-tent recurrence in about 5t
+whole-array passes (each diamond row is a tent along y). The verifier's
+reported totals are always int64.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# Signal totals are ordinary 64-bit integers. The worst-case total at one
-# vertex is t * |towers|; towers are capped at MAX_CELLS too, so it stays
-# under 3.4e11 << 2**63.
+# The worst-case signal total at one vertex is t * |towers|: signal_field
+# keeps it in int32 when that is below 2**31 and in int64 otherwise. Towers
+# are capped at MAX_CELLS too, so it stays under 3.4e11 << 2**63.
 MAX_STRENGTH = 10_000
-# Largest grid (m * n vertices): an int64 signal field of this size takes
-# 256 MiB.
+# Largest grid (m * n vertices): a signal field of this size takes 128 MiB
+# in int32 and 256 MiB in int64.
 MAX_CELLS = 2**25
 
 
@@ -187,32 +193,41 @@ def signal(t: int, tower: Coord, v: Coord) -> int:
 
 @lru_cache(maxsize=16)
 def _diamond_kernel(t: int, a: int, b: int) -> np.ndarray:
-    # (2a+1) x (2b+1) stamp of one tower's signal, centered at index (a, b).
-    # a and b are at most the grid sides minus one: no larger offset between
-    # two vertices of the grid exists, so the kernel is bounded by the grid.
+    # (2a+1) x (2b+1) read-only int32 stamp of one tower's signal, centered at
+    # index (a, b); its entries are at most t <= MAX_STRENGTH. a and b are at
+    # most the grid sides minus one: no larger offset between two vertices of
+    # the grid exists, so the kernel is bounded by the grid.
     ox = np.abs(np.arange(2 * a + 1) - a)
     oy = np.abs(np.arange(2 * b + 1) - b)
-    return np.maximum(t - (ox[:, None] + oy[None, :]), 0).astype(np.int64)
+    kernel = np.maximum(t - (ox[:, None] + oy[None, :]), 0).astype(np.int32)
+    kernel.flags.writeable = False
+    return kernel
 
 
-# Rough fixed cost of one Python-level step (a stamp or a shifted slice), in
-# array-element operations; it only decides which of the two field algorithms
-# in signal_field is cheaper.
-_STEP_OVERHEAD = 3000
+# Rough fixed cost of one Python-level step (a stamp or a whole-array pass),
+# in array-element operations; it only decides which of the two field
+# algorithms in signal_field is cheaper. A stamp costs 5-7 us, about 20 000
+# int32 element adds of a whole-array pass (0.25-0.45 ns each).
+_STEP_OVERHEAD = 20_000
 
 
 def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
-    """The (m, n) int64 array of total signal; ``[x, y]`` is the total at (x, y).
+    """The (m, n) array of total signal; ``[x, y]`` is the total at (x, y).
 
     Towers outside the grid are legal (their signal radiates in); this is
     needed when evaluating a halo of an infinite pattern against the grid.
     A tower repeated in a plain list counts once per copy.
 
-    Dense towers: image of tower counts, padded by t-1 and built by one
-    bincount of flat padded indices, added once per diamond offset as a
-    shifted slice. Sparse towers with large t: each tower's diamond is stamped
-    on its own. The cheaper one is chosen from the grid size, t and the tower
-    count.
+    The totals are exact in the narrowest dtype that can hold them: int32
+    when t * len(towers) < 2**31, since no vertex receives more than t from
+    each tower, and int64 otherwise.
+
+    Dense towers: row a of a tower's diamond is a tent of height t - |a|
+    along y. The tents of every height are built from the padded image of
+    tower counts in about 3t whole-image passes, and each is added to the
+    totals shifted by +-a rows: about 5t passes in all. Sparse towers with
+    large t: each tower's diamond is stamped on its own. The cheaper one is
+    chosen from the grid size, t and the tower count.
     """
     if t < 1:
         raise ValueError(f"signal strength t must be >= 1, got {t}")
@@ -228,38 +243,42 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     radius = t - 1
     x, y = xy[:, 0], xy[:, 1]
     near = xy[(x > -t) & (x < m + radius) & (y > -t) & (y < n + radius)]
-    values = np.zeros((m, n), dtype=np.int64)
+    values = np.zeros((m, n), dtype=np.int32 if t * len(xy) < 2**31 else np.int64)
     if _shift_is_cheaper(m, n, t, len(near)):
-        _add_shifted(values, near, radius)
+        _add_tents(values, near, radius)
     else:
         _add_stamps(values, near, t)
     return values.view(_Field)
 
 
 def _shift_is_cheaper(m: int, n: int, t: int, towers: int) -> bool:
-    # One shifted slice per diamond offset, against one stamp per tower; a
+    # About 5t passes over the padded image, against one stamp per tower; a
     # stamp covers at most its diamond's bounding box clipped to the grid.
-    offsets = 2 * t * (t - 1) + 1
+    padded = (m + 2 * t - 2) * (n + 2 * t - 2)
     stamp = min(2 * t - 1, m) * min(2 * t - 1, n)
-    return offsets * (m * n + _STEP_OVERHEAD) <= towers * (_STEP_OVERHEAD + stamp)
+    return 5 * t * (padded + _STEP_OVERHEAD) <= towers * (_STEP_OVERHEAD + stamp)
 
 
-def _add_shifted(values: np.ndarray, near: np.ndarray, radius: int) -> None:
-    # A tower at distance d supplies t - d = radius + 1 - d, which is the number
-    # of k in [d, radius]; so the field is the sum over k of ``within``, the
-    # tower count in the radius-k diamond around each vertex.
+def _add_tents(values: np.ndarray, near: np.ndarray, radius: int) -> None:
+    # ``box`` is the tower count within |dy| <= j of each padded row and grid
+    # column, and ``tent`` the sum of the boxes for j < height: one tower's
+    # tent of that height along y. Row a of the diamond is the tent of height
+    # t - |a| = radius + 1 - |a|, added to the totals from rows x + a and x - a.
     m, n = values.shape
-    # Every count below is at most len(near) <= MAX_CELLS < 2**31.
     h, w = m + 2 * radius, n + 2 * radius
     flat = (near[:, 0] + radius) * w + (near[:, 1] + radius)
-    image = np.bincount(flat, minlength=h * w).astype(np.int32).reshape(h, w)
-    within = np.zeros((m, n), dtype=np.int32)
-    for d in range(radius + 1):
-        for dx in range(-d, d + 1):
-            dy = d - abs(dx)
-            for sy in {-dy, dy}:
-                within += image[radius + dx : radius + dx + m, radius + sy : radius + sy + n]
-        values += within
+    image = np.bincount(flat, minlength=h * w).astype(values.dtype).reshape(h, w)
+    box = image[:, radius : radius + n].copy()
+    tent = box.copy()
+    for a in range(radius, -1, -1):
+        if a < radius:
+            j = radius - a
+            box += image[:, radius + j : radius + j + n]
+            box += image[:, radius - j : radius - j + n]
+            tent += box
+        values += tent[radius + a : radius + a + m]
+        if a:
+            values += tent[radius - a : radius - a + m]
 
 
 def _add_stamps(values: np.ndarray, near: np.ndarray, t: int) -> None:
@@ -292,4 +311,5 @@ def check_broadcast(dims: GridDims, params: BroadcastParams, towers: TowerSet) -
     xy = _as_xy(towers)
     x, y = xy[:, 0], xy[:, 1]
     outside = xy[(x < 0) | (x >= dims.m) | (y < 0) | (y >= dims.n)]
-    return BroadcastVerdict(not len(flat), short, values[flat], outside)
+    received = values[flat].astype(np.int64)
+    return BroadcastVerdict(not len(flat), short, received, outside)

@@ -23,6 +23,11 @@ from naive_oracle import bfs_distances
 coords = st.builds(Coord, st.integers(-6, 6), st.integers(-6, 6))
 
 
+def expected_dtype(t, count):
+    """signal_field's dtype: int32 while t * count < 2**31, else int64."""
+    return np.int32 if t * count < 2**31 else np.int64
+
+
 def per_tower_field(m, n, t, towers):
     """Reference field: every tower's signal summed, one tower at a time."""
     xs, ys = np.indices((m, n))
@@ -98,10 +103,28 @@ class TestSignalField:
         field = signal_field(GridDims(3, 1), 4, TowerSet([Coord(-1, 0)]))
         assert field[:, 0].tolist() == [3, 2, 1]
 
-    def test_returns_the_int64_array(self):
-        field = signal_field(GridDims(4, 2), 3, [Coord(0, 0)])
+    def test_returns_the_narrowest_exact_dtype(self):
+        field = signal_field(GridDims(4, 2), 3, [Coord(0, 0)] * 7)
         assert isinstance(field, np.ndarray)
-        assert (field.shape, field.dtype) == ((4, 2), np.int64)
+        assert (field.shape, field.dtype) == ((4, 2), expected_dtype(3, 7))
+        assert field[0, 0] == 21
+
+    @pytest.mark.parametrize(
+        "copies,dtype", [(214_748, np.int32), (214_749, np.int64)], ids=["int32", "int64"]
+    )
+    def test_totals_are_exact_at_the_int32_boundary(self, copies, dtype):
+        # 10 000 * 214 748 = 2 147 480 000 < 2**31 <= 10 000 * 214 749.
+        dims, t = GridDims(1, 1), grid.MAX_STRENGTH
+        towers = np.zeros((copies, 2), dtype=np.int64)
+        total = t * copies
+        field = signal_field(dims, t, towers)
+        assert (field.dtype, field.tolist()) == (dtype, [[total]])
+        assert check_broadcast(dims, BroadcastParams(t, total), towers).valid
+        verdict = check_broadcast(dims, BroadcastParams(t, total + 1), towers)
+        assert not verdict.valid
+        assert verdict.deficiencies.tolist() == [[0, 0]]
+        assert verdict.received.dtype == np.int64
+        assert verdict.received.tolist() == [total]
 
     def test_stamp_kernel_is_bounded_by_the_grid(self):
         # A (2t-1)^2 kernel at t=1000 alone would take 61 MiB.
@@ -190,19 +213,47 @@ class TestSignalField:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grid, "_shift_is_cheaper", lambda *args: shift)
             field = signal_field(GridDims(m, n), t, towers)
-        assert field.dtype == np.int64
+        assert field.dtype == expected_dtype(t, len(towers))
         assert np.array_equal(field, per_tower_field(m, n, t, towers))
+
+    @pytest.mark.parametrize("shift", [True, False], ids=["shifted", "stamped"])
+    @given(
+        m=st.one_of(st.just(1), st.integers(1, 14)),
+        n=st.one_of(st.just(1), st.integers(1, 14)),
+        t=st.one_of(st.sampled_from([1, 2]), st.integers(1, 9)),
+        r=st.integers(1, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_matches_per_tower_reference(self, shift, m, n, t, r, data):
+        # Towers up to t + 2 outside the grid, some of them repeated: each
+        # copy counts.
+        near = st.builds(Coord, st.integers(-t - 2, m + t + 1), st.integers(-t - 2, n + t + 1))
+        towers = data.draw(st.lists(near, max_size=10))
+        if towers:
+            towers += data.draw(st.lists(st.sampled_from(towers), max_size=4))
+        xy = np.array([(c.x, c.y) for c in towers], dtype=np.int64).reshape(-1, 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid, "_shift_is_cheaper", lambda *args: shift)
+            verdict = check_broadcast(GridDims(m, n), BroadcastParams(t, r), xy)
+        field = per_tower_field(m, n, t, towers)
+        assert verdict.valid == bool((field >= r).all())
+        assert np.array_equal(verdict.deficiencies, np.argwhere(field < r))
+        assert verdict.received.dtype == np.int64
+        assert np.array_equal(verdict.received, field[field < r])
 
     @pytest.mark.parametrize(
         "m,n,t,towers,branch",
         [
-            # dense: 5 shifted slices of 6x7 cost less than 6 stamps
+            # dense: 10 passes over the 8x9 padded image cost less than 12
+            # stamps (10 stamps would cost less than the passes)
             (
                 6, 7, 2,
-                [Coord(1, 1), Coord(1, 1), Coord(5, 3), Coord(-1, 3), Coord(6, 7), Coord(0, 0)],
-                "_add_shifted",
+                [Coord(1, 1), Coord(1, 1), Coord(5, 3), Coord(-1, 3), Coord(6, 7), Coord(0, 0)] * 2,
+                "_add_tents",
             ),
-            # sparse, large t: 1201 slices of 40x40 cost more than three stamps
+            # sparse, large t: 125 passes over an 88x88 image cost more than
+            # three stamps
             (40, 40, 25, [Coord(3, 4), Coord(3, 4), Coord(41, -2), Coord(70, 0)], "_add_stamps"),
         ],
     )
