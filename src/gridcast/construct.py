@@ -86,26 +86,41 @@ class ConstructionResult:
     generator: str
 
 
-def path_construct(m: int, t: int) -> TowerSet:
-    """Broadcast for the m x 1 path: towers at intervals of 2(t-1).
+def _verified(dims: GridDims, t: int, result: ConstructionResult) -> ConstructionResult:
+    """``result`` once check_broadcast finds its towers a (t,2) broadcast on the grid.
 
-    k = ceil((m+1) / (2(t-1))) towers starting at x = t-2; the final position
-    is clamped to the last vertex when the spacing overshoots. The result is
-    verified before being returned.
+    A deficient vertex raises ConstructionInvariantError naming the generator,
+    grid, t, anchor and the first deficiency.
     """
-    if m < 1:
-        raise ValueError(f"path length must be >= 1, got {m}")
-    if t < 3:
-        raise ValueError(f"path construction requires t >= 3, got {t}")
-    spacing = 2 * (t - 1)
-    k = -((-(m + 1)) // spacing)
-    towers = TowerSet(Coord(min(t - 2 + spacing * i, m - 1), 0) for i in range(k))
-    verdict = check_broadcast(GridDims(m, 1), BroadcastParams(t, 2), towers)
+    verdict = check_broadcast(dims, BroadcastParams(t, 2), result.towers)
     if not verdict.valid:
         raise ConstructionInvariantError(
-            f"path construction failed verification on {m}x1, t={t}"
+            f"{result.generator} result failed verification on {dims.m}x{dims.n}, t={t}, "
+            f"anchor={result.anchor}; first deficiency "
+            f"({Coord(*verdict.deficiencies[0].tolist())!r}, {verdict.received[0]})"
         )
-    return towers
+    return result
+
+
+def path_construct(dims: GridDims, t: int) -> ConstructionResult:
+    """Broadcast for an m x 1 or 1 x n path: towers at intervals of 2(t-1).
+
+    Along the path's length L, k = ceil((L+1) / (2(t-1))) towers start at
+    t-2; the final position is clamped to the last vertex when the spacing
+    overshoots. Raises ValueError for any other grid, or t outside
+    [3, MAX_STRENGTH]. The result is verified before being returned.
+    """
+    if dims.m > 1 and dims.n > 1:
+        raise ValueError(f"path construction requires m or n of 1, got {dims.m}x{dims.n}")
+    if not 3 <= t <= MAX_STRENGTH:
+        raise ValueError(f"path construction requires 3 <= t <= {MAX_STRENGTH}, got {t}")
+    length = max(dims.m, dims.n)
+    spacing = 2 * (t - 1)
+    k = -((-(length + 1)) // spacing)
+    # The towers run along x on an m x 1 path (1 x 1 included), along y on 1 x n.
+    step = (1, 0) if dims.n == 1 else (0, 1)
+    towers = TowerSet(np.outer(np.minimum(t - 2 + spacing * np.arange(k), length - 1), step))
+    return _verified(dims, t, ConstructionResult(towers, None, len(towers), (), "path"))
 
 
 def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> ConstructionResult:
@@ -132,14 +147,9 @@ def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> Construction
             f"replacement collision letterboxing {dims.m}x{dims.n}, t={t}, "
             f"anchor={lattice.anchor}"
         )
-    verdict = check_broadcast(dims, BroadcastParams(t, 2), towers)
-    if not verdict.valid:
-        raise ConstructionInvariantError(
-            f"letterbox result failed verification on {dims.m}x{dims.n}, t={t}, "
-            f"anchor={lattice.anchor}; first deficiency "
-            f"({Coord(*verdict.deficiencies[0].tolist())!r}, {verdict.received[0]})"
-        )
-    return ConstructionResult(towers, lattice.anchor, len(raw), replacements, "letterbox")
+    return _verified(
+        dims, t, ConstructionResult(towers, lattice.anchor, len(raw), replacements, "letterbox")
+    )
 
 
 class AnchorCounts(Mapping[Coord, int]):
@@ -250,11 +260,7 @@ def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
                 f"{dims.m}x{dims.n}, t={t}"
             )
     else:
-        if dims.n == 1:
-            towers = path_construct(dims.m, t)
-        else:
-            towers = TowerSet(Coord(0, c.x) for c in path_construct(dims.n, t))
-        result = ConstructionResult(towers, None, len(towers), (), "path")
+        result = path_construct(dims, t)
     bound = upper_t2(dims.m, dims.n, t)
     if len(result.towers) > bound:
         raise ConstructionInvariantError(

@@ -49,11 +49,19 @@ class BroadcastDocument:
     def __post_init__(self) -> None:
         """Refuse what parse_document refuses, so parse(serialize(d)) == d.
 
-        The metadata is kept as a copy in the fixed key order, with the anchor
-        as a tuple; its keys are checked in the caller's order, so a parse
-        reports the first bad one.
+        Towers given as Coords or a (k, 2) integer array are kept as their
+        TowerSet; a TowerSet is kept as it is. The metadata is kept as a copy
+        in the fixed key order, with the anchor as a tuple; its keys are
+        checked in the caller's order, so a parse reports the first bad one.
         """
         _check_dimensions(self.m, self.n, self.t, self.r)
+        if not isinstance(self.towers, TowerSet):
+            try:
+                object.__setattr__(self, "towers", TowerSet(self.towers))
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise DocumentError(
+                    f"towers must be Coords or a (k, 2) integer array: {exc}"
+                ) from exc
         if not isinstance(self.metadata, dict):
             raise DocumentError("metadata must be an object")
         metadata = {}

@@ -297,14 +297,20 @@ def _add_stamps(values: np.ndarray, near: np.ndarray, t: int) -> None:
         values[x0 : x1 + 1, y0 : y1 + 1] += np.maximum(stamp - e, 0) if e else stamp
 
 
-def check_broadcast(dims: GridDims, params: BroadcastParams, towers: TowerSet) -> BroadcastVerdict:
+def check_broadcast(
+    dims: GridDims, params: BroadcastParams, towers: Iterable[Coord] | np.ndarray
+) -> BroadcastVerdict:
     """Decide whether ``towers`` is a (t,r) broadcast on the grid.
 
     Valid iff every vertex receives total signal >= r. Deficient vertices are
     reported lexicographically with their received totals: they come from one
     scan of the flattened field, whose ascending indices x*n + y are already
-    in (x, y) order, split back into coordinates by divmod with n.
+    in (x, y) order, split back into coordinates by divmod with n. Towers
+    given as any other iterable than a TowerSet or an array are read once,
+    into a list, so an iterator's outside towers are still reported.
     """
+    if not isinstance(towers, (TowerSet, np.ndarray)):
+        towers = list(towers)
     values = signal_field(dims, params.t, towers).view(np.ndarray).reshape(-1)
     flat = np.flatnonzero(values < params.r)
     short = np.stack(divmod(flat, dims.n), axis=1)

@@ -206,6 +206,22 @@ def test_construct_document_digest(capsys, side, t, expected):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# sha256 of the stdout document of `construct` on both orientations of a
+# 100 003-vertex path, frozen from the implementation that built one Coord
+# per path tower.
+PATH_DIGESTS = [
+    ("1", "100003", "3718f47611fd4f320189647733750def2a338e1ce4338972fced62560938693d"),
+    ("100003", "1", "d54115694daf62e70cb8ae0b978df42ce0b2df31f234bd1b2608d90ed93e792e"),
+]
+
+
+@pytest.mark.parametrize("m,n,expected", PATH_DIGESTS, ids=lambda v: str(v)[:8])
+def test_construct_path_digest(capsys, m, n, expected):
+    code, out, err = run_cli(capsys, "construct", "--m", m, "--n", n, "--t", "5")
+    assert (code, err) == (0, "size=12501 bound=21876\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_cached_parser_keeps_no_state_between_calls(capsys):
     best = ("construct", "--m", "12", "--n", "6", "--t", "4", "--best")
     cli._build_parser.cache_clear()

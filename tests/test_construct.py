@@ -91,21 +91,35 @@ class TestPathConstruct:
         ],
     )
     def test_examples(self, m, t, expected):
-        assert [(c.x, c.y) for c in path_construct(m, t)] == expected
+        assert [(c.x, c.y) for c in path_construct(GridDims(m, 1), t).towers] == expected
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            path_construct(0, 3)
+            path_construct(GridDims(2, 5), 3)
         with pytest.raises(ValueError):
-            path_construct(5, 2)
+            path_construct(GridDims(5, 1), 2)
 
     @given(m=st.integers(1, 120), t=st.integers(3, 8))
     @settings(max_examples=150, deadline=None)
     def test_always_valid_and_within_both_bounds(self, m, t):
-        towers = path_construct(m, t)
+        towers = path_construct(GridDims(m, 1), t).towers
         assert check_broadcast(GridDims(m, 1), BroadcastParams(t, 2), towers).valid
         assert len(towers) <= (m + 2 * (t - 1)) // (2 * (t - 1))
         assert len(towers) <= upper_t2(m, 1, t)
+
+    def test_builds_no_coord(self, monkeypatch):
+        built = []
+
+        def counted(x, y):
+            built.append((x, y))
+            return Coord(x, y)
+
+        monkeypatch.setattr(importlib.import_module("gridcast.construct"), "Coord", counted)
+        for dims in (GridDims(1001, 1), GridDims(1, 1001)):
+            result = best_anchor_construct(dims, 4)
+            assert (result.generator, result.anchor, result.replacements) == ("path", None, ())
+            assert result.raw_count == len(result.towers) == 167
+        assert built == []
 
 
 class TestLetterboxConstruct:

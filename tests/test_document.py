@@ -47,6 +47,15 @@ class TestSerialization:
         doc = make_doc(m=3, n=3, towers=TowerSet([Coord(2, 1), Coord(0, 1)]), metadata={})
         assert '"towers":[[0,1],[2,1]]' in serialize_document(doc)
 
+    def test_coord_list_is_kept_as_its_tower_set(self):
+        towers = [Coord(2, 1), Coord(0, 1), Coord(2, 1)]
+        tower_set = TowerSet(towers)
+        listed = make_doc(m=3, n=3, towers=towers, metadata={})
+        assert serialize_document(listed) == serialize_document(
+            make_doc(m=3, n=3, towers=tower_set, metadata={})
+        )
+        assert make_doc(m=3, n=3, towers=tower_set).towers is tower_set
+
     def test_empty_tower_set(self):
         doc = make_doc(towers=TowerSet(), metadata={})
         assert serialize_document(doc) == '{"m":5,"n":1,"t":4,"r":2,"towers":[]}\n'
@@ -107,6 +116,8 @@ class TestConstructionRefusesWhatParsingRefuses:
             {"metadata": {"anchor": (1, True)}},
             {"metadata": {"color": "red"}},
             {"metadata": [("generator", "path")]},
+            {"towers": [(0, 0)]},
+            {"towers": np.array([[0.5, 0.0]])},
         ],
     )
     def test_refuses_what_would_not_parse_back(self, overrides):

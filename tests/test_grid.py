@@ -314,6 +314,11 @@ class TestCheckBroadcast:
         )
         assert verdict.outside_towers.tolist() == [[-1, 0]]
         assert verdict.valid  # signal still radiates in; warning is not an error
+        # An iterator is read once, so its outside towers are still reported.
+        towers = [Coord(-1, 0), Coord(1, 1)]
+        for given in (towers, iter(towers)):
+            verdict = check_broadcast(GridDims(3, 3), BroadcastParams(3, 2), given)
+            assert verdict.outside_towers.tolist() == [[-1, 0]]
 
     @given(
         m=st.integers(1, 8),
