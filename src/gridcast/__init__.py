@@ -12,20 +12,15 @@ from .bounds import (
     BoundReport,
     blessing_bounds,
     bound_report,
-    chang_bound,
-    grez_bound,
     lower_t2,
-    lower_t2_raw,
     upper_t2,
 )
 from .construct import (
     ConstructionInvariantError,
     ConstructionResult,
-    Embedding,
     anchor_raw_counts,
     best_anchor_construct,
     construct,
-    embedding,
     letterbox_construct,
     path_construct,
 )
@@ -51,7 +46,6 @@ from .lattice import (
     DiamondLattice,
     PatternVerdict,
     count_in_window,
-    lattice_contains,
     rectilinear_lattice,
     towers_in_window,
     validate_pattern,

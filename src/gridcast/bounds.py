@@ -1,8 +1,9 @@
 """Closed-form bounds on grid broadcast domination numbers.
 
 All arithmetic is exact: integers for the bounds themselves, fractions for
-ratios. The (t,2) pair dominates the API; the classical distance-domination
-and (2,2)/(3,2) formulas are included as reference calculators.
+ratios. Besides the (t,2) pair, only Blessing et al.'s (2,2)/(3,2) upper
+bounds are kept, because the paper's claim that the (3,2) bound is optimal is
+stated against them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class BoundReport:
     upper_t2: int
     lower_t2: int
     ratio: Fraction
-    lower_raw: Fraction  # the unrounded area bound, for transparency
 
 
 def _require_grid(m: int, n: int) -> None:
@@ -61,28 +61,6 @@ def lower_t2(m: int, n: int, t: int) -> int:
     return -((-m * n) // denom)
 
 
-def lower_t2_raw(m: int, n: int, t: int) -> Fraction:
-    """The unrounded real-valued lower bound mn / (2(t-1)^2)."""
-    _require_grid(m, n)
-    _require_strength(t)
-    return Fraction(m * n, 2 * (t - 1) ** 2)
-
-
-def chang_bound(m: int, n: int) -> int:
-    """Classical domination upper bound floor((n+2)(m+2)/5) - 4, for m, n > 8."""
-    if m <= 8 or n <= 8:
-        raise ValueError(f"bound is stated only for m, n > 8, got {m}x{n}")
-    return (n + 2) * (m + 2) // 5 - 4
-
-
-def grez_bound(m: int, n: int, k: int) -> int:
-    """k-distance domination upper bound floor((m+2k)(n+2k)/(2k^2+2k+1)) - 4."""
-    _require_grid(m, n)
-    if k < 1:
-        raise ValueError(f"radius k must be >= 1, got {k}")
-    return (m + 2 * k) * (n + 2 * k) // (2 * k * k + 2 * k + 1) - 4
-
-
 def blessing_bounds(m: int, n: int) -> BlessingBounds:
     """Upper bounds for the (2,2) and (3,2) cases:
     floor((m+2)(n+2)/3) - 5 and floor((m+2)(n+2)/8) - 1."""
@@ -102,5 +80,4 @@ def bound_report(m: int, n: int, t: int) -> BoundReport:
         upper_t2=upper,
         lower_t2=lower,
         ratio=Fraction(upper, lower),
-        lower_raw=lower_t2_raw(m, n, t),
     )

@@ -45,32 +45,6 @@ class ConstructionInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """The target grid centered in its halo grid of padding t-2."""
-
-    g: GridDims
-    halo: int
-
-    def __post_init__(self) -> None:
-        if self.halo < 1:
-            raise ValueError(f"halo width must be >= 1, got {self.halo}")
-
-    @property
-    def lo(self) -> Coord:
-        return Coord(-self.halo, -self.halo)
-
-    @property
-    def hi(self) -> Coord:
-        return Coord(self.g.m - 1 + self.halo, self.g.n - 1 + self.halo)
-
-
-def embedding(dims: GridDims, t: int) -> Embedding:
-    if t < 3:
-        raise ValueError(f"letterbox embedding requires t >= 3, got {t}")
-    return Embedding(g=dims, halo=t - 2)
-
-
-@dataclass(frozen=True)
 class ConstructionResult:
     """A verified construction; ``generator`` is "path", "letterbox" or "best-anchor".
 
@@ -134,8 +108,9 @@ def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> Construction
     if dims.m <= 1 or dims.n <= 1:
         raise ValueError("letterboxing requires m, n > 1; use path_construct for paths")
     t = lattice.t
-    emb = embedding(dims, t)
-    raw = towers_in_window(lattice, emb.lo, emb.hi)
+    halo = t - 2
+    lo, hi = Coord(-halo, -halo), Coord(dims.m - 1 + halo, dims.n - 1 + halo)
+    raw = towers_in_window(lattice, lo, hi)
     clamped = np.clip(raw.xy, 0, (dims.m - 1, dims.n - 1))
     moved = (clamped != raw.xy).any(axis=1)
     replacements = tuple(zip(coords_of(raw.xy[moved]), coords_of(clamped[moved])))
@@ -216,12 +191,14 @@ def anchor_raw_counts(dims: GridDims, t: int) -> AnchorCounts:
     is congruent to a.y + p(t-1) modulo 2(t-1): a product set. So the count
     at a is the sum over p of two per-axis residue counts multiplied, exact
     in integer arithmetic with no per-anchor loop. Grids over MAX_CELLS
-    (refused by GridDims) and t over MAX_STRENGTH (refused here) never get
-    this far, which keeps every count in int64.
+    (refused by GridDims) and t outside [3, MAX_STRENGTH] (refused here)
+    never get this far, which keeps every count in int64.
     """
-    emb = embedding(dims, t)
+    if t < 3:
+        raise ValueError(f"construction requires t >= 3, got {t}")
     if t > MAX_STRENGTH:
         raise ValueError(f"construction requires t <= {MAX_STRENGTH}, got {t}")
+    halo = t - 2
     step = t - 1
     period = 2 * step
     # residues[p, a]: the class, mod period, of the parity-p towers at anchor a.
@@ -229,8 +206,7 @@ def anchor_raw_counts(dims: GridDims, t: int) -> AnchorCounts:
 
     def axis_counts(side: int) -> np.ndarray:
         # Integers in [-halo, side - 1 + halo] congruent to each residue.
-        lo, hi = -emb.halo, side - 1 + emb.halo
-        return (hi - residues) // period - (lo - 1 - residues) // period
+        return (side - 1 + halo - residues) // period - (-halo - 1 - residues) // period
 
     return AnchorCounts(axis_counts(dims.m), axis_counts(dims.n))
 

@@ -36,7 +36,6 @@ __all__ = [
     "DiamondLattice",
     "PatternVerdict",
     "rectilinear_lattice",
-    "lattice_contains",
     "towers_in_window",
     "count_in_window",
     "window_density",
@@ -147,11 +146,6 @@ def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
         + qy * strip(rx, period)
         + strip(rx, ry)
     )
-
-
-def lattice_contains(lattice: DiamondLattice, v: Coord) -> bool:
-    """True iff v is a tower of the pattern."""
-    return count_in_window(lattice, v, v) == 1
 
 
 def window_density(lattice: DiamondLattice, side: int) -> Fraction:

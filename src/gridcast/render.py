@@ -11,6 +11,8 @@ horizontal lines, vertex dots, tower diamonds, tower dots) through the
 document writer's fill(), so no format call is made per vertex or per tower.
 Its pixel coordinates stay Python ints: a document's t and tower coordinates
 are unbounded, and int64 pixel arithmetic would overflow from |x| ~ 3.8e17.
+The svg view refuses grids of more than 2**20 vertices: it is O(mn) text, and
+its memory peaks at about 160 B per vertex, so 160 MiB at the cap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .document import BroadcastDocument, fill
 from .grid import BroadcastParams, BroadcastVerdict, GridDims, check_broadcast
 
 _CELL = 24  # svg pixels per grid step
+_SVG_MAX_CELLS = 2**20
 
 
 def document_verdict(doc: BroadcastDocument) -> BroadcastVerdict:
@@ -45,8 +48,13 @@ def render_ascii(doc: BroadcastDocument) -> str:
 
 
 def render_svg(doc: BroadcastDocument) -> str:
-    """Grid, towers, and one diamond outline (radius t-1) per tower."""
+    """Grid, towers, and one diamond outline (radius t-1) per tower.
+
+    Raises ValueError for a grid of more than 2**20 vertices.
+    """
     GridDims(doc.m, doc.n)  # refuses a grid over the cell cap before drawing
+    if doc.m * doc.n > _SVG_MAX_CELLS:
+        raise ValueError(f"svg output is limited to {_SVG_MAX_CELLS} vertices, got {doc.m}x{doc.n}")
     # Pixel column of x = 0..m-1 and pixel row of y = 0..n-1 (y runs downward),
     # with a margin of t steps: the diamond radius t-1, plus one.
     cols = range(doc.t * _CELL, (doc.m + doc.t) * _CELL, _CELL)

@@ -19,7 +19,6 @@ from gridcast import (
     bound_report,
     check_broadcast,
     construct,
-    embedding,
     exact_gamma,
     letterbox_construct,
     lower_t2,
@@ -83,9 +82,10 @@ def test_criterion_2_letterbox_layout():
 def test_criterion_3_halo_count():
     with criterion(3, "t=3 halo of G_12,6 holds exactly 14 towers = upper bound", 1.0):
         lattice = rectilinear_lattice(3, Coord(0, 0))
-        emb = embedding(GridDims(12, 6), 3)
-        assert (emb.hi.x - emb.lo.x + 1, emb.hi.y - emb.lo.y + 1) == (14, 8)
-        assert len(towers_in_window(lattice, emb.lo, emb.hi)) == 14
+        halo = 3 - 2  # the halo grid pads G_12,6 by t-2 on every side
+        lo, hi = Coord(-halo, -halo), Coord(12 - 1 + halo, 6 - 1 + halo)
+        assert (hi.x - lo.x + 1, hi.y - lo.y + 1) == (14, 8)
+        assert len(towers_in_window(lattice, lo, hi)) == 14
         assert upper_t2(12, 6, 3) == 14
         assert letterbox_construct(GridDims(12, 6), lattice).raw_count == 14
 

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from gridcast import (
     blessing_bounds,
     bound_report,
-    chang_bound,
-    grez_bound,
     lower_t2,
-    lower_t2_raw,
     upper_t2,
 )
 
@@ -42,29 +39,8 @@ class TestLowerT2:
         with pytest.raises(ValueError):
             lower_t2(5, 5, 2)
 
-    def test_raw_bound(self):
-        assert lower_t2_raw(12, 6, 3) == Fraction(9)
-        assert lower_t2_raw(5, 5, 3) == Fraction(25, 8)
-
 
 class TestClassicalBounds:
-    def test_chang_examples(self):
-        assert chang_bound(16, 16) == 60
-        assert chang_bound(9, 9) == 20
-
-    def test_chang_range_enforced(self):
-        with pytest.raises(ValueError):
-            chang_bound(8, 9)
-
-    def test_grez_examples(self):
-        assert grez_bound(16, 16, 1) == 60  # k=1 reduces to the classical formula
-        assert grez_bound(16, 16, 2) == 26
-        assert grez_bound(10, 10, 3) == 6
-
-    def test_grez_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            grez_bound(10, 10, 0)
-
     def test_blessing_examples(self):
         assert blessing_bounds(12, 6) == (32, 13)
         assert blessing_bounds(16, 16).b32 == 39
@@ -89,7 +65,9 @@ class TestBoundReport:
         report = bound_report(m, n, t)
         assert report.lower_t2 <= report.upper_t2
         assert report.ratio >= 1
-        assert report.lower_raw <= report.lower_t2
+        # lower_t2 is the ceiling of mn / (2(t-1)^2).
+        density = 2 * (t - 1) ** 2
+        assert (report.lower_t2 - 1) * density < m * n <= report.lower_t2 * density
 
     def test_ratio_decreases_as_grid_doubles(self):
         ratios = [bound_report(s, s, 3).ratio for s in (8, 16, 32, 64, 128, 256, 512)]

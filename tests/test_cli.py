@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gridcast import Coord, TowerSet, cli, grid, parse_document, signal, solver
+from gridcast import Coord, TowerSet, cli, grid, parse_document, render, signal, solver
 from gridcast.cli import main
 from gridcast.document import BroadcastDocument, serialize_document
 from gridcast.render import render_ascii, render_svg
@@ -88,6 +88,20 @@ class TestConstructCommand:
     def test_small_t_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "construct", "--m", "6", "--n", "6", "--t", "2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("construct --m 1 --n 5 --t 2", "construction requires t >= 3, got 2"),
+            ("construct --m 1 --n 5 --t 10001",
+             "path construction requires 3 <= t <= 10000, got 10001"),
+            ("construct --m 5 --n 5 --t 2", "construction requires t >= 3, got 2"),
+            ("construct --m 5 --n 5 --t 10001", "construction requires t <= 10000, got 10001"),
+            ("sweep --m-range 2:3 --n-range 2:3 --t 2", "construction requires t >= 3, got 2"),
+        ],
+    )
+    def test_strength_refusal_bytes(self, capsys, argv, message):
+        assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
     def test_failed_internal_verification_exits_1(self, capsys):
         # valid sheared pattern whose halo does not dominate this grid
@@ -750,6 +764,21 @@ def test_render_svg_allocates_little_beyond_its_output(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(text)
+
+
+def test_render_svg_refuses_more_than_2_20_vertices(capsys, monkeypatch, tmp_path):
+    def unreachable(*args):
+        raise AssertionError("svg fill reached")
+
+    monkeypatch.setattr(render, "fill", unreachable)
+    path = write_raw(tmp_path, {"m": 1, "n": 2**20 + 1, "t": 3, "r": 2, "towers": []})
+    code, out, err = run_cli(capsys, "render", path, "--format", "svg")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # At the cap itself the svg is drawn.
+    doc = parse_document(json.dumps({"m": 1, "n": 2**20, "t": 3, "r": 2, "towers": []}))
+    with pytest.raises(AssertionError, match="svg fill reached"):
+        render_svg(doc)
 
 
 def test_verify_golden(capsys, tmp_path):

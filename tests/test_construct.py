@@ -21,7 +21,6 @@ from gridcast import (
     best_anchor_construct,
     check_broadcast,
     construct,
-    embedding,
     letterbox_construct,
     manhattan_dist,
     path_construct,
@@ -51,6 +50,12 @@ def vertices(dims):
 def clamp_to_grid(v, dims):
     """The unique grid vertex nearest to v (axis-aligned rectangle, separable metric)."""
     return Coord(min(max(v.x, 0), dims.m - 1), min(max(v.y, 0), dims.n - 1))
+
+
+def halo_window(dims, t):
+    """Corners of the halo grid: the grid padded by t-2 on every side."""
+    halo = t - 2
+    return Coord(-halo, -halo), Coord(dims.m - 1 + halo, dims.n - 1 + halo)
 
 
 class TestClampToGrid:
@@ -133,9 +138,9 @@ class TestLetterboxConstruct:
 
     def test_14_tower_halo_at_t3(self):
         lattice = rectilinear_lattice(3, Coord(0, 0))
-        emb = embedding(GridDims(12, 6), 3)
-        assert (emb.lo, emb.hi) == (Coord(-1, -1), Coord(12, 6))
-        assert len(towers_in_window(lattice, emb.lo, emb.hi)) == 14
+        lo, hi = halo_window(GridDims(12, 6), 3)
+        assert (lo, hi) == (Coord(-1, -1), Coord(12, 6))
+        assert len(towers_in_window(lattice, lo, hi)) == 14
         result = letterbox_construct(GridDims(12, 6), lattice)
         assert result.raw_count == 14
 
@@ -179,8 +184,7 @@ class TestLetterboxConstruct:
         assert all(contains(dims, c) for c in result.towers)
         targets = [to for _, to in result.replacements]
         assert len(set(targets)) == len(targets)
-        raw = towers_in_window(rectilinear_lattice(t, Coord(ax, ay)),
-                               embedding(dims, t).lo, embedding(dims, t).hi)
+        raw = towers_in_window(rectilinear_lattice(t, Coord(ax, ay)), *halo_window(dims, t))
         kept = {c for c in raw if contains(dims, c)}
         assert set(targets).isdisjoint(kept)
         for origin, target in result.replacements:
@@ -203,8 +207,8 @@ class TestLetterboxConstruct:
         # the replacement step only improves signal; the raw halo towers
         # already supply at least 2 everywhere on the grid
         dims = GridDims(m, n)
-        emb = embedding(dims, t)
-        halo_towers = towers_in_window(rectilinear_lattice(t, Coord(ax, ay)), emb.lo, emb.hi)
+        lattice = rectilinear_lattice(t, Coord(ax, ay))
+        halo_towers = towers_in_window(lattice, *halo_window(dims, t))
         verdict = check_broadcast(dims, BroadcastParams(t, 2), halo_towers)
         assert verdict.valid
 
@@ -226,12 +230,12 @@ class TestBestAnchor:
         dims = GridDims(12, 6)
         counts = anchor_raw_counts(dims, 4)
         assert len(counts) == 36
-        emb = embedding(dims, 4)
+        lo, hi = halo_window(dims, 4)
         for anchor, count in counts.items():
             brute = sum(
                 1
-                for x in range(emb.lo.x, emb.hi.x + 1)
-                for y in range(emb.lo.y, emb.hi.y + 1)
+                for x in range(lo.x, hi.x + 1)
+                for y in range(lo.y, hi.y + 1)
                 if (x - anchor.x) % 3 == 0
                 and (y - anchor.y) % 3 == 0
                 and ((x - anchor.x) // 3 + (y - anchor.y) // 3) % 2 == 0
@@ -256,12 +260,12 @@ class TestClosedFormSweep:
     @settings(max_examples=30, deadline=None)
     def test_every_anchor_matches_the_window_count(self, m, n, t):
         # Grids smaller than one period (halo wider than the grid) included.
-        emb = embedding(GridDims(m, n), t)
+        lo, hi = halo_window(GridDims(m, n), t)
         counts = anchor_raw_counts(GridDims(m, n), t)
         period = 2 * (t - 1)
         assert len(counts) == period**2 == counts.array.size
         for anchor, count in counts.items():
-            assert count == count_in_window(rectilinear_lattice(t, anchor), emb.lo, emb.hi)
+            assert count == count_in_window(rectilinear_lattice(t, anchor), lo, hi)
             assert count == counts.array[anchor.x, anchor.y]
         assert counts.best_anchor() == min(counts, key=lambda a: (counts[a], a))
         assert counts.best_anchor() == Coord(
@@ -285,12 +289,12 @@ class TestClosedFormSweep:
 
     def test_large_grid_sample(self):
         dims, t = GridDims(1900, 1900), 60
-        emb = embedding(dims, t)
+        lo, hi = halo_window(dims, t)
         counts = anchor_raw_counts(dims, t)
         assert len(counts) == 118**2
         for anchor in list(counts)[::97]:
             lattice = rectilinear_lattice(t, anchor)
-            assert counts[anchor] == count_in_window(lattice, emb.lo, emb.hi)
+            assert counts[anchor] == count_in_window(lattice, lo, hi)
 
     def test_max_strength_needs_no_quadratic_array(self):
         counts = anchor_raw_counts(GridDims(3, 3), 10_000)

@@ -14,7 +14,6 @@ from gridcast import (
     PatternVerdict,
     TowerSet,
     count_in_window,
-    lattice_contains,
     rectilinear_lattice,
     signal,
     towers_in_window,
@@ -54,18 +53,18 @@ def brute_force_members(lattice, coeff_range=25):
 class TestRectilinearLattice:
     def test_t3_tower_positions(self):
         lattice = rectilinear_lattice(3)
-        for point in ((0, 0), (2, 2), (4, 0), (0, 4)):
-            assert lattice_contains(lattice, Coord(*point))
+        for v in (Coord(0, 0), Coord(2, 2), Coord(4, 0), Coord(0, 4)):
+            assert count_in_window(lattice, v, v) == 1
 
     def test_t4_through_anchor(self):
         lattice = rectilinear_lattice(4, Coord(0, 3))
-        for point in ((3, 6), (6, 3), (3, 0), (6, 9)):
-            assert lattice_contains(lattice, Coord(*point))
+        for v in (Coord(3, 6), Coord(6, 3), Coord(3, 0), Coord(6, 9)):
+            assert count_in_window(lattice, v, v) == 1
 
     def test_non_members(self):
         lattice = rectilinear_lattice(3)
-        assert not lattice_contains(lattice, Coord(1, 1))
-        assert not lattice_contains(lattice, Coord(2, 0))
+        for v in (Coord(1, 1), Coord(2, 0)):
+            assert count_in_window(lattice, v, v) == 0
 
     def test_rejects_small_strength(self):
         with pytest.raises(ValueError):
@@ -87,7 +86,8 @@ class TestRectilinearLattice:
 class TestLatticeContains:
     def test_far_member_matches_brute_force(self):
         lattice = rectilinear_lattice(3)
-        assert lattice_contains(lattice, Coord(200, -196))
+        v = Coord(200, -196)
+        assert count_in_window(lattice, v, v) == 1
         assert Coord(200, -196) in brute_force_members(lattice, coeff_range=120)
 
     @given(
@@ -102,7 +102,7 @@ class TestLatticeContains:
     def test_agrees_with_brute_force(self, t, shear, ax, ay, vx, vy):
         lattice = DiamondLattice(t=t, anchor=Coord(ax, ay), shear=shear)
         v = Coord(vx, vy)
-        assert lattice_contains(lattice, v) == (v in brute_force_members(lattice))
+        assert (count_in_window(lattice, v, v) == 1) == (v in brute_force_members(lattice))
 
 
 class TestTowersInWindow:
@@ -147,7 +147,7 @@ class TestTowersInWindow:
             Coord(x, y)
             for x in range(lo.x, hi.x + 1)
             for y in range(lo.y, hi.y + 1)
-            if lattice_contains(lattice, Coord(x, y))
+            if count_in_window(lattice, Coord(x, y), Coord(x, y)) == 1
         }
         assert got == expected
         assert count_in_window(lattice, lo, hi) == len(expected)
@@ -308,9 +308,9 @@ class TestValidatePattern:
             box = box_vertices(*pattern_box(lattice))
             for vx in range(-4, 5):
                 for vy in range(-4, 5):
+                    shifts = (Coord(1 + vx - b.x, -2 + vy - b.y) for b in box)
                     assert any(
-                        lattice_contains(lattice, Coord(1 + vx - b.x, -2 + vy - b.y))
-                        for b in box
+                        count_in_window(lattice, c, c) == 1 for c in shifts
                     ), (shear, vx, vy)
 
     @pytest.mark.parametrize(
