@@ -17,12 +17,12 @@ import numpy as np
 
 from .bounds import upper_t2
 from .grid import (
-    MAX_STRENGTH,
     BroadcastParams,
     Coord,
     GridDims,
     TowerSet,
     check_broadcast,
+    check_strength,
     coords_of,
 )
 from .lattice import (
@@ -81,13 +81,14 @@ def path_construct(dims: GridDims, t: int) -> ConstructionResult:
 
     Along the path's length L, k = ceil((L+1) / (2(t-1))) towers start at
     t-2; the final position is clamped to the last vertex when the spacing
-    overshoots. Raises ValueError for any other grid, or t outside
-    [3, MAX_STRENGTH]. The result is verified before being returned.
+    overshoots. Raises ValueError for any other grid, or for t outside
+    [3, MAX_STRENGTH] (through grid.check_strength, which also keeps the
+    int64 positions from overflowing). The result is verified before being
+    returned.
     """
     if dims.m > 1 and dims.n > 1:
         raise ValueError(f"path construction requires m or n of 1, got {dims.m}x{dims.n}")
-    if not 3 <= t <= MAX_STRENGTH:
-        raise ValueError(f"path construction requires 3 <= t <= {MAX_STRENGTH}, got {t}")
+    check_strength(t, least=3)
     length = max(dims.m, dims.n)
     spacing = 2 * (t - 1)
     k = -((-(length + 1)) // spacing)
@@ -190,14 +191,11 @@ def anchor_raw_counts(dims: GridDims, t: int) -> AnchorCounts:
     are exactly the points whose x is congruent to a.x + p(t-1) and whose y
     is congruent to a.y + p(t-1) modulo 2(t-1): a product set. So the count
     at a is the sum over p of two per-axis residue counts multiplied, exact
-    in integer arithmetic with no per-anchor loop. Grids over MAX_CELLS
-    (refused by GridDims) and t outside [3, MAX_STRENGTH] (refused here)
-    never get this far, which keeps every count in int64.
+    in integer arithmetic with no per-anchor loop. Grids over MAX_CELLS are
+    refused by GridDims, and t outside [3, MAX_STRENGTH] by
+    grid.check_strength here, which keeps every count in int64.
     """
-    if t < 3:
-        raise ValueError(f"construction requires t >= 3, got {t}")
-    if t > MAX_STRENGTH:
-        raise ValueError(f"construction requires t <= {MAX_STRENGTH}, got {t}")
+    check_strength(t, least=3)
     halo = t - 2
     step = t - 1
     period = 2 * step
@@ -219,8 +217,6 @@ def best_anchor_construct(dims: GridDims, t: int) -> ConstructionResult:
     lexicographically least); only the winning anchor is fully constructed
     and verified, the sweep itself needs nothing but the counts.
     """
-    if t < 3:
-        raise ValueError(f"construction requires t >= 3, got {t}")
     if dims.m > 1 and dims.n > 1:
         counts = anchor_raw_counts(dims, t)
         best_anchor = counts.best_anchor()

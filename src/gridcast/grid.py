@@ -29,6 +29,12 @@ MAX_STRENGTH = 10_000
 MAX_CELLS = 2**25
 
 
+def check_strength(t: int, least: int = 1) -> None:
+    """Refuse a tower strength t outside [least, MAX_STRENGTH] with ValueError."""
+    if not least <= t <= MAX_STRENGTH:
+        raise ValueError(f"strength t must be in [{least}, {MAX_STRENGTH}], got {t}")
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Coord:
     """Integer lattice point (x, y).
@@ -72,8 +78,7 @@ class BroadcastParams:
     r: int
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"signal strength t must be >= 1, got {self.t}")
+        check_strength(self.t)
         if self.r < 1:
             raise ValueError(f"required signal r must be >= 1, got {self.r}")
 
@@ -229,14 +234,13 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     large t: each tower's diamond is stamped on its own. The cheaper one is
     chosen from the grid size, t and the tower count.
     """
-    if t < 1:
-        raise ValueError(f"signal strength t must be >= 1, got {t}")
+    check_strength(t)
     if not isinstance(towers, (TowerSet, np.ndarray)):
         towers = list(towers)
-    if t > MAX_STRENGTH or len(towers) > MAX_CELLS:
+    if len(towers) > MAX_CELLS:
         raise ValueError(
-            f"inputs exceed documented bounds (t <= {MAX_STRENGTH}, "
-            f"|towers| <= {MAX_CELLS}); signal totals could overflow"
+            f"inputs exceed documented bounds (|towers| <= {MAX_CELLS}); "
+            "signal totals could overflow"
         )
     xy = _as_xy(towers)
     m, n = dims.m, dims.n
@@ -307,10 +311,10 @@ def check_broadcast(
     scan of the flattened field, whose ascending indices x*n + y are already
     in (x, y) order, split back into coordinates by divmod with n. Towers
     given as any other iterable than a TowerSet or an array are read once,
-    into a list, so an iterator's outside towers are still reported.
+    into an int64 array, so an iterator's outside towers are still reported.
     """
     if not isinstance(towers, (TowerSet, np.ndarray)):
-        towers = list(towers)
+        towers = _as_xy(towers)
     values = signal_field(dims, params.t, towers).view(np.ndarray).reshape(-1)
     flat = np.flatnonzero(values < params.r)
     short = np.stack(divmod(flat, dims.n), axis=1)

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import (
-    MAX_CELLS, MAX_STRENGTH, BroadcastParams, Coord, GridDims, TowerSet, check_broadcast,
+    MAX_CELLS, BroadcastParams, Coord, GridDims, TowerSet, check_broadcast, check_strength,
 )
 
 __all__ = [
@@ -52,10 +52,7 @@ class DiamondLattice:
     shear: int
 
     def __post_init__(self) -> None:
-        if self.t < 3:
-            raise ValueError(f"lattice strength t must be >= 3, got {self.t}")
-        if self.t > MAX_STRENGTH:
-            raise ValueError(f"lattice strength t must be <= {MAX_STRENGTH}, got {self.t}")
+        check_strength(self.t, least=3)
 
     @property
     def basis_u(self) -> Coord:

@@ -92,16 +92,32 @@ class TestConstructCommand:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            ("construct --m 1 --n 5 --t 2", "construction requires t >= 3, got 2"),
-            ("construct --m 1 --n 5 --t 10001",
-             "path construction requires 3 <= t <= 10000, got 10001"),
-            ("construct --m 5 --n 5 --t 2", "construction requires t >= 3, got 2"),
-            ("construct --m 5 --n 5 --t 10001", "construction requires t <= 10000, got 10001"),
-            ("sweep --m-range 2:3 --n-range 2:3 --t 2", "construction requires t >= 3, got 2"),
+            ("construct --m 1 --n 5 --t 2", "strength t must be in [3, 10000], got 2"),
+            ("construct --m 5 --n 5 --t 2", "strength t must be in [3, 10000], got 2"),
+            ("sweep --m-range 2:3 --n-range 2:3 --t 2", "strength t must be in [3, 10000], got 2"),
+            ("construct --m 1 --n 5 --t 10001", "strength t must be in [3, 10000], got 10001"),
+            ("construct --m 5 --n 5 --t 10001", "strength t must be in [3, 10000], got 10001"),
+            ("sweep --m-range 2:3 --n-range 2:3 --t 10001",
+             "strength t must be in [3, 10000], got 10001"),
+            ("construct --m 5 --n 5 --t 2 --anchor 0,0",
+             "strength t must be in [3, 10000], got 2"),
+            ("construct --m 5 --n 5 --t 10001 --anchor 0,0",
+             "strength t must be in [3, 10000], got 10001"),
+            ("density --t 2 --side 8", "strength t must be in [3, 10000], got 2"),
+            ("density --t 10001 --side 8", "strength t must be in [3, 10000], got 10001"),
+            ("exact --m 3 --n 3 --t 0 --r 2", "strength t must be in [1, 10000], got 0"),
+            ("exact --m 3 --n 3 --t 10001 --r 2", "strength t must be in [1, 10000], got 10001"),
+            ("verify {doc}", "strength t must be in [1, 10000], got 10001"),
+            ("render {doc}", "strength t must be in [1, 10000], got 10001"),
+            ("bounds --m 3 --n 3 --t 2", "(t,2) bounds require t >= 3, got 2"),
         ],
     )
-    def test_strength_refusal_bytes(self, capsys, argv, message):
-        assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+    def test_strength_refusal_bytes(self, capsys, tmp_path, argv, message):
+        # {doc} is a 3x3 document at t=10001, one past the strength cap.
+        doc = tmp_path / "strong.json"
+        doc.write_text('{"m":3,"n":3,"t":10001,"r":2,"towers":[]}', encoding="utf-8")
+        argv = [str(doc) if arg == "{doc}" else arg for arg in argv.split()]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_failed_internal_verification_exits_1(self, capsys):
         # valid sheared pattern whose halo does not dominate this grid

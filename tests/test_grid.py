@@ -147,12 +147,25 @@ class TestSignalField:
         assert not grid._shift_is_cheaper(3, 3, grid.MAX_STRENGTH, grid.MAX_CELLS)
 
     def test_overflow_guard(self):
-        with pytest.raises(ValueError, match="documented bounds"):
+        with pytest.raises(ValueError, match=r"^strength t must be in \[1, 10000\], got 10001$"):
             signal_field(GridDims(2, 2), 10_001, TowerSet([Coord(0, 0)]))
-        # A zero-stride view: MAX_CELLS + 1 rows without allocating them.
-        too_many = np.broadcast_to(np.zeros((1, 2), dtype=np.int64), (grid.MAX_CELLS + 1, 2))
-        with pytest.raises(ValueError, match="documented bounds"):
-            signal_field(GridDims(2, 2), 3, too_many)
+        # Zero-stride views: MAX_CELLS + 1 rows without allocating them. The
+        # count is refused before any conversion, so the int32 view is never
+        # copied to the 512 MiB int64 array it would become.
+        for dtype in (np.int64, np.int32):
+            too_many = np.broadcast_to(np.zeros((1, 2), dtype=dtype), (grid.MAX_CELLS + 1, 2))
+            for check in (
+                lambda: signal_field(GridDims(2, 2), 3, too_many),
+                lambda: check_broadcast(GridDims(2, 2), BroadcastParams(3, 2), too_many),
+            ):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match=r"^inputs exceed documented bounds"):
+                        check()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2**20
 
     def test_more_than_a_million_towers_are_accepted(self):
         # The first 1 000 001 vertices of a 1001x1000 grid, each a tower.

@@ -74,7 +74,7 @@ class TestRectilinearLattice:
 
     def test_rejects_strength_over_the_cap(self):
         assert rectilinear_lattice(MAX_STRENGTH).t == MAX_STRENGTH
-        with pytest.raises(ValueError, match="must be <= 10000"):
+        with pytest.raises(ValueError, match=r"^strength t must be in \[3, 10000\], got 10001$"):
             DiamondLattice(t=MAX_STRENGTH + 1, anchor=Coord(0, 0), shear=1)
 
     def test_basis(self):
