@@ -116,7 +116,9 @@ def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> Construction
     moved = (clamped != raw.xy).any(axis=1)
     replacements = tuple(zip(coords_of(raw.xy[moved]), coords_of(clamped[moved])))
     # raw holds distinct towers, so the set shrinks iff a replacement landed
-    # on a kept tower or on another replacement.
+    # on a kept tower or on another replacement. Clamping a rectilinear
+    # pattern keeps raw's (x, y) order, since at most one of its columns lies
+    # in each halo strip plus the grid edge, so this TowerSet sorts nothing.
     towers = TowerSet(clamped)
     if len(towers) != len(raw):
         raise ConstructionInvariantError(

@@ -4,11 +4,15 @@ A document is one flat JSON object with keys in fixed order (m, n, t, r,
 towers, metadata), towers sorted lexicographically, UTF-8, one line. The
 byte-exact output makes golden-file tests possible; parse(serialize(d)) == d.
 
-The tower list is written by one printf-style ``%`` pass: fill() repeats a
-"[%d,%d]" template once per tower and fills it from the row-major coordinate
-array, so no Python-level call is made per tower. The SVG renderer writes its
-grid lines, vertex dots and towers through the same fill. The metadata is
-kept in the fixed key order and written by one ``json.dumps``.
+The tower list is written by a numpy digit writer into one byte buffer, so
+no Python-level call is made per tower or per coordinate. Each coordinate's
+width (digits, plus one for a sign) comes from one ``searchsorted`` on the
+powers of ten; cumulative widths place the brackets and commas, signs are
+set by index, and each digit place is written in one vectorised pass. The
+magnitudes are uint64, so every int64 coordinate is written, -2**63
+included. fill(), a printf-style ``%`` template pass, now serves only the
+SVG renderer. The metadata is kept in the fixed key order and written by one
+``json.dumps``.
 
 On reading, the tower list is checked in whole-list passes (every entry a
 list, every length 2, every coordinate an int and not a bool). Only when a
@@ -89,10 +93,45 @@ def fill(template: str, sep: str, count: int, values: Iterable) -> str:
     return sep.join([template] * count) % tuple(values)
 
 
+# 10, 100, ..., 10**18: a magnitude, at most 2**63 < 10**19, has 1 + the
+# number of these <= it digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
+
+
+def _tower_list(xy: np.ndarray) -> str:
+    """'[[x,y],...]' for a (k, 2) int64 array, written into one byte buffer."""
+    flat = xy.ravel()
+    neg = flat < 0
+    # ~v + 1 is the magnitude of a negative v in uint64, -2**63 included.
+    mag = flat.view(np.uint64)
+    mag = np.where(neg, ~mag + 1, mag)
+    width = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1 + neg
+    # Tower i is "[x,y]," from starts[i], after the list's "["; the list's
+    # "]" replaces the last tower's ",".
+    sizes = width[::2] + width[1::2] + 4
+    starts = np.cumsum(sizes) - sizes + 1
+    buf = np.full(1 + max(sizes.sum(), 1), ord(","), dtype=np.uint8)
+    buf[0], buf[-1] = ord("["), ord("]")
+    buf[starts] = ord("[")
+    buf[starts + sizes - 2] = ord("]")
+    fields = np.empty_like(flat)  # where each coordinate's text starts
+    fields[::2] = starts + 1
+    fields[1::2] = starts + 2 + width[::2]
+    buf[fields[neg]] = ord("-")
+    # One pass per digit place, last digits first, over the numbers that have one.
+    pos = fields + width - 1
+    ten = np.uint64(10)
+    while len(mag):
+        quotient = mag // ten
+        buf[pos] = (mag - quotient * ten).astype(np.uint8) + ord("0")
+        more = quotient > 0
+        mag, pos = quotient[more], pos[more] - 1
+    return buf.tobytes().decode("ascii")
+
+
 def serialize_document(doc: BroadcastDocument) -> str:
     header = json.dumps({"m": doc.m, "n": doc.n, "t": doc.t, "r": doc.r}, separators=(",", ":"))
-    xy = doc.towers.xy
-    text = f'{header[:-1]},"towers":[{fill("[%d,%d]", ",", len(xy), xy.ravel().tolist())}]'
+    text = f'{header[:-1]},"towers":{_tower_list(doc.towers.xy)}'
     if doc.metadata:
         text += ',"metadata":' + json.dumps(doc.metadata, separators=(",", ":"))
     return text + "}\n"

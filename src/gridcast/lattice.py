@@ -19,12 +19,17 @@ t-1 that tower supplies >= 2. An offset of exactly t-1 puts the vertex midway
 between two lines, or between two towers on one line, so two towers at
 distance t-1 supply 1 each. validate_pattern confirms it with the grid
 verifier, check_broadcast, on one finite box per pattern.
+
+towers_in_window walks the window column by column, so it builds its tower
+array in (x, y) order for every shear and TowerSet keeps it without a sort.
+count_in_window never materializes towers and walks lattice rows instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -107,19 +112,47 @@ def _window_rows(lattice: DiamondLattice, x0: int, x1: int, y0: int, y1: int):
 
 
 def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
-    """All towers with lo <= (x, y) <= hi componentwise, canonically ordered."""
+    """All towers with lo <= (x, y) <= hi componentwise, canonically ordered.
+
+    The walk goes column by column, so the array it builds is already in
+    (x, y) order and TowerSet keeps it without sorting. With s = t-1,
+    c = shear mod s and g = gcd(s, c), a tower in column x solves
+    a*s + b*c = x - ax and lies at y = ay + (x - ax) - 2s*b. Only columns
+    with g | (x - ax) hold towers; b is fixed mod s/g, by
+    b0 = (x - ax)/g * (c/g)^-1 mod s/g, so the column's y values step by
+    P = 2s^2/g from ay + (x - ax) - 2s*b0 (the rectilinear c = 0 has g = s
+    and P = 2s). Each column's x, first y and tower count are computed as
+    arrays relative to the window corner.
+    """
     if lo.x > hi.x or lo.y > hi.y:
         raise ValueError(f"inverted window: {lo} .. {hi}")
-    rows = np.array(list(_window_rows(lattice, lo.x, hi.x, lo.y, hi.y)), dtype=np.int64)
-    rows = rows.reshape(-1, 3)  # (0, 3) when no row meets the window
-    lengths = rows[:, 2]
-    # A tower's index along its row; both coordinates grow by t-1 per tower.
+    s = lattice.t - 1
+    c = lattice.shear % s
+    g = gcd(s, c)
+    cycle, period = s // g, 2 * s * s // g
+    ax, ay = lattice.anchor.x, lattice.anchor.y
+    # Columns holding towers: lo.x + first + g*j, whose x - ax is g*(q0 + j).
+    first = (ax - lo.x) % g
+    j = np.arange((hi.x - lo.x - first) // g + 1)
+    q0 = (lo.x + first - ax) // g
+    b0 = ((q0 % cycle + j) * pow(c // g, -1, cycle)) % cycle
+    dx = first + g * j
+    # y - lo.y of each column's lowest tower at or above lo.y, and its tower count.
+    dy = ((ay - lo.y + lo.x - ax) % period + dx - 2 * s * b0) % period
+    lengths = np.maximum((hi.y - lo.y - dy) // period + 1, 0)
+    # A tower's index along its column; y grows by the period per tower.
     along = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return TowerSet(np.repeat(rows[:, :2], lengths, axis=0) + (along * (lattice.t - 1))[:, None])
+    xy = np.empty((len(along), 2), dtype=np.int64)
+    xy[:, 0] = np.repeat(dx, lengths) + lo.x
+    xy[:, 1] = np.repeat(dy, lengths) + along * period + lo.y
+    return TowerSet(xy)
 
 
 def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
     """Number of towers in the window, without materializing them, in O(t).
+
+    Its strips are 2(t-1)^2 wide, so it walks lattice rows (O(t) of them); a
+    column walk would visit O(t^2/g) columns, g = gcd(t-1, shear mod t-1).
 
     The basis determinant D = 2(t-1)^2 puts (D, 0) and (0, D) in the lattice,
     so every D x D block holds D^2 / D = D towers, and a W x H window with

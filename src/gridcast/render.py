@@ -9,10 +9,11 @@ into an n x (m+1) array whose last column holds the newlines, and decodes it
 once. The svg view is a header plus five template fills (vertical lines,
 horizontal lines, vertex dots, tower diamonds, tower dots) through the
 document writer's fill(), so no format call is made per vertex or per tower.
-Its pixel coordinates stay Python ints: a document's t and tower coordinates
-are unbounded, and int64 pixel arithmetic would overflow from |x| ~ 3.8e17.
-The svg view refuses grids of more than 2**20 vertices: it is O(mn) text, and
-its memory peaks at about 160 B per vertex, so 160 MiB at the cap.
+Its pixel coordinates stay Python ints: tower coordinates span int64, and
+int64 pixel arithmetic would overflow from |x| ~ 3.8e17. The svg view
+refuses grids of more than 2**20 vertices: it is O(mn) text, and its memory
+peaks at about 160 B per vertex, so 160 MiB at the cap. Like the ascii view,
+it refuses a strength outside [1, MAX_STRENGTH].
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import chain, product
 import numpy as np
 
 from .document import BroadcastDocument, fill
-from .grid import BroadcastParams, BroadcastVerdict, GridDims, check_broadcast
+from .grid import BroadcastParams, BroadcastVerdict, GridDims, check_broadcast, check_strength
 
 _CELL = 24  # svg pixels per grid step
 _SVG_MAX_CELLS = 2**20
@@ -50,9 +51,11 @@ def render_ascii(doc: BroadcastDocument) -> str:
 def render_svg(doc: BroadcastDocument) -> str:
     """Grid, towers, and one diamond outline (radius t-1) per tower.
 
-    Raises ValueError for a grid of more than 2**20 vertices.
+    Raises ValueError for a grid of more than 2**20 vertices, or for a strength
+    the ascii view refuses too (grid.check_strength).
     """
     GridDims(doc.m, doc.n)  # refuses a grid over the cell cap before drawing
+    check_strength(doc.t)
     if doc.m * doc.n > _SVG_MAX_CELLS:
         raise ValueError(f"svg output is limited to {_SVG_MAX_CELLS} vertices, got {doc.m}x{doc.n}")
     # Pixel column of x = 0..m-1 and pixel row of y = 0..n-1 (y runs downward),

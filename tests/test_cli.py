@@ -85,15 +85,12 @@ class TestConstructCommand:
         )
         assert code == 2
 
-    def test_small_t_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "construct", "--m", "6", "--n", "6", "--t", "2")
-        assert code == 2
-
     @pytest.mark.parametrize(
         "argv,message",
         [
             ("construct --m 1 --n 5 --t 2", "strength t must be in [3, 10000], got 2"),
             ("construct --m 5 --n 5 --t 2", "strength t must be in [3, 10000], got 2"),
+            ("construct --m 6 --n 6 --t 2", "strength t must be in [3, 10000], got 2"),
             ("sweep --m-range 2:3 --n-range 2:3 --t 2", "strength t must be in [3, 10000], got 2"),
             ("construct --m 1 --n 5 --t 10001", "strength t must be in [3, 10000], got 10001"),
             ("construct --m 5 --n 5 --t 10001", "strength t must be in [3, 10000], got 10001"),
@@ -726,7 +723,7 @@ RENDER_DOCUMENTS = {
         "m": 6, "n": 4, "t": 3, "r": 2, "towers": [[-2, 1], [1, 1], [7, 3], [2**62, -(2**62)]]
     },
     "empty": {"m": 5, "n": 3, "t": 3, "r": 2, "towers": []},
-    # Pixel coordinates far beyond int64; the ascii view refuses t > MAX_STRENGTH.
+    # A strength far beyond MAX_STRENGTH, which both views refuse.
     "huge-t": {"m": 3, "n": 2, "t": 10**30, "r": 2, "towers": [[1, 1]]},
 }
 
@@ -750,7 +747,6 @@ RENDER_DIGESTS = [
     ("outside", "svg", "6e33902533d826a3bd07a94c22949c5c0713dd45e161aa1416f530001734dac4"),
     ("empty", "ascii", "92cfded6ad6f2bbceb1c7dde858f117a7575159d1c125c9eb11d34bb9cc14865"),
     ("empty", "svg", "177b8908617a4b1f53bd0050be84bf02638e597d4afaa8b81708f89b887e1637"),
-    ("huge-t", "svg", "e2483c18485e95fa3f967428b7813f03484823df083f126669bb7c615092ec40"),
 ]
 
 
@@ -768,6 +764,13 @@ def test_render_ascii_refuses_huge_strength(capsys, tmp_path):
     code, out, err = run_cli(capsys, "render", render_document(capsys, tmp_path, "huge-t"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_render_svg_refuses_huge_strength(capsys, tmp_path):
+    path = render_document(capsys, tmp_path, "huge-t")
+    assert run_cli(capsys, "render", path, "--format", "svg") == (
+        2, "", f"error: strength t must be in [1, 10000], got {10**30}\n"
+    )
 
 
 def test_render_svg_allocates_little_beyond_its_output(capsys, tmp_path):

@@ -315,6 +315,24 @@ class TestClosedFormSweep:
         with pytest.raises(ConstructionInvariantError, match="closed-form count 7"):
             best_anchor_construct(GridDims(12, 6), 4)
 
+    @pytest.mark.parametrize("side,t", [(580, 3), (720, 4)])
+    def test_rectilinear_best_anchor_sorts_nothing(self, monkeypatch, side, t):
+        # towers_in_window builds its towers in (x, y) order and clamping a
+        # rectilinear pattern keeps it, so neither TowerSet lexsorts.
+        sorted_lengths = []
+        real = np.lexsort
+
+        def spy(keys, *args, **kwargs):
+            sorted_lengths.append(len(keys[0]))
+            return real(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        TowerSet(np.array([[1, 0], [0, 0]]))
+        assert sorted_lengths == [2]  # the spy sees TowerSet's sort
+        result = best_anchor_construct(GridDims(side, side), t)
+        assert result.generator == "best-anchor" and result.replacements
+        assert sorted_lengths == [2]
+
 
 class TestConstructDispatcher:
     def test_single_vertex(self):

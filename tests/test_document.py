@@ -60,6 +60,22 @@ class TestSerialization:
         doc = make_doc(towers=TowerSet(), metadata={})
         assert serialize_document(doc) == '{"m":5,"n":1,"t":4,"r":2,"towers":[]}\n'
 
+    def test_digit_widths_and_int64_extremes(self):
+        # Every digit-count boundary the writer places, and both int64 ends.
+        towers = [(-(2**63), 2**63 - 1), (-1, 0), (9, 10), (99, 100)]
+        doc = make_doc(m=3, n=3, towers=np.array(towers, dtype=np.int64), metadata={})
+        assert serialize_document(doc) == (
+            '{"m":3,"n":3,"t":4,"r":2,"towers":[[-9223372036854775808,9223372036854775807],'
+            '[-1,0],[9,10],[99,100]]}\n'
+        )
+
+    def test_towers_far_outside_the_grid(self):
+        doc = make_doc(m=6, n=4, t=3, towers=[Coord(-2, 1), Coord(2**62, -(2**62))], metadata={})
+        assert serialize_document(doc) == (
+            '{"m":6,"n":4,"t":3,"r":2,"towers":[[-2,1],'
+            '[4611686018427387904,-4611686018427387904]]}\n'
+        )
+
     def test_round_trip_identity(self):
         doc = make_doc(metadata={"anchor": (0, 2), "raw_count": 7, "generator": "best-anchor"})
         assert parse_document(serialize_document(doc)) == doc

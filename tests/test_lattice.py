@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,37 @@ class TestTowersInWindow:
         }
         assert got == expected
         assert count_in_window(lattice, lo, hi) == len(expected)
+
+    @given(
+        t=st.integers(3, 6),
+        shear=st.integers(-2, 8),
+        ax=st.integers(-3, 3),
+        ay=st.integers(-3, 3),
+        x0=st.integers(-12, 6),
+        y0=st.integers(-12, 6),
+        width=st.integers(0, 14),
+        height=st.integers(0, 14),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_builds_its_array_in_order(self, t, shear, ax, ay, x0, y0, width, height):
+        # The column walk hands TowerSet the brute-force members, distinct and
+        # already sorted by (x, y), which TowerSet keeps without a sort.
+        lattice = DiamondLattice(t=t, anchor=Coord(ax, ay), shear=shear)
+        lo, hi = Coord(x0, y0), Coord(x0 + width, y0 + height)
+        built = []
+
+        def spy(xy):
+            built.append(xy.copy())
+            return TowerSet(xy)
+
+        with patch.object(lattice_module, "TowerSet", spy):
+            towers_in_window(lattice, lo, hi)
+        (xy,) = built
+        # A tower here has |x - ax|, |y - ay| <= 23, so |b| = |dx - dy| / 2(t-1) <= 9
+        # and |a| = |dx - b*shear| / (t-1) <= 47.
+        members = brute_force_members(lattice, coeff_range=47)
+        inside = [c for c in members if lo.x <= c.x <= hi.x and lo.y <= c.y <= hi.y]
+        assert [Coord(*p) for p in xy.tolist()] == sorted(inside)
 
     @given(
         t=st.integers(3, 6),
