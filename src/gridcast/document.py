@@ -14,16 +14,25 @@ included. fill(), a printf-style ``%`` template pass, now serves only the
 SVG renderer. The metadata is kept in the fixed key order and written by one
 ``json.dumps``.
 
-On reading, the tower list is checked in whole-list passes (every entry a
-list, every length 2, every coordinate an int and not a bool). Only when a
-pass fails are the pairs walked one by one, to name the first bad one. A
-repeated key in any object, or nesting too deep for the JSON decoder, is a
-DocumentError.
+On reading, a canonical tower list, as serialize_document writes it after
+the header it writes, is read by a numpy byte reader. The list is one uint8
+buffer; its numbers are the runs of digits and "-", the bytes between them
+must be exactly "[[", ",", "],[" and "]]" in turn, and each digit place is
+converted in one vectorised pass. json.loads then reads the document with
+that list blanked to "[", spaces and "]", so the header and metadata checks,
+repeated keys and the positions in JSON errors are exactly those of a whole
+read. Any other text (other key orders, whitespace, 19-digit coordinates,
+anything malformed) is read whole by json.loads, and its tower list is
+checked in whole-list passes (every entry a list, every length 2, every
+coordinate an int and not a bool). Only when a pass fails are the pairs
+walked one by one, to name the first bad one. A repeated key in any object,
+or nesting too deep for the JSON decoder, is a DocumentError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
@@ -171,7 +180,96 @@ def _tower_array(towers: list) -> np.ndarray:
         raise DocumentError("tower coordinates must fit in 64-bit integers") from None
 
 
+# What serialize_document writes before the tower list.
+_CANONICAL_HEAD = re.compile(r'\{"m":[0-9]+,"n":[0-9]+,"t":[0-9]+,"r":[0-9]+,"towers":\[')
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so every such number fits in int64
+
+
+def _read_tower_list(text: str) -> tuple[int, int, np.ndarray] | None:
+    """Where the canonical tower list of ``text`` starts and ends, and its array.
+
+    The text must start as serialize_document writes it, up to the list. A
+    canonical list is ``[]`` or ``[[x,y],...,[x,y]]`` with no whitespace,
+    each number an optional ``-`` and 1 to 18 digits without a leading zero;
+    it ends at its first ``]]``. Anything else gives None. Arrays with one
+    entry per byte are bool or uint8, int64 ones have one entry per number,
+    and each is dropped once used, which keeps the peak of a large list low.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if not head:
+        return None
+    start = head.end() - 1
+    if text.startswith("[]", start):
+        return start, start + 2, np.empty((0, 2), dtype=np.int64)
+    # A non-ASCII character becomes "?", which no canonical list holds.
+    rest = np.frombuffer(text[start:].encode("ascii", "replace"), dtype=np.uint8)
+    close = rest == ord("]")
+    pair = close[:-1] & close[1:]
+    if not pair.any():
+        return None
+    size = int(pair.argmax()) + 2
+    del close, pair
+    buf = rest[:size]
+    number = buf == ord("-")
+    minus_count = np.count_nonzero(number)
+    number |= buf - np.uint8(ord("0")) < 10
+    # The numbers are the runs of digits and "-". buf starts and ends with a
+    # bracket, so the edges of the runs pair up as (first, stop).
+    edges = np.flatnonzero(number[1:] != number[:-1])
+    edges += 1
+    del number
+    first, stop = edges[::2], edges[1::2]
+    if not len(edges) or len(edges) % 4:
+        return None
+    # Between the numbers lie "[[" x "," y "],[" x "," y ... "]]": buf[0] is
+    # the "[" before the list and buf[-2:] the "]]" after it.
+    gap = first[1:] - stop[:-1]
+    if not (
+        first[0] == 2
+        and stop[-1] == size - 2
+        and (gap[::2] == 1).all()
+        and (gap[1::2] == 3).all()
+        and (buf[first[::2] - 1] == ord("[")).all()
+        and (buf[stop[::2]] == ord(",")).all()
+        and (buf[stop[1::2]] == ord("]")).all()
+        and (buf[stop[1:-1:2] + 1] == ord(",")).all()
+    ):
+        return None
+    del gap
+    negative = buf[first] == ord("-")
+    width = stop - first
+    width -= negative
+    if (
+        minus_count != np.count_nonzero(negative)
+        or width.min() < 1
+        or width.max() > _MAX_DIGITS
+        or ((width > 1) & (buf[stop - width] == ord("0"))).any()
+    ):
+        return None
+    width = width.astype(np.uint8)
+    at = stop - 1
+    del edges, first, stop
+    digit = buf - np.uint8(ord("0"))
+    del buf, rest
+    # One pass per digit place, last digits first. Before a number's first
+    # digit the mask is False; take clips the indices that run off the front.
+    value = digit[at].astype(np.int64)
+    for place in range(1, int(width.max())):
+        at -= 1
+        shown = np.take(digit, at, mode="clip") * (width > place)
+        value += shown * np.int64(10**place)
+    np.negative(value, out=value, where=negative)
+    return start, start + size, value.reshape(-1, 2)
+
+
 def parse_document(text: str) -> BroadcastDocument:
+    # A canonical tower list is read by _read_tower_list; json.loads then reads
+    # the document with that list blanked to "[", spaces and "]", so every
+    # other check, and every error's position, is the one of the JSON path.
+    read = _read_tower_list(text)
+    if read is not None:
+        start, end, xy = read
+        text = f"{text[:start]}[{' ' * (end - start - 2)}]{text[end:]}"
     try:
         payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -190,7 +288,7 @@ def parse_document(text: str) -> BroadcastDocument:
     _check_dimensions(*(payload[name] for name in ("m", "n", "t", "r")))
     if not isinstance(payload["towers"], list):
         raise DocumentError("towers must be a list of [x, y] pairs")
-    towers = TowerSet(_tower_array(payload["towers"]))
+    towers = TowerSet(xy if read is not None else _tower_array(payload["towers"]))
 
     return BroadcastDocument(
         m=payload["m"], n=payload["n"], t=payload["t"], r=payload["r"],

@@ -15,6 +15,7 @@ from gridcast import (
     parse_document,
     serialize_document,
 )
+from gridcast import document
 
 
 def make_doc(**overrides):
@@ -315,12 +316,16 @@ class TestWholeListPasses:
     @example(towers=[[0, 0], [2.5, 1], [True, 0]])
     @settings(max_examples=400, deadline=None)
     def test_parse_matches_per_pair_reference(self, towers):
-        text = json.dumps({"m": 3, "n": 3, "t": 3, "r": 2, "towers": towers})
-        expected = outcome(reference_towers, json.loads(text)["towers"])
-        got = outcome(parse_document, text)
-        if got[0] == "ok":
-            got = ("ok", got[1].towers)
-        assert got == expected
+        # Compact separators write the canonical header, so the byte reader
+        # sees every list that it accepts.
+        payload = {"m": 3, "n": 3, "t": 3, "r": 2, "towers": towers}
+        for separators in (None, (",", ":")):
+            text = json.dumps(payload, separators=separators)
+            expected = outcome(reference_towers, json.loads(text)["towers"])
+            got = outcome(parse_document, text)
+            if got[0] == "ok":
+                got = ("ok", got[1].towers)
+            assert got == expected
 
     @given(
         xy=st.lists(st.tuples(int64s, int64s), max_size=12),
@@ -342,3 +347,132 @@ class TestWholeListPasses:
         m, n, t, r = dims
         doc = BroadcastDocument(m=m, n=n, t=t, r=r, towers=towers, metadata=metadata)
         assert serialize_document(doc) == reference_serialize(doc)
+
+
+def json_path_outcome(text):
+    """parse_document's outcome with the byte reader turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(document, "_read_tower_list", lambda text: None)
+        return outcome(parse_document, text)
+
+
+# 18 digits is the byte reader's limit; 10**18 and beyond take the JSON path.
+wide_coordinates = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**18) + 1, 10**18 - 1),
+    st.sampled_from([10**17, 10**18 - 1, -(10**18 - 1), 10**18, -(10**18)]),
+    int64s,
+)
+metadatas = st.fixed_dictionaries(
+    {},
+    optional={
+        "anchor": st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+        "raw_count": st.integers(0, 99),
+        "generator": st.text(max_size=4),
+        "tool_version": st.just("0.1.0"),
+    },
+)
+
+
+def documents(coordinates):
+    return st.builds(
+        lambda dims, xy, metadata: BroadcastDocument(
+            *dims, towers=np.array(xy, dtype=np.int64).reshape(-1, 2), metadata=metadata
+        ),
+        st.tuples(*[st.integers(1, 2**40)] * 4),
+        st.lists(st.tuples(coordinates, coordinates), max_size=8),
+        metadatas,
+    )
+
+
+HEAD = '{"m":3,"n":3,"t":3,"r":2,"towers":'
+NOT_JSON = "not valid JSON"
+AT_38, AT_42 = "line 1 column 38 (char 37)", "line 1 column 42 (char 41)"
+BEYOND_INT64 = "tower coordinates must fit in 64-bit integers"
+
+
+class TestByteReader:
+    @given(doc=documents(wide_coordinates), data=st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_one_byte_mutation_matches_the_json_path(self, doc, data):
+        text = serialize_document(doc)
+        # One branch puts the mutation in the tower list, from its "[" to its "]".
+        start = text.index("[")
+        stop = text.find("]]") + 2 if doc.towers.xy.size else start + 2
+        at = data.draw(st.integers(0, len(text) - 1) | st.integers(start, stop - 1))
+        byte = data.draw(st.sampled_from('0123456789-,[] "'))
+        keep = data.draw(st.sampled_from([at, at + 1]))  # insert, or flip the byte at `at`
+        mutated = text[:at] + byte + text[keep:]
+        assert outcome(parse_document, mutated) == json_path_outcome(mutated)
+
+    @pytest.mark.parametrize(
+        "rest,expected",
+        [
+            ("[[-0,5]]}", ("ok", [(0, 5)])),
+            ("[[01,2]]}", ("error", f"{NOT_JSON}: Expecting ',' delimiter: {AT_38}")),
+            ("[[999999999999999999,-999999999999999999]]}", ("ok", [(10**18 - 1, 1 - 10**18)])),
+            ("[[1000000000000000000,0]]}", ("ok", [(10**18, 0)])),
+            ("[[10000000000000000000,0]]}", ("error", BEYOND_INT64)),
+            ("[[9223372036854775808,0]]}", ("error", BEYOND_INT64)),
+            ("[[-9223372036854775808,0]]}", ("ok", [(-(2**63), 0)])),
+            ("[]}", ("ok", [])),
+            ("[[1]]}", ("error", "tower must be a pair of integers, got [1]")),
+            ("[[0,0]]]}", ("error", f"{NOT_JSON}: Expecting ',' delimiter: {AT_42}")),
+            ('[[0,0]],"towers":[[1,1]]}', ("error", "duplicate key: 'towers'")),
+            ('[[0,0]],"metadata":{"generator":"é✓"}}', ("ok", [(0, 0)])),
+        ],
+    )
+    def test_pinned_cases_match_the_json_path(self, rest, expected):
+        text = HEAD + rest
+        got = outcome(parse_document, text)
+        assert got == json_path_outcome(text)
+        if got[0] == "ok":
+            got = ("ok", [(c.x, c.y) for c in got[1].towers])
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "rest",
+        [
+            "[[1-2,3]]}",
+            "[[--1,2]]}",
+            "[[1,-]]}",
+            "[[1,2]3,[4,5]]}",
+            "[1[,2],[3,4]]}",
+            "[[1,2],[[3,4]]}",
+            "[[1,2], [3,4]]}",
+            "[[1, 2]]}",
+            "[[1,,2]]}",
+            "[[1,2,3]]}",
+            "[[1,2],[3]]}",
+            "[[[1,2]]]}",
+            "[[1,2],]]}",
+            "[[1,2]]",
+            "[[1,2]",
+            "[[1",
+            "[",
+        ],
+    )
+    def test_misplaced_bytes_match_the_json_path(self, rest):
+        assert outcome(parse_document, HEAD + rest) == json_path_outcome(HEAD + rest)
+
+    @given(doc=documents(st.integers(-(10**18) + 1, 10**18 - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_only_other_layouts_reach_the_list_checks(self, doc):
+        # A canonical document never falls back to the slow path; the same
+        # document pretty-printed always takes it.
+        calls = []
+        real = document._tower_array
+
+        def spy(towers):
+            calls.append(len(towers))
+            return real(towers)
+
+        text = serialize_document(doc)
+        pretty = json.dumps(json.loads(text), indent=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(document, "_tower_array", spy)
+            assert parse_document(text) == doc
+            assert calls == []
+            assert parse_document(pretty) == doc
+        assert calls == [len(doc.towers)]
