@@ -23,7 +23,6 @@ from .grid import (
     TowerSet,
     check_broadcast,
     check_strength,
-    coords_of,
 )
 from .lattice import (
     DiamondLattice,
@@ -49,15 +48,23 @@ class ConstructionResult:
     """A verified construction; ``generator`` is "path", "letterbox" or "best-anchor".
 
     raw_count is the tower count of the halo intersection before replacement;
-    replacement preserves cardinality, so len(towers) == raw_count. A path
-    has no pattern: its anchor is None and it has no replacements.
+    replacement preserves cardinality, so len(towers) == raw_count.
+    ``replacements`` is a read-only (k, 2, 2) int64 array: ``[i, 0]`` is the
+    i-th halo tower outside the grid, in the halo window's (x, y) order, and
+    ``[i, 1]`` the grid vertex it was clamped to. A path has no pattern: its
+    anchor is None and its replacements array is empty, of shape (0, 2, 2).
     """
 
     towers: TowerSet
     anchor: Coord | None
     raw_count: int
-    replacements: tuple[tuple[Coord, Coord], ...]
+    replacements: np.ndarray
     generator: str
+
+
+# A path's replacements: none, in the (k, 2, 2) shape of a letterbox's.
+_NONE_MOVED = np.empty((0, 2, 2), dtype=np.int64)
+_NONE_MOVED.flags.writeable = False
 
 
 def _verified(dims: GridDims, t: int, result: ConstructionResult) -> ConstructionResult:
@@ -95,7 +102,7 @@ def path_construct(dims: GridDims, t: int) -> ConstructionResult:
     # The towers run along x on an m x 1 path (1 x 1 included), along y on 1 x n.
     step = (1, 0) if dims.n == 1 else (0, 1)
     towers = TowerSet(np.outer(np.minimum(t - 2 + spacing * np.arange(k), length - 1), step))
-    return _verified(dims, t, ConstructionResult(towers, None, len(towers), (), "path"))
+    return _verified(dims, t, ConstructionResult(towers, None, len(towers), _NONE_MOVED, "path"))
 
 
 def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> ConstructionResult:
@@ -114,7 +121,9 @@ def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> Construction
     raw = towers_in_window(lattice, lo, hi)
     clamped = np.clip(raw.xy, 0, (dims.m - 1, dims.n - 1))
     moved = (clamped != raw.xy).any(axis=1)
-    replacements = tuple(zip(coords_of(raw.xy[moved]), coords_of(clamped[moved])))
+    replacements = np.empty((np.count_nonzero(moved), 2, 2), dtype=np.int64)
+    replacements[:, 0], replacements[:, 1] = raw.xy[moved], clamped[moved]
+    replacements.flags.writeable = False
     # raw holds distinct towers, so the set shrinks iff a replacement landed
     # on a kept tower or on another replacement. Clamping a rectilinear
     # pattern keeps raw's (x, y) order, since at most one of its columns lies

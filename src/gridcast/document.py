@@ -10,8 +10,7 @@ width (digits, plus one for a sign) comes from one ``searchsorted`` on the
 powers of ten; cumulative widths place the brackets and commas, signs are
 set by index, and each digit place is written in one vectorised pass. The
 magnitudes are uint64, so every int64 coordinate is written, -2**63
-included. fill(), a printf-style ``%`` template pass, now serves only the
-SVG renderer. The metadata is kept in the fixed key order and written by one
+included. The metadata is kept in the fixed key order and written by one
 ``json.dumps``.
 
 On reading, a canonical tower list, as serialize_document writes it after
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -95,11 +93,6 @@ def _check_dimensions(*values: object) -> None:
     for name, value in zip(("m", "n", "t", "r"), values):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise DocumentError(f"{name} must be a positive integer, got {value!r}")
-
-
-def fill(template: str, sep: str, count: int, values: Iterable) -> str:
-    """``count`` copies of a printf-style template joined by ``sep``, filled in one ``%``."""
-    return sep.join([template] * count) % tuple(values)
 
 
 # 10, 100, ..., 10**18: a magnitude, at most 2**63 < 10**19, has 1 + the

@@ -83,11 +83,6 @@ class BroadcastParams:
             raise ValueError(f"required signal r must be >= 1, got {self.r}")
 
 
-def coords_of(xy: np.ndarray) -> Iterator[Coord]:
-    """The rows of a (k, 2) integer array as Coords, in row order."""
-    return map(Coord, xy[:, 0].tolist(), xy[:, 1].tolist())
-
-
 def _as_xy(towers: Iterable[Coord] | np.ndarray) -> np.ndarray:
     """Towers as a (k, 2) int64 array, in input order and with duplicates kept."""
     if isinstance(towers, TowerSet):
@@ -135,7 +130,7 @@ class TowerSet:
         return tuple(self)
 
     def __iter__(self) -> Iterator[Coord]:
-        return coords_of(self.xy)
+        return map(Coord, self.xy[:, 0].tolist(), self.xy[:, 1].tolist())
 
     def __len__(self) -> int:
         return len(self.xy)

@@ -87,15 +87,15 @@ def _ceil_div(p: int, q: int) -> int:
 
 
 def _window_rows(lattice: DiamondLattice, x0: int, x1: int, y0: int, y1: int):
-    """Yield (x, y, k) per lattice row in [x0,x1] x [y0,y1]: first tower, tower count.
+    """Yield the tower count of each lattice row meeting [x0,x1] x [y0,y1].
 
     A row holds the towers anchor + a*u + b*w of one b, and along it both
     coordinates grow by t-1. The walk ranges over lattice coefficients rather
     than scanning cells: b is pinned by x - y modulo the basis, and for each b
     the feasible a values form an interval (intersection of the x-window and
     y-window constraints). Shear c and c + (t-1) give the same lattice (w + u
-    replaces w), so the walk uses the shear reduced mod t-1. Each row's first
-    tower lies in the window, so it fits in int64 however large the shear is.
+    replaces w), so the walk uses the shear reduced mod t-1. Rows with no
+    tower in the window are skipped.
     """
     step = lattice.t - 1
     period = 2 * step
@@ -108,7 +108,7 @@ def _window_rows(lattice: DiamondLattice, x0: int, x1: int, y0: int, y1: int):
         a_lo = max(_ceil_div(rx0 - b * wx, step), _ceil_div(ry0 - b * wy, step))
         a_hi = min((rx1 - b * wx) // step, (ry1 - b * wy) // step)
         if a_lo <= a_hi:
-            yield ax + a_lo * step + b * wx, ay + a_lo * step + b * wy, a_hi - a_lo + 1
+            yield a_hi - a_lo + 1
 
 
 def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
@@ -167,8 +167,7 @@ def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
 
     def strip(width: int, height: int) -> int:
         # An empty strip (width or height 0) has no feasible rows.
-        rows = _window_rows(lattice, lo.x, lo.x + width - 1, lo.y, lo.y + height - 1)
-        return sum(k for _, _, k in rows)
+        return sum(_window_rows(lattice, lo.x, lo.x + width - 1, lo.y, lo.y + height - 1))
 
     return (
         qx * qy * period

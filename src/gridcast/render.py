@@ -7,8 +7,8 @@ row (y = n-1) first.
 Each view is written in one pass. The ascii view paints one byte per vertex
 into an n x (m+1) array whose last column holds the newlines, and decodes it
 once. The svg view is a header plus five template fills (vertical lines,
-horizontal lines, vertex dots, tower diamonds, tower dots) through the
-document writer's fill(), so no format call is made per vertex or per tower.
+horizontal lines, vertex dots, tower diamonds, tower dots), each one
+printf-style ``%`` pass, so no format call is made per vertex or per tower.
 Its pixel coordinates stay Python ints: tower coordinates span int64, and
 int64 pixel arithmetic would overflow from |x| ~ 3.8e17. The svg view
 refuses grids of more than 2**20 vertices: it is O(mn) text, and its memory
@@ -18,15 +18,21 @@ it refuses a strength outside [1, MAX_STRENGTH].
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain, product
 
 import numpy as np
 
-from .document import BroadcastDocument, fill
+from .document import BroadcastDocument
 from .grid import BroadcastParams, BroadcastVerdict, GridDims, check_broadcast, check_strength
 
 _CELL = 24  # svg pixels per grid step
 _SVG_MAX_CELLS = 2**20
+
+
+def fill(template: str, sep: str, count: int, values: Iterable) -> str:
+    """``count`` copies of a printf-style template joined by ``sep``, filled in one ``%``."""
+    return sep.join([template] * count) % tuple(values)
 
 
 def document_verdict(doc: BroadcastDocument) -> BroadcastVerdict:

@@ -122,7 +122,8 @@ class TestPathConstruct:
         monkeypatch.setattr(importlib.import_module("gridcast.construct"), "Coord", counted)
         for dims in (GridDims(1001, 1), GridDims(1, 1001)):
             result = best_anchor_construct(dims, 4)
-            assert (result.generator, result.anchor, result.replacements) == ("path", None, ())
+            assert (result.generator, result.anchor) == ("path", None)
+            assert result.replacements.shape == (0, 2, 2)
             assert result.raw_count == len(result.towers) == 167
         assert built == []
 
@@ -133,8 +134,8 @@ class TestLetterboxConstruct:
         assert {(c.x, c.y) for c in result.towers} == KNOWN_12X6_T4_LAYOUT
         assert result.raw_count == 12
         assert len(result.towers) == 12
-        assert len(result.replacements) == 8
-        assert all(c.x in (-2, 13) or c.y in (-2, 7) for c, _ in result.replacements)
+        assert result.replacements.shape == (8, 2, 2)
+        assert all(x in (-2, 13) or y in (-2, 7) for x, y in result.replacements[:, 0].tolist())
 
     def test_14_tower_halo_at_t3(self):
         lattice = rectilinear_lattice(3, Coord(0, 0))
@@ -182,12 +183,13 @@ class TestLetterboxConstruct:
         # cardinality preserved, all towers inside, replacements injective
         assert len(result.towers) == result.raw_count
         assert all(contains(dims, c) for c in result.towers)
-        targets = [to for _, to in result.replacements]
+        pairs = [(Coord(*a), Coord(*b)) for a, b in result.replacements.tolist()]
+        targets = [to for _, to in pairs]
         assert len(set(targets)) == len(targets)
         raw = towers_in_window(rectilinear_lattice(t, Coord(ax, ay)), *halo_window(dims, t))
         kept = {c for c in raw if contains(dims, c)}
         assert set(targets).isdisjoint(kept)
-        for origin, target in result.replacements:
+        for origin, target in pairs:
             assert not contains(dims, origin)
             assert target == clamp_to_grid(origin, dims)
             # moving inward strictly shortens the distance to every grid vertex
@@ -211,6 +213,51 @@ class TestLetterboxConstruct:
         halo_towers = towers_in_window(lattice, *halo_window(dims, t))
         verdict = check_broadcast(dims, BroadcastParams(t, 2), halo_towers)
         assert verdict.valid
+
+
+class TestReplacementArray:
+    @pytest.mark.parametrize(
+        "dims,lattice",
+        [
+            (GridDims(12, 6), rectilinear_lattice(4, Coord(1, 4))),
+            (GridDims(300, 200), DiamondLattice(t=5, anchor=Coord(0, 0), shear=3)),
+        ],
+    )
+    def test_outside_halo_towers_and_their_clamps_in_window_order(self, dims, lattice):
+        replacements = letterbox_construct(dims, lattice).replacements
+        assert replacements.dtype == np.int64
+        assert replacements.ndim == 3 and replacements.shape[1:] == (2, 2)
+        assert len(replacements) > 0
+        assert not replacements.flags.writeable
+        with pytest.raises(ValueError):
+            replacements[0, 0, 0] = 0
+        raw = towers_in_window(lattice, *halo_window(dims, lattice.t)).xy
+        outside = [not contains(dims, Coord(x, y)) for x, y in raw.tolist()]
+        np.testing.assert_array_equal(replacements[:, 0], raw[outside])
+        np.testing.assert_array_equal(
+            replacements[:, 1], np.clip(replacements[:, 0], 0, (dims.m - 1, dims.n - 1))
+        )
+
+    def test_builds_no_coord_per_tower(self, monkeypatch):
+        # A best-anchor construct builds a fixed number of Coords (the anchor
+        # and the halo corners), however many towers it replaces.
+        built = []
+
+        class Counted(Coord):
+            def __init__(self, x, y):
+                built.append((x, y))
+                super().__init__(x, y)
+
+        for name in ("gridcast.construct", "gridcast.grid"):
+            monkeypatch.setattr(importlib.import_module(name), "Coord", Counted)
+        per_side = {}
+        for side in (220, 580):
+            built.clear()
+            result = best_anchor_construct(GridDims(side, side), 3)
+            assert result.generator == "best-anchor"
+            per_side[side] = (len(built), len(result.replacements))
+        assert per_side[220][1] != per_side[580][1]
+        assert per_side[220][0] == per_side[580][0]
 
 
 class TestBestAnchor:
@@ -330,7 +377,7 @@ class TestClosedFormSweep:
         TowerSet(np.array([[1, 0], [0, 0]]))
         assert sorted_lengths == [2]  # the spy sees TowerSet's sort
         result = best_anchor_construct(GridDims(side, side), t)
-        assert result.generator == "best-anchor" and result.replacements
+        assert result.generator == "best-anchor" and len(result.replacements)
         assert sorted_lengths == [2]
 
 
@@ -355,13 +402,15 @@ class TestConstructDispatcher:
 
     def test_result_names_its_generator(self):
         path = best_anchor_construct(GridDims(1, 17), 4)
-        assert (path.generator, path.anchor, path.replacements) == ("path", None, ())
+        assert (path.generator, path.anchor) == ("path", None)
+        assert path.replacements.shape == (0, 2, 2)
         assert path.raw_count == len(path.towers) == 3
         best = best_anchor_construct(GridDims(12, 6), 4)
         assert (best.generator, best.anchor, best.raw_count) == ("best-anchor", Coord(0, 2), 7)
         forced = letterbox_construct(GridDims(12, 6), rectilinear_lattice(4, Coord(0, 2)))
         assert forced.generator == "letterbox"
-        assert (forced.towers, forced.replacements) == (best.towers, best.replacements)
+        assert forced.towers == best.towers
+        np.testing.assert_array_equal(forced.replacements, best.replacements)
 
     @given(m=st.integers(1, 24), n=st.integers(1, 24), t=st.integers(3, 6))
     @settings(max_examples=100, deadline=None)

@@ -260,8 +260,7 @@ class TestWindowDensity:
 
 def row_loop_count(lattice, lo, hi):
     """count_in_window as one sum over every lattice row of the window."""
-    rows = lattice_module._window_rows(lattice, lo.x, hi.x, lo.y, hi.y)
-    return sum(k for _, _, k in rows)
+    return sum(lattice_module._window_rows(lattice, lo.x, hi.x, lo.y, hi.y))
 
 
 class TestCountPerPeriod:
