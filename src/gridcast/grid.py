@@ -7,8 +7,11 @@ supplies at least ``r`` total signal to every grid vertex.
 
 The signal field is exact in the narrowest integer dtype that holds it:
 int32 when t * |towers| < 2**31, int64 otherwise. It is built either by one
-stamp per tower or, for dense towers, by a row-tent recurrence in about 5t
-whole-array passes (each diamond row is a tent along y). The verifier's
+stamp per tower or by a row-tent recurrence (each diamond row is a tent
+along y) in about 5t passes over an image with one row per padded grid row
+that holds towers. The paper's pattern puts towers on one row in t - 1, so
+that image is small; sparse towers that fill many rows are stamped. A cost
+model that counts the occupied rows picks the cheaper. The verifier's
 reported totals are always int64.
 """
 
@@ -204,10 +207,13 @@ def _diamond_kernel(t: int, a: int, b: int) -> np.ndarray:
     return kernel
 
 
-# Rough fixed cost of one Python-level step (a stamp or a whole-array pass),
-# in array-element operations; it only decides which of the two field
-# algorithms in signal_field is cheaper. A stamp costs 5-7 us, about 20 000
-# int32 element adds of a whole-array pass (0.25-0.45 ns each).
+# Rough fixed cost of one Python-level step (a stamp, or one pass or strided
+# add of the tents), in array-element operations; it only decides which
+# field algorithm signal_field takes. A stamp costs 5-7 us, about 20 000
+# int32 element adds of a whole-array pass (0.25-0.45 ns each). The tents
+# are priced by the padded rows that hold towers and by the runs of evenly
+# spaced rows they form, so the paper's pattern, whose towers lie on one row
+# in t - 1, is priced by those rows alone.
 _STEP_OVERHEAD = 20_000
 
 
@@ -222,12 +228,15 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     when t * len(towers) < 2**31, since no vertex receives more than t from
     each tower, and int64 otherwise.
 
-    Dense towers: row a of a tower's diamond is a tent of height t - |a|
-    along y. The tents of every height are built from the padded image of
-    tower counts in about 3t whole-image passes, and each is added to the
-    totals shifted by +-a rows: about 5t passes in all. Sparse towers with
-    large t: each tower's diamond is stamped on its own. The cheaper one is
-    chosen from the grid size, t and the tower count.
+    Towers on few rows, or dense: row a of a tower's diamond is a tent of
+    height t - |a| along y. The tents of every height are built in about 3t
+    passes over an image of tower counts with one row for each padded row
+    that holds towers (or for every padded row, where that is cheaper), and
+    each is added to the totals shifted by +-a rows, one strided slice per
+    run of evenly spaced rows: about 5t passes in all. Sparse towers on many
+    rows with large t: each tower's diamond is stamped on its own. The
+    cheapest is chosen from the grid size, t, the tower count and the rows
+    that hold towers.
     """
     check_strength(t)
     if not isinstance(towers, (TowerSet, np.ndarray)):
@@ -241,32 +250,82 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     m, n = dims.m, dims.n
     radius = t - 1
     x, y = xy[:, 0], xy[:, 1]
-    near = xy[(x > -t) & (x < m + radius) & (y > -t) & (y < n + radius)]
+    reach = (x > -t) & (x < m + radius) & (y > -t) & (y < n + radius)
+    near = xy if reach.all() else np.compress(reach, xy, axis=0)
     values = np.zeros((m, n), dtype=np.int32 if t * len(xy) < 2**31 else np.int64)
-    if _shift_is_cheaper(m, n, t, len(near)):
-        _add_tents(values, near, radius)
+    held = np.zeros(m + 2 * radius, dtype=bool)
+    held[near[:, 0] + radius] = True
+    rows, runs = _tent_rows(n, t, np.flatnonzero(held), len(held))
+    if _shift_is_cheaper(m, n, t, len(near), len(rows), len(runs)):
+        _add_tents(values, near, radius, rows, runs)
     else:
         _add_stamps(values, near, t)
     return values.view(_Field)
 
 
-def _shift_is_cheaper(m: int, n: int, t: int, towers: int) -> bool:
-    # About 5t passes over the padded image, against one stamp per tower; a
-    # stamp covers at most its diamond's bounding box clipped to the grid.
-    padded = (m + 2 * t - 2) * (n + 2 * t - 2)
+def _row_runs(rows: np.ndarray) -> np.ndarray:
+    # Index of the first of each run of sorted rows at one step: a row joins
+    # the run of the row before it unless the step between them changes.
+    if not len(rows):
+        return np.empty(0, dtype=np.intp)
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return np.zeros(1, dtype=np.intp)  # consecutive rows, found without a diff
+    step = np.diff(rows)
+    return np.concatenate(([0], np.flatnonzero(step[1:] != step[:-1]) + 2))
+
+
+def _tent_cost(rows: int, runs: int, n: int, t: int) -> int:
+    # About t steps, each of three recurrence passes over a rows x
+    # (n + 2t - 2) image and two adds of it into the totals, one strided
+    # slice per run of rows at one step.
+    return t * (5 * rows * (n + 2 * t - 2) + (3 + 2 * runs) * _STEP_OVERHEAD)
+
+
+def _tent_rows(
+    n: int, t: int, occupied: np.ndarray, padded: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # The padded rows to build the tents on, and where each of their runs
+    # starts: the sorted ``occupied`` rows, or every one of the ``padded``
+    # rows (one run) where that costs less.
+    runs = _row_runs(occupied)
+    if _tent_cost(len(occupied), len(runs), n, t) <= _tent_cost(padded, 1, n, t):
+        return occupied, runs
+    return np.arange(padded), np.zeros(1, dtype=np.intp)
+
+
+def _shift_is_cheaper(m: int, n: int, t: int, towers: int, rows: int, runs: int) -> bool:
+    # The tents on ``rows`` padded rows in ``runs`` runs against one stamp per
+    # tower; a stamp covers at most its diamond's bounding box clipped to
+    # the grid.
     stamp = min(2 * t - 1, m) * min(2 * t - 1, n)
-    return 5 * t * (padded + _STEP_OVERHEAD) <= towers * (_STEP_OVERHEAD + stamp)
+    return _tent_cost(rows, runs, n, t) <= towers * (_STEP_OVERHEAD + stamp)
 
 
-def _add_tents(values: np.ndarray, near: np.ndarray, radius: int) -> None:
-    # ``box`` is the tower count within |dy| <= j of each padded row and grid
-    # column, and ``tent`` the sum of the boxes for j < height: one tower's
-    # tent of that height along y. Row a of the diamond is the tent of height
-    # t - |a| = radius + 1 - |a|, added to the totals from rows x + a and x - a.
+def _add_tents(
+    values: np.ndarray, near: np.ndarray, radius: int, rows: np.ndarray, runs: np.ndarray
+) -> None:
+    # ``rows`` are sorted distinct padded rows (grid row + radius) that hold
+    # every tower, and the image has one row for each. ``box`` is the tower
+    # count within |dy| <= j of each image row and grid column, and ``tent``
+    # the sum of the boxes for j < height: one tower's tent of that height
+    # along y. Row a of the diamond is the tent of height radius + 1 - |a|,
+    # added to the totals of grid rows rows + shift, shift = +-a - radius:
+    # one strided slice for each run of rows at one step.
     m, n = values.shape
-    h, w = m + 2 * radius, n + 2 * radius
-    flat = (near[:, 0] + radius) * w + (near[:, 1] + radius)
-    image = np.bincount(flat, minlength=h * w).astype(values.dtype).reshape(h, w)
+    k, w = len(rows), n + 2 * radius
+    bounds = runs.tolist() + [k]
+    plan = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first = int(rows[lo])
+        plan.append((lo, hi, first, int(rows[lo + 1]) - first if hi - lo > 1 else 1))
+    px = near[:, 0] + radius
+    if len(plan) == 1:
+        _, _, first, step = plan[0]
+        index = (px - first) // step
+    else:
+        index = np.searchsorted(rows, px)
+    flat = index * w + (near[:, 1] + radius)
+    image = np.bincount(flat, minlength=k * w).astype(values.dtype).reshape(k, w)
     box = image[:, radius : radius + n].copy()
     tent = box.copy()
     for a in range(radius, -1, -1):
@@ -275,9 +334,16 @@ def _add_tents(values: np.ndarray, near: np.ndarray, radius: int) -> None:
             box += image[:, radius + j : radius + j + n]
             box += image[:, radius - j : radius - j + n]
             tent += box
-        values += tent[radius + a : radius + a + m]
-        if a:
-            values += tent[radius - a : radius - a + m]
+        for shift in (a - radius, -a - radius) if a else (-radius,):
+            for lo, hi, first, step in plan:
+                # Image row lo + i lands on grid row first + shift + i * step;
+                # i0:i1 are those inside the grid.
+                i0 = max(-((first + shift) // step), 0)
+                i1 = min(-((first + shift - m) // step), hi - lo)
+                if i0 < i1:
+                    start = first + shift + i0 * step
+                    stop = start + (i1 - i0 - 1) * step + 1
+                    values[start:stop:step] += tent[lo + i0 : lo + i1]
 
 
 def _add_stamps(values: np.ndarray, near: np.ndarray, t: int) -> None:
@@ -304,14 +370,19 @@ def check_broadcast(
     Valid iff every vertex receives total signal >= r. Deficient vertices are
     reported lexicographically with their received totals: they come from one
     scan of the flattened field, whose ascending indices x*n + y are already
-    in (x, y) order, split back into coordinates by divmod with n. Towers
-    given as any other iterable than a TowerSet or an array are read once,
-    into an int64 array, so an iterator's outside towers are still reported.
+    in (x, y) order, split back into coordinates by divmod with n. That scan
+    runs only when the field's minimum is below r, so a valid broadcast costs
+    one reduction over the field. Towers given as any other iterable than a
+    TowerSet or an array are read once, into an int64 array, so an
+    iterator's outside towers are still reported.
     """
     if not isinstance(towers, (TowerSet, np.ndarray)):
         towers = _as_xy(towers)
     values = signal_field(dims, params.t, towers).view(np.ndarray).reshape(-1)
-    flat = np.flatnonzero(values < params.r)
+    if values.min() < params.r:
+        flat = np.flatnonzero(values < params.r)
+    else:
+        flat = np.empty(0, dtype=np.intp)
     short = np.stack(divmod(flat, dims.n), axis=1)
     xy = _as_xy(towers)
     x, y = xy[:, 0], xy[:, 1]

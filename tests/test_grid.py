@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from gridcast import (
     BroadcastParams,
     Coord,
+    DiamondLattice,
     GridDims,
     TowerSet,
+    best_anchor_construct,
     check_broadcast,
+    letterbox_construct,
     manhattan_dist,
     signal,
     signal_field,
@@ -26,6 +29,29 @@ coords = st.builds(Coord, st.integers(-6, 6), st.integers(-6, 6))
 def expected_dtype(t, count):
     """signal_field's dtype: int32 while t * count < 2**31, else int64."""
     return np.int32 if t * count < 2**31 else np.int64
+
+
+def field_choices(monkeypatch, dims, t, towers):
+    """The field algorithms signal_field runs: "stamps", or tents on "every
+    row" or on the "occupied rows" of the padded grid."""
+    calls = []
+    add_tents, add_stamps = grid._add_tents, grid._add_stamps
+
+    def tents(values, near, radius, rows, runs):
+        every = len(rows) == values.shape[0] + 2 * radius
+        calls.append("every row" if every else "occupied rows")
+        add_tents(values, near, radius, rows, runs)
+
+    def stamps(values, near, t):
+        calls.append("stamps")
+        add_stamps(values, near, t)
+
+    monkeypatch.setattr(grid, "_add_tents", tents)
+    monkeypatch.setattr(grid, "_add_stamps", stamps)
+    signal_field(dims, t, towers)
+    monkeypatch.setattr(grid, "_add_tents", add_tents)
+    monkeypatch.setattr(grid, "_add_stamps", add_stamps)
+    return calls
 
 
 def per_tower_field(m, n, t, towers):
@@ -143,8 +169,11 @@ class TestSignalField:
         assert np.array_equal(field, per_tower_field(3, 4, 1000, towers))
 
     def test_small_grid_never_takes_the_shifted_path_at_large_strength(self):
-        # The shifted path pads its image by t-1 on every side.
-        assert not grid._shift_is_cheaper(3, 3, grid.MAX_STRENGTH, grid.MAX_CELLS)
+        # The tents pad their image by t-1 on every side: on a 3x3 grid at
+        # t=10000, towers on every padded row would make it 20001 x 20001.
+        t = grid.MAX_STRENGTH
+        padded = 3 + 2 * (t - 1)
+        assert not grid._shift_is_cheaper(3, 3, t, grid.MAX_CELLS, padded, 1)
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError, match=r"^strength t must be in \[1, 10000\], got 10001$"):
@@ -255,28 +284,110 @@ class TestSignalField:
         assert verdict.received.dtype == np.int64
         assert np.array_equal(verdict.received, field[field < r])
 
+    @pytest.mark.parametrize("every_row", [False, True], ids=["occupied-rows", "every-row"])
+    @given(
+        m=st.integers(1, 25),
+        n=st.integers(1, 25),
+        t=st.integers(2, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tents_match_per_tower_reference(self, every_row, m, n, t, data):
+        # The tent path, forced on, in both dtypes. Towers lie on one to
+        # three rows (gapless or not) or only in the padding band around the
+        # grid; some are repeated (each copy counts), and the plain list is
+        # in any order.
+        radius = t - 1
+        near_x = st.integers(-radius, m + radius - 1)
+        near_y = st.integers(-radius, n + radius - 1)
+        band_x = st.one_of(st.integers(-radius, -1), st.integers(m, m + radius - 1))
+        band_y = st.one_of(st.integers(-radius, -1), st.integers(n, n + radius - 1))
+        few_rows = st.lists(near_x, min_size=1, max_size=3).flatmap(
+            lambda rows: st.builds(Coord, st.sampled_from(rows), near_y)
+        )
+        band = st.one_of(st.builds(Coord, band_x, near_y), st.builds(Coord, near_x, band_y))
+        towers = data.draw(st.one_of(st.lists(few_rows, min_size=1), st.lists(band, min_size=1)))
+        towers += data.draw(st.lists(st.sampled_from(towers), max_size=4))
+        towers = data.draw(st.permutations(towers))
+        expected = per_tower_field(m, n, t, towers)
+
+        def tent_rows(n, t, occupied, padded):
+            rows = np.arange(padded) if every_row else occupied
+            return rows, grid._row_runs(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid, "_shift_is_cheaper", lambda *args: True)
+            patch.setattr(grid, "_tent_rows", tent_rows)
+            field = signal_field(GridDims(m, n), t, towers)
+        assert field.dtype == np.int32
+        assert np.array_equal(field, expected)
+        # The same tents into int64 totals, which signal_field uses once
+        # t * len(towers) reaches 2**31.
+        near = np.array([(c.x, c.y) for c in towers], dtype=np.int64)
+        occupied = np.unique(near[:, 0]) + radius
+        wide = np.zeros((m, n), dtype=np.int64)
+        grid._add_tents(wide, near, radius, *tent_rows(n, t, occupied, m + 2 * radius))
+        assert np.array_equal(wide, expected)
+
     @pytest.mark.parametrize(
-        "m,n,t,towers,branch",
+        "m,n,t,towers,choice",
         [
             # dense: 10 passes over the 8x9 padded image cost less than 12
-            # stamps (10 stamps would cost less than the passes)
+            # stamps (10 stamps would cost less than the passes), and less
+            # than the strided adds into the three runs of occupied rows
             (
                 6, 7, 2,
                 [Coord(1, 1), Coord(1, 1), Coord(5, 3), Coord(-1, 3), Coord(6, 7), Coord(0, 0)] * 2,
-                "_add_tents",
+                "every row",
             ),
-            # sparse, large t: 125 passes over an 88x88 image cost more than
-            # three stamps
-            (40, 40, 25, [Coord(3, 4), Coord(3, 4), Coord(41, -2), Coord(70, 0)], "_add_stamps"),
+            # two adjacent occupied rows of a 30x30 grid (one run): 10 passes
+            # over two padded rows cost less than 12 stamps or every row
+            (
+                30, 30, 2,
+                [Coord(4, y) for y in range(0, 30, 5)] + [Coord(5, 2)] * 6,
+                "occupied rows",
+            ),
+            # sparse, large t: 125 tent steps, even over the two occupied
+            # rows, cost more than three stamps
+            (40, 40, 25, [Coord(3, 4), Coord(3, 4), Coord(41, -2), Coord(70, 0)], "stamps"),
         ],
     )
-    def test_cheaper_algorithm_is_chosen(self, monkeypatch, m, n, t, towers, branch):
-        calls = []
-        original = getattr(grid, branch)
-        monkeypatch.setattr(grid, branch, lambda *a: calls.append(1) or original(*a))
+    def test_cheaper_algorithm_is_chosen(self, monkeypatch, m, n, t, towers, choice):
+        assert field_choices(monkeypatch, GridDims(m, n), t, towers) == [choice]
         values = signal_field(GridDims(m, n), t, towers)
-        assert calls == [1]
         assert np.array_equal(values, per_tower_field(m, n, t, towers))
+
+    @pytest.mark.parametrize(
+        "case,choice",
+        [
+            # The paper's pattern puts its towers on one row in t - 1: 72 of
+            # the 1378 padded rows.
+            ("best-anchor 1340x1340 t=20", "occupied rows"),
+            # A sheared pattern puts its 178 towers on 161 distinct rows.
+            ("sheared 1000x1000 t=60", "stamps"),
+            # Random towers on 498 of the 500 rows (row 250 is emptied): the
+            # runs that the gaps cut cost more strided adds than the passes
+            # over the 20 extra padded rows.
+            ("random 500x500 t=10", "every row"),
+        ],
+    )
+    def test_field_algorithm_of_pinned_tower_sets(self, monkeypatch, case, choice):
+        if case.startswith("best-anchor"):
+            dims, t = GridDims(1340, 1340), 20
+            towers = best_anchor_construct(dims, t).towers
+        elif case.startswith("sheared"):
+            dims, t = GridDims(1000, 1000), 60
+            towers = letterbox_construct(dims, DiamondLattice(t, Coord(0, 0), 7)).towers
+        else:
+            dims, t = GridDims(500, 500), 10
+            xy = np.random.default_rng(3).integers(0, 500, (3000, 2))
+            towers = TowerSet(xy[xy[:, 0] != 250])
+        field = signal_field(dims, t, towers)
+        assert field_choices(monkeypatch, dims, t, towers) == [choice]
+        # The other algorithm gives the same totals.
+        forced = choice == "stamps"
+        monkeypatch.setattr(grid, "_shift_is_cheaper", lambda *args: forced)
+        assert np.array_equal(signal_field(dims, t, towers), field)
 
     def test_cell_cap_refuses_before_allocating(self, monkeypatch):
         def no_zeros(*args, **kwargs):
@@ -303,6 +414,7 @@ class TestCheckBroadcast:
         assert verdict.valid
         assert verdict.deficiencies.shape == (0, 2)
         assert verdict.received.shape == (0,)
+        assert verdict.deficiencies.dtype == verdict.received.dtype == np.int64
 
     def test_deficiencies_reported_in_order(self):
         verdict = check_broadcast(
