@@ -38,8 +38,6 @@ from .grid import (
     GridDims,
     TowerSet,
     check_broadcast,
-    manhattan_dist,
-    signal,
     signal_field,
 )
 from .lattice import (

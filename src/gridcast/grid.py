@@ -1,8 +1,8 @@
 """Grid geometry, signal arithmetic, and the broadcast verifier.
 
-Every other module trusts the primitives here: Manhattan distance in closed
-form (the grid graph itself is never materialized), per-tower signal, dense
-signal-field accumulation, and the validity check that a candidate tower set
+Every other module trusts the primitives here: dense signal-field
+accumulation from Manhattan distances in closed form (the grid graph itself
+is never materialized) and the validity check that a candidate tower set
 supplies at least ``r`` total signal to every grid vertex.
 
 The signal field is exact in the narrowest integer dtype that holds it:
@@ -180,18 +180,6 @@ class BroadcastVerdict:
     deficiencies: np.ndarray
     received: np.ndarray
     outside_towers: np.ndarray
-
-
-def manhattan_dist(u: Coord, v: Coord) -> int:
-    """Shortest-path distance between two grid vertices, in closed form."""
-    return abs(u.x - v.x) + abs(u.y - v.y)
-
-
-def signal(t: int, tower: Coord, v: Coord) -> int:
-    """Signal max(t - dist, 0) that a strength-t tower supplies to v."""
-    if t < 1:
-        raise ValueError(f"signal strength t must be >= 1, got {t}")
-    return max(t - manhattan_dist(tower, v), 0)
 
 
 @lru_cache(maxsize=16)

@@ -20,9 +20,11 @@ between two lines, or between two towers on one line, so two towers at
 distance t-1 supply 1 each. validate_pattern confirms it with the grid
 verifier, check_broadcast, on one finite box per pattern.
 
-towers_in_window walks the window column by column, so it builds its tower
-array in (x, y) order for every shear and TowerSet keeps it without a sort.
-count_in_window never materializes towers and walks lattice rows instead.
+Both window functions walk one geometry: the window's tower columns, whose
+lowest tower offsets are affine in the column index modulo one period.
+towers_in_window builds its tower array column by column, in (x, y) order
+for every shear, so TowerSet keeps it without a sort. count_in_window
+materializes nothing: it sums the per-column counts in closed form.
 """
 
 from __future__ import annotations
@@ -81,48 +83,37 @@ def rectilinear_lattice(t: int, anchor: Coord = Coord(0, 0)) -> DiamondLattice:
     return DiamondLattice(t, anchor, t - 1)
 
 
-def _ceil_div(p: int, q: int) -> int:
-    # q > 0 assumed
-    return -((-p) // q)
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over 0 <= i < n, for m >= 1, in O(log m) steps.
 
-
-def _window_rows(lattice: DiamondLattice, x0: int, x1: int, y0: int, y1: int):
-    """Yield the tower count of each lattice row meeting [x0,x1] x [y0,y1].
-
-    A row holds the towers anchor + a*u + b*w of one b, and along it both
-    coordinates grow by t-1. The walk ranges over lattice coefficients rather
-    than scanning cells: b is pinned by x - y modulo the basis, and for each b
-    the feasible a values form an interval (intersection of the x-window and
-    y-window constraints). Shear c and c + (t-1) give the same lattice (w + u
-    replaces w), so the walk uses the shear reduced mod t-1. Rows with no
-    tower in the window are skipped.
+    The standard Euclid-like recursion (as in the AtCoder Library): divmod
+    normalises a and b into [0, m), so b may be negative, and the remaining
+    sum counts lattice points under a line that is then read with x and y
+    swapped.
     """
-    step = lattice.t - 1
-    period = 2 * step
-    wx = lattice.shear % step
-    wy = wx - period
-    ax, ay = lattice.anchor.x, lattice.anchor.y
-    rx0, rx1 = x0 - ax, x1 - ax
-    ry0, ry1 = y0 - ay, y1 - ay
-    for b in range(_ceil_div(rx0 - ry1, period), (rx1 - ry0) // period + 1):
-        a_lo = max(_ceil_div(rx0 - b * wx, step), _ceil_div(ry0 - b * wy, step))
-        a_hi = min((rx1 - b * wx) // step, (ry1 - b * wy) // step)
-        if a_lo <= a_hi:
-            yield a_hi - a_lo + 1
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += n * (n - 1) // 2 * qa + n * qb
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
-def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
-    """All towers with lo <= (x, y) <= hi componentwise, canonically ordered.
+def _columns(lattice: DiamondLattice, lo: Coord, hi: Coord) -> tuple[int, int, int, int, int, int]:
+    """The window's tower columns: ``(first, g, count, alpha, beta, period)``.
 
-    The walk goes column by column, so the array it builds is already in
-    (x, y) order and TowerSet keeps it without sorting. With s = t-1,
-    c = shear mod s and g = gcd(s, c), a tower in column x solves
-    a*s + b*c = x - ax and lies at y = ay + (x - ax) - 2s*b. Only columns
-    with g | (x - ax) hold towers; b is fixed mod s/g, by
-    b0 = (x - ax)/g * (c/g)^-1 mod s/g, so the column's y values step by
-    P = 2s^2/g from ay + (x - ax) - 2s*b0 (the rectilinear c = 0 has g = s
-    and P = 2s). Each column's x, first y and tower count are computed as
-    arrays relative to the window corner.
+    With s = t-1, c = shear mod s and g = gcd(s, c), a tower in column x
+    solves a*s + b*c = x - ax and lies at y = ay + (x - ax) - 2s*b. Only
+    columns with g | (x - ax) hold towers, so column j < count of the window
+    is x = lo.x + first + g*j. There b is fixed mod s/g, by
+    b = (x - ax)/g * (c/g)^-1 mod s/g, so the column's y values step by the
+    period P = 2s^2/g (the rectilinear c = 0 has g = s and P = 2s). Since
+    2s*(s/g) = P, the reduction of b mod s/g drops out mod P: the column's
+    lowest tower at or above lo.y sits at y = lo.y + (alpha + beta*j) mod P.
     """
     if lo.x > hi.x or lo.y > hi.y:
         raise ValueError(f"inverted window: {lo} .. {hi}")
@@ -131,15 +122,28 @@ def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
     g = gcd(s, c)
     cycle, period = s // g, 2 * s * s // g
     ax, ay = lattice.anchor.x, lattice.anchor.y
-    # Columns holding towers: lo.x + first + g*j, whose x - ax is g*(q0 + j).
     first = (ax - lo.x) % g
-    j = np.arange((hi.x - lo.x - first) // g + 1)
+    count = (hi.x - lo.x - first) // g + 1
+    # Column j has x - ax = g*(q0 + j), and each step of j moves its y by beta.
     q0 = (lo.x + first - ax) // g
-    b0 = ((q0 % cycle + j) * pow(c // g, -1, cycle)) % cycle
+    beta = (g - 2 * s * pow(c // g, -1, cycle)) % period
+    return first, g, count, (ay - lo.y + beta * q0) % period, beta, period
+
+
+def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
+    """All towers with lo <= (x, y) <= hi componentwise, canonically ordered.
+
+    The walk goes column by column (see _columns), so the array it builds is
+    already in (x, y) order and TowerSet keeps it without sorting. Each
+    column's x, first y and tower count are computed as arrays relative to
+    the window corner.
+    """
+    first, g, count, alpha, beta, period = _columns(lattice, lo, hi)
+    j = np.arange(count)
     dx = first + g * j
-    # y - lo.y of each column's lowest tower at or above lo.y, and its tower count.
-    dy = ((ay - lo.y + lo.x - ax) % period + dx - 2 * s * b0) % period
-    lengths = np.maximum((hi.y - lo.y - dy) // period + 1, 0)
+    # y - lo.y of each column's lowest tower, and its tower count.
+    dy = (alpha + beta * j) % period
+    lengths = (hi.y - lo.y - dy) // period + 1
     # A tower's index along its column; y grows by the period per tower.
     along = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     xy = np.empty((len(along), 2), dtype=np.int64)
@@ -149,31 +153,20 @@ def towers_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> TowerSet:
 
 
 def count_in_window(lattice: DiamondLattice, lo: Coord, hi: Coord) -> int:
-    """Number of towers in the window, without materializing them, in O(t).
+    """Number of towers in the window, in closed form, without materializing them.
 
-    Its strips are 2(t-1)^2 wide, so it walks lattice rows (O(t) of them); a
-    column walk would visit O(t^2/g) columns, g = gcd(t-1, shear mod t-1).
-
-    The basis determinant D = 2(t-1)^2 puts (D, 0) and (0, D) in the lattice,
-    so every D x D block holds D^2 / D = D towers, and a W x H window with
-    W = qx*D + rx, H = qy*D + ry holds qx*qy*D towers plus those of three
-    remainder strips, each of which counts like the strip at ``lo``.
+    With H = hi.y - lo.y and dy_j = (alpha + beta*j) mod P (see _columns),
+    column j holds (H - dy_j) // P + 1 towers. Writing the mod as
+    x - P*(x // P) and -beta as (P - beta) - P splits that into
+    1 - j + (beta*j + alpha) // P + ((P - beta)*j + H - alpha) // P, so the
+    sum over the columns is two floor sums, each O(log P).
     """
-    if lo.x > hi.x or lo.y > hi.y:
-        raise ValueError(f"inverted window: {lo} .. {hi}")
-    period = 2 * (lattice.t - 1) ** 2
-    qx, rx = divmod(hi.x - lo.x + 1, period)
-    qy, ry = divmod(hi.y - lo.y + 1, period)
-
-    def strip(width: int, height: int) -> int:
-        # An empty strip (width or height 0) has no feasible rows.
-        return sum(_window_rows(lattice, lo.x, lo.x + width - 1, lo.y, lo.y + height - 1))
-
+    _, _, count, alpha, beta, period = _columns(lattice, lo, hi)
     return (
-        qx * qy * period
-        + qx * strip(period, ry)
-        + qy * strip(rx, period)
-        + strip(rx, ry)
+        count
+        - count * (count - 1) // 2
+        + _floor_sum(count, period, beta, alpha)
+        + _floor_sum(count, period, period - beta, hi.y - lo.y - alpha)
     )
 
 

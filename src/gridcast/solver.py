@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import lower_t2
 from .grid import (
     BroadcastParams,
     Coord,
@@ -281,8 +280,7 @@ def exact_gamma(
     Levels k are tried in increasing order; each exhausted level certifies
     that no smaller broadcast exists, so the first hit is optimal. The first
     level is the deficit bound ceil(r*m*n / max_unit_coverage), below which a
-    level's root is pruned, raised to the area lower bound when that applies
-    (t >= 3 and r >= 2). The budget covers the whole solve: each level gets
+    level's root is pruned. The budget covers the whole solve: each level gets
     the nodes and seconds the earlier ones left.
 
     A broadcast exists iff towers on every vertex are one. With towers
@@ -304,8 +302,6 @@ def exact_gamma(
             "even towers on every vertex fall short"
         )
     k = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
-    if params.t >= 3 and params.r >= 2:
-        k = max(k, lower_t2(dims.m, dims.n, params.t))
     total_nodes = 0
     levels: list[tuple[int, int]] = []
     while True:

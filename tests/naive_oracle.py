@@ -1,8 +1,11 @@
 """Independent reference implementations used only to cross-check the library.
 
 Distances come from breadth-first search on the explicit grid graph and the
-domination number from exhaustive subset enumeration. Nothing here shares a
-code path with the library's closed-form arithmetic or its search.
+domination number from exhaustive subset enumeration. The scalar helpers
+manhattan_dist and signal give one vertex pair's distance and signal, for
+tests that sum a field tower by tower; the grid tests check the distance
+against breadth-first search. Nothing here shares a code path with the
+library's array arithmetic or its search.
 """
 
 from __future__ import annotations
@@ -11,6 +14,16 @@ from collections import deque
 from itertools import combinations
 
 import numpy as np
+
+
+def manhattan_dist(u, v) -> int:
+    """Shortest-path distance between grid vertices u and v, in closed form."""
+    return abs(u.x - v.x) + abs(u.y - v.y)
+
+
+def signal(t: int, tower, v) -> int:
+    """Signal max(t - dist, 0) that a strength-t tower supplies to v."""
+    return max(t - manhattan_dist(tower, v), 0)
 
 
 def bfs_distances(m: int, n: int) -> np.ndarray:

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gridcast import Coord, TowerSet, cli, grid, parse_document, render, signal, solver
+from gridcast import Coord, TowerSet, cli, grid, parse_document, render, solver
 from gridcast.cli import main
 from gridcast.document import BroadcastDocument, serialize_document
 from gridcast.render import render_ascii, render_svg
+from naive_oracle import signal
 
 
 def run_cli(capsys, *argv):

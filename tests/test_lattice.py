@@ -16,12 +16,12 @@ from gridcast import (
     TowerSet,
     count_in_window,
     rectilinear_lattice,
-    signal,
     towers_in_window,
     validate_pattern,
     window_density,
 )
 from gridcast.grid import MAX_STRENGTH
+from naive_oracle import signal
 
 OFFSET_TILING = DiamondLattice(t=3, anchor=Coord(0, 0), shear=3)
 
@@ -259,8 +259,27 @@ class TestWindowDensity:
 
 
 def row_loop_count(lattice, lo, hi):
-    """count_in_window as one sum over every lattice row of the window."""
-    return sum(lattice_module._window_rows(lattice, lo.x, hi.x, lo.y, hi.y))
+    """Towers in the window, summed over every lattice row that meets it.
+
+    A row holds the towers anchor + a*u + b*w of one b, and along it both
+    coordinates grow by t-1. b is pinned by x - y modulo 2(t-1), and for each
+    b the feasible a values form an interval: the intersection of the x and y
+    window constraints. Shears c and c + (t-1) span the same lattice (w + u
+    replaces w), so the walk uses the shear reduced mod t-1.
+    """
+    step = lattice.t - 1
+    period = 2 * step
+    wx = lattice.shear % step
+    wy = wx - period
+    rx0, rx1 = lo.x - lattice.anchor.x, hi.x - lattice.anchor.x
+    ry0, ry1 = lo.y - lattice.anchor.y, hi.y - lattice.anchor.y
+    total = 0
+    # -((-p) // q) is the ceiling of p / q.
+    for b in range(-((ry1 - rx0) // period), (rx1 - ry0) // period + 1):
+        a_lo = max(-((b * wx - rx0) // step), -((b * wy - ry0) // step))
+        a_hi = min((rx1 - b * wx) // step, (ry1 - b * wy) // step)
+        total += max(a_hi - a_lo + 1, 0)
+    return total
 
 
 class TestCountPerPeriod:
@@ -288,6 +307,23 @@ class TestCountPerPeriod:
             for height in (1, period, 2 * period + 1):
                 lo, hi = Coord(-5, 7), Coord(-5 + width - 1, 7 + height - 1)
                 assert count_in_window(lattice, lo, hi) == row_loop_count(lattice, lo, hi)
+
+    @pytest.mark.parametrize("t", [60, 97, 10_000])
+    @pytest.mark.parametrize("shear", ["t-1", 1, 7])
+    @pytest.mark.parametrize(
+        "anchor,lo,size",
+        [
+            (Coord(-17, 5), Coord(-123_457, 98_765), (10**6, 999_983)),
+            (Coord(3, -40_001), Coord(250, -7), (777_777, 1)),
+            (Coord(-9, -2), Coord(-1, -1_000_000), (1, 10**6)),
+        ],
+    )
+    def test_large_windows_match_row_loop(self, t, shear, anchor, lo, size):
+        # Sides up to 10^6 and periods up to 2*9999^2 take the floor sums
+        # through many reduction steps, unlike the small-t hypothesis cases.
+        lattice = DiamondLattice(t=t, anchor=anchor, shear=t - 1 if shear == "t-1" else shear)
+        hi = Coord(lo.x + size[0] - 1, lo.y + size[1] - 1)
+        assert count_in_window(lattice, lo, hi) == row_loop_count(lattice, lo, hi)
 
 
 class TestValidatePattern:

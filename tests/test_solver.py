@@ -460,8 +460,6 @@ class TestLevelNodes:
         budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
         result = exact_gamma(dims, params, budget)
         start = -(-r * m * n // max_unit_coverage(dims, params))
-        if t >= 3 and r >= 2:
-            start = max(start, lower_t2(m, n, t))
         ks = [k for k, _ in result.level_nodes]
         assert ks == list(range(start, start + len(ks)))
         assert sum(nodes for _, nodes in result.level_nodes) == result.nodes_expanded
