@@ -104,28 +104,27 @@ def _tower_list(xy: np.ndarray) -> str:
     """'[[x,y],...]' for a (k, 2) int64 array, written into one byte buffer."""
     flat = xy.ravel()
     neg = flat < 0
-    # ~v + 1 is the magnitude of a negative v in uint64, -2**63 included.
-    mag = flat.view(np.uint64)
-    mag = np.where(neg, ~mag + 1, mag)
+    # The uint64 negation of a negative v is its magnitude, -2**63 included.
+    mag = flat.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)
     width = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1 + neg
-    # Tower i is "[x,y]," from starts[i], after the list's "["; the list's
-    # "]" replaces the last tower's ",".
-    sizes = width[::2] + width[1::2] + 4
-    starts = np.cumsum(sizes) - sizes + 1
-    buf = np.full(1 + max(sizes.sum(), 1), ord(","), dtype=np.uint8)
+    # Tower i is "[x,y]," after the list's "[", and it ends where the first
+    # i + 1 towers' sizes sum to; the list's "]" replaces the last ",". pos
+    # is where each coordinate's last digit goes.
+    pos = np.empty_like(flat)
+    pos[1::2] = np.cumsum(width[::2] + width[1::2] + 4) - 2
+    pos[::2] = pos[1::2] - width[1::2] - 1
+    buf = np.full(pos[-1] + 3 if len(pos) else 2, ord(","), dtype=np.uint8)
     buf[0], buf[-1] = ord("["), ord("]")
-    buf[starts] = ord("[")
-    buf[starts + sizes - 2] = ord("]")
-    fields = np.empty_like(flat)  # where each coordinate's text starts
-    fields[::2] = starts + 1
-    fields[1::2] = starts + 2 + width[::2]
-    buf[fields[neg]] = ord("-")
+    buf[pos[::2] - width[::2]] = ord("[")
+    buf[pos[1::2] + 1] = ord("]")
+    buf[pos[neg] - width[neg] + 1] = ord("-")
+    del neg, width
     # One pass per digit place, last digits first, over the numbers that have one.
-    pos = fields + width - 1
-    ten = np.uint64(10)
     while len(mag):
-        quotient = mag // ten
-        buf[pos] = (mag - quotient * ten).astype(np.uint8) + ord("0")
+        quotient = mag // 10
+        mag -= quotient * 10
+        buf[pos] = mag.astype(np.uint8) + ord("0")
         more = quotient > 0
         mag, pos = quotient[more], pos[more] - 1
     return buf.tobytes().decode("ascii")
@@ -133,10 +132,10 @@ def _tower_list(xy: np.ndarray) -> str:
 
 def serialize_document(doc: BroadcastDocument) -> str:
     header = json.dumps({"m": doc.m, "n": doc.n, "t": doc.t, "r": doc.r}, separators=(",", ":"))
-    text = f'{header[:-1]},"towers":{_tower_list(doc.towers.xy)}'
+    parts = [header[:-1], ',"towers":', _tower_list(doc.towers.xy), "}\n"]
     if doc.metadata:
-        text += ',"metadata":' + json.dumps(doc.metadata, separators=(",", ":"))
-    return text + "}\n"
+        parts.insert(3, ',"metadata":' + json.dumps(doc.metadata, separators=(",", ":")))
+    return "".join(parts)
 
 
 def _int_pair(value, what: str) -> tuple[int, int]:

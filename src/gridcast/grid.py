@@ -6,13 +6,15 @@ is never materialized) and the validity check that a candidate tower set
 supplies at least ``r`` total signal to every grid vertex.
 
 The signal field is exact in the narrowest integer dtype that holds it:
-int32 when t * |towers| < 2**31, int64 otherwise. It is built either by one
-stamp per tower or by a row-tent recurrence (each diamond row is a tent
-along y) in about 5t passes over an image with one row per padded grid row
-that holds towers. The paper's pattern puts towers on one row in t - 1, so
-that image is small; sparse towers that fill many rows are stamped. A cost
-model that counts the occupied rows picks the cheaper. The verifier's
-reported totals are always int64.
+int32 when t * |towers| < 2**31, int64 otherwise. It is built in one of
+three layouts: a row-tent recurrence (each diamond row is a tent along y)
+in about 5t passes over an image with one row per padded grid row that
+holds towers, the same over an image with a row for every padded row, or
+one stamp per tower. The paper's pattern puts towers on one row in t - 1,
+so its image is small; sparse towers that fill many rows are stamped. The
+three are priced side by side and the cheapest is chosen once. A tower's
+image row is found by one lookup, the count of image rows before its own.
+The verifier's reported totals are always int64.
 """
 
 from __future__ import annotations
@@ -115,7 +117,11 @@ class TowerSet:
         xy = _as_xy(towers)
         if not isinstance(towers, TowerSet):
             x, y = xy[:, 0], xy[:, 1]
-            if ((x[:-1] < x[1:]) | ((x[:-1] == x[1:]) & (y[:-1] < y[1:]))).all():
+            ordered = x[:-1] == x[1:]
+            ordered &= y[:-1] < y[1:]
+            ordered |= x[:-1] < x[1:]
+            ordered = ordered.all()  # frees the k - 1 bools before any copy
+            if ordered:
                 xy = xy.copy()
             else:
                 xy = xy[np.lexsort((y, x))]
@@ -197,7 +203,7 @@ def _diamond_kernel(t: int, a: int, b: int) -> np.ndarray:
 
 # Rough fixed cost of one Python-level step (a stamp, or one pass or strided
 # add of the tents), in array-element operations; it only decides which
-# field algorithm signal_field takes. A stamp costs 5-7 us, about 20 000
+# field layout signal_field takes. A stamp costs 5-7 us, about 20 000
 # int32 element adds of a whole-array pass (0.25-0.45 ns each). The tents
 # are priced by the padded rows that hold towers and by the runs of evenly
 # spaced rows they form, so the paper's pattern, whose towers lie on one row
@@ -219,12 +225,14 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     Towers on few rows, or dense: row a of a tower's diamond is a tent of
     height t - |a| along y. The tents of every height are built in about 3t
     passes over an image of tower counts with one row for each padded row
-    that holds towers (or for every padded row, where that is cheaper), and
-    each is added to the totals shifted by +-a rows, one strided slice per
-    run of evenly spaced rows: about 5t passes in all. Sparse towers on many
-    rows with large t: each tower's diamond is stamped on its own. The
-    cheapest is chosen from the grid size, t, the tower count and the rows
-    that hold towers.
+    that holds towers, or for every padded row, and each is added to the
+    totals shifted by +-a rows, one strided slice per run of evenly spaced
+    rows: about 5t passes in all. A tower's image row is the number of
+    image rows before its own, read from one running count over the padded
+    rows. Sparse towers on many rows with large t: each tower's diamond is
+    stamped on its own. The three layouts are priced side by side, from the
+    grid size, t, the tower count and the rows that hold towers, and the
+    cheapest is taken.
     """
     check_strength(t)
     if not isinstance(towers, (TowerSet, np.ndarray)):
@@ -243,11 +251,15 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     values = np.zeros((m, n), dtype=np.int32 if t * len(xy) < 2**31 else np.int64)
     held = np.zeros(m + 2 * radius, dtype=bool)
     held[near[:, 0] + radius] = True
-    rows, runs = _tent_rows(n, t, np.flatnonzero(held), len(held))
-    if _shift_is_cheaper(m, n, t, len(near), len(rows), len(runs)):
-        _add_tents(values, near, radius, rows, runs)
-    else:
+    rows = np.flatnonzero(held)
+    runs = _row_runs(rows)
+    layout = _field_layout(m, n, t, len(near), len(rows), len(runs))
+    if layout == "every row":
+        held, rows, runs = np.ones_like(held), np.arange(len(held)), np.zeros(1, dtype=np.intp)
+    if layout == "stamps":
         _add_stamps(values, near, t)
+    else:
+        _add_tents(values, near, held, rows, runs)
     return values.view(_Field)
 
 
@@ -269,50 +281,41 @@ def _tent_cost(rows: int, runs: int, n: int, t: int) -> int:
     return t * (5 * rows * (n + 2 * t - 2) + (3 + 2 * runs) * _STEP_OVERHEAD)
 
 
-def _tent_rows(
-    n: int, t: int, occupied: np.ndarray, padded: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # The padded rows to build the tents on, and where each of their runs
-    # starts: the sorted ``occupied`` rows, or every one of the ``padded``
-    # rows (one run) where that costs less.
-    runs = _row_runs(occupied)
-    if _tent_cost(len(occupied), len(runs), n, t) <= _tent_cost(padded, 1, n, t):
-        return occupied, runs
-    return np.arange(padded), np.zeros(1, dtype=np.intp)
-
-
-def _shift_is_cheaper(m: int, n: int, t: int, towers: int, rows: int, runs: int) -> bool:
-    # The tents on ``rows`` padded rows in ``runs`` runs against one stamp per
-    # tower; a stamp covers at most its diamond's bounding box clipped to
-    # the grid.
-    stamp = min(2 * t - 1, m) * min(2 * t - 1, n)
-    return _tent_cost(rows, runs, n, t) <= towers * (_STEP_OVERHEAD + stamp)
+def _field_layout(m: int, n: int, t: int, towers: int, rows: int, runs: int) -> str:
+    # The cheapest of the three layouts for ``towers`` towers whose padded
+    # rows number ``rows`` in ``runs`` runs: tents on those "occupied rows",
+    # tents on "every row" of the m + 2t - 2 padded rows (one run), or
+    # "stamps", each covering at most its diamond's bounding box clipped to
+    # the grid. Ties go to the tents, and between them to the occupied rows.
+    occupied, every = _tent_cost(rows, runs, n, t), _tent_cost(m + 2 * t - 2, 1, n, t)
+    stamps = towers * (_STEP_OVERHEAD + min(2 * t - 1, m) * min(2 * t - 1, n))
+    if stamps < min(occupied, every):
+        return "stamps"
+    return "every row" if every < occupied else "occupied rows"
 
 
 def _add_tents(
-    values: np.ndarray, near: np.ndarray, radius: int, rows: np.ndarray, runs: np.ndarray
+    values: np.ndarray, near: np.ndarray, held: np.ndarray, rows: np.ndarray, runs: np.ndarray
 ) -> None:
-    # ``rows`` are sorted distinct padded rows (grid row + radius) that hold
-    # every tower, and the image has one row for each. ``box`` is the tower
-    # count within |dy| <= j of each image row and grid column, and ``tent``
-    # the sum of the boxes for j < height: one tower's tent of that height
-    # along y. Row a of the diamond is the tent of height radius + 1 - |a|,
-    # added to the totals of grid rows rows + shift, shift = +-a - radius:
-    # one strided slice for each run of rows at one step.
+    # ``held`` marks which of the m + 2 * radius padded rows (grid row +
+    # radius) the image has a row for, every tower's among them; ``rows``
+    # are their indices and ``runs`` where each run of rows at one step
+    # starts. ``box`` is the tower count within |dy| <= j of each image row
+    # and grid column, and ``tent`` the sum of the boxes for j < height: one
+    # tower's tent of that height along y. Row a of the diamond is the tent
+    # of height radius + 1 - |a|, added to the totals of grid rows rows +
+    # shift, shift = +-a - radius: one strided slice for each run.
     m, n = values.shape
+    radius = (len(held) - m) // 2
     k, w = len(rows), n + 2 * radius
     bounds = runs.tolist() + [k]
     plan = []
     for lo, hi in zip(bounds, bounds[1:]):
-        first = int(rows[lo])
-        plan.append((lo, hi, first, int(rows[lo + 1]) - first if hi - lo > 1 else 1))
-    px = near[:, 0] + radius
-    if len(plan) == 1:
-        _, _, first, step = plan[0]
-        index = (px - first) // step
-    else:
-        index = np.searchsorted(rows, px)
-    flat = index * w + (near[:, 1] + radius)
+        plan.append((lo, hi, int(rows[lo]), int(rows[lo + 1] - rows[lo]) if hi - lo > 1 else 1))
+    # Each tower's index into the flattened image: its image row, the number
+    # of marked rows before its own, times w, plus its padded column.
+    flat = np.multiply(np.cumsum(held, dtype=np.int32)[near[:, 0] + radius] - 1, w, dtype=np.int64)
+    flat += near[:, 1] + radius
     image = np.bincount(flat, minlength=k * w).astype(values.dtype).reshape(k, w)
     box = image[:, radius : radius + n].copy()
     tent = box.copy()

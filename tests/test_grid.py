@@ -30,15 +30,14 @@ def expected_dtype(t, count):
 
 
 def field_choices(monkeypatch, dims, t, towers):
-    """The field algorithms signal_field runs: "stamps", or tents on "every
+    """The field layouts signal_field runs: "stamps", or tents on "every
     row" or on the "occupied rows" of the padded grid."""
     calls = []
     add_tents, add_stamps = grid._add_tents, grid._add_stamps
 
-    def tents(values, near, radius, rows, runs):
-        every = len(rows) == values.shape[0] + 2 * radius
-        calls.append("every row" if every else "occupied rows")
-        add_tents(values, near, radius, rows, runs)
+    def tents(values, near, held, rows, runs):
+        calls.append("every row" if held.all() else "occupied rows")
+        add_tents(values, near, held, rows, runs)
 
     def stamps(values, near, t):
         calls.append("stamps")
@@ -50,6 +49,34 @@ def field_choices(monkeypatch, dims, t, towers):
     monkeypatch.setattr(grid, "_add_tents", add_tents)
     monkeypatch.setattr(grid, "_add_stamps", add_stamps)
     return calls
+
+
+LAYOUTS = ("occupied rows", "every row", "stamps")
+LAYOUT_IDS = ("occupied-rows", "every-row", "stamps")
+
+
+def forced_field(m, n, t, towers, layout, dtype):
+    """The totals of one field layout, called directly into a ``dtype`` array.
+
+    Like signal_field, only towers within reach of the grid are passed, and
+    the tents' image has a row for each padded row that holds a tower
+    ("occupied rows") or for every padded row ("every row").
+    """
+    xy = grid._as_xy(towers)
+    radius = t - 1
+    x, y = xy[:, 0], xy[:, 1]
+    near = xy[(x >= -radius) & (x < m + radius) & (y >= -radius) & (y < n + radius)]
+    values = np.zeros((m, n), dtype=dtype)
+    if layout == "stamps":
+        grid._add_stamps(values, near, t)
+        return values
+    held = np.zeros(m + 2 * radius, dtype=bool)
+    held[near[:, 0] + radius] = True
+    if layout == "every row":
+        held[:] = True
+    rows = np.flatnonzero(held)
+    grid._add_tents(values, near, held, rows, grid._row_runs(rows))
+    return values
 
 
 def per_tower_field(m, n, t, towers):
@@ -167,7 +194,7 @@ class TestSignalField:
         # t=10000, towers on every padded row would make it 20001 x 20001.
         t = grid.MAX_STRENGTH
         padded = 3 + 2 * (t - 1)
-        assert not grid._shift_is_cheaper(3, 3, t, grid.MAX_CELLS, padded, 1)
+        assert grid._field_layout(3, 3, t, grid.MAX_CELLS, padded, 1) == "stamps"
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError, match=r"^strength t must be in \[1, 10000\], got 10001$"):
@@ -234,7 +261,7 @@ class TestSignalField:
         )
         assert np.array_equal(shifted[dx:, dy:], base)
 
-    @pytest.mark.parametrize("shift", [True, False], ids=["shifted", "stamped"])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
     @given(
         m=st.integers(1, 30),
         n=st.integers(1, 30),
@@ -242,17 +269,18 @@ class TestSignalField:
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_per_tower_reference(self, shift, m, n, t, data):
+    def test_matches_per_tower_reference(self, layout, m, n, t, data):
         # Lists may hold duplicates (each counts) and towers far outside.
         near = st.builds(Coord, st.integers(-t - 2, m + t + 1), st.integers(-t - 2, n + t + 1))
         towers = data.draw(st.lists(near, max_size=12))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grid, "_shift_is_cheaper", lambda *args: shift)
-            field = signal_field(GridDims(m, n), t, towers)
+        expected = per_tower_field(m, n, t, towers)
+        for dtype in (np.int32, np.int64):
+            assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), expected)
+        field = signal_field(GridDims(m, n), t, towers)
         assert field.dtype == expected_dtype(t, len(towers))
-        assert np.array_equal(field, per_tower_field(m, n, t, towers))
+        assert np.array_equal(field, expected)
 
-    @pytest.mark.parametrize("shift", [True, False], ids=["shifted", "stamped"])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
     @given(
         m=st.one_of(st.just(1), st.integers(1, 14)),
         n=st.one_of(st.just(1), st.integers(1, 14)),
@@ -261,24 +289,26 @@ class TestSignalField:
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_verdict_matches_per_tower_reference(self, shift, m, n, t, r, data):
+    def test_verdict_matches_per_tower_reference(self, layout, m, n, t, r, data):
         # Towers up to t + 2 outside the grid, some of them repeated: each
-        # copy counts.
+        # copy counts. The layout is forced at signal_field's one decision.
         near = st.builds(Coord, st.integers(-t - 2, m + t + 1), st.integers(-t - 2, n + t + 1))
         towers = data.draw(st.lists(near, max_size=10))
         if towers:
             towers += data.draw(st.lists(st.sampled_from(towers), max_size=4))
         xy = np.array([(c.x, c.y) for c in towers], dtype=np.int64).reshape(-1, 2)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grid, "_shift_is_cheaper", lambda *args: shift)
+            patch.setattr(grid, "_field_layout", lambda *args: layout)
             verdict = check_broadcast(GridDims(m, n), BroadcastParams(t, r), xy)
         field = per_tower_field(m, n, t, towers)
+        for dtype in (np.int32, np.int64):
+            assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), field)
         assert verdict.valid == bool((field >= r).all())
         assert np.array_equal(verdict.deficiencies, np.argwhere(field < r))
         assert verdict.received.dtype == np.int64
         assert np.array_equal(verdict.received, field[field < r])
 
-    @pytest.mark.parametrize("every_row", [False, True], ids=["occupied-rows", "every-row"])
+    @pytest.mark.parametrize("layout", LAYOUTS[:2], ids=LAYOUT_IDS[:2])
     @given(
         m=st.integers(1, 25),
         n=st.integers(1, 25),
@@ -286,11 +316,11 @@ class TestSignalField:
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_tents_match_per_tower_reference(self, every_row, m, n, t, data):
-        # The tent path, forced on, in both dtypes. Towers lie on one to
-        # three rows (gapless or not) or only in the padding band around the
-        # grid; some are repeated (each copy counts), and the plain list is
-        # in any order.
+    def test_tents_match_per_tower_reference(self, layout, m, n, t, data):
+        # Both tent layouts, in both dtypes. Towers lie on one to three rows
+        # (gapless or not) or only in the padding band around the grid; some
+        # are repeated (each copy counts), and the plain list is in any
+        # order.
         radius = t - 1
         near_x = st.integers(-radius, m + radius - 1)
         near_y = st.integers(-radius, n + radius - 1)
@@ -304,24 +334,10 @@ class TestSignalField:
         towers += data.draw(st.lists(st.sampled_from(towers), max_size=4))
         towers = data.draw(st.permutations(towers))
         expected = per_tower_field(m, n, t, towers)
-
-        def tent_rows(n, t, occupied, padded):
-            rows = np.arange(padded) if every_row else occupied
-            return rows, grid._row_runs(rows)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grid, "_shift_is_cheaper", lambda *args: True)
-            patch.setattr(grid, "_tent_rows", tent_rows)
-            field = signal_field(GridDims(m, n), t, towers)
-        assert field.dtype == np.int32
-        assert np.array_equal(field, expected)
-        # The same tents into int64 totals, which signal_field uses once
-        # t * len(towers) reaches 2**31.
-        near = np.array([(c.x, c.y) for c in towers], dtype=np.int64)
-        occupied = np.unique(near[:, 0]) + radius
-        wide = np.zeros((m, n), dtype=np.int64)
-        grid._add_tents(wide, near, radius, *tent_rows(n, t, occupied, m + 2 * radius))
-        assert np.array_equal(wide, expected)
+        # int64 totals are what signal_field uses once t * len(towers)
+        # reaches 2**31.
+        for dtype in (np.int32, np.int64):
+            assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), expected)
 
     @pytest.mark.parametrize(
         "m,n,t,towers,choice",
@@ -378,10 +394,28 @@ class TestSignalField:
             towers = TowerSet(xy[xy[:, 0] != 250])
         field = signal_field(dims, t, towers)
         assert field_choices(monkeypatch, dims, t, towers) == [choice]
-        # The other algorithm gives the same totals.
-        forced = choice == "stamps"
-        monkeypatch.setattr(grid, "_shift_is_cheaper", lambda *args: forced)
-        assert np.array_equal(signal_field(dims, t, towers), field)
+        # The other layouts give the same totals.
+        for layout in LAYOUTS:
+            forced = forced_field(dims.m, dims.n, t, towers, layout, field.dtype)
+            assert np.array_equal(forced, field)
+
+    @pytest.mark.parametrize(
+        "side,t,choice",
+        # The benchmark's unjittered construct shapes, best-anchor towers:
+        # the dense shapes (t = 3, 4) and the pattern at t = 20-32 take the
+        # tents on the occupied rows; at t = 44-60 it holds few enough
+        # towers for the stamps.
+        [(side, 3, "occupied rows") for side in (220, 280, 440, 500, 580)]
+        + [(side, 4, "occupied rows") for side in (260, 350, 520, 720)]
+        + [(1340, 20, "occupied rows"), (980, 24, "occupied rows")]
+        + [(1200, 28, "occupied rows"), (800, 32, "occupied rows")]
+        + [(900, 44, "stamps"), (1300, 48, "stamps"), (840, 52, "stamps")]
+        + [(1950, 56, "stamps"), (1900, 60, "stamps")],
+    )
+    def test_field_layout_of_benchmark_shapes(self, monkeypatch, side, t, choice):
+        dims = GridDims(side, side)
+        towers = best_anchor_construct(dims, t).towers
+        assert field_choices(monkeypatch, dims, t, towers) == [choice]
 
     def test_cell_cap_refuses_before_allocating(self, monkeypatch):
         def no_zeros(*args, **kwargs):
