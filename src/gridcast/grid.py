@@ -5,16 +5,16 @@ accumulation from Manhattan distances in closed form (the grid graph itself
 is never materialized) and the validity check that a candidate tower set
 supplies at least ``r`` total signal to every grid vertex.
 
-The signal field is exact in the narrowest integer dtype that holds it:
-int32 when t * |towers| < 2**31, int64 otherwise. It is built in one of
-three layouts: a row-tent recurrence (each diamond row is a tent along y)
-in about 5t passes over an image with one row per padded grid row that
-holds towers, the same over an image with a row for every padded row, or
-one stamp per tower. The paper's pattern puts towers on one row in t - 1,
-so its image is small; sparse towers that fill many rows are stamped. The
-three are priced side by side and the cheapest is chosen once. A tower's
-image row is found by one lookup, the count of image rows before its own.
-The verifier's reported totals are always int64.
+The signal field is exact in the narrowest integer dtype that holds it
+(see signal_field): int8 for any TowerSet at t <= 5, int16 at t <= 36. It
+is built in one of three layouts: a row-tent recurrence (each diamond row
+is a tent along y) in about 5t passes over an image with one row per padded
+grid row that holds towers, the same over an image with a row for every
+padded row, or one stamp per tower. The paper's pattern puts towers on one
+row in t - 1, so its image is small; sparse towers that fill many rows are
+stamped. The three are priced side by side and the cheapest is chosen once.
+A tower's image row is found by one lookup, the count of image rows before
+its own. The verifier's reported totals are always int64.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# The worst-case signal total at one vertex is t * |towers|: signal_field
-# keeps it in int32 when that is below 2**31 and in int64 otherwise. Towers
-# are capped at MAX_CELLS too, so it stays under 3.4e11 << 2**63.
+# The worst-case signal total at one vertex is t * |towers| (at most
+# (2t^3 + t) / 3 for distinct towers). Towers are capped at MAX_CELLS too,
+# so it stays under 3.4e11 << 2**63.
 MAX_STRENGTH = 10_000
-# Largest grid (m * n vertices): a signal field of this size takes 128 MiB
-# in int32 and 256 MiB in int64.
+# Largest grid (m * n vertices): a signal field of this size takes 32 MiB
+# in int8 and 256 MiB in int64.
 MAX_CELLS = 2**25
+# signal_field's dtypes, narrowest first, with the largest total each holds.
+_FIELD_DTYPES = ((2**7 - 1, np.int8), (2**15 - 1, np.int16), (2**31 - 1, np.int32))
 
 
 def check_strength(t: int, least: int = 1) -> None:
@@ -189,14 +191,14 @@ class BroadcastVerdict:
 
 
 @lru_cache(maxsize=16)
-def _diamond_kernel(t: int, a: int, b: int) -> np.ndarray:
-    # (2a+1) x (2b+1) read-only int32 stamp of one tower's signal, centered at
-    # index (a, b); its entries are at most t <= MAX_STRENGTH. a and b are at
-    # most the grid sides minus one: no larger offset between two vertices of
-    # the grid exists, so the kernel is bounded by the grid.
+def _diamond_kernel(t: int, a: int, b: int, dtype: np.dtype) -> np.ndarray:
+    # (2a+1) x (2b+1) read-only stamp of one tower's signal in the field's
+    # dtype, centered at index (a, b); its entries are at most t. a and b are
+    # at most the grid sides minus one: no larger offset between two
+    # vertices of the grid exists, so the kernel is bounded by the grid.
     ox = np.abs(np.arange(2 * a + 1) - a)
     oy = np.abs(np.arange(2 * b + 1) - b)
-    kernel = np.maximum(t - (ox[:, None] + oy[None, :]), 0).astype(np.int32)
+    kernel = np.maximum(t - (ox[:, None] + oy[None, :]), 0).astype(dtype)
     kernel.flags.writeable = False
     return kernel
 
@@ -218,9 +220,13 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     needed when evaluating a halo of an infinite pattern against the grid.
     A tower repeated in a plain list counts once per copy.
 
-    The totals are exact in the narrowest dtype that can hold them: int32
-    when t * len(towers) < 2**31, since no vertex receives more than t from
-    each tower, and int64 otherwise.
+    The totals are exact in the narrowest of int8, int16, int32 and int64
+    that holds t * len(towers), since no vertex receives more than t from
+    each tower. For a TowerSet it need hold only the smaller of that and
+    (2t^3 + t) / 3: its towers are distinct, so no vertex receives more than
+    t + sum(4d(t - d) for d in 1..t-1), a tower on every cell within reach.
+    No partial sum exceeds the bound: a tent row is at most t * len(towers),
+    and at most t^2 for distinct towers.
 
     Towers on few rows, or dense: row a of a tower's diamond is a tent of
     height t - |a| along y. The tents of every height are built in about 3t
@@ -248,7 +254,11 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     x, y = xy[:, 0], xy[:, 1]
     reach = (x > -t) & (x < m + radius) & (y > -t) & (y < n + radius)
     near = xy if reach.all() else np.compress(reach, xy, axis=0)
-    values = np.zeros((m, n), dtype=np.int32 if t * len(xy) < 2**31 else np.int64)
+    most = t * len(xy)
+    if isinstance(towers, TowerSet):
+        most = min(most, (2 * t**3 + t) // 3)
+    dtype = next((d for top, d in _FIELD_DTYPES if most <= top), np.int64)
+    values = np.zeros((m, n), dtype=dtype)
     held = np.zeros(m + 2 * radius, dtype=bool)
     held[near[:, 0] + radius] = True
     rows = np.flatnonzero(held)
@@ -340,12 +350,13 @@ def _add_tents(
 def _add_stamps(values: np.ndarray, near: np.ndarray, t: int) -> None:
     # A tower outside the grid reaches each vertex through the tower's
     # clamped image, so it acts like that image with strength t - excess,
-    # excess being its L1 distance to the grid.
+    # excess being its L1 distance to the grid, capped at t (which leaves
+    # nothing) so that it fits the field's dtype.
     m, n = values.shape
     a, b = min(t, m) - 1, min(t, n) - 1
-    kernel = _diamond_kernel(t, a, b)
+    kernel = _diamond_kernel(t, a, b, values.dtype)
     clamped = np.clip(near, 0, (m - 1, n - 1))
-    excess = np.abs(near - clamped).sum(axis=1)
+    excess = np.minimum(np.abs(near - clamped).sum(axis=1), t)
     for tx, ty, e in zip(clamped[:, 0].tolist(), clamped[:, 1].tolist(), excess.tolist()):
         x0, x1 = max(tx - a, 0), min(tx + a, m - 1)
         y0, y1 = max(ty - b, 0), min(ty + b, n - 1)

@@ -24,9 +24,19 @@ from naive_oracle import bfs_distances, manhattan_dist, signal
 coords = st.builds(Coord, st.integers(-6, 6), st.integers(-6, 6))
 
 
-def expected_dtype(t, count):
-    """signal_field's dtype: int32 while t * count < 2**31, else int64."""
-    return np.int32 if t * count < 2**31 else np.int64
+FIELD_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def expected_dtype(t, count, distinct=False):
+    """signal_field's dtype: the narrowest of FIELD_DTYPES that holds t *
+    count, or for ``distinct`` towers (a TowerSet) at most (2t^3 + t) / 3."""
+    most = min(t * count, (2 * t**3 + t) // 3) if distinct else t * count
+    return next(d for d in FIELD_DTYPES if most <= np.iinfo(d).max)
+
+
+def exact_dtypes(t, count, distinct=False):
+    """The dtypes that hold every total and partial sum: expected_dtype and wider."""
+    return FIELD_DTYPES[FIELD_DTYPES.index(expected_dtype(t, count, distinct)) :]
 
 
 def field_choices(monkeypatch, dims, t, towers):
@@ -173,6 +183,68 @@ class TestSignalField:
         assert verdict.received.dtype == np.int64
         assert verdict.received.tolist() == [total]
 
+    @pytest.mark.parametrize(
+        "t,copies,dtype",
+        [
+            (1, 127, np.int8), (1, 128, np.int16), (127, 1, np.int8), (64, 2, np.int16),
+            (7, 4681, np.int16), (1, 32_768, np.int32), (2, 16_384, np.int32),
+        ],
+        ids=["127", "128", "t=127", "t=64x2", "32767", "32768", "t=2x16384"],
+    )
+    def test_repeated_towers_are_exact_at_the_narrow_boundaries(self, t, copies, dtype):
+        # t * copies = 127 | 128 and 32 767 | 32 768: int8 -> int16 -> int32.
+        dims, total = GridDims(3, 3), t * copies
+        towers = np.ones((copies, 2), dtype=np.int64)
+        field = signal_field(dims, t, towers)
+        expected = copies * per_tower_field(3, 3, t, [Coord(1, 1)])
+        assert field.dtype == dtype == expected_dtype(t, copies)
+        assert np.array_equal(field, expected) and field[1, 1] == total
+        for layout in LAYOUTS:
+            assert np.array_equal(forced_field(3, 3, t, towers, layout, dtype), expected)
+        verdict = check_broadcast(dims, BroadcastParams(t, total), towers)
+        assert np.array_equal(verdict.deficiencies, np.argwhere(expected < total))
+        assert verdict.received.dtype == np.int64
+        assert np.array_equal(verdict.received, expected[expected < total])
+
+    @pytest.mark.parametrize(
+        "t,total,dtype",
+        [(5, 85, np.int8), (6, 146, np.int16), (36, 31_116, np.int16), (37, 33_781, np.int32)],
+    )
+    def test_tower_on_every_vertex_reaches_the_distinct_bound(self, t, total, dtype):
+        # Every vertex of a (2t-1)^2 grid holds a tower: the centre receives
+        # (2t^3 + t) / 3, the most any vertex can from distinct towers.
+        side = 2 * t - 1
+        towers = TowerSet(np.indices((side, side)).reshape(2, -1).T)
+        field = signal_field(GridDims(side, side), t, towers)
+        assert (2 * t**3 + t) // 3 == total
+        assert field.dtype == dtype == expected_dtype(t, len(towers), distinct=True)
+        assert field.max() == field[t - 1, t - 1] == total
+        assert np.array_equal(field, per_tower_field(side, side, t, towers))
+        for layout in LAYOUTS:
+            assert np.array_equal(forced_field(side, side, t, towers, layout, dtype), field)
+
+    @given(
+        m=st.integers(1, 16),
+        n=st.integers(1, 16),
+        t=st.integers(1, 12),
+        density=st.sampled_from([0.02, 0.2, 0.6, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tower_sets_match_per_tower_reference_in_the_rule_dtype(
+        self, m, n, t, density, seed
+    ):
+        # Sparse to full TowerSets over the grid padded by t + 1, so some
+        # towers lie beyond reach.
+        cells = np.indices((m + 2 * t + 2, n + 2 * t + 2)).reshape(2, -1).T - (t + 1)
+        keep = np.random.default_rng(seed).random(len(cells)) < density
+        towers = TowerSet(cells[keep])
+        field = signal_field(GridDims(m, n), t, towers)
+        assert field.dtype == expected_dtype(t, len(towers), distinct=True)
+        assert np.array_equal(field, per_tower_field(m, n, t, towers))
+        for layout in LAYOUTS:
+            assert np.array_equal(forced_field(m, n, t, towers, layout, field.dtype), field)
+
     def test_stamp_kernel_is_bounded_by_the_grid(self):
         # A (2t-1)^2 kernel at t=1000 alone would take 61 MiB.
         tracemalloc.start()
@@ -188,6 +260,17 @@ class TestSignalField:
         towers = [Coord(1, 1), Coord(-5, 1), Coord(7, -9), Coord(-2000, 0)]
         field = signal_field(GridDims(3, 4), 1000, towers)
         assert np.array_equal(field, per_tower_field(3, 4, 1000, towers))
+
+    @pytest.mark.parametrize("corner", [(-99, -99), (-60, 1), (101, 102)])
+    def test_int8_stamps_of_towers_far_beyond_a_corner(self, corner):
+        # t = 100 with one tower is an int8 field, yet the tower's L1
+        # distance to the grid may exceed 127.
+        towers = [Coord(*corner)]
+        field = signal_field(GridDims(3, 4), 100, towers)
+        expected = per_tower_field(3, 4, 100, towers)
+        assert field.dtype == np.int8 and np.array_equal(field, expected)
+        for layout in LAYOUTS:
+            assert np.array_equal(forced_field(3, 4, 100, towers, layout, np.int8), expected)
 
     def test_small_grid_never_takes_the_shifted_path_at_large_strength(self):
         # The tents pad their image by t-1 on every side: on a 3x3 grid at
@@ -274,7 +357,7 @@ class TestSignalField:
         near = st.builds(Coord, st.integers(-t - 2, m + t + 1), st.integers(-t - 2, n + t + 1))
         towers = data.draw(st.lists(near, max_size=12))
         expected = per_tower_field(m, n, t, towers)
-        for dtype in (np.int32, np.int64):
+        for dtype in exact_dtypes(t, len(towers)):
             assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), expected)
         field = signal_field(GridDims(m, n), t, towers)
         assert field.dtype == expected_dtype(t, len(towers))
@@ -301,7 +384,7 @@ class TestSignalField:
             patch.setattr(grid, "_field_layout", lambda *args: layout)
             verdict = check_broadcast(GridDims(m, n), BroadcastParams(t, r), xy)
         field = per_tower_field(m, n, t, towers)
-        for dtype in (np.int32, np.int64):
+        for dtype in exact_dtypes(t, len(towers)):
             assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), field)
         assert verdict.valid == bool((field >= r).all())
         assert np.array_equal(verdict.deficiencies, np.argwhere(field < r))
@@ -334,9 +417,9 @@ class TestSignalField:
         towers += data.draw(st.lists(st.sampled_from(towers), max_size=4))
         towers = data.draw(st.permutations(towers))
         expected = per_tower_field(m, n, t, towers)
-        # int64 totals are what signal_field uses once t * len(towers)
-        # reaches 2**31.
-        for dtype in (np.int32, np.int64):
+        # Every dtype that holds t * len(towers): int64 is what signal_field
+        # uses once that reaches 2**31.
+        for dtype in exact_dtypes(t, len(towers)):
             assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), expected)
 
     @pytest.mark.parametrize(
@@ -443,6 +526,24 @@ class TestCheckBroadcast:
         assert verdict.deficiencies.shape == (0, 2)
         assert verdict.received.shape == (0,)
         assert verdict.deficiencies.dtype == verdict.received.dtype == np.int64
+
+    @pytest.mark.parametrize("t,dtype", [(5, np.int8), (6, np.int16)])
+    @pytest.mark.parametrize("r", [1, 64, 85, 86, 146, 147, 128, 32_768, 2**80])
+    def test_r_beyond_the_field_dtype_matches_an_int64_reference(self, t, dtype, r):
+        # A tower on every vertex of a (2t-1)^2 grid: an int8 field at t=5
+        # and an int16 one at t=6, held against r up to 2**80.
+        side = 2 * t - 1
+        towers = TowerSet(np.indices((side, side)).reshape(2, -1).T)
+        dims = GridDims(side, side)
+        assert signal_field(dims, t, towers).dtype == dtype
+        reference = per_tower_field(side, side, t, towers)
+        verdict = check_broadcast(dims, BroadcastParams(t, r), towers)
+        assert verdict.valid == bool((reference >= r).all())
+        assert np.array_equal(verdict.deficiencies, np.argwhere(reference < r))
+        assert verdict.received.dtype == np.int64
+        assert np.array_equal(verdict.received, reference[reference < r])
+        if r >= 2**15:
+            assert len(verdict.deficiencies) == side * side
 
     def test_deficiencies_reported_in_order(self):
         verdict = check_broadcast(

@@ -205,6 +205,24 @@ class TestExactGamma:
         else:
             assert exists
 
+    @pytest.mark.parametrize("t", [127, 128])
+    @pytest.mark.parametrize("extra", [0, 1, 2**80])
+    def test_existence_check_at_the_int8_boundary(self, t, extra):
+        # On 2x2 towers everywhere give each vertex t + 2(t - 1) + (t - 2):
+        # r = 4t - 4 needs all four, one more has no broadcast. The corner's
+        # one-tower field is int8 at t = 127 and int16 at t = 128.
+        dims, params = GridDims(2, 2), BroadcastParams(t, 4 * t - 4 + extra)
+        every_vertex = TowerSet([Coord(x, y) for x in range(2) for y in range(2)])
+        assert check_broadcast(dims, params, every_vertex).valid == (not extra)
+        if extra:
+            with pytest.raises(ValueError, match="even towers on every vertex fall short"):
+                exact_gamma(dims, params)
+        else:
+            result = exact_gamma(dims, params)
+            assert (result.status, result.gamma, result.witness) == (
+                "optimal", 4, every_vertex
+            )
+
     def test_infeasible_parameters_rejected(self):
         # strength 1 cannot deliver 2 signal anywhere, whatever the set
         with pytest.raises(ValueError, match="no .* broadcast exists"):
@@ -370,6 +388,17 @@ class TestMaxUnitCoverage:
         # Every vertex of a 3x3 grid is within distance 2 of the centre.
         params = BroadcastParams(4, 2**80)
         assert max_unit_coverage(GridDims(3, 3), params) == 4 + 4 * 3 + 4 * 2
+
+    @pytest.mark.parametrize("t,dtype", [(127, np.int8), (128, np.int16)])
+    @pytest.mark.parametrize("r", [1, 100, 127, 128, 2**15, 2**80])
+    def test_one_tower_field_crosses_int8_to_int16(self, t, dtype, r):
+        # One tower's field is int8 up to t = 127 and int16 from t = 128; the
+        # capped sum is compared with an int64 one.
+        m, n = 300, 261
+        assert solver._one_tower_field(GridDims(m, n), t, 149, 130).dtype == dtype
+        dist = np.abs(np.arange(m) - 149)[:, None] + np.abs(np.arange(n) - 130)
+        expected = int(np.minimum(np.maximum(t - dist, 0), min(r, t)).sum())
+        assert max_unit_coverage(GridDims(m, n), BroadcastParams(t, r)) == expected
 
 
 class TestTableFreeSetup:
