@@ -20,7 +20,6 @@ its own. The verifier's reported totals are always int64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -94,12 +93,14 @@ def _as_xy(towers: Iterable[Coord] | np.ndarray) -> np.ndarray:
     """Towers as a (k, 2) int64 array, in input order and with duplicates kept."""
     if isinstance(towers, TowerSet):
         return towers.xy
-    if isinstance(towers, np.ndarray):
+    try:
+        if not isinstance(towers, np.ndarray):
+            return np.array([(c.x, c.y) for c in towers], dtype=np.int64).reshape(-1, 2)
         if not np.issubdtype(towers.dtype, np.integer):
             raise ValueError(f"tower arrays must hold integers, got {towers.dtype}")
+        if towers.dtype == np.uint64 and towers.max(initial=0) >= 2**63:
+            raise OverflowError  # the cast to int64 would wrap it
         return np.asarray(towers, dtype=np.int64).reshape(-1, 2)
-    try:
-        return np.array([(c.x, c.y) for c in towers], dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         raise ValueError("tower coordinates must fit in 64-bit integers") from None
 
@@ -188,19 +189,6 @@ class BroadcastVerdict:
     deficiencies: np.ndarray
     received: np.ndarray
     outside_towers: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _diamond_kernel(t: int, a: int, b: int, dtype: np.dtype) -> np.ndarray:
-    # (2a+1) x (2b+1) read-only stamp of one tower's signal in the field's
-    # dtype, centered at index (a, b); its entries are at most t. a and b are
-    # at most the grid sides minus one: no larger offset between two
-    # vertices of the grid exists, so the kernel is bounded by the grid.
-    ox = np.abs(np.arange(2 * a + 1) - a)
-    oy = np.abs(np.arange(2 * b + 1) - b)
-    kernel = np.maximum(t - (ox[:, None] + oy[None, :]), 0).astype(dtype)
-    kernel.flags.writeable = False
-    return kernel
 
 
 # Rough fixed cost of one Python-level step (a stamp, or one pass or strided
@@ -352,9 +340,18 @@ def _add_stamps(values: np.ndarray, near: np.ndarray, t: int) -> None:
     # clamped image, so it acts like that image with strength t - excess,
     # excess being its L1 distance to the grid, capped at t (which leaves
     # nothing) so that it fits the field's dtype.
+    if not len(near):
+        return
     m, n = values.shape
     a, b = min(t, m) - 1, min(t, n) - 1
-    kernel = _diamond_kernel(t, a, b, values.dtype)
+    # One tower's (2a+1) x (2b+1) stamp, centered at index (a, b), built in
+    # the field's dtype: the dtype holds t, and every t - |dx| - |dy| lies in
+    # [2 - t, t]. a and b are at most the grid sides minus one: no larger
+    # offset between two vertices of the grid exists, so the kernel is
+    # bounded by the grid.
+    dx, dy = (np.abs(np.arange(-c, c + 1)).astype(values.dtype) for c in (a, b))
+    kernel = np.subtract.outer(t - dx, dy)
+    np.maximum(kernel, 0, out=kernel)
     clamped = np.clip(near, 0, (m - 1, n - 1))
     excess = np.minimum(np.abs(near - clamped).sum(axis=1), t)
     for tx, ty, e in zip(clamped[:, 0].tolist(), clamped[:, 1].tolist(), excess.tolist()):
@@ -381,10 +378,7 @@ def check_broadcast(
     if not isinstance(towers, (TowerSet, np.ndarray)):
         towers = _as_xy(towers)
     values = signal_field(dims, params.t, towers).view(np.ndarray).reshape(-1)
-    if values.min() < params.r:
-        flat = np.flatnonzero(values < params.r)
-    else:
-        flat = np.empty(0, dtype=np.intp)
+    flat = np.flatnonzero(values < params.r) if values.min() < params.r else np.empty(0, np.intp)
     short = np.stack(divmod(flat, dims.n), axis=1)
     xy = _as_xy(towers)
     x, y = xy[:, 0], xy[:, 1]

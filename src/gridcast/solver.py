@@ -31,8 +31,8 @@ diamond the first time the search reads it, and symmetry images are computed
 only for the root's candidates. So a level's setup is O(mn) and everything
 after it is bounded by the budget. Ranking one cell's candidates may build a
 cover for each before a node is counted, so max_seconds is checked as covers
-are built too. Every witness is re-checked by check_broadcast before it is
-returned.
+are built too, once per diamond row; a cover cut short is not kept. Every
+witness is re-checked by check_broadcast before it is returned.
 """
 
 from __future__ import annotations
@@ -150,14 +150,15 @@ class _Search:
 
     def _cover(self, u: int) -> list[tuple[int, int]]:
         """The (cell, signal) pairs a tower on u supplies, in cell order; cached."""
-        # Ranking builds a cover per candidate before any node is counted.
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExhaustedError(self.nodes)
-        m, n, t = self.m, self.n, self.t
+        m, n, t, deadline = self.m, self.n, self.t, self.deadline
         x, y = divmod(u, n)
         cells = []
         # Row a of the diamond: signal s on column y, falling by one per column.
+        # Ranking builds a cover per candidate before any node is counted, and
+        # one cover holds up to (2t-1)^2 cells, so the clock is read per row.
         for a in range(max(x - t + 1, 0), min(x + t, m)):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhaustedError(self.nodes)
             s = t - abs(a - x)
             cells += [(a * n + b, s - abs(b - y)) for b in range(max(y - s + 1, 0), min(y + s, n))]
         self.cover[u] = cells

@@ -126,6 +126,26 @@ class TestConstructCommand:
         assert code == 1
         assert "failed verification" in err
 
+    def test_replacement_collision_exits_1(self, capsys, monkeypatch):
+        # Two halo towers that clamp onto one vertex of the grid.
+        construct_module = importlib.import_module("gridcast.construct")
+        colliding = TowerSet([Coord(-1, 0), Coord(0, 0)])
+        monkeypatch.setattr(construct_module, "towers_in_window", lambda *_: colliding)
+        argv = ["construct", "--m", "12", "--n", "6", "--t", "4", "--anchor", "1,4"]
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: replacement collision letterboxing 12x6, t=4, "
+            "anchor=Coord(x=1, y=4)\n",
+        )
+
+    def test_result_over_the_bound_exits_1(self, capsys, monkeypatch):
+        construct_module = importlib.import_module("gridcast.construct")
+        # The best 12x6 t=4 broadcast has 7 towers; report the bound as 6.
+        monkeypatch.setattr(construct_module, "upper_t2", lambda m, n, t: 6)
+        argv = ["construct", "--m", "12", "--n", "6", "--t", "4", "--best"]
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: best-anchor result size 7 exceeds bound 6 on 12x6, t=4\n",
+        )
+
     def test_sheared_construct_when_it_works(self, capsys, tmp_path):
         out_path = tmp_path / "sheared.json"
         code, out, _ = run_cli(
@@ -427,6 +447,19 @@ class TestVerifyCommand:
         path.write_text(text + "\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out, err) == (2, "", f"error: duplicate key: {key!r}\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "document must be a JSON object"),
+            ('{"m":3,"n":3,"t":3,"r":2,"towers":{"x":1}}', "towers must be a list of [x, y] pairs"),
+            ('{"m":3,"n":3,"t":3,"r":2,"towers":"[[1,1]]"}', "towers must be a list of [x, y] pairs"),
+        ],
+    )
+    def test_document_shape_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "shape.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert run_cli(capsys, "verify", str(path)) == (2, "", f"error: {message}\n")
 
 
 class TestExactCommand:

@@ -141,6 +141,13 @@ class TestConstructionRefusesWhatParsingRefuses:
         with pytest.raises(DocumentError):
             make_doc(**overrides)
 
+    def test_refuses_uint64_towers_past_int64(self):
+        towers = np.array([[2**63, 0]], dtype=np.uint64)
+        with pytest.raises(DocumentError, match="must fit in 64-bit integers$"):
+            make_doc(towers=towers)
+        in_range = np.array([[2, 0]], dtype=np.uint64)
+        assert make_doc(towers=in_range) == make_doc()
+
     def test_keeps_the_anchor_as_a_tuple(self):
         doc = make_doc(metadata={"anchor": [3, -1]})
         assert doc.metadata == {"anchor": (3, -1)}

@@ -256,6 +256,48 @@ class TestSignalField:
         assert peak < 2**20
         assert field.tolist() == [[998, 999, 998], [999, 1000, 999], [998, 999, 998]]
 
+    def test_far_reaching_stamp_builds_one_kernel_in_the_field_dtype(self):
+        # One tower's int16 field (7.6 MiB) and its 3999^2 int16 kernel
+        # (30.5 MiB): an int64 temporary of the kernel alone would take 122 MiB.
+        tracemalloc.start()
+        try:
+            field = signal_field(GridDims(2000, 2000), 10_000, [Coord(1000, 1000)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert field.dtype == np.int16
+        assert field[1000, 1000] == 10_000
+        assert (field[0, 0], field[0, 1999], field[1999, 1999]) == (8_000, 8_001, 8_002)
+
+    @pytest.mark.parametrize("towers", [[], [Coord(-10_000, 0)]], ids=["none", "out-of-reach"])
+    def test_stamps_of_no_tower_build_no_kernel(self, towers):
+        # The field alone: 3.8 MiB in int8 with no towers, 7.6 MiB in int16
+        # with one tower whose signal ends before the grid. A shape no other
+        # test stamps, so nothing built earlier is reused.
+        tracemalloc.start()
+        try:
+            field = signal_field(GridDims(1998, 2000), 10_000, towers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert not field.any()
+
+    def test_stamp_kernel_is_not_kept(self):
+        # A shape no other test stamps, so nothing built earlier is reused.
+        tracemalloc.start()
+        try:
+            field = signal_field(GridDims(1999, 2001), 9_999, [Coord(999, 1000)])
+            assert field[999, 1000] == 9_999
+            del field
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, grid.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert sum(stat.size for stat in kept.statistics("filename")) < 2**16
+
     def test_large_strength_outside_towers_act_through_their_clamped_image(self):
         towers = [Coord(1, 1), Coord(-5, 1), Coord(7, -9), Coord(-2000, 0)]
         field = signal_field(GridDims(3, 4), 1000, towers)
@@ -657,6 +699,53 @@ class TestTowerSet:
     def test_rejects_non_integer_arrays(self):
         with pytest.raises(ValueError, match="integers"):
             TowerSet(np.array([[0.5, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "rows", [[[2**63, 0]], [[2**64 - 1, 0], [0, 0]]], ids=["2^63", "2^64-1"]
+    )
+    def test_refuses_uint64_coordinates_past_int64(self, rows):
+        # Cast to int64 they would wrap: 2^64 - 1 would become the outside
+        # tower (-1, 0), which radiates into the grid.
+        xy = np.array(rows, dtype=np.uint64)
+        message = r"^tower coordinates must fit in 64-bit integers$"
+        with pytest.raises(ValueError, match=message):
+            TowerSet(xy)
+        with pytest.raises(ValueError, match=message):
+            signal_field(GridDims(2, 2), 3, xy)
+        with pytest.raises(ValueError, match=message):
+            check_broadcast(GridDims(2, 2), BroadcastParams(3, 2), xy)
+
+    @pytest.mark.parametrize(
+        "rows", [[], [[0, 0], [1, 1]], [[2**63 - 1, 0], [1, 1], [4, 2], [1, 1]]],
+        ids=["empty", "inside", "far-and-repeated"],
+    )
+    def test_in_range_uint64_arrays_act_as_their_int64_copy(self, rows):
+        unsigned = np.array(rows, dtype=np.uint64).reshape(-1, 2)
+        signed = unsigned.astype(np.int64)
+        assert TowerSet(unsigned) == TowerSet(signed)
+        dims, params = GridDims(4, 3), BroadcastParams(3, 2)
+        field = signal_field(dims, params.t, unsigned)
+        assert field.dtype == signal_field(dims, params.t, signed).dtype
+        assert np.array_equal(field, signal_field(dims, params.t, signed))
+        ours, theirs = (check_broadcast(dims, params, xy) for xy in (unsigned, signed))
+        assert ours.valid == theirs.valid
+        for name in ("deficiencies", "received", "outside_towers"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+
+    def test_refuses_coords_past_int64(self):
+        for c in (Coord(2**63, 0), Coord(0, -(2**63) - 1)):
+            with pytest.raises(ValueError, match=r"^tower coordinates must fit in 64-bit"):
+                TowerSet([Coord(0, 0), c])
+
+    def test_holds_only_coords(self):
+        ts = TowerSet([Coord(1, 2)])
+        assert Coord(1, 2) in ts
+        assert (1, 2) not in ts and [1, 2] not in ts and None not in ts
+
+    def test_repr_lists_the_towers_in_order(self):
+        ts = TowerSet([Coord(3, -1), Coord(1, 2), Coord(3, -1)])
+        assert repr(ts) == "TowerSet([Coord(x=1, y=2), Coord(x=3, y=-1)])"
+        assert repr(TowerSet()) == "TowerSet([])"
 
     def test_xy_is_read_only(self):
         source = np.array([[0, 5], [1, 2]], dtype=np.int64)  # already canonical

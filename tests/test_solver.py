@@ -347,6 +347,53 @@ class TestSolveWideBudget:
             )
         assert (exhausted.value.nodes_expanded, len(built)) == (0, 3)
 
+    def test_seconds_are_checked_within_one_cover(self, monkeypatch):
+        # One cover holds up to (2t-1)^2 cells, so the clock is read per row
+        # of its diamond. On a clock that advances 1 s per reading, the
+        # deadline is 3.5 and the third row of the first cover passes it.
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        returned = []
+        original = solver._Search._cover
+
+        def counted(self, u):
+            cells = original(self, u)
+            returned.append(u)
+            return cells
+
+        monkeypatch.setattr(solver._Search, "_cover", counted)
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(
+                GridDims(8, 8), BroadcastParams(8, 2), 5, SearchBudget(max_seconds=2.5)
+            )
+        assert (exhausted.value.nodes_expanded, returned) == (0, [])
+
+    def test_seconds_are_checked_per_node_once_covers_are_cached(self, monkeypatch):
+        # Every cover is built on a stopped clock; then each reading advances
+        # it by 1 s, and only the search loop reads it: the third node finds
+        # the 2.5 s spent.
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        dims = GridDims(4, 4)
+        search = solver._Search(dims, BroadcastParams(3, 2), SearchBudget(max_seconds=2.5))
+        for u in range(dims.m * dims.n):
+            search._cover(u)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        # Level 3 of this grid takes 35 nodes without a deadline.
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            search.run(3)
+        assert exhausted.value.nodes_expanded == search.nodes == 2
+
 
 class TestSearchBudget:
     def test_rejects_nonpositive_cap(self):
