@@ -25,14 +25,17 @@ applies no such reduction.
 
 The search is one loop over an explicit stack of frames, one per branch
 point on the current path, so its depth is bounded by the tower count, not
-by Python's recursion limit. Setup builds no table: a cell's cover (the cells
-a tower there reaches, with their signals) is built from the row spans of its
-diamond the first time the search reads it, and symmetry images are computed
-only for the root's candidates. So a level's setup is O(mn) and everything
-after it is bounded by the budget. Ranking one cell's candidates may build a
-cover for each before a node is counted, so max_seconds is checked as covers
-are built too, once per diamond row; a cover cut short is not kept. Every
-witness is re-checked by check_broadcast before it is returned.
+by Python's recursion limit. The received signal is held as bit planes, one
+Python int per total 1..r, over the live band of rows that the frame's
+subtree can still change; each frame keeps its own planes, so backtracking
+undoes nothing. A candidate's gain is a popcount of its diamond templates
+against the deficient cells, and a placement ORs shifted templates into new
+planes. Setup builds only the templates and masks of one band, and symmetry
+images are computed only for the root's candidates, so the work per node and
+the memory per frame grow with t, n and r, never with m. Ranking one cell's
+candidates computes up to (2t-1)^2 gains before a node is counted, so
+max_seconds is checked as they are ranked too, once per row of candidates.
+Every witness is re-checked by check_broadcast before it is returned.
 """
 
 from __future__ import annotations
@@ -129,11 +132,28 @@ class SolverInvariantError(RuntimeError):
     """A witness the search returned failed the independent verifier."""
 
 
+def _bits(cells: np.ndarray) -> int:
+    """A bool array's true cells as the set bits of one int, in row-major order."""
+    return int.from_bytes(np.packbits(cells, bitorder="little").tobytes(), "little")
+
+
 class _Search:
     """One complete search for a broadcast of at most `slots` towers.
 
-    Signal totals are maintained incrementally: placing or removing a tower
-    touches only the cells inside its signal diamond.
+    The received signal is held as bit planes over the live band of rows
+    [x_v, x_v + 2R], R = min(t-1, m-1), where v is the frame's branch cell:
+    plane j (planes[j-1]) holds the band cells whose total is at least j,
+    for j <= r, and trailing planes equal to 0 are dropped. Rows above x_v are
+    satisfied and rows below the band are untouched, so each frame keeps
+    only its own band, and its planes are never changed. A band row is
+    `width` = n + min(2t-2, n-1) bits; the bits past column n-1 are
+    padding, so no diamond of radius 2t-2 or less wraps onto a neighbouring
+    row. Cell (x0 + i, c) of the band from row x0 is bit lift + i*width + c,
+    lift = 2R*width + min(t-1, n-1), so that a template placed anywhere in
+    reach of the band is shifted left, never right; bits outside the band's
+    grid cells are ignored. Templates are diamonds around the centre of a
+    (2R+1) x width box: dia[k-1] holds the cells a tower sends at least k,
+    ring[s-1] those it sends exactly s.
     """
 
     def __init__(self, dims: GridDims, params: BroadcastParams, budget: SearchBudget):
@@ -141,28 +161,48 @@ class _Search:
         self.deadline = (
             None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         )
-        self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
+        m, n, t, r = self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
         self.budget = budget
-        self.cover: list[list[tuple[int, int]] | None] = [None] * (dims.m * dims.n)
         self.max_unit_coverage = max_unit_coverage(dims, params)
-        self.field = [0] * (dims.m * dims.n)
         self.nodes = 0
+        rows, cols = min(t, m) - 1, min(t, n) - 1
+        self.rows = rows
+        width = self.width = n + min(2 * t - 2, n - 1)
+        self.lift = 2 * rows * width + cols
+        # No two grid cells are further apart than the box's half-diagonal,
+        # so a diamond that wide is the whole box, and so is every wider one.
+        self.box = rows + cols
+        top = self.top = min(r, t)
+        dx = np.abs(np.arange(-rows, rows + 1))
+        dy = np.abs(np.arange(width) - cols)
+        diamonds: dict[int, int] = {}
+        for d in range(t - top, t):
+            d = min(d, self.box)
+            if d not in diamonds:
+                diamonds[d] = _bits(dy <= np.minimum(d - dx, cols)[:, None])
+        # Nothing receives more than t, and no grid cell less than t - box.
+        self.least = max(t - self.box, 1)
+        self.dia = [diamonds[min(t - k, self.box)] for k in range(1, top + 1)]
+        self.ring = [
+            self.dia[s - 1] ^ (self.dia[s] if s < top else 0) for s in range(1, min(r - 1, t) + 1)
+        ]
+        # Ranking stacks the gain's terms k = top, ..., 1 in one int, term k
+        # `stride` bits above term k + 1, so that one popcount sums them.
+        self.stride = (4 * rows + 2) * width
+        self.stacked = 0
+        for template in self.dia:
+            self.stacked = (self.stacked << self.stride) | template
+        # A frame's band has 2R+1 rows. A placement looks for the next
+        # deficient cell in its 4t-2 rows, past the band into untouched rows.
+        self.height = 2 * rows + 1
+        full = np.zeros((min(4 * t - 2, m), width), dtype=bool)
+        full[:, :n] = True
+        self.full = _bits(full) << self.lift
+        self.band, self.region = self._mask(0, self.height), self._mask(0, 4 * t - 2)
 
-    def _cover(self, u: int) -> list[tuple[int, int]]:
-        """The (cell, signal) pairs a tower on u supplies, in cell order; cached."""
-        m, n, t, deadline = self.m, self.n, self.t, self.deadline
-        x, y = divmod(u, n)
-        cells = []
-        # Row a of the diamond: signal s on column y, falling by one per column.
-        # Ranking builds a cover per candidate before any node is counted, and
-        # one cover holds up to (2t-1)^2 cells, so the clock is read per row.
-        for a in range(max(x - t + 1, 0), min(x + t, m)):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhaustedError(self.nodes)
-            s = t - abs(a - x)
-            cells += [(a * n + b, s - abs(b - y)) for b in range(max(y - s + 1, 0), min(y + s, n))]
-        self.cover[u] = cells
-        return cells
+    def _mask(self, x0: int, rows: int) -> int:
+        """The grid cells of band rows [x0, x0 + rows), clipped at row m."""
+        return self.full & ((1 << (self.lift + min(rows, self.m - x0) * self.width)) - 1)
 
     def _root_representatives(self, ranked: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Keep the first-ranked candidate of each symmetry orbit."""
@@ -173,47 +213,103 @@ class _Search:
             if all(rank.get(w, i) >= i for w in _cell_images(u, self.m, self.n))
         ]
 
-    def _ranked(self, v: int, forbidden: set[int]) -> list[tuple[int, int]]:
-        """(-gain, u) for each allowed u reaching v, sorted; gain is the deficiency repaired."""
-        field, r, cover = self.field, self.r, self.cover
+    def _ranked(self, planes: tuple[int, ...], v: int, forbidden: set[int]) -> list[tuple[int, int]]:
+        """(-gain, u) for each allowed u reaching v, sorted; gain is the deficiency repaired.
+
+        The gain of u is the sum over k <= min(r, t) of the cells that lack
+        at least k and that u sends at least k. Planes past the last are
+        empty, so for k <= r - len(planes) the cells lacking k are the whole
+        band, and for k <= t - box u's diamond is the whole box: those terms
+        are one count times one popcount.
+        """
+        m, n, t, r, deadline = self.m, self.n, self.t, self.r, self.deadline
+        width, rows, top, stride = self.width, self.rows, self.top, self.stride
+        x, y = divmod(v, n)
+        band = self.band if x + self.height <= m else self._mask(x, self.height)
+        empty = r - len(planes)
+        same = max(min(top, empty, t - self.box), 0)
+        lacking = 0
+        for k in range(same + 1, top + 1):
+            lacking = (lacking << stride) | (band & ~planes[r - k] if k > empty else band)
+        stacked = self.stacked & ((1 << ((top - same) * stride)) - 1) if same else self.stacked
+        box = self.dia[0]
         ranked = []
-        for u, _ in cover[v] or self._cover(v):
-            if u in forbidden:
-                continue
-            gain = 0
-            for c, s in cover[u] or self._cover(u):
-                d = r - field[c]
-                if d > 0:
-                    gain += d if d < s else s
-            ranked.append((-gain, u))
+        for a in range(x - t + 1 if x >= t else 0, x + t if x + t < m else m):
+            # One candidate row costs up to 2t-1 gains, so the clock is read
+            # per row.
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhaustedError(self.nodes)
+            w = t - 1 - (x - a if a < x else a - x)
+            lo, hi = (y - w if y > w else 0), (y + w + 1 if y + w < n else n)
+            # The template of u = (a, b) is shifted by (a - x + R) * width + b.
+            shift, u = (a - x + rows) * width + lo, a * n + lo
+            for u in range(u, u + hi - lo):
+                if u not in forbidden:
+                    gain = (lacking & (stacked << shift)).bit_count()
+                    if same:
+                        gain += same * (band & (box << shift)).bit_count()
+                    ranked.append((-gain, u))
+                shift += 1
         ranked.sort()
         return ranked
+
+    def _place(self, planes: tuple[int, ...], x0: int, u: int) -> tuple[tuple[int, ...], int]:
+        """The planes after a tower on u, and the first deficient cell.
+
+        A cell reaches total j if it had j already, if u sends it j, or if
+        it had j - s and u sends it exactly s. The planes are returned in
+        the band of the deficient cell's row.
+        """
+        n, t, r, width, dia, ring = self.n, self.t, self.r, self.width, self.dia, self.ring
+        a, b = divmod(u, n)
+        shift = (a - x0 + self.rows) * width + b
+        count = len(planes)
+        total = r if count + t > r else count + t
+        least = self.least
+        placed = []
+        for j in range(1, total + 1):
+            plane = planes[j - 1] if j <= count else 0
+            if j <= t:
+                plane |= dia[j - 1] << shift
+            for s in range(j - count if j - count > least else least, j if j <= t else t + 1):
+                plane |= planes[j - s - 1] & (ring[s - 1] << shift)
+            placed.append(plane)
+        lacking = self.region if x0 + 4 * t - 2 <= self.m else self._mask(x0, 4 * t - 2)
+        if total == r:
+            lacking &= ~placed[-1]
+        drop, column = divmod((lacking & -lacking).bit_length() - 1 - self.lift, width)
+        if drop:
+            placed = [plane >> (drop * width) for plane in placed]
+        while placed and not placed[-1]:
+            placed.pop()
+        return tuple(placed), (x0 + drop) * n + column
 
     def run(self, slots: int) -> list[int] | None:
         """The cells of a broadcast of at most `slots` towers, or None.
 
-        A frame is one branch point: its ranked children still to try, the
-        cell it branches on, the deficit (the total shortfall, positive) and
-        the towers left. Each child is counted as a node; one that covers the
-        whole deficit, or leaves more than the remaining towers could repair,
-        is decided from its gain without being placed. Any other is placed,
-        and the frame of its subtree branches on the first deficient cell at
-        or after the parent's, because cells before it are satisfied. Tried
-        children stay forbidden until their frame is done.
+        A frame is one branch point: its ranked children still to try, its
+        band's first row, its planes, the deficit (the total shortfall,
+        positive) and the towers left. Each child is counted as a node; one
+        that covers the whole deficit, or leaves more than the remaining
+        towers could repair, is decided from its gain without being placed.
+        Any other is placed, and the frame of its subtree branches on the
+        first deficient cell, which is at or after the parent's because
+        cells before it are satisfied. Tried children stay forbidden until
+        their frame is done.
         """
-        field, r, cover, unit = self.field, self.r, self.cover, self.max_unit_coverage
+        r, n, unit = self.r, self.n, self.max_unit_coverage
         max_nodes, deadline = self.budget.max_nodes, self.deadline
         # r >= 1, so the empty grid is deficient; prune a hopeless root.
-        deficit = r * len(field)
+        deficit = r * self.m * n
         if deficit > slots * unit:
             return None
         forbidden: set[int] = set()
         placed: list[int] = []
         # Only the root's candidates are reduced by the grid's symmetries.
-        ranked = self._root_representatives(self._ranked(0, forbidden))
-        frames = [(iter(ranked), ranked, 0, deficit, slots)]
+        ranked = self._root_representatives(self._ranked((), 0, forbidden))
+        frames = [(iter(ranked), ranked, 0, (), deficit, slots)]
         while frames:
-            children, ranked, v, deficit, slots = frames[-1]
+            children, ranked, x0, planes, deficit, slots = frames[-1]
             for neg_gain, u in children:
                 if self.nodes >= max_nodes:
                     raise BudgetExhaustedError(self.nodes)
@@ -225,20 +321,16 @@ class _Search:
                     return placed + [u]
                 forbidden.add(u)
                 if left <= (slots - 1) * unit:
-                    for c, s in cover[u]:
-                        field[c] += s
+                    child, v = self._place(planes, x0, u)
                     placed.append(u)
-                    while field[v] >= r:
-                        v += 1
-                    ranked = self._ranked(v, forbidden)
-                    frames.append((iter(ranked), ranked, v, left, slots - 1))
+                    ranked = self._ranked(child, v, forbidden)
+                    frames.append((iter(ranked), ranked, v // n, child, left, slots - 1))
                     break
             else:
                 frames.pop()
                 forbidden.difference_update([u for _, u in ranked])
                 if placed:
-                    for c, s in cover[placed.pop()]:
-                        field[c] -= s
+                    placed.pop()
         return None
 
 

@@ -24,7 +24,7 @@ from gridcast import (
 )
 from gridcast import solver
 from gridcast.solver import max_unit_coverage
-from naive_oracle import naive_gamma
+from naive_oracle import coverage_matrix, naive_gamma
 
 SEARCH_TREES = Path(__file__).parent / "data" / "solver_tree.txt"
 
@@ -325,32 +325,33 @@ class TestSolveWideBudget:
                 GridDims(4, 4), BroadcastParams(3, 2), 3, SearchBudget(max_seconds=5)
             )
 
-    def test_cover_building_is_charged_to_the_seconds(self, monkeypatch):
-        # Each cover built takes 1 s on this clock. Ranking the first
-        # deficient cell's candidates builds a cover for each of them before
-        # any node is counted, so the seconds must be checked as they are
-        # built: the third cover finds the 2.5 s spent.
+    def test_root_ranking_is_charged_to_the_seconds(self, monkeypatch):
+        # Ranking the first deficient cell's candidates computes a gain for
+        # each of them before any node is counted. Here that ranking takes
+        # 10 s of a 5 s budget, so the level ends before its first node.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        built = []
-        original = solver._Search._cover
+        ranked = []
+        original = solver._Search._ranked
 
-        def slow_cover(self, u):
-            built.append(u)
-            clock.now += 1.0
-            return original(self, u)
+        def slow_ranking(self, planes, v, forbidden):
+            ranked.append(v)
+            result = original(self, planes, v, forbidden)
+            clock.now += 10.0
+            return result
 
-        monkeypatch.setattr(solver._Search, "_cover", slow_cover)
+        monkeypatch.setattr(solver._Search, "_ranked", slow_ranking)
         with pytest.raises(BudgetExhaustedError) as exhausted:
             find_broadcast_of_size(
-                GridDims(8, 8), BroadcastParams(8, 2), 5, SearchBudget(max_seconds=2.5)
+                GridDims(8, 8), BroadcastParams(3, 2), 10, SearchBudget(max_seconds=5)
             )
-        assert (exhausted.value.nodes_expanded, len(built)) == (0, 3)
+        assert (exhausted.value.nodes_expanded, ranked) == (0, [0])
 
-    def test_seconds_are_checked_within_one_cover(self, monkeypatch):
-        # One cover holds up to (2t-1)^2 cells, so the clock is read per row
-        # of its diamond. On a clock that advances 1 s per reading, the
-        # deadline is 3.5 and the third row of the first cover passes it.
+    def test_seconds_are_checked_within_one_ranking(self, monkeypatch):
+        # One ranking computes up to (2t-1)^2 gains, so the clock is read
+        # per row of the branch cell's diamond. On a clock that advances 1 s
+        # per reading, the deadline is 3.5 and the third of the eight rows
+        # of the first ranking passes it.
         clock = SimpleNamespace(now=0.0)
 
         def tick():
@@ -359,35 +360,43 @@ class TestSolveWideBudget:
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         returned = []
-        original = solver._Search._cover
+        original = solver._Search._ranked
 
-        def counted(self, u):
-            cells = original(self, u)
-            returned.append(u)
-            return cells
+        def counted(self, planes, v, forbidden):
+            result = original(self, planes, v, forbidden)
+            returned.append(v)
+            return result
 
-        monkeypatch.setattr(solver._Search, "_cover", counted)
+        monkeypatch.setattr(solver._Search, "_ranked", counted)
         with pytest.raises(BudgetExhaustedError) as exhausted:
             find_broadcast_of_size(
                 GridDims(8, 8), BroadcastParams(8, 2), 5, SearchBudget(max_seconds=2.5)
             )
-        assert (exhausted.value.nodes_expanded, returned) == (0, [])
+        assert (exhausted.value.nodes_expanded, returned, clock.now) == (0, [], 4.0)
 
-    def test_seconds_are_checked_per_node_once_covers_are_cached(self, monkeypatch):
-        # Every cover is built on a stopped clock; then each reading advances
-        # it by 1 s, and only the search loop reads it: the third node finds
-        # the 2.5 s spent.
-        clock = SimpleNamespace(now=0.0)
-        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        dims = GridDims(4, 4)
-        search = solver._Search(dims, BroadcastParams(3, 2), SearchBudget(max_seconds=2.5))
-        for u in range(dims.m * dims.n):
-            search._cover(u)
+    def test_seconds_are_checked_per_node(self, monkeypatch):
+        # The clock stands still while candidates are ranked, and each other
+        # reading advances it by 1 s, so only the search loop moves it: the
+        # third node finds the 2.5 s spent.
+        clock = SimpleNamespace(now=0.0, ranking=False)
 
         def tick():
-            clock.now += 1.0
+            if not clock.ranking:
+                clock.now += 1.0
             return clock.now
 
+        original = solver._Search._ranked
+
+        def stopped(self, planes, v, forbidden):
+            clock.ranking = True
+            try:
+                return original(self, planes, v, forbidden)
+            finally:
+                clock.ranking = False
+
+        monkeypatch.setattr(solver._Search, "_ranked", stopped)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        search = solver._Search(GridDims(4, 4), BroadcastParams(3, 2), SearchBudget(max_seconds=2.5))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         # Level 3 of this grid takes 35 nodes without a deadline.
         with pytest.raises(BudgetExhaustedError) as exhausted:
@@ -414,12 +423,10 @@ class TestMaxUnitCoverage:
     @given(
         st.integers(1, 9), st.integers(1, 9), st.integers(1, 7), st.integers(1, 5)
     )
-    def test_equals_the_largest_capped_coverage_of_the_cover(self, m, n, t, r):
-        dims, params = GridDims(m, n), BroadcastParams(t, r)
-        search = solver._Search(dims, params, SearchBudget())
-        cover = [search._cover(u) for u in range(m * n)]
-        expected = max(sum(min(r, s) for _, s in entries) for entries in cover)
-        assert max_unit_coverage(dims, params) == expected
+    def test_equals_the_largest_capped_coverage(self, m, n, t, r):
+        # coverage[u, c] is the signal a tower on u sends c, from BFS distances.
+        expected = int(np.minimum(coverage_matrix(m, n, t), r).sum(axis=1).max())
+        assert max_unit_coverage(GridDims(m, n), BroadcastParams(t, r)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
