@@ -17,6 +17,14 @@ touching the signal totals. The same bound prunes whole levels: exact_gamma
 starts at the deficit bound ceil(r*m*n / max_unit_coverage), below which a
 level's root is already refuted.
 
+A placed child is also refuted by the packing bound. The deficient cells of
+the 4t-2 rows from the parent's branch cell are picked greedily in row-major
+order, each at least 2t-1 from the picks before it. No tower reaches two
+picks, so each needs a tower of its own whatever r is, and the child is
+refuted when the picks outnumber the towers left. The picks are not made
+when disjoint radius-(t-1) diamonds around them could not outnumber those
+towers in those rows.
+
 At the root only, candidates are additionally reduced to one representative
 per orbit of the grid's symmetry group (8 symmetries for square grids, 4
 otherwise). This is sound because the domination number is invariant under
@@ -198,11 +206,49 @@ class _Search:
         full = np.zeros((min(4 * t - 2, m), width), dtype=bool)
         full[:, :n] = True
         self.full = _bits(full) << self.lift
-        self.band, self.region = self._mask(0, self.height), self._mask(0, 4 * t - 2)
+        self.band, self.region = self._rows(self.height), self._rows(4 * t - 2)
+        # The packing bound clears the cells within 2t-2 after each pick: bit
+        # dx*width + dy of `near` is the offset (dx, dy) from the pick.
+        reach = min(2 * t - 2, n - 1)
+        dx = np.arange(min(2 * t - 1, m))[:, None]
+        dy = np.arange(width) - reach
+        near = (np.abs(dy) <= 2 * t - 2 - dx) & (np.abs(dy) <= reach) & ((dx > 0) | (dy >= 0))
+        self.far = ~(_bits(near) >> reach)
+        self.fits = [self._fit(rows) for rows in range(min(4 * t - 2, m) + 1)]
 
-    def _mask(self, x0: int, rows: int) -> int:
-        """The grid cells of band rows [x0, x0 + rows), clipped at row m."""
-        return self.full & ((1 << (self.lift + min(rows, self.m - x0) * self.width)) - 1)
+    def _rows(self, rows: int) -> int:
+        """The grid cells of a band's first `rows` rows, at most min(4t-2, m)."""
+        return self.full & ((1 << (self.lift + rows * self.width)) - 1)
+
+    def _fit(self, rows: int) -> int:
+        """A bound on the cells of `rows` grid rows pairwise at least 2t-1 apart.
+
+        They are at most the cell count, and at most the cells of the rows
+        widened by t-1 on every side over the 2t^2-2t+1 cells of a
+        radius-(t-1) diamond, because the diamonds around them are disjoint
+        and lie in the widened rows.
+        """
+        t, n = self.t, self.n
+        return min(rows * n, (rows + 2 * t - 2) * (n + 2 * t - 2) // (2 * t * t - 2 * t + 1))
+
+    def _packed(self, lacking: int, x0: int, slots: int) -> bool:
+        """Whether the deficient cells of rows [x0, x0 + 4t - 2) need more
+        than `slots` towers.
+
+        The cells are picked greedily in row-major order, each at least
+        2t-1 from the picks before it. No tower reaches two picks, so each
+        needs a tower of its own, whatever r is. The picks are not made when
+        the rows could not hold slots + 1 of them.
+        """
+        if slots >= self.fits[min(4 * self.t - 2, self.m - x0)]:
+            return False
+        far = self.far
+        for _ in range(slots + 1):
+            if not lacking:
+                return False
+            # Shift the pick to bit 0, then clear it and the cells near it.
+            lacking = (lacking >> ((lacking & -lacking).bit_length() - 1)) & far
+        return True
 
     def _root_representatives(self, ranked: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Keep the first-ranked candidate of each symmetry orbit."""
@@ -225,7 +271,7 @@ class _Search:
         m, n, t, r, deadline = self.m, self.n, self.t, self.r, self.deadline
         width, rows, top, stride = self.width, self.rows, self.top, self.stride
         x, y = divmod(v, n)
-        band = self.band if x + self.height <= m else self._mask(x, self.height)
+        band = self.band if x + self.height <= m else self._rows(m - x)
         empty = r - len(planes)
         same = max(min(top, empty, t - self.box), 0)
         lacking = 0
@@ -253,8 +299,11 @@ class _Search:
         ranked.sort()
         return ranked
 
-    def _place(self, planes: tuple[int, ...], x0: int, u: int) -> tuple[tuple[int, ...], int]:
-        """The planes after a tower on u, and the first deficient cell.
+    def _place(
+        self, planes: tuple[int, ...], x0: int, u: int
+    ) -> tuple[tuple[int, ...], int, int]:
+        """The planes after a tower on u, the first deficient cell, and the
+        deficient cells of rows [x0, x0 + 4t - 2).
 
         A cell reaches total j if it had j already, if u sends it j, or if
         it had j - s and u sends it exactly s. The planes are returned in
@@ -274,7 +323,7 @@ class _Search:
             for s in range(j - count if j - count > least else least, j if j <= t else t + 1):
                 plane |= planes[j - s - 1] & (ring[s - 1] << shift)
             placed.append(plane)
-        lacking = self.region if x0 + 4 * t - 2 <= self.m else self._mask(x0, 4 * t - 2)
+        lacking = self.region if x0 + 4 * t - 2 <= self.m else self._rows(self.m - x0)
         if total == r:
             lacking &= ~placed[-1]
         drop, column = divmod((lacking & -lacking).bit_length() - 1 - self.lift, width)
@@ -282,7 +331,7 @@ class _Search:
             placed = [plane >> (drop * width) for plane in placed]
         while placed and not placed[-1]:
             placed.pop()
-        return tuple(placed), (x0 + drop) * n + column
+        return tuple(placed), (x0 + drop) * n + column, lacking
 
     def run(self, slots: int) -> list[int] | None:
         """The cells of a broadcast of at most `slots` towers, or None.
@@ -321,7 +370,9 @@ class _Search:
                     return placed + [u]
                 forbidden.add(u)
                 if left <= (slots - 1) * unit:
-                    child, v = self._place(planes, x0, u)
+                    child, v, lacking = self._place(planes, x0, u)
+                    if self._packed(lacking, x0, slots - 1):
+                        continue
                     placed.append(u)
                     ranked = self._ranked(child, v, forbidden)
                     frames.append((iter(ranked), ranked, v // n, child, left, slots - 1))

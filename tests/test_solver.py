@@ -235,6 +235,40 @@ class TestExactGamma:
         assert result.status == "optimal"
         assert result.gamma == naive_gamma(m, n, t, r)
 
+    # Each of these grids has a child that the packing bound refutes; the
+    # last six have r > t.
+    @pytest.mark.parametrize(
+        "m,n,t,r",
+        [
+            (3, 5, 3, 2),
+            (3, 6, 4, 2),
+            (4, 4, 2, 2),
+            (3, 4, 3, 3),
+            (4, 5, 4, 3),
+            (2, 3, 2, 3),
+            (3, 3, 2, 3),
+            (2, 5, 2, 3),
+            (3, 4, 2, 3),
+            (3, 4, 3, 4),
+            (4, 4, 3, 4),
+        ],
+    )
+    def test_matches_naive_enumeration_where_the_packing_bound_refutes(
+        self, monkeypatch, m, n, t, r
+    ):
+        refuted = []
+        original = solver._Search._packed
+
+        def recorded(self, lacking, x0, slots):
+            refuted.append(original(self, lacking, x0, slots))
+            return refuted[-1]
+
+        monkeypatch.setattr(solver._Search, "_packed", recorded)
+        result = exact_gamma(GridDims(m, n), BroadcastParams(t, r))
+        assert result.status == "optimal"
+        assert result.gamma == naive_gamma(m, n, t, r)
+        assert any(refuted)
+
     @pytest.mark.parametrize("m,n,t", [(4, 4, 3), (5, 5, 3), (6, 6, 4), (5, 3, 4)])
     def test_sandwich_between_bounds(self, m, n, t):
         dims = GridDims(m, n)
@@ -259,20 +293,20 @@ class TestSolveWideBudget:
     """One SearchBudget bounds the whole solve, not each level on its own."""
 
     def test_node_cap_spans_levels(self):
-        # Unbudgeted, the three levels take 308, 10670 and 92574 nodes.
+        # Unbudgeted, the three levels take 218, 6619 and 39258 nodes.
         result = exact_gamma(
-            GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=92_575)
+            GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=39_259)
         )
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 92_575)
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 39_259)
 
-    # 6x8, t=3, r=2: levels 6, 7, 8 take 135, 5343 and 2469 nodes; gamma is 8.
+    # 6x8, t=3, r=2: levels 6, 7, 8 take 98, 2167 and 707 nodes; gamma is 8.
     @pytest.mark.parametrize(
         "max_nodes,status,nodes",
         [
-            (7947, "optimal", 7947),
-            (7946, "budget_exhausted", 7946),
-            (5478, "budget_exhausted", 5478),
-            (5477, "budget_exhausted", 5477),
+            (2972, "optimal", 2972),
+            (2971, "budget_exhausted", 2971),
+            (2265, "budget_exhausted", 2265),
+            (2264, "budget_exhausted", 2264),
         ],
     )
     def test_node_cap_boundaries(self, max_nodes, status, nodes):
@@ -290,9 +324,9 @@ class TestSolveWideBudget:
             return original(dims, params, k, budget)
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", recorded)
-        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=5478))
+        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=2265))
         assert result.status == "budget_exhausted"
-        assert levels == [(6, 5478), (7, 5343)]
+        assert levels == [(6, 2265), (7, 2167)]
 
     def test_seconds_span_levels(self, monkeypatch):
         # A clock that advances 10 s per level: each level gets what is left.
@@ -398,7 +432,7 @@ class TestSolveWideBudget:
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         search = solver._Search(GridDims(4, 4), BroadcastParams(3, 2), SearchBudget(max_seconds=2.5))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
-        # Level 3 of this grid takes 35 nodes without a deadline.
+        # Level 3 of this grid takes 22 nodes without a deadline.
         with pytest.raises(BudgetExhaustedError) as exhausted:
             search.run(3)
         assert exhausted.value.nodes_expanded == search.nodes == 2
@@ -491,6 +525,51 @@ class TestTableFreeSetup:
         assert search._root_representatives(ranked) == expected
 
 
+def _band_bits(search, cells) -> int:
+    """The bits of band cells (row from the band's first, column) in the search's layout."""
+    return sum(1 << (search.lift + x * search.width + y) for x, y in set(cells))
+
+
+def _greedy_packing(cells, t: int) -> list[tuple[int, int]]:
+    """Cells taken in row-major order when at least 2t-1 from every cell taken."""
+    taken: list[tuple[int, int]] = []
+    for x, y in sorted(set(cells)):
+        if all(abs(x - a) + abs(y - b) >= 2 * t - 1 for a, b in taken):
+            taken.append((x, y))
+    return taken
+
+
+class TestPackingBound:
+    """A placed child is refuted when its deficient cells hold more cells
+    pairwise 2t-1 or more apart than towers remain: no tower reaches two."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_far_cells_need_one_tower_each(self, m, n, t, r, data):
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), SearchBudget())
+        rows = min(4 * t - 2, m)
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))
+        far = _greedy_packing(data.draw(st.lists(cell, min_size=1, max_size=12)), t)
+        slots = len(far) - 1
+        assert search._packed(_band_bits(search, far), 0, slots)
+        assert not search._packed(_band_bits(search, far), 0, slots + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6), st.data())
+    def test_picks_are_the_greedy_packing_and_fit_their_rows(self, m, n, t, data):
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, 2), SearchBudget())
+        x0 = data.draw(st.integers(0, m - 1))
+        rows = min(4 * t - 2, m - x0)
+        cells = data.draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))))
+        lacking = _band_bits(search, cells)
+        picks = len(_greedy_packing(cells, t))
+        # The skip rule skips when the towers left reach the fit, so it never
+        # skips a child that the picks would refute.
+        assert picks <= search._fit(rows)
+        for slots in range(picks + 2):
+            assert search._packed(lacking, x0, slots) == (picks > slots)
+
+
 class TestDeficitBoundStart:
     """exact_gamma skips the levels whose root is pruned, and only those."""
 
@@ -523,10 +602,10 @@ class TestLevelNodes:
     @pytest.mark.parametrize(
         "max_nodes,levels",
         [
-            (None, ((6, 135), (7, 5343), (8, 2469))),
-            (5478, ((6, 135), (7, 5343))),
-            (5477, ((6, 135), (7, 5342))),
-            (100, ((6, 100),)),
+            (None, ((6, 98), (7, 2167), (8, 707))),
+            (2265, ((6, 98), (7, 2167))),
+            (2264, ((6, 98), (7, 2166))),
+            (50, ((6, 50),)),
         ],
     )
     def test_one_entry_per_level_tried(self, max_nodes, levels):
@@ -551,8 +630,9 @@ class TestLevelNodes:
 
 
 class TestSearchTreeGolden:
-    """The search expands the same nodes and finds the same witnesses as the
-    solver that placed every child (table frozen from it)."""
+    """The search expands the nodes and finds the witnesses of the frozen
+    table (first frozen from the solver that placed every child, its node
+    counts re-derived when the packing bound came in)."""
 
     @pytest.mark.parametrize("shape", sorted(FROZEN_TREES), ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_the_frozen_table(self, shape):
