@@ -335,30 +335,38 @@ def _add_tents(
                     values[start:stop:step] += tent[lo + i0 : lo + i1]
 
 
+def _kernel(t: int, m: int, n: int, dtype: np.dtype) -> np.ndarray:
+    # One strength-t tower's (2a+1) x (2b+1) stamp, centered at index (a, b),
+    # for a = min(t, m) - 1 and b = min(t, n) - 1: no two vertices of an
+    # m x n grid are further apart, so the stamp holds all the tower sends
+    # the grid. It is built in dtype, which holds t, and every
+    # t - |dx| - |dy| lies in [2 - t, t].
+    dx, dy = (np.abs(np.arange(1 - min(t, c), min(t, c))).astype(dtype) for c in (m, n))
+    kernel = np.subtract.outer(t - dx, dy)
+    np.maximum(kernel, 0, out=kernel)
+    return kernel
+
+
 def _add_stamps(values: np.ndarray, near: np.ndarray, t: int) -> None:
     # A tower outside the grid reaches each vertex through the tower's
     # clamped image, so it acts like that image with strength t - excess,
-    # excess being its L1 distance to the grid, capped at t (which leaves
-    # nothing) so that it fits the field's dtype.
-    if not len(near):
-        return
+    # excess being its L1 distance to the grid. Its kernel is built at that
+    # strength, so it is no larger than its reach into the grid; one with
+    # excess t or more adds nothing. Towers in the grid share one kernel.
     m, n = values.shape
-    a, b = min(t, m) - 1, min(t, n) - 1
-    # One tower's (2a+1) x (2b+1) stamp, centered at index (a, b), built in
-    # the field's dtype: the dtype holds t, and every t - |dx| - |dy| lies in
-    # [2 - t, t]. a and b are at most the grid sides minus one: no larger
-    # offset between two vertices of the grid exists, so the kernel is
-    # bounded by the grid.
-    dx, dy = (np.abs(np.arange(-c, c + 1)).astype(values.dtype) for c in (a, b))
-    kernel = np.subtract.outer(t - dx, dy)
-    np.maximum(kernel, 0, out=kernel)
     clamped = np.clip(near, 0, (m - 1, n - 1))
-    excess = np.minimum(np.abs(near - clamped).sum(axis=1), t)
+    excess = np.abs(near - clamped).sum(axis=1)
+    inside = _kernel(t, m, n, values.dtype) if (excess == 0).any() else None
     for tx, ty, e in zip(clamped[:, 0].tolist(), clamped[:, 1].tolist(), excess.tolist()):
+        if e >= t:
+            continue
+        kernel = _kernel(t - e, m, n, values.dtype) if e else inside
+        a, b = kernel.shape[0] // 2, kernel.shape[1] // 2
         x0, x1 = max(tx - a, 0), min(tx + a, m - 1)
         y0, y1 = max(ty - b, 0), min(ty + b, n - 1)
-        stamp = kernel[x0 - tx + a : x1 - tx + a + 1, y0 - ty + b : y1 - ty + b + 1]
-        values[x0 : x1 + 1, y0 : y1 + 1] += np.maximum(stamp - e, 0) if e else stamp
+        values[x0 : x1 + 1, y0 : y1 + 1] += kernel[
+            x0 - tx + a : x1 - tx + a + 1, y0 - ty + b : y1 - ty + b + 1
+        ]
 
 
 def check_broadcast(

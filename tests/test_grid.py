@@ -284,6 +284,20 @@ class TestSignalField:
         assert peak < 8 * 2**20
         assert not field.any()
 
+    def test_stamp_of_a_tower_outside_is_built_at_its_reduced_strength(self):
+        # 9999 steps from the grid, the tower acts like a strength-1 tower on
+        # (0, 0): its kernel is one cell, not the 3999 x 1999 of strength t,
+        # so the peak is the 7.6 MiB int16 field alone.
+        tracemalloc.start()
+        try:
+            field = signal_field(GridDims(2000, 2000), 10_000, [Coord(-9999, 0)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert field.dtype == np.int16
+        assert (field[0, 0], int(field.sum())) == (1, 1)
+
     def test_stamp_kernel_is_not_kept(self):
         # A shape no other test stamps, so nothing built earlier is reused.
         tracemalloc.start()
