@@ -195,11 +195,13 @@ class _Search:
             self.dia[s - 1] ^ (self.dia[s] if s < top else 0) for s in range(1, min(r - 1, t) + 1)
         ]
         # Ranking stacks the gain's terms k = top, ..., 1 in one int, term k
-        # `stride` bits above term k + 1, so that one popcount sums them.
-        self.stride = (4 * rows + 2) * width
-        self.stacked = 0
-        for template in self.dia:
-            self.stacked = (self.stacked << self.stride) | template
+        # `stride` bits above term k + 1, so that one popcount sums them:
+        # every band cell and every shifted template is below (4R+2)*width.
+        size = -(-(4 * rows + 2) * width // 8)
+        self.stride = 8 * size
+        self.stacked = int.from_bytes(
+            b"".join(d.to_bytes(size, "little") for d in reversed(self.dia)), "little"
+        )
         # A frame's band has 2R+1 rows. A placement looks for the next
         # deficient cell in its 4t-2 rows, past the band into untouched rows.
         self.height = 2 * rows + 1
