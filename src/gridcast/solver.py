@@ -40,9 +40,10 @@ undoes nothing. A candidate's gain is a popcount of its diamond templates
 against the deficient cells, and a placement ORs shifted templates into new
 planes. Setup builds only the templates and masks of one band, and symmetry
 images are computed only for the root's candidates, so the work per node and
-the memory per frame grow with t, n and r, never with m. Ranking one cell's
-candidates computes up to (2t-1)^2 gains before a node is counted, so
-max_seconds is checked as they are ranked too, once per row of candidates.
+the memory per frame grow with t, n and r, never with m. For large t and r
+one template, one gain or one plane of a placement is a pass over megabytes,
+and ranking one cell computes up to (2t-1)^2 gains before a node is counted,
+so max_seconds is read before each of those steps as well as once per node.
 Every witness is re-checked by check_broadcast before it is returned.
 """
 
@@ -166,6 +167,8 @@ class _Search:
 
     def __init__(self, dims: GridDims, params: BroadcastParams, budget: SearchBudget):
         # The clock starts before setup, so setup is charged to max_seconds.
+        # It is read before each template too: for large t and r the
+        # templates take gigabytes in all.
         self.deadline = (
             None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
         )
@@ -183,25 +186,30 @@ class _Search:
         top = self.top = min(r, t)
         dx = np.abs(np.arange(-rows, rows + 1))
         dy = np.abs(np.arange(width) - cols)
-        diamonds: dict[int, int] = {}
-        for d in range(t - top, t):
-            d = min(d, self.box)
-            if d not in diamonds:
-                diamonds[d] = _bits(dy <= np.minimum(d - dx, cols)[:, None])
+        dia = self.dia = []
+        for k in range(1, top + 1):
+            # Radii of box or more are the whole box, so they share a template.
+            if dia and t - k >= self.box:
+                dia.append(dia[0])
+            else:
+                self._check_clock()
+                dia.append(_bits(dy <= np.minimum(t - k - dx, cols)[:, None]))
         # Nothing receives more than t, and no grid cell less than t - box.
         self.least = max(t - self.box, 1)
-        self.dia = [diamonds[min(t - k, self.box)] for k in range(1, top + 1)]
-        self.ring = [
-            self.dia[s - 1] ^ (self.dia[s] if s < top else 0) for s in range(1, min(r - 1, t) + 1)
-        ]
+        self.ring = []
+        for s in range(1, min(r - 1, t) + 1):
+            self._check_clock()
+            self.ring.append(dia[s - 1] ^ (dia[s] if s < top else 0))
         # Ranking stacks the gain's terms k = top, ..., 1 in one int, term k
         # `stride` bits above term k + 1, so that one popcount sums them:
         # every band cell and every shifted template is below (4R+2)*width.
         size = -(-(4 * rows + 2) * width // 8)
         self.stride = 8 * size
-        self.stacked = int.from_bytes(
-            b"".join(d.to_bytes(size, "little") for d in reversed(self.dia)), "little"
-        )
+        pieces = []
+        for d in reversed(dia):
+            self._check_clock()
+            pieces.append(d.to_bytes(size, "little"))
+        self.stacked = int.from_bytes(b"".join(pieces), "little")
         # A frame's band has 2R+1 rows. A placement looks for the next
         # deficient cell in its 4t-2 rows, past the band into untouched rows.
         self.height = 2 * rows + 1
@@ -216,7 +224,12 @@ class _Search:
         dy = np.arange(width) - reach
         near = (np.abs(dy) <= 2 * t - 2 - dx) & (np.abs(dy) <= reach) & ((dx > 0) | (dy >= 0))
         self.far = ~(_bits(near) >> reach)
+        # _packed runs on every placement, where a lookup beats the formula.
         self.fits = [self._fit(rows) for rows in range(min(4 * t - 2, m) + 1)]
+
+    def _check_clock(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhaustedError(self.nodes)
 
     def _rows(self, rows: int) -> int:
         """The grid cells of a band's first `rows` rows, at most min(4t-2, m)."""
@@ -276,23 +289,25 @@ class _Search:
         band = self.band if x + self.height <= m else self._rows(m - x)
         empty = r - len(planes)
         same = max(min(top, empty, t - self.box), 0)
+        # Stacking a term and computing a gain each cost up to min(r, t)
+        # template-sized passes, so the clock is read before each.
         lacking = 0
         for k in range(same + 1, top + 1):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhaustedError(self.nodes)
             lacking = (lacking << stride) | (band & ~planes[r - k] if k > empty else band)
         stacked = self.stacked & ((1 << ((top - same) * stride)) - 1) if same else self.stacked
         box = self.dia[0]
         ranked = []
         for a in range(x - t + 1 if x >= t else 0, x + t if x + t < m else m):
-            # One candidate row costs up to 2t-1 gains, so the clock is read
-            # per row.
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhaustedError(self.nodes)
             w = t - 1 - (x - a if a < x else a - x)
             lo, hi = (y - w if y > w else 0), (y + w + 1 if y + w < n else n)
             # The template of u = (a, b) is shifted by (a - x + R) * width + b.
             shift, u = (a - x + rows) * width + lo, a * n + lo
             for u in range(u, u + hi - lo):
                 if u not in forbidden:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise BudgetExhaustedError(self.nodes)
                     gain = (lacking & (stacked << shift)).bit_count()
                     if same:
                         gain += same * (band & (box << shift)).bit_count()
@@ -316,9 +331,12 @@ class _Search:
         shift = (a - x0 + self.rows) * width + b
         count = len(planes)
         total = r if count + t > r else count + t
-        least = self.least
+        least, deadline = self.least, self.deadline
         placed = []
         for j in range(1, total + 1):
+            # A plane costs up to t template-sized passes; there are up to r.
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhaustedError(self.nodes)
             plane = planes[j - 1] if j <= count else 0
             if j <= t:
                 plane |= dia[j - 1] << shift

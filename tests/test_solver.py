@@ -381,12 +381,49 @@ class TestSolveWideBudget:
             )
         assert (exhausted.value.nodes_expanded, ranked) == (0, [0])
 
+    def test_setup_is_stopped_between_templates(self, monkeypatch):
+        # With t = r = 1000 on 1000x1000, setup would build 1000 diamond
+        # templates of 4 Mbit each, their rings and a stacked copy: gigabytes
+        # and about a minute before the first node. The clock is read before
+        # each template, so a deadline that passes during setup ends it: on
+        # a clock that advances 1 s per reading, the deadline is 2.5 and the
+        # second template's reading passes it.
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        built = []
+        original = solver._bits
+
+        def counted(cells):
+            built.append(cells.shape)
+            return original(cells)
+
+        monkeypatch.setattr(solver, "_bits", counted)
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(
+                GridDims(1000, 1000),
+                BroadcastParams(1000, 1000),
+                1,
+                SearchBudget(max_seconds=1.5),
+            )
+        assert (exhausted.value.nodes_expanded, built, clock.now) == (0, [(1999, 1999)], 3.0)
+
     def test_seconds_are_checked_within_one_ranking(self, monkeypatch):
         # One ranking computes up to (2t-1)^2 gains, so the clock is read
-        # per row of the branch cell's diamond. On a clock that advances 1 s
-        # per reading, the deadline is 3.5 and the third of the eight rows
-        # of the first ranking passes it.
+        # before each of them. Setup runs on a stopped clock; after it, each
+        # reading advances the clock 1 s. The first ranking of 8x8, t=8 has
+        # 36 candidates, 8 rows of them; its two stacked terms take readings
+        # 1 and 2, and the ninth gain's reading passes the deadline 10.5
+        # before the ranking returns.
         clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        search = solver._Search(
+            GridDims(8, 8), BroadcastParams(8, 2), SearchBudget(max_seconds=10.5)
+        )
 
         def tick():
             clock.now += 1.0
@@ -403,32 +440,50 @@ class TestSolveWideBudget:
 
         monkeypatch.setattr(solver._Search, "_ranked", counted)
         with pytest.raises(BudgetExhaustedError) as exhausted:
-            find_broadcast_of_size(
-                GridDims(8, 8), BroadcastParams(8, 2), 5, SearchBudget(max_seconds=2.5)
-            )
-        assert (exhausted.value.nodes_expanded, returned, clock.now) == (0, [], 4.0)
+            search.run(5)
+        assert (exhausted.value.nodes_expanded, returned, clock.now) == (0, [], 11.0)
 
-    def test_seconds_are_checked_per_node(self, monkeypatch):
-        # The clock stands still while candidates are ranked, and each other
-        # reading advances it by 1 s, so only the search loop moves it: the
-        # third node finds the 2.5 s spent.
-        clock = SimpleNamespace(now=0.0, ranking=False)
+    def test_seconds_are_checked_within_one_placement(self, monkeypatch):
+        # A placement builds up to r planes, each from up to t templates, so
+        # the clock is read before each plane. Setup runs on a stopped clock;
+        # after it, each reading advances the clock 1 s, and the third plane
+        # of a first tower with t = r = 3 passes the deadline 2.5.
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        search = solver._Search(GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_seconds=2.5))
 
         def tick():
-            if not clock.ranking:
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        with pytest.raises(BudgetExhaustedError):
+            search._place((), 0, 0)
+        assert clock.now == 3.0
+
+    def test_seconds_are_checked_per_node(self, monkeypatch):
+        # The clock stands still while candidates are ranked and placed, and
+        # each other reading advances it by 1 s, so only the search loop
+        # moves it: the third node finds the 2.5 s spent.
+        clock = SimpleNamespace(now=0.0, stopped=False)
+
+        def tick():
+            if not clock.stopped:
                 clock.now += 1.0
             return clock.now
 
-        original = solver._Search._ranked
+        def stopping(method):
+            def stopped(self, *args):
+                clock.stopped = True
+                try:
+                    return method(self, *args)
+                finally:
+                    clock.stopped = False
 
-        def stopped(self, planes, v, forbidden):
-            clock.ranking = True
-            try:
-                return original(self, planes, v, forbidden)
-            finally:
-                clock.ranking = False
+            return stopped
 
-        monkeypatch.setattr(solver._Search, "_ranked", stopped)
+        monkeypatch.setattr(solver._Search, "_ranked", stopping(solver._Search._ranked))
+        monkeypatch.setattr(solver._Search, "_place", stopping(solver._Search._place))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         search = solver._Search(GridDims(4, 4), BroadcastParams(3, 2), SearchBudget(max_seconds=2.5))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
