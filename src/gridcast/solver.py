@@ -1,10 +1,15 @@
 """Exact broadcast domination numbers by budgeted complete search.
 
-Iterative deepening on the tower count k: a complete depth-first search at
-each level means every failed level certifies that no broadcast of that size
-exists, so the first success is optimal. Within a level the search branches
-on the lexicographically first deficient vertex; its candidate towers are the
-grid vertices that supply it positive signal, tried in order of decreasing
+Witness first: a greedy placement shrunk by tabu swap descent (_UpperBound)
+gives a broadcast of U towers, which check_broadcast must accept before U
+bounds anything. The complete depth-first search then runs only at level
+U-1, where a level means "at most k towers": a refuted level certifies that
+U is optimal, and a witness found there becomes the new U, one level lower.
+The deficit bound ceil(r*m*n / max_unit_coverage) is the floor: a level below
+it has a pruned root, so it is never searched, and a U at the bound is
+optimal without any search. Within a level the search branches on the
+lexicographically first deficient vertex; its candidate towers are the grid
+vertices that supply it positive signal, tried in order of decreasing
 marginal deficiency coverage (ties broken lexicographically), with candidates
 already refuted at a branch point excluded from the subtree.
 
@@ -13,9 +18,9 @@ placed. A child's gain (the deficiency it would repair) is computed once, when
 the candidates are ranked: a child whose gain covers the whole deficit is the
 answer, and one that leaves more deficit than the remaining towers could
 repair (each repairs at most `max_unit_coverage`) is refuted, both without
-touching the signal totals. The same bound prunes whole levels: exact_gamma
-starts at the deficit bound ceil(r*m*n / max_unit_coverage), below which a
-level's root is already refuted.
+touching the signal totals. The same bound prunes a whole level's root, and
+find_broadcast_of_size returns at once for such a level, before it builds
+any search state.
 
 A placed child is also refuted by the packing bound. The deficient cells of
 the 4t-2 rows from the parent's branch cell are picked greedily in row-major
@@ -45,6 +50,10 @@ one template, one gain or one plane of a placement is a pass over megabytes,
 and ranking one cell computes up to (2t-1)^2 gains before a node is counted,
 so max_seconds is read before each of those steps as well as once per node.
 Every witness is re-checked by check_broadcast before it is returned.
+
+The upper-bound search's placements, drops and swaps are nodes of the same
+budget, and it keeps one int64 field of the grid: its memory per step is
+O(m*n), and the clock is read before each move and each prefix sum.
 """
 
 from __future__ import annotations
@@ -103,6 +112,12 @@ class SolveResult:
     nodes_expanded: int
     # (k, nodes expanded at level k) for every level searched, in order.
     level_nodes: tuple[tuple[int, int], ...] = ()
+    # The deficit bound, the size of the verified upper-bound broadcast (None
+    # if the budget ran out first) and the nodes its search took:
+    # upper_nodes + the level nodes == nodes_expanded.
+    lower: int | None = None
+    upper: int | None = None
+    upper_nodes: int = 0
 
 
 def _cell_images(u: int, m: int, n: int) -> list[int]:
@@ -405,6 +420,292 @@ class _Search:
         return None
 
 
+# The most window cells _UpperBound evaluates in one batch.
+_BATCH_CELLS = 1 << 16
+# Swaps per target size, and how many swaps a moved-out cell stays tabu.
+_SWAP_CAP = 24
+_TABU_SWAPS = 4
+# Above any deficit: marks a tower that no cell may replace.
+_NEVER = np.iinfo(np.int64).max
+
+
+class _UpperBound:
+    """A broadcast built by greedy placement, then shrunk by tabu swap descent.
+
+    The received signal is one int64 field over the grid. Each move changes
+    it within distance R = t-1 of one tower, so a tower's gain or loss is
+    decided by the cells within 3R of that tower. Along an axis where 6R+1
+    cells fall short of the grid (a sliding axis) each evaluation takes a
+    window of 6R+1 cells around its tower, and the field is padded by 3R
+    cells that never lack signal; along any other axis the window is the
+    whole axis. The gain of a tower on a cell is the sum over k <= min(r, t)
+    of the cells lacking at least k within t-k of it, summed as row segments
+    from one prefix sum per k. For an h x w window that is at most
+    min(r, t, h+w-2) prefix sums of 2*min(t, h, w)-1 segment rows each, in
+    O(h * w) memory; windows are evaluated in batches of at most
+    _BATCH_CELLS cells.
+
+    The greedy phase places the tower of largest gain until nothing lacks
+    signal. Then each descent tries for one tower less: it drops the tower
+    whose loss leaves the least deficit, then makes up to _SWAP_CAP swaps,
+    each the one-out/one-in move that leaves the least deficit, until the
+    deficit is 0. A cell a swap moves out may not move back in for the next
+    _TABU_SWAPS swaps. Ties go to the lowest flat index, towers out before
+    towers in. A descent fails when its swaps run out, when no cell may move
+    in, or when a swap would return to a tower set it has already held. The
+    search stops at the first failed descent, or when a descent reaches the
+    deficit bound.
+
+    Every placement, drop and swap is one node, counted against the
+    budget's max_nodes before its choice is evaluated, and the clock is read
+    before each of them and before each prefix sum.
+    """
+
+    def __init__(self, dims: GridDims, params: BroadcastParams, max_nodes: int, deadline):
+        m, n, t, r = self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
+        self.max_nodes, self.deadline = max_nodes, deadline
+        self.nodes = 0
+        self.best: list[int] | None = None
+        self.reach = reach = t - 1
+        # Per axis: the window's length and the padding on each side.
+        (self.h, self.pad_x), (self.w, self.pad_y) = (
+            (size, 0) if 6 * reach + 1 >= size else (6 * reach + 1, 3 * reach) for size in (m, n)
+        )
+        # Padding receives r + t, so it lacks nothing even with a tower removed.
+        self.padded = np.full((m + 2 * self.pad_x, n + 2 * self.pad_y), r + t, dtype=np.int64)
+        self.padded[self.pad_x : self.pad_x + m, self.pad_y : self.pad_y + n] = 0
+        self.slide_x, self.slide_y = self.h < m, self.w < n
+        # What a tower on (h-1, w-1) sends: a window's slice of it is what
+        # a tower in that window sends the window.
+        dx, dy = np.abs(np.arange(1 - self.h, self.h)), np.abs(np.arange(1 - self.w, self.w))
+        self.kernel = np.maximum(t - dx[:, None] - dy, 0)
+        self.deficit = r * m * n
+        self.towers = np.zeros(m * n, dtype=bool)
+        self.gain = np.zeros(m * n, dtype=np.int64)
+        self.batch = max(1, _BATCH_CELLS // (self.h * self.w))
+
+    def _tick(self) -> None:
+        """Count one node, or raise BudgetExhaustedError if none is left."""
+        if self.nodes >= self.max_nodes:
+            raise BudgetExhaustedError(self.nodes)
+        self._check_clock()
+        self.nodes += 1
+
+    def _check_clock(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhaustedError(self.nodes)
+
+    def _windows(self, cells: np.ndarray):
+        """The cells' coordinates, and the padded rows and columns of the
+        window around each: x - 3R to x + 3R along a sliding axis, else all."""
+        x, y = np.divmod(cells, self.n)
+        rows = (x if self.slide_x else 0 * x)[:, None] + np.arange(self.h)
+        cols = (y if self.slide_y else 0 * y)[:, None] + np.arange(self.w)
+        return x, y, rows, cols
+
+    def _signal(self, x, y, rows, cols) -> np.ndarray:
+        """What a tower on each (x, y) sends the cells of its window."""
+        return self.kernel[
+            (rows + (self.h - 1 - self.pad_x) - x[:, None])[:, :, None],
+            (cols + (self.w - 1 - self.pad_y) - y[:, None])[:, None, :],
+        ]
+
+    def _gains(self, lacking: np.ndarray) -> np.ndarray:
+        """The capped gain of a tower on each window cell, given what each
+        cell lacks; exact where the tower's reach stays in the window or
+        leaves it only past the grid. Diamond rows run along the shorter
+        axis, so there are at most 2*min(t, h, w) - 1 of them. A diamond of
+        radius h+w-2 or more is the whole window wherever its centre is, so
+        the terms k <= t - (h+w-2) are one count per window."""
+        flip = lacking.shape[1] > lacking.shape[2]
+        if flip:
+            lacking = lacking.transpose(0, 2, 1)
+        count, h, w = lacking.shape
+        top, same = min(self.r, self.t), max(min(self.r, self.t - (h + w - 2)), 0)
+        total = np.zeros(lacking.shape, dtype=np.int64)
+        if same:
+            total += np.minimum(lacking, same).sum(axis=(1, 2))[:, None, None]
+        for k in range(same + 1, top + 1):
+            self._check_clock()
+            radius = self.t - k
+            rows, cols = min(radius, h - 1), min(radius, w)
+            # prefix[:, rows + a, cols + b] counts the cells of window row a
+            # before column b that lack k, for b in [0, w]; it is 0 to the
+            # left of the window and the row's count to the right.
+            prefix = np.zeros((count, h + 2 * rows, w + 1 + 2 * cols), dtype=np.int64)
+            inner = prefix[:, rows : rows + h]
+            np.cumsum(lacking >= k, axis=2, out=inner[:, :, cols + 1 : cols + 1 + w])
+            inner[:, :, cols + 1 + w :] = inner[:, :, cols + w : cols + w + 1]
+            # Rows dx and -dx from the tower take segments of one half-width.
+            for dx in range(rows + 1):
+                half = min(radius - dx, w)
+                band = prefix[:, rows + dx : rows + dx + h]
+                if dx:
+                    band = band + prefix[:, rows - dx : rows - dx + h]
+                total += band[:, :, cols + half + 1 : cols + half + 1 + w]
+                total -= band[:, :, cols - half : cols - half + w]
+        return total.transpose(0, 2, 1) if flip else total
+
+    def _decided(self, x, y, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Which window cells are grid cells whose gain the window decides
+        (within 2R of the tower along each sliding axis), and their flat
+        indices (0 for the others)."""
+        gx, gy = rows - self.pad_x, cols - self.pad_y
+        inside_x = (gx >= 0) & (gx < self.m)
+        if self.slide_x:
+            inside_x &= np.abs(gx - x[:, None]) <= 2 * self.reach
+        inside_y = (gy >= 0) & (gy < self.n)
+        if self.slide_y:
+            inside_y &= np.abs(gy - y[:, None]) <= 2 * self.reach
+        decided = inside_x[:, :, None] & inside_y[:, None, :]
+        return decided, np.where(decided, gx[:, :, None] * self.n + gy[:, None, :], 0)
+
+    def _refresh(self, cells: list[int]) -> None:
+        """Recompute the gains that a change within R of `cells` can move.
+
+        Where no axis slides one window is the whole grid.
+        """
+        if not (self.slide_x or self.slide_y):
+            cells = cells[:1]
+        for i in range(0, len(cells), self.batch):
+            x, y, rows, cols = self._windows(np.array(cells[i : i + self.batch]))
+            field = self.padded[rows[:, :, None], cols[:, None, :]]
+            gains = self._gains(np.maximum(self.r - field, 0))
+            decided, flat = self._decided(x, y, rows, cols)
+            self.gain[flat[decided]] = gains[decided]
+
+    def _move(self, cell: int, sign: int) -> None:
+        """Place (sign 1) or remove (sign -1) the tower on `cell`."""
+        x, y = divmod(cell, self.n)
+        row, col = (x if self.slide_x else 0), (y if self.slide_y else 0)
+        a, b = self.h - 1 - x + row - self.pad_x, self.w - 1 - y + col - self.pad_y
+        window = self.padded[row : row + self.h, col : col + self.w]
+        if sign > 0:
+            window += self.kernel[a : a + self.h, b : b + self.w]
+        else:
+            window -= self.kernel[a : a + self.h, b : b + self.w]
+        self.towers[cell] = sign > 0
+
+    def _greedy(self) -> None:
+        """Place the tower of largest gain until nothing lacks signal."""
+        anchors = [
+            range(2 * self.reach, size + 2 * self.reach, 4 * self.reach + 1) if slide else [0]
+            for size, slide in ((self.m, self.slide_x), (self.n, self.slide_y))
+        ]
+        self._refresh([min(a, self.m - 1) * self.n + min(b, self.n - 1)
+                       for a in anchors[0] for b in anchors[1]])
+        placed = []
+        while self.deficit:
+            self._tick()
+            u = int(np.argmax(np.where(self.towers, -1, self.gain)))
+            self.deficit -= int(self.gain[u])
+            self._move(u, 1)
+            self._refresh([u])
+            placed.append(u)
+        self.best = sorted(placed)
+
+    def _losses(self, towers: list[int]):
+        """For each tower of a batch: the deficit its removal adds, what each
+        cell of its window then lacks, and the window's geometry."""
+        x, y, rows, cols = self._windows(np.array(towers))
+        field = self.padded[rows[:, :, None], cols[:, None, :]]
+        without = np.maximum(self.r - field + self._signal(x, y, rows, cols), 0)
+        loss = (without - np.maximum(self.r - field, 0)).sum(axis=(1, 2))
+        return loss, without, x, y, rows, cols
+
+    def _far(self, banned: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each tower (x, y): the allowed cell of largest gain that no
+        window of that tower decides, and its gain (-1 if there is none).
+
+        Such a cell is more than 2R from the tower, so the tower's removal
+        does not change its gain. No window decides more than (4R+1)^2
+        cells, so the first that many + 1 allowed cells by gain suffice.
+        """
+        allowed = np.flatnonzero(~banned)
+        ranked = allowed[np.argsort(-self.gain[allowed], kind="stable")][: (4 * self.reach + 1) ** 2 + 1]
+        if not len(ranked):
+            return np.zeros(len(x), dtype=np.int64), np.full(len(x), -1)
+        cx, cy = np.divmod(ranked, self.n)
+        far = np.zeros((len(x), len(ranked)), dtype=bool)
+        if self.slide_x:
+            far |= np.abs(cx - x[:, None]) > 2 * self.reach
+        if self.slide_y:
+            far |= np.abs(cy - y[:, None]) > 2 * self.reach
+        first = far.argmax(axis=1)
+        cells = ranked[first]
+        return cells, np.where(far[np.arange(len(x)), first], self.gain[cells], -1)
+
+    def _swap(self, towers: list[int], banned: np.ndarray) -> tuple[int, int, int] | None:
+        """The swap (deficit left, tower out, cell in) that leaves the least
+        deficit, or None if no cell may move in."""
+        best = None
+        for i in range(0, len(towers), self.batch):
+            loss, without, x, y, rows, cols = self._losses(towers[i : i + self.batch])
+            decided, flat = self._decided(x, y, rows, cols)
+            gains = np.where(decided & ~banned[flat], self._gains(without), -1)
+            gains, flat = gains.reshape(len(x), -1), flat.reshape(len(x), -1)
+            each, first = np.arange(len(x)), gains.argmax(axis=1)
+            cells, gains = flat[each, first], gains[each, first]
+            if self.slide_x or self.slide_y:
+                far_cells, far_gains = self._far(banned, x, y)
+                take = (far_gains > gains) | ((far_gains == gains) & (far_cells < cells))
+                cells, gains = np.where(take, far_cells, cells), np.where(take, far_gains, gains)
+            left = np.where(gains < 0, _NEVER, self.deficit + loss - gains)
+            j = int(left.argmin())
+            if gains[j] >= 0 and (best is None or left[j] < best[0]):
+                best = (int(left[j]), towers[i + j], int(cells[j]))
+        return best
+
+    def _descend(self) -> bool:
+        """Try for a broadcast of one tower less than the best; True if found."""
+        towers = list(self.best)
+        self._tick()
+        loss = np.concatenate(
+            [self._losses(towers[i : i + self.batch])[0] for i in range(0, len(towers), self.batch)]
+        )
+        drop = towers.pop(int(loss.argmin()))
+        self.deficit += int(loss.min())
+        self._moved(drop, -1)
+        tabu: dict[int, int] = {}
+        seen = {tuple(towers)}
+        for swap in range(_SWAP_CAP):
+            if not self.deficit:
+                break
+            self._tick()
+            banned = self.towers.copy()
+            banned[[c for c, until in tabu.items() if until >= swap]] = True
+            chosen = self._swap(towers, banned)
+            if chosen is None:
+                return False
+            deficit, out, into = chosen
+            towers = sorted([c for c in towers if c != out] + [into])
+            if tuple(towers) in seen:
+                return False
+            seen.add(tuple(towers))
+            self.deficit = deficit
+            self._moved(out, -1)
+            self._moved(into, 1)
+            tabu[out] = swap + _TABU_SWAPS
+        if self.deficit:
+            return False
+        self.best = towers
+        return True
+
+    def _moved(self, cell: int, sign: int) -> None:
+        """_move, then refresh the gains that the far cells of _swap read:
+        where no axis slides there are none, so the gains are not kept."""
+        self._move(cell, sign)
+        if self.slide_x or self.slide_y:
+            self._refresh([cell])
+
+    def run(self, lower: int) -> None:
+        """Set `best` to the smallest broadcast found, of no fewer than
+        `lower` towers."""
+        self._greedy()
+        while len(self.best) > lower and self._descend():
+            pass
+
+
 def find_broadcast_of_size(
     dims: GridDims,
     params: BroadcastParams,
@@ -415,12 +716,16 @@ def find_broadcast_of_size(
 
     Returns (witness, nodes_expanded); the witness is None when no broadcast
     of size k exists, which doubles as an optimality certificate for k+1 and
-    above. Raises BudgetExhaustedError (carrying the node count) if the
-    budget runs out before the level is decided. Every witness is re-checked
-    with check_broadcast first; one that fails raises SolverInvariantError.
+    above. A level whose root is pruned (r*m*n > k * max_unit_coverage)
+    returns (None, 0) before any search state is built. Raises
+    BudgetExhaustedError (carrying the node count) if the budget runs out
+    before the level is decided. Every witness is re-checked with
+    check_broadcast first; one that fails raises SolverInvariantError.
     """
     if k < 0:
         raise ValueError(f"tower count k must be >= 0, got {k}")
+    if params.r * dims.m * dims.n > k * max_unit_coverage(dims, params):
+        return None, 0
     search = _Search(dims, params, budget or SearchBudget())
     found = search.run(k)
     if found is None:
@@ -441,11 +746,16 @@ def exact_gamma(
 ) -> SolveResult:
     """The minimum size of a (t,r) broadcast, with a witness.
 
-    Levels k are tried in increasing order; each exhausted level certifies
-    that no smaller broadcast exists, so the first hit is optimal. The first
-    level is the deficit bound ceil(r*m*n / max_unit_coverage), below which a
-    level's root is pruned. The budget covers the whole solve: each level gets
-    the nodes and seconds the earlier ones left.
+    Witness first: a greedy placement shrunk by tabu swap descent gives a
+    broadcast of U towers, which check_broadcast must accept before U is
+    used. The complete search then runs only at level U-1: a refuted level
+    certifies that U is optimal, and a witness found there becomes the new
+    U, one level lower. No level below the deficit bound
+    ceil(r*m*n / max_unit_coverage) is searched, since its root is pruned,
+    so a U at that bound is optimal without any search. The budget covers
+    the whole solve: the upper-bound search counts its placements, drops
+    and swaps as nodes, and each level gets the nodes and seconds left
+    before it.
 
     A broadcast exists iff towers on every vertex are one. With towers
     everywhere, vertex (x, y) receives the sum of t - |x-a| - |y-b| over the
@@ -465,23 +775,52 @@ def exact_gamma(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"
         )
-    k = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
-    total_nodes = 0
+    lower = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
+    search = _UpperBound(dims, params, budget.max_nodes, deadline)
+    try:
+        search.run(lower)
+        exhausted = False
+    except BudgetExhaustedError:
+        exhausted = True
+    witness = None if search.best is None else _checked_upper(dims, params, search.best)
+    upper = None if witness is None else len(witness)
+    total_nodes = search.nodes
     levels: list[tuple[int, int]] = []
-    while True:
+
+    def unsolved(nodes: int) -> SolveResult:
+        return SolveResult(
+            "budget_exhausted", None, None, nodes, tuple(levels), lower, upper, search.nodes
+        )
+
+    if exhausted:
+        return unsolved(total_nodes)
+    while len(witness) > lower:
         seconds = None if deadline is None else deadline - time.monotonic()
         if total_nodes >= budget.max_nodes or (seconds is not None and seconds <= 0):
-            return SolveResult("budget_exhausted", None, None, total_nodes, tuple(levels))
+            return unsolved(total_nodes)
+        k = len(witness) - 1
         left = SearchBudget(budget.max_nodes - total_nodes, seconds)
         try:
-            witness, nodes = find_broadcast_of_size(dims, params, k, left)
+            found, nodes = find_broadcast_of_size(dims, params, k, left)
         except BudgetExhaustedError as exc:
             levels.append((k, exc.nodes_expanded))
-            return SolveResult(
-                "budget_exhausted", None, None, total_nodes + exc.nodes_expanded, tuple(levels)
-            )
+            return unsolved(total_nodes + exc.nodes_expanded)
         total_nodes += nodes
         levels.append((k, nodes))
-        if witness is not None:
-            return SolveResult("optimal", len(witness), witness, total_nodes, tuple(levels))
-        k += 1
+        if found is None:
+            break
+        witness = found
+    return SolveResult(
+        "optimal", len(witness), witness, total_nodes, tuple(levels), lower, upper, search.nodes
+    )
+
+
+def _checked_upper(dims: GridDims, params: BroadcastParams, cells: list[int]) -> TowerSet:
+    """The upper-bound search's towers, accepted by check_broadcast."""
+    towers = TowerSet(np.array(np.divmod(cells, dims.n)).T.reshape(-1, 2))
+    if not check_broadcast(dims, params, towers).valid:
+        raise SolverInvariantError(
+            f"the upper-bound search's {len(towers)}-tower set on {dims.m}x{dims.n} "
+            f"is not a ({params.t},{params.r}) broadcast"
+        )
+    return towers

@@ -507,20 +507,52 @@ class TestExactCommand:
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         argv = ["exact", "--m", "3", "--n", "3", "--t", "3", "--r", "2"]
         assert run_cli(capsys, *argv, "--max-seconds", "1.5") == (3, "UNSOLVED nodes=0\n", "")
-        assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=8\n")
+        assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=5\n")
 
     def test_deep_search_exhausts_the_budget(self, capsys):
-        # The first level has thousands of slots: the path outgrows any
-        # recursion limit long before the budget runs out.
+        # The greedy placements of the upper bound are nodes: a broadcast of
+        # thousands of towers spends the budget before any level is searched.
         argv = ["exact", "--m", "150", "--n", "150", "--t", "3", "--r", "2", "--budget", "3000"]
         assert run_cli(capsys, *argv) == (3, "UNSOLVED nodes=3000\n", "")
 
-    def test_invalid_witness_is_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(solver._Search, "run", lambda self, slots: [0])
+    def test_invalid_upper_bound_is_exit_1(self, capsys, monkeypatch):
+        def claimed(self, lower):
+            self.best = [0]
+
+        monkeypatch.setattr(solver._UpperBound, "run", claimed)
         argv = ["exact", "--m", "6", "--n", "8", "--t", "3", "--r", "2"]
         assert run_cli(capsys, *argv) == (
-            1, "", "error: the solver's 1-tower witness on 6x8 is not a (3,2) broadcast\n"
+            1,
+            "",
+            "error: the upper-bound search's 1-tower set on 6x8 is not a (3,2) broadcast\n",
         )
+
+    def test_large_strength_stays_small_under_an_address_limit(self):
+        # One node of budget at 120x120, t=120: the upper bound's first
+        # placement works on one int64 field and its prefix sums, so the
+        # process stays near its import footprint (about 33 MiB). The child
+        # runs under an address limit (ulimit -v 3000000) and reports its own
+        # peak, VmHWM, which a forked child's ru_maxrss would not give: that
+        # counts the pages it shared with this process before exec.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2); "
+            "from gridcast.cli import main; code = main(sys.argv[1:]); "
+            "status = open('/proc/self/status').read(); "
+            "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr); sys.exit(code)"
+        )
+        argv = ["exact", "--m", "120", "--n", "120", "--t", "120", "--r", "2", "--budget", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "UNSOLVED nodes=1\n")
+        assert int(proc.stderr) < 64 * 1024  # KiB
 
     @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
     def test_max_seconds_must_be_finite_and_positive(self, capsys, seconds):

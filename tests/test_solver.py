@@ -1,6 +1,7 @@
-"""Exact solver: level searches, iterative deepening, budgets, oracle checks."""
+"""Exact solver: level searches, the witness-first schedule, budgets, oracle checks."""
 
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,6 +28,7 @@ from gridcast.solver import max_unit_coverage
 from naive_oracle import coverage_matrix, naive_gamma
 
 SEARCH_TREES = Path(__file__).parent / "data" / "solver_tree.txt"
+LEVEL_SEARCHES = Path(__file__).parent / "data" / "solver_levels.txt"
 
 
 def _frozen_trees() -> dict[tuple[int, int], list[tuple]]:
@@ -43,6 +45,22 @@ def _frozen_trees() -> dict[tuple[int, int], list[tuple]]:
 
 
 FROZEN_TREES = _frozen_trees()
+
+
+def _frozen_levels() -> dict[tuple[int, int], list[tuple]]:
+    """The rows of the level-search table, grouped by grid shape."""
+    rows: dict[tuple[int, int], list[tuple]] = {}
+    for line in LEVEL_SEARCHES.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            continue
+        m, n, t, r, k, nodes, witness = line.split()
+        rows.setdefault((int(m), int(n)), []).append(
+            (int(t), int(r), int(k), (int(nodes), witness))
+        )
+    return rows
+
+
+FROZEN_LEVELS = _frozen_levels()
 
 
 def _witness_text(witness: TowerSet | None) -> str:
@@ -90,7 +108,7 @@ class TestExactGamma:
     def test_witnesses_are_deterministic(self):
         first = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
         second = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
-        assert first.witness == second.witness == TowerSet([Coord(0, 1), Coord(2, 1)])
+        assert first.witness == second.witness == TowerSet([Coord(0, 2), Coord(2, 0)])
 
     def test_path_witness_matches_construction(self):
         result = exact_gamma(GridDims(17, 1), BroadcastParams(4, 2))
@@ -140,11 +158,13 @@ class TestExactGamma:
             built.clear()
             result = exact_gamma(GridDims(m, n), BroadcastParams(t, 2))
             assert result.status == "optimal"
-            # Existence needs no verifier call: check_broadcast re-checks the witness only.
+            # Existence needs no verifier call: check_broadcast checks the
+            # upper bound's broadcast, here the witness, and nothing else.
+            assert result.upper == result.gamma
             assert seen == [(GridDims(m, n), result.witness)]
-            # The solver makes a Coord only for each witness tower, none per vertex.
-            assert TowerSet(Coord(*c) for c in built) == result.witness
-            assert len(built) == result.gamma
+            # The upper bound's towers come from an array, and the refuted
+            # level returns none, so the solver makes no Coord at all.
+            assert built == []
 
     @pytest.mark.parametrize("m,n,t,r", [(3, 4, 3, 2), (6, 7, 4, 2), (40, 30, 12, 5)])
     def test_existence_check_reads_one_tower(self, monkeypatch, m, n, t, r):
@@ -171,17 +191,48 @@ class TestExactGamma:
         assert result.status == "budget_exhausted"
 
     def test_deep_search_is_not_limited_by_recursion(self):
-        # The first level holds thousands of towers, one frame per placement.
+        # A level of 2800 towers on 150x150 (the deficit bound is 2500) keeps
+        # one frame per placement, thousands deep.
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(
+                GridDims(150, 150), BroadcastParams(3, 2), 2800, SearchBudget(max_nodes=3000)
+            )
+        assert exhausted.value.nodes_expanded == 3000
+
+    def test_upper_bound_placements_spend_the_budget(self):
+        # The greedy placements of a 150x150 broadcast are nodes too: they
+        # spend the whole budget before any level is searched.
         result = exact_gamma(
             GridDims(150, 150), BroadcastParams(3, 2), SearchBudget(max_nodes=3000)
         )
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 3000)
+        assert (result.status, result.nodes_expanded, result.upper_nodes) == (
+            "budget_exhausted", 3000, 3000
+        )
+        assert (result.lower, result.upper, result.level_nodes) == (2500, None, ())
 
     def test_invalid_witness_is_refused(self, monkeypatch):
         # A search that claims one tower in the corner covers the grid.
         monkeypatch.setattr(solver._Search, "run", lambda self, slots: [0])
         with pytest.raises(solver.SolverInvariantError, match="is not a \\(3,2\\) broadcast"):
             exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
+
+    @pytest.mark.parametrize("cells", [[0], [5, 40, 47]])
+    def test_invalid_upper_bound_is_refused(self, monkeypatch, cells):
+        # An upper-bound search that claims fewer towers than gamma = 8 cover
+        # 6x8: the verifier refuses them before they bound anything, so no
+        # smaller "optimal" comes out.
+        def claimed(self, lower):
+            self.best = cells
+
+        monkeypatch.setattr(solver._UpperBound, "run", claimed)
+        searched = []
+        monkeypatch.setattr(
+            solver, "find_broadcast_of_size", lambda *args: searched.append(args)
+        )
+        message = f"upper-bound search's {len(cells)}-tower set on 6x8 is not a \\(3,2\\) broadcast"
+        with pytest.raises(solver.SolverInvariantError, match=message):
+            exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
+        assert searched == []
 
     @given(
         m=st.integers(1, 12),
@@ -241,7 +292,7 @@ class TestExactGamma:
         "m,n,t,r",
         [
             (3, 5, 3, 2),
-            (3, 6, 4, 2),
+            (4, 5, 4, 2),
             (4, 4, 2, 2),
             (3, 4, 3, 3),
             (4, 5, 4, 3),
@@ -290,23 +341,28 @@ class TestExactGamma:
 
 
 class TestSolveWideBudget:
-    """One SearchBudget bounds the whole solve, not each level on its own."""
+    """One SearchBudget bounds the whole solve: the upper-bound search and
+    every level after it."""
 
     def test_node_cap_spans_levels(self):
-        # Unbudgeted, the three levels take 218, 6619 and 39258 nodes.
+        # Unbudgeted, the upper bound takes 35 nodes to reach gamma = 10 and
+        # refuting level 9 takes 6619.
         result = exact_gamma(
-            GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=39_259)
+            GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=6653)
         )
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 39_259)
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 6653)
+        assert (result.upper_nodes, result.level_nodes) == (35, ((9, 6618),))
 
-    # 6x8, t=3, r=2: levels 6, 7, 8 take 98, 2167 and 707 nodes; gamma is 8.
+    # 6x8, t=3, r=2: the upper bound takes 33 nodes to reach gamma = 8, and
+    # refuting level 7 takes 2167.
     @pytest.mark.parametrize(
         "max_nodes,status,nodes",
         [
-            (2972, "optimal", 2972),
-            (2971, "budget_exhausted", 2971),
-            (2265, "budget_exhausted", 2265),
-            (2264, "budget_exhausted", 2264),
+            (2200, "optimal", 2200),
+            (2199, "budget_exhausted", 2199),
+            (34, "budget_exhausted", 34),
+            (33, "budget_exhausted", 33),
+            (32, "budget_exhausted", 32),
         ],
     )
     def test_node_cap_boundaries(self, max_nodes, status, nodes):
@@ -315,34 +371,62 @@ class TestSolveWideBudget:
         )
         assert (result.status, result.nodes_expanded) == (status, nodes)
 
-    def test_no_level_starts_once_the_nodes_are_spent(self, monkeypatch):
-        levels = []
+    @pytest.mark.parametrize("max_nodes,levels", [(33, []), (34, [(7, 1)])])
+    def test_no_level_starts_once_the_nodes_are_spent(self, monkeypatch, max_nodes, levels):
+        searched = []
         original = solver.find_broadcast_of_size
 
         def recorded(dims, params, k, budget):
-            levels.append((k, budget.max_nodes))
+            searched.append((k, budget.max_nodes))
             return original(dims, params, k, budget)
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", recorded)
-        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=2265))
-        assert result.status == "budget_exhausted"
-        assert levels == [(6, 2265), (7, 2167)]
+        result = exact_gamma(
+            GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=max_nodes)
+        )
+        assert (result.status, result.upper) == ("budget_exhausted", 8)
+        assert searched == levels
 
     def test_seconds_span_levels(self, monkeypatch):
-        # A clock that advances 10 s per level: each level gets what is left.
+        # A clock that stands still but advances 10 s per level: each level
+        # gets what is left. On 4x9, t=2, r=2 the upper bound is 17 and the
+        # deficit bound 12; each stand-in level finds k towers, so the next
+        # searches one less, until the fourth finds no seconds left.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         given = []
 
         def level(dims, params, k, budget):
-            given.append(budget.max_seconds)
+            given.append((k, budget.max_seconds))
             clock.now += 10.0
-            return None, 1
+            return TowerSet([Coord(*divmod(u, 9)) for u in range(k)]), 1
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", level)
-        result = exact_gamma(GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_seconds=25))
-        assert given == [25.0, 15.0, 5.0]
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 3)
+        result = exact_gamma(GridDims(4, 9), BroadcastParams(2, 2), SearchBudget(max_seconds=25))
+        assert given == [(16, 25.0), (15, 15.0), (14, 5.0)]
+        assert (result.status, result.upper) == ("budget_exhausted", 17)
+        assert result.nodes_expanded == result.upper_nodes + 3
+
+    def test_upper_bound_stops_on_the_seconds(self, monkeypatch):
+        # Each reading of this clock advances it 1 s; exact_gamma's first
+        # reading sets the deadline at 11.5. On 8x8 each gain refresh reads it
+        # twice (once per k <= min(r, t)) and each placement once: readings
+        # 2-3 refresh the empty grid, 4, 7 and 10 count three placements,
+        # and the refresh after the third passes the deadline at 12.
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        searched = []
+        monkeypatch.setattr(solver, "find_broadcast_of_size", lambda *args: searched.append(args))
+        result = exact_gamma(GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_seconds=10.5))
+        assert (result.status, result.nodes_expanded, result.upper_nodes) == (
+            "budget_exhausted", 3, 3
+        )
+        assert (result.upper, result.level_nodes, searched, clock.now) == (None, (), [], 12.0)
 
     def test_level_setup_is_charged_to_the_seconds(self, monkeypatch):
         clock = SimpleNamespace(now=0.0)
@@ -382,12 +466,13 @@ class TestSolveWideBudget:
         assert (exhausted.value.nodes_expanded, ranked) == (0, [0])
 
     def test_setup_is_stopped_between_templates(self, monkeypatch):
-        # With t = r = 1000 on 1000x1000, setup would build 1000 diamond
-        # templates of 4 Mbit each, their rings and a stacked copy: gigabytes
-        # and about a minute before the first node. The clock is read before
-        # each template, so a deadline that passes during setup ends it: on
-        # a clock that advances 1 s per reading, the deadline is 2.5 and the
-        # second template's reading passes it.
+        # With t = r = 1000 on 1000x1000, level 10's root is not pruned (level
+        # 1's is, and returns before any setup), and setup would build 1000
+        # diamond templates of 4 Mbit each, their rings and a stacked copy:
+        # gigabytes and about a minute before the first node. The clock is
+        # read before each template, so a deadline that passes during setup
+        # ends it: on a clock that advances 1 s per reading, the deadline is
+        # 2.5 and the second template's reading passes it.
         clock = SimpleNamespace(now=0.0)
 
         def tick():
@@ -407,7 +492,7 @@ class TestSolveWideBudget:
             find_broadcast_of_size(
                 GridDims(1000, 1000),
                 BroadcastParams(1000, 1000),
-                1,
+                10,
                 SearchBudget(max_seconds=1.5),
             )
         assert (exhausted.value.nodes_expanded, built, clock.now) == (0, [(1999, 1999)], 3.0)
@@ -626,30 +711,63 @@ class TestPackingBound:
 
 
 class TestDeficitBoundStart:
-    """exact_gamma skips the levels whose root is pruned, and only those."""
+    """No level below the deficit bound is searched: its root is pruned."""
 
-    def test_hopeless_levels_are_not_searched(self, monkeypatch):
-        # Levels 1..100 of this instance have a pruned root.
-        calls = []
+    @pytest.mark.parametrize(
+        "m,n,t,r", [(6, 8, 3, 2), (5, 7, 3, 3), (6, 6, 3, 1), (4, 9, 2, 2), (12, 6, 4, 2)]
+    )
+    def test_hopeless_levels_are_not_searched(self, monkeypatch, m, n, t, r):
+        searched = []
         original = solver.find_broadcast_of_size
 
         def recorded(dims, params, k, budget):
-            calls.append(k)
+            searched.append(k)
             return original(dims, params, k, budget)
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", recorded)
-        dims, params = GridDims(20, 20), BroadcastParams(10_000, 1_000_000)
-        result = exact_gamma(dims, params, SearchBudget(max_nodes=1))
-        start = -(-params.r * 400 // max_unit_coverage(dims, params))
-        assert calls == [start]
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 1)
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        result = exact_gamma(dims, params)
+        start = -(-r * m * n // max_unit_coverage(dims, params))
+        assert result.lower == start
+        assert searched and min(searched) >= start
+
+    @pytest.mark.parametrize("m,n,t,r", [(17, 1, 4, 2), (3, 3, 3, 2), (5, 1, 4, 2)])
+    def test_no_level_is_searched_at_the_deficit_bound(self, monkeypatch, m, n, t, r):
+        # The upper bound reaches the deficit bound, so it is optimal as it is.
+        searched = []
+        monkeypatch.setattr(solver, "find_broadcast_of_size", lambda *args: searched.append(args))
+        result = exact_gamma(GridDims(m, n), BroadcastParams(t, r))
+        assert result.status == "optimal"
+        assert result.gamma == result.lower == result.upper
+        assert (result.level_nodes, result.nodes_expanded, searched) == ((), result.upper_nodes, [])
 
     @pytest.mark.parametrize("m,n,area,start", [(5, 7, 5, 6), (6, 6, 5, 6)])
     def test_skipped_level_expands_no_node(self, m, n, area, start):
         dims, params = GridDims(m, n), BroadcastParams(3, 3)
         assert lower_t2(m, n, 3) == area
         assert find_broadcast_of_size(dims, params, area) == (None, 0)
-        assert exact_gamma(dims, params).level_nodes[0][0] == start
+        result = exact_gamma(dims, params)
+        assert result.lower == start
+        assert min(k for k, _ in result.level_nodes) >= start
+
+    def test_pruned_root_builds_no_search(self):
+        # Level 1 of 1000x1000, t = r = 1000 is pruned: one tower repairs far
+        # less than the 10^9 lacking. It returns before the search state,
+        # which would take gigabytes of diamond templates.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            result = find_broadcast_of_size(
+                GridDims(1000, 1000), BroadcastParams(1000, 1000), 1
+            )
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (None, 0)
+        # max_unit_coverage's one-tower field of 1000x1000 takes most of it.
+        assert peak < 16 * 2**20
+        assert elapsed < 1.0
 
 
 class TestLevelNodes:
@@ -657,10 +775,11 @@ class TestLevelNodes:
     @pytest.mark.parametrize(
         "max_nodes,levels",
         [
-            (None, ((6, 98), (7, 2167), (8, 707))),
-            (2265, ((6, 98), (7, 2167))),
-            (2264, ((6, 98), (7, 2166))),
-            (50, ((6, 50),)),
+            (None, ((7, 2167),)),
+            (2199, ((7, 2166),)),
+            (50, ((7, 17),)),
+            (33, ()),
+            (20, ()),
         ],
     )
     def test_one_entry_per_level_tried(self, max_nodes, levels):
@@ -671,23 +790,37 @@ class TestLevelNodes:
     @pytest.mark.parametrize(
         "m,n,t,r", [(6, 8, 3, 2), (5, 7, 3, 3), (6, 6, 3, 1), (4, 9, 2, 2), (7, 1, 4, 2)]
     )
-    @pytest.mark.parametrize("max_nodes", [None, 40])
-    def test_counts_sum_to_the_total_from_the_start_bound(self, m, n, t, r, max_nodes):
+    @pytest.mark.parametrize("max_nodes", [None, 40, 60])
+    def test_counts_sum_to_the_total_below_the_upper_bound(self, m, n, t, r, max_nodes):
         dims, params = GridDims(m, n), BroadcastParams(t, r)
         budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
         result = exact_gamma(dims, params, budget)
-        start = -(-r * m * n // max_unit_coverage(dims, params))
+        assert result.lower == -(-r * m * n // max_unit_coverage(dims, params))
+        assert result.upper_nodes + sum(nodes for _, nodes in result.level_nodes) == (
+            result.nodes_expanded
+        )
         ks = [k for k, _ in result.level_nodes]
-        assert ks == list(range(start, start + len(ks)))
-        assert sum(nodes for _, nodes in result.level_nodes) == result.nodes_expanded
+        if ks:
+            # The first level is one below the upper bound, and each next
+            # one below the witness the level before found.
+            assert ks[0] == result.upper - 1
+            assert ks == sorted(set(ks), reverse=True) and ks[-1] >= result.lower
         if result.status == "optimal":
-            assert ks[-1] == result.gamma
+            assert result.gamma in ({ks[-1] + 1, result.lower} if ks else {result.upper})
+
+    def test_brackets_are_set_when_the_budget_runs_out(self):
+        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=50))
+        assert (result.status, result.gamma, result.witness) == ("budget_exhausted", None, None)
+        assert (result.lower, result.upper, result.upper_nodes, result.nodes_expanded) == (
+            6, 8, 33, 50
+        )
 
 
 class TestSearchTreeGolden:
-    """The search expands the nodes and finds the witnesses of the frozen
+    """exact_gamma expands the nodes and finds the witnesses of the frozen
     table (first frozen from the solver that placed every child, its node
-    counts re-derived when the packing bound came in)."""
+    counts re-derived when the packing bound came in and again when the
+    schedule became witness first)."""
 
     @pytest.mark.parametrize("shape", sorted(FROZEN_TREES), ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_the_frozen_table(self, shape):
@@ -714,3 +847,127 @@ class TestSearchTreeGolden:
         frozen = {(m, n, t, r) for (m, n), rows in FROZEN_TREES.items() for t, r, *_ in rows}
         assert solvable <= frozen
         assert {(6, 8, 3, 2), (7, 7, 3, 2), (5, 7, 3, 3), (7, 9, 3, 2), (9, 9, 4, 2)} <= frozen
+
+
+class TestLevelSearchGolden:
+    """find_broadcast_of_size expands the nodes and finds the witnesses of the
+    level table, frozen from the solver whose exact_gamma searched every
+    level up from the deficit bound: the level search itself is unchanged
+    by the schedule that calls it."""
+
+    @pytest.mark.parametrize("shape", sorted(FROZEN_LEVELS), ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_the_frozen_levels(self, shape):
+        mismatches = []
+        for t, r, k, expected in FROZEN_LEVELS[shape]:
+            witness, nodes = find_broadcast_of_size(GridDims(*shape), BroadcastParams(t, r), k)
+            if (nodes, _witness_text(witness)) != expected:
+                mismatches.append(((t, r, k), (nodes, _witness_text(witness)), expected))
+        assert mismatches == []
+
+    def test_levels_cover_every_instance_of_the_tree_table(self):
+        levels = {(m, n, t, r) for (m, n), rows in FROZEN_LEVELS.items() for t, r, *_ in rows}
+        trees = {(m, n, t, r) for (m, n), rows in FROZEN_TREES.items() for t, r, *_ in rows}
+        assert levels == trees
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_exact_gamma_agrees_with_the_oracle(t, r):
+    # Every grid of at most 16 vertices, the naive enumerator's range.
+    for m in range(1, 17):
+        for n in range(1, 16 // m + 1):
+            expected = naive_gamma(m, n, t, r)
+            if expected is None:
+                continue
+            dims, params = GridDims(m, n), BroadcastParams(t, r)
+            result = exact_gamma(dims, params)
+            assert (result.status, result.gamma) == ("optimal", expected), (m, n)
+            assert result.lower <= expected <= result.upper, (m, n)
+            assert check_broadcast(dims, params, result.witness).valid, (m, n)
+
+
+def _reference_field(m: int, n: int, t: int, cells) -> np.ndarray:
+    """The received totals of towers on `cells`, summed tower by tower."""
+    field = np.zeros((m, n), dtype=np.int64)
+    for c in cells:
+        x, y = divmod(c, n)
+        field += np.maximum(t - np.abs(np.arange(m)[:, None] - x) - np.abs(np.arange(n) - y), 0)
+    return field
+
+
+def _upper_bound_with(m: int, n: int, t: int, r: int, cells) -> "solver._UpperBound":
+    """An upper-bound search holding towers on `cells`, its gains refreshed."""
+    search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), 10**9, None)
+    for c in cells:
+        search._move(c, 1)
+    search.deficit = int(np.maximum(r - _reference_field(m, n, t, cells), 0).sum())
+    search._refresh(list(range(m * n)))
+    return search
+
+
+class TestUpperBound:
+    """The swap search's field, gains, losses and moves against references
+    that sum tower by tower; windows slide wherever 6(t-1)+1 < m or n."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 16), st.integers(1, 16), st.integers(1, 7), st.integers(1, 9), st.data()
+    )
+    def test_gains_match_a_per_cell_reference(self, m, n, t, r, data):
+        cells = data.draw(st.lists(st.integers(0, m * n - 1), max_size=6, unique=True))
+        search = _upper_bound_with(m, n, t, r, cells)
+        field = _reference_field(m, n, t, cells)
+        lacking = np.maximum(r - field, 0)
+        expected = [
+            int(np.minimum(lacking, _reference_field(m, n, t, [u])).sum()) for u in range(m * n)
+        ]
+        assert (search.padded[search.pad_x : search.pad_x + m, search.pad_y : search.pad_y + n]
+                == field).all()
+        assert search.gain.tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.integers(1, 4), st.data()
+    )
+    def test_swap_leaves_the_least_deficit(self, m, n, t, r, data):
+        towers = sorted(data.draw(
+            st.lists(st.integers(0, m * n - 1), min_size=1, max_size=5, unique=True)
+        ))
+        search = _upper_bound_with(m, n, t, r, towers)
+        banned = search.towers.copy()
+        banned[data.draw(st.lists(st.integers(0, m * n - 1), max_size=3))] = True
+        left = {}
+        for w in towers:
+            rest = [c for c in towers if c != w]
+            loss = np.maximum(r - _reference_field(m, n, t, rest), 0).sum() - search.deficit
+            assert search._losses([w])[0].tolist() == [loss]
+            for u in np.flatnonzero(~banned).tolist():
+                left[(w, u)] = int(np.maximum(r - _reference_field(m, n, t, rest + [u]), 0).sum())
+        # Least deficit first, then the lowest tower out, then the lowest cell in.
+        expected = min(((d, w, u) for (w, u), d in left.items()), default=None)
+        assert search._swap(towers, banned) == expected
+
+    @pytest.mark.parametrize(
+        "m,n,t,r,upper",
+        [(6, 8, 3, 2, 8), (9, 9, 3, 2, 12), (5, 7, 3, 3, 8), (10, 10, 4, 2, 8), (8, 10, 3, 2, 13)],
+    )
+    def test_reaches_its_pinned_size(self, m, n, t, r, upper):
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        lower = -(-r * m * n // max_unit_coverage(dims, params))
+        search = solver._UpperBound(dims, params, 10**9, None)
+        search.run(lower)
+        assert len(search.best) == upper
+        towers = np.array([divmod(u, n) for u in search.best])
+        assert check_broadcast(dims, params, towers).valid
+
+    def test_each_placement_drop_and_swap_is_one_node(self, monkeypatch):
+        counted = []
+        original = solver._UpperBound._tick
+
+        def tick(self):
+            original(self)
+            counted.append(self.nodes)
+
+        monkeypatch.setattr(solver._UpperBound, "_tick", tick)
+        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
+        assert counted == list(range(1, result.upper_nodes + 1))
