@@ -7,11 +7,13 @@ U-1, where a level means "at most k towers": a refuted level certifies that
 U is optimal, and a witness found there becomes the new U, one level lower.
 The deficit bound ceil(r*m*n / max_unit_coverage) is the floor: a level below
 it has a pruned root, so it is never searched, and a U at the bound is
-optimal without any search. Within a level the search branches on the
-lexicographically first deficient vertex; its candidate towers are the grid
-vertices that supply it positive signal, tried in order of decreasing
-marginal deficiency coverage (ties broken lexicographically), with candidates
-already refuted at a branch point excluded from the subtree.
+optimal without any search. The swap search aims no lower than one tower
+above the bound: the bound's own level is the one the deficit bound prunes
+hardest, so the level search settles it. Within a level the search branches
+on the lexicographically first deficient vertex; its candidate towers are
+the grid vertices that supply it positive signal, tried in order of
+decreasing marginal deficiency coverage (ties broken lexicographically), with
+candidates already refuted at a branch point excluded from the subtree.
 
 Every child is counted as one node expansion, but only interior children are
 placed. A child's gain (the deficiency it would repair) is computed once, when
@@ -453,8 +455,9 @@ class _UpperBound:
     _TABU_SWAPS swaps. Ties go to the lowest flat index, towers out before
     towers in. A descent fails when its swaps run out, when no cell may move
     in, or when a swap would return to a tower set it has already held. The
-    search stops at the first failed descent, or when a descent reaches the
-    deficit bound.
+    search stops at the first failed descent, or one tower above the
+    deficit bound: at the bound itself the deficit bound prunes the level
+    search hardest, so that level is left to it.
 
     Every placement, drop and swap is one node, counted against the
     budget's max_nodes before its choice is evaluated, and the clock is read
@@ -594,15 +597,13 @@ class _UpperBound:
         ]
         self._refresh([min(a, self.m - 1) * self.n + min(b, self.n - 1)
                        for a in anchors[0] for b in anchors[1]])
-        placed = []
         while self.deficit:
             self._tick()
             u = int(np.argmax(np.where(self.towers, -1, self.gain)))
             self.deficit -= int(self.gain[u])
             self._move(u, 1)
             self._refresh([u])
-            placed.append(u)
-        self.best = sorted(placed)
+        self.best = np.flatnonzero(self.towers).tolist()
 
     def _losses(self, towers: list[int]):
         """For each tower of a batch: the deficit its removal adds, what each
@@ -699,10 +700,10 @@ class _UpperBound:
             self._refresh([cell])
 
     def run(self, lower: int) -> None:
-        """Set `best` to the smallest broadcast found, of no fewer than
-        `lower` towers."""
+        """Set `best` to the smallest broadcast found; no descent aims below
+        lower + 1, the deficit bound's level being the level search's."""
         self._greedy()
-        while len(self.best) > lower and self._descend():
+        while len(self.best) > lower + 1 and self._descend():
             pass
 
 
@@ -752,7 +753,8 @@ def exact_gamma(
     certifies that U is optimal, and a witness found there becomes the new
     U, one level lower. No level below the deficit bound
     ceil(r*m*n / max_unit_coverage) is searched, since its root is pruned,
-    so a U at that bound is optimal without any search. The budget covers
+    so a U at that bound is optimal without any search; the swap search
+    aims no lower than one tower above it. The budget covers
     the whole solve: the upper-bound search counts its placements, drops
     and swaps as nodes, and each level gets the nodes and seconds left
     before it.

@@ -507,7 +507,7 @@ class TestExactCommand:
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         argv = ["exact", "--m", "3", "--n", "3", "--t", "3", "--r", "2"]
         assert run_cli(capsys, *argv, "--max-seconds", "1.5") == (3, "UNSOLVED nodes=0\n", "")
-        assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=5\n")
+        assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=11\n")
 
     def test_deep_search_exhausts_the_budget(self, capsys):
         # The greedy placements of the upper bound are nodes: a broadcast of

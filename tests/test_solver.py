@@ -108,7 +108,7 @@ class TestExactGamma:
     def test_witnesses_are_deterministic(self):
         first = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
         second = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
-        assert first.witness == second.witness == TowerSet([Coord(0, 2), Coord(2, 0)])
+        assert first.witness == second.witness == TowerSet([Coord(0, 1), Coord(2, 1)])
 
     def test_path_witness_matches_construction(self):
         result = exact_gamma(GridDims(17, 1), BroadcastParams(4, 2))
@@ -731,9 +731,10 @@ class TestDeficitBoundStart:
         assert result.lower == start
         assert searched and min(searched) >= start
 
-    @pytest.mark.parametrize("m,n,t,r", [(17, 1, 4, 2), (3, 3, 3, 2), (5, 1, 4, 2)])
+    @pytest.mark.parametrize("m,n,t,r", [(5, 1, 4, 2), (3, 3, 4, 2), (4, 4, 4, 2), (2, 6, 4, 2)])
     def test_no_level_is_searched_at_the_deficit_bound(self, monkeypatch, m, n, t, r):
-        # The upper bound reaches the deficit bound, so it is optimal as it is.
+        # The greedy placements reach the deficit bound, so they are optimal
+        # as they are.
         searched = []
         monkeypatch.setattr(solver, "find_broadcast_of_size", lambda *args: searched.append(args))
         result = exact_gamma(GridDims(m, n), BroadcastParams(t, r))
