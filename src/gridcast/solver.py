@@ -55,7 +55,8 @@ Every witness is re-checked by check_broadcast before it is returned.
 
 The upper-bound search's placements, drops and swaps are nodes of the same
 budget, and it keeps one int64 field of the grid: its memory per step is
-O(m*n), and the clock is read before each move and each prefix sum.
+O(m*n), and the clock is read before each move and each pass over a batch
+of windows.
 """
 
 from __future__ import annotations
@@ -461,7 +462,8 @@ class _UpperBound:
 
     Every placement, drop and swap is one node, counted against the
     budget's max_nodes before its choice is evaluated, and the clock is read
-    before each of them and before each prefix sum.
+    before each of them and before each row of segments, one pass over a
+    batch of windows.
     """
 
     def __init__(self, dims: GridDims, params: BroadcastParams, max_nodes: int, deadline):
@@ -480,8 +482,9 @@ class _UpperBound:
         self.slide_x, self.slide_y = self.h < m, self.w < n
         # What a tower on (h-1, w-1) sends: a window's slice of it is what
         # a tower in that window sends the window.
+        # Signals never exceed t <= 10000, so the kernel fits int16.
         dx, dy = np.abs(np.arange(1 - self.h, self.h)), np.abs(np.arange(1 - self.w, self.w))
-        self.kernel = np.maximum(t - dx[:, None] - dy, 0)
+        self.kernel = np.maximum(t - dx[:, None] - dy, 0).astype(np.int16)
         self.deficit = r * m * n
         self.towers = np.zeros(m * n, dtype=bool)
         self.gain = np.zeros(m * n, dtype=np.int64)
@@ -529,18 +532,20 @@ class _UpperBound:
         if same:
             total += np.minimum(lacking, same).sum(axis=(1, 2))[:, None, None]
         for k in range(same + 1, top + 1):
-            self._check_clock()
             radius = self.t - k
             rows, cols = min(radius, h - 1), min(radius, w)
             # prefix[:, rows + a, cols + b] counts the cells of window row a
             # before column b that lack k, for b in [0, w]; it is 0 to the
-            # left of the window and the row's count to the right.
-            prefix = np.zeros((count, h + 2 * rows, w + 1 + 2 * cols), dtype=np.int64)
+            # left of the window and the row's count to the right, and it
+            # never exceeds w < 2**31.
+            prefix = np.zeros((count, h + 2 * rows, w + 1 + 2 * cols), dtype=np.int32)
             inner = prefix[:, rows : rows + h]
             np.cumsum(lacking >= k, axis=2, out=inner[:, :, cols + 1 : cols + 1 + w])
             inner[:, :, cols + 1 + w :] = inner[:, :, cols + w : cols + w + 1]
-            # Rows dx and -dx from the tower take segments of one half-width.
+            # Rows dx and -dx from the tower take segments of one half-width;
+            # the clock is read before each, a pass over the batch.
             for dx in range(rows + 1):
+                self._check_clock()
                 half = min(radius - dx, w)
                 band = prefix[:, rows + dx : rows + dx + h]
                 if dx:
@@ -572,8 +577,8 @@ class _UpperBound:
             cells = cells[:1]
         for i in range(0, len(cells), self.batch):
             x, y, rows, cols = self._windows(np.array(cells[i : i + self.batch]))
-            field = self.padded[rows[:, :, None], cols[:, None, :]]
-            gains = self._gains(np.maximum(self.r - field, 0))
+            lacking = self.r - self.padded[rows[:, :, None], cols[:, None, :]]
+            gains = self._gains(np.maximum(lacking, 0, out=lacking))
             decided, flat = self._decided(x, y, rows, cols)
             self.gain[flat[decided]] = gains[decided]
 
