@@ -480,9 +480,9 @@ class _UpperBound:
         self.padded = np.full((m + 2 * self.pad_x, n + 2 * self.pad_y), r + t, dtype=np.int64)
         self.padded[self.pad_x : self.pad_x + m, self.pad_y : self.pad_y + n] = 0
         self.slide_x, self.slide_y = self.h < m, self.w < n
-        # What a tower on (h-1, w-1) sends: a window's slice of it is what
-        # a tower in that window sends the window.
-        # Signals never exceed t <= 10000, so the kernel fits int16.
+        # What a tower on (h-1, w-1) sends, in int16 since no signal exceeds
+        # t <= 10000: a window's slice of it is what a tower in that window
+        # sends the window.
         dx, dy = np.abs(np.arange(1 - self.h, self.h)), np.abs(np.arange(1 - self.w, self.w))
         self.kernel = np.maximum(t - dx[:, None] - dy, 0).astype(np.int16)
         self.deficit = r * m * n

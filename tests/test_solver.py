@@ -165,6 +165,15 @@ class TestExactGamma:
             # The upper bound's towers come from an array, and the refuted
             # level returns none, so the solver makes no Coord at all.
             assert built == []
+        # On 3x3 the upper bound is 3 and level 2 finds the witness: each of
+        # the two broadcasts is checked once, and a Coord is made only for
+        # each tower of the level's witness, none per vertex.
+        seen.clear()
+        result = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
+        assert (result.gamma, result.upper, len(seen)) == (2, 3, 2)
+        assert len(seen[0][1]) == 3 and seen[1] == (GridDims(3, 3), result.witness)
+        assert TowerSet(Coord(*c) for c in built) == result.witness
+        assert len(built) == result.gamma
 
     @pytest.mark.parametrize("m,n,t,r", [(3, 4, 3, 2), (6, 7, 4, 2), (40, 30, 12, 5)])
     def test_existence_check_reads_one_tower(self, monkeypatch, m, n, t, r):
