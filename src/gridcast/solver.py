@@ -466,7 +466,9 @@ class _UpperBound:
     batch of windows.
     """
 
-    def __init__(self, dims: GridDims, params: BroadcastParams, max_nodes: int, deadline):
+    def __init__(
+        self, dims: GridDims, params: BroadcastParams, max_nodes: int, deadline: float | None
+    ):
         m, n, t, r = self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
         self.max_nodes, self.deadline = max_nodes, deadline
         self.nodes = 0
