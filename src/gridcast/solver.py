@@ -54,9 +54,9 @@ so max_seconds is read before each of those steps as well as once per node.
 Every witness is re-checked by check_broadcast before it is returned.
 
 The upper-bound search's placements, drops and swaps are nodes of the same
-budget, and it keeps one int64 field of the grid: its memory per step is
-O(m*n), and the clock is read before each move and each pass over a batch
-of windows.
+budget. It keeps one int64 field of the grid and evaluates every gain and
+loss over the whole grid: its memory per step is O(m*n), and the clock is
+read before each move and each pass over a batch of grids.
 """
 
 from __future__ import annotations
@@ -423,7 +423,7 @@ class _Search:
         return None
 
 
-# The most window cells _UpperBound evaluates in one batch.
+# The most grid cells _UpperBound evaluates in one batch.
 _BATCH_CELLS = 1 << 16
 # Swaps per target size, and how many swaps a moved-out cell stays tabu.
 _SWAP_CAP = 24
@@ -435,18 +435,14 @@ _NEVER = np.iinfo(np.int64).max
 class _UpperBound:
     """A broadcast built by greedy placement, then shrunk by tabu swap descent.
 
-    The received signal is one int64 field over the grid. Each move changes
-    it within distance R = t-1 of one tower, so a tower's gain or loss is
-    decided by the cells within 3R of that tower. Along an axis where 6R+1
-    cells fall short of the grid (a sliding axis) each evaluation takes a
-    window of 6R+1 cells around its tower, and the field is padded by 3R
-    cells that never lack signal; along any other axis the window is the
-    whole axis. The gain of a tower on a cell is the sum over k <= min(r, t)
-    of the cells lacking at least k within t-k of it, summed as row segments
-    from one prefix sum per k. For an h x w window that is at most
-    min(r, t, h+w-2) prefix sums of 2*min(t, h, w)-1 segment rows each, in
-    O(h * w) memory; windows are evaluated in batches of at most
-    _BATCH_CELLS cells.
+    The received signal is one int64 field over the grid, and what a tower
+    sends the grid is a slice of one int16 kernel. The gain of a tower on a
+    cell is the sum over k <= min(r, t) of the cells lacking at least k
+    within t-k of it, summed as row segments from one prefix sum per k. Every
+    gain and loss is evaluated over the whole grid: for each tower out of a
+    swap, at most min(r, t, m+n-2) prefix sums of 2*min(t, m)-1 segment rows
+    each, in batches of at most _BATCH_CELLS cells, so the memory per step is
+    O(m * n).
 
     The greedy phase places the tower of largest gain until nothing lacks
     signal. Then each descent tries for one tower less: it drops the tower
@@ -461,9 +457,9 @@ class _UpperBound:
     search hardest, so that level is left to it.
 
     Every placement, drop and swap is one node, counted against the
-    budget's max_nodes before its choice is evaluated, and the clock is read
-    before each of them and before each row of segments, one pass over a
-    batch of windows.
+    budget's max_nodes before it is chosen, and the clock is read before
+    each of them, before each batch of losses and before each row of
+    segments, one pass over a batch.
     """
 
     def __init__(
@@ -473,24 +469,16 @@ class _UpperBound:
         self.max_nodes, self.deadline = max_nodes, deadline
         self.nodes = 0
         self.best: list[int] | None = None
-        self.reach = reach = t - 1
-        # Per axis: the window's length and the padding on each side.
-        (self.h, self.pad_x), (self.w, self.pad_y) = (
-            (size, 0) if 6 * reach + 1 >= size else (6 * reach + 1, 3 * reach) for size in (m, n)
-        )
-        # Padding receives r + t, so it lacks nothing even with a tower removed.
-        self.padded = np.full((m + 2 * self.pad_x, n + 2 * self.pad_y), r + t, dtype=np.int64)
-        self.padded[self.pad_x : self.pad_x + m, self.pad_y : self.pad_y + n] = 0
-        self.slide_x, self.slide_y = self.h < m, self.w < n
-        # What a tower on (h-1, w-1) sends, in int16 since no signal exceeds
-        # t <= 10000: a window's slice of it is what a tower in that window
-        # sends the window.
-        dx, dy = np.abs(np.arange(1 - self.h, self.h)), np.abs(np.arange(1 - self.w, self.w))
-        self.kernel = np.maximum(t - dx[:, None] - dy, 0).astype(np.int16)
+        self.field = np.zeros((m, n), dtype=np.int64)
+        # What a tower on (m-1, n-1) sends, in int16 since no signal exceeds
+        # t <= 10000: sent[m-1-x, n-1-y] is the grid's slice of it, what a
+        # tower on (x, y) sends the grid.
+        dx, dy = np.abs(np.arange(1 - m, m)), np.abs(np.arange(1 - n, n))
+        kernel = np.maximum(t - dx[:, None] - dy, 0).astype(np.int16)
+        self.sent = np.lib.stride_tricks.sliding_window_view(kernel, (m, n))
         self.deficit = r * m * n
         self.towers = np.zeros(m * n, dtype=bool)
-        self.gain = np.zeros(m * n, dtype=np.int64)
-        self.batch = max(1, _BATCH_CELLS // (self.h * self.w))
+        self.batch = max(1, _BATCH_CELLS // (m * n))
 
     def _tick(self) -> None:
         """Count one node, or raise BudgetExhaustedError if none is left."""
@@ -503,161 +491,76 @@ class _UpperBound:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhaustedError(self.nodes)
 
-    def _windows(self, cells: np.ndarray):
-        """The cells' coordinates, and the padded rows and columns of the
-        window around each: x - 3R to x + 3R along a sliding axis, else all."""
-        x, y = np.divmod(cells, self.n)
-        rows = (x if self.slide_x else 0 * x)[:, None] + np.arange(self.h)
-        cols = (y if self.slide_y else 0 * y)[:, None] + np.arange(self.w)
-        return x, y, rows, cols
-
-    def _signal(self, x, y, rows, cols) -> np.ndarray:
-        """What a tower on each (x, y) sends the cells of its window."""
-        return self.kernel[
-            (rows + (self.h - 1 - self.pad_x) - x[:, None])[:, :, None],
-            (cols + (self.w - 1 - self.pad_y) - y[:, None])[:, None, :],
-        ]
-
     def _gains(self, lacking: np.ndarray) -> np.ndarray:
-        """The capped gain of a tower on each window cell, given what each
-        cell lacks; exact where the tower's reach stays in the window or
-        leaves it only past the grid. Diamond rows run along the shorter
-        axis, so there are at most 2*min(t, h, w) - 1 of them. A diamond of
-        radius h+w-2 or more is the whole window wherever its centre is, so
-        the terms k <= t - (h+w-2) are one count per window."""
-        flip = lacking.shape[1] > lacking.shape[2]
-        if flip:
-            lacking = lacking.transpose(0, 2, 1)
-        count, h, w = lacking.shape
-        top, same = min(self.r, self.t), max(min(self.r, self.t - (h + w - 2)), 0)
+        """The capped gain of a tower on each grid cell, for each of a batch
+        of grids given what each cell lacks. A diamond of radius m+n-2 or
+        more is the whole grid wherever its centre is, so the terms
+        k <= t - (m+n-2) are one count per grid."""
+        count, m, n = lacking.shape
+        top, same = min(self.r, self.t), max(min(self.r, self.t - (m + n - 2)), 0)
         total = np.zeros(lacking.shape, dtype=np.int64)
         if same:
             total += np.minimum(lacking, same).sum(axis=(1, 2))[:, None, None]
         for k in range(same + 1, top + 1):
             radius = self.t - k
-            rows, cols = min(radius, h - 1), min(radius, w)
-            # prefix[:, rows + a, cols + b] counts the cells of window row a
-            # before column b that lack k, for b in [0, w]; it is 0 to the
-            # left of the window and the row's count to the right, and it
-            # never exceeds w < 2**31.
-            prefix = np.zeros((count, h + 2 * rows, w + 1 + 2 * cols), dtype=np.int32)
-            inner = prefix[:, rows : rows + h]
-            np.cumsum(lacking >= k, axis=2, out=inner[:, :, cols + 1 : cols + 1 + w])
-            inner[:, :, cols + 1 + w :] = inner[:, :, cols + w : cols + w + 1]
+            rows, cols = min(radius, m - 1), min(radius, n)
+            # prefix[:, rows + a, cols + b] counts the cells of grid row a
+            # before column b that lack k, for b in [0, n]; it is 0 to the
+            # left of the grid and the row's count to the right, and it
+            # never exceeds n < 2**31.
+            prefix = np.zeros((count, m + 2 * rows, n + 1 + 2 * cols), dtype=np.int32)
+            inner = prefix[:, rows : rows + m]
+            np.cumsum(lacking >= k, axis=2, out=inner[:, :, cols + 1 : cols + 1 + n])
+            inner[:, :, cols + 1 + n :] = inner[:, :, cols + n : cols + n + 1]
             # Rows dx and -dx from the tower take segments of one half-width;
             # the clock is read before each, a pass over the batch.
             for dx in range(rows + 1):
                 self._check_clock()
-                half = min(radius - dx, w)
-                band = prefix[:, rows + dx : rows + dx + h]
+                half = min(radius - dx, n)
+                band = prefix[:, rows + dx : rows + dx + m]
                 if dx:
-                    band = band + prefix[:, rows - dx : rows - dx + h]
-                total += band[:, :, cols + half + 1 : cols + half + 1 + w]
-                total -= band[:, :, cols - half : cols - half + w]
-        return total.transpose(0, 2, 1) if flip else total
-
-    def _decided(self, x, y, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Which window cells are grid cells whose gain the window decides
-        (within 2R of the tower along each sliding axis), and their flat
-        indices (0 for the others)."""
-        gx, gy = rows - self.pad_x, cols - self.pad_y
-        inside_x = (gx >= 0) & (gx < self.m)
-        if self.slide_x:
-            inside_x &= np.abs(gx - x[:, None]) <= 2 * self.reach
-        inside_y = (gy >= 0) & (gy < self.n)
-        if self.slide_y:
-            inside_y &= np.abs(gy - y[:, None]) <= 2 * self.reach
-        decided = inside_x[:, :, None] & inside_y[:, None, :]
-        return decided, np.where(decided, gx[:, :, None] * self.n + gy[:, None, :], 0)
-
-    def _refresh(self, cells: list[int]) -> None:
-        """Recompute the gains that a change within R of `cells` can move.
-
-        Where no axis slides one window is the whole grid.
-        """
-        if not (self.slide_x or self.slide_y):
-            cells = cells[:1]
-        for i in range(0, len(cells), self.batch):
-            x, y, rows, cols = self._windows(np.array(cells[i : i + self.batch]))
-            lacking = self.r - self.padded[rows[:, :, None], cols[:, None, :]]
-            gains = self._gains(np.maximum(lacking, 0, out=lacking))
-            decided, flat = self._decided(x, y, rows, cols)
-            self.gain[flat[decided]] = gains[decided]
+                    band = band + prefix[:, rows - dx : rows - dx + m]
+                total += band[:, :, cols + half + 1 : cols + half + 1 + n]
+                total -= band[:, :, cols - half : cols - half + n]
+        return total
 
     def _move(self, cell: int, sign: int) -> None:
         """Place (sign 1) or remove (sign -1) the tower on `cell`."""
         x, y = divmod(cell, self.n)
-        row, col = (x if self.slide_x else 0), (y if self.slide_y else 0)
-        a, b = self.h - 1 - x + row - self.pad_x, self.w - 1 - y + col - self.pad_y
-        window = self.padded[row : row + self.h, col : col + self.w]
         if sign > 0:
-            window += self.kernel[a : a + self.h, b : b + self.w]
+            self.field += self.sent[self.m - 1 - x, self.n - 1 - y]
         else:
-            window -= self.kernel[a : a + self.h, b : b + self.w]
+            self.field -= self.sent[self.m - 1 - x, self.n - 1 - y]
         self.towers[cell] = sign > 0
 
     def _greedy(self) -> None:
         """Place the tower of largest gain until nothing lacks signal."""
-        anchors = [
-            range(2 * self.reach, size + 2 * self.reach, 4 * self.reach + 1) if slide else [0]
-            for size, slide in ((self.m, self.slide_x), (self.n, self.slide_y))
-        ]
-        self._refresh([min(a, self.m - 1) * self.n + min(b, self.n - 1)
-                       for a in anchors[0] for b in anchors[1]])
         while self.deficit:
+            gain = self._gains(np.maximum(self.r - self.field, 0)[None]).ravel()
             self._tick()
-            u = int(np.argmax(np.where(self.towers, -1, self.gain)))
-            self.deficit -= int(self.gain[u])
+            u = int(np.argmax(np.where(self.towers, -1, gain)))
+            self.deficit -= int(gain[u])
             self._move(u, 1)
-            self._refresh([u])
         self.best = np.flatnonzero(self.towers).tolist()
 
-    def _losses(self, towers: list[int]):
-        """For each tower of a batch: the deficit its removal adds, what each
-        cell of its window then lacks, and the window's geometry."""
-        x, y, rows, cols = self._windows(np.array(towers))
-        field = self.padded[rows[:, :, None], cols[:, None, :]]
-        without = np.maximum(self.r - field + self._signal(x, y, rows, cols), 0)
-        loss = (without - np.maximum(self.r - field, 0)).sum(axis=(1, 2))
-        return loss, without, x, y, rows, cols
-
-    def _far(self, banned: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each tower (x, y): the allowed cell of largest gain that no
-        window of that tower decides, and its gain (-1 if there is none).
-
-        Such a cell is more than 2R from the tower, so the tower's removal
-        does not change its gain. No window decides more than (4R+1)^2
-        cells, so the first that many + 1 allowed cells by gain suffice.
-        """
-        allowed = np.flatnonzero(~banned)
-        ranked = allowed[np.argsort(-self.gain[allowed], kind="stable")][: (4 * self.reach + 1) ** 2 + 1]
-        if not len(ranked):
-            return np.zeros(len(x), dtype=np.int64), np.full(len(x), -1)
-        cx, cy = np.divmod(ranked, self.n)
-        far = np.zeros((len(x), len(ranked)), dtype=bool)
-        if self.slide_x:
-            far |= np.abs(cx - x[:, None]) > 2 * self.reach
-        if self.slide_y:
-            far |= np.abs(cy - y[:, None]) > 2 * self.reach
-        first = far.argmax(axis=1)
-        cells = ranked[first]
-        return cells, np.where(far[np.arange(len(x)), first], self.gain[cells], -1)
+    def _losses(self, towers: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """For each tower of a batch: the deficit its removal adds, and what
+        each grid cell then lacks."""
+        self._check_clock()
+        x, y = np.divmod(np.array(towers), self.n)
+        lacking = self.r - self.field
+        without = np.maximum(lacking + self.sent[self.m - 1 - x, self.n - 1 - y], 0)
+        return (without - np.maximum(lacking, 0)).sum(axis=(1, 2)), without
 
     def _swap(self, towers: list[int], banned: np.ndarray) -> tuple[int, int, int] | None:
         """The swap (deficit left, tower out, cell in) that leaves the least
         deficit, or None if no cell may move in."""
         best = None
         for i in range(0, len(towers), self.batch):
-            loss, without, x, y, rows, cols = self._losses(towers[i : i + self.batch])
-            decided, flat = self._decided(x, y, rows, cols)
-            gains = np.where(decided & ~banned[flat], self._gains(without), -1)
-            gains, flat = gains.reshape(len(x), -1), flat.reshape(len(x), -1)
-            each, first = np.arange(len(x)), gains.argmax(axis=1)
-            cells, gains = flat[each, first], gains[each, first]
-            if self.slide_x or self.slide_y:
-                far_cells, far_gains = self._far(banned, x, y)
-                take = (far_gains > gains) | ((far_gains == gains) & (far_cells < cells))
-                cells, gains = np.where(take, far_cells, cells), np.where(take, far_gains, gains)
+            loss, without = self._losses(towers[i : i + self.batch])
+            gains = np.where(banned, -1, self._gains(without).reshape(len(loss), -1))
+            cells = gains.argmax(axis=1)
+            gains = gains[np.arange(len(loss)), cells]
             left = np.where(gains < 0, _NEVER, self.deficit + loss - gains)
             j = int(left.argmin())
             if gains[j] >= 0 and (best is None or left[j] < best[0]):
@@ -673,7 +576,7 @@ class _UpperBound:
         )
         drop = towers.pop(int(loss.argmin()))
         self.deficit += int(loss.min())
-        self._moved(drop, -1)
+        self._move(drop, -1)
         tabu: dict[int, int] = {}
         seen = {tuple(towers)}
         for swap in range(_SWAP_CAP):
@@ -691,20 +594,13 @@ class _UpperBound:
                 return False
             seen.add(tuple(towers))
             self.deficit = deficit
-            self._moved(out, -1)
-            self._moved(into, 1)
+            self._move(out, -1)
+            self._move(into, 1)
             tabu[out] = swap + _TABU_SWAPS
         if self.deficit:
             return False
         self.best = towers
         return True
-
-    def _moved(self, cell: int, sign: int) -> None:
-        """_move, then refresh the gains that the far cells of _swap read:
-        where no axis slides there are none, so the gains are not kept."""
-        self._move(cell, sign)
-        if self.slide_x or self.slide_y:
-            self._refresh([cell])
 
     def run(self, lower: int) -> None:
         """Set `best` to the smallest broadcast found; no descent aims below

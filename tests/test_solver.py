@@ -192,16 +192,25 @@ class TestExactGamma:
         assert {count for _, count in fields} == {1}
 
     def test_existence_check_does_not_grow_with_t_squared(self):
-        start = time.perf_counter()
-        result = exact_gamma(
-            GridDims(300, 300), BroadcastParams(300, 2), SearchBudget(max_seconds=0.5)
-        )
-        assert time.perf_counter() - start < 3.0
         # The deficit bound is 2 and two greedy placements cover the grid,
-        # so the swap search alone is optimal if it ends within the half
-        # second.
-        assert (result.status, result.gamma) in {("budget_exhausted", None), ("optimal", 2)}
+        # so the swap search alone is optimal and no level is searched.
+        start = time.perf_counter()
+        result = exact_gamma(GridDims(300, 300), BroadcastParams(300, 2))
+        assert time.perf_counter() - start < 3.0
+        assert (result.status, result.gamma, result.upper_nodes) == ("optimal", 2, 2)
         assert result.level_nodes == ()
+
+    def test_large_strength_level_stops_on_the_seconds(self):
+        # Level 2, the deficit bound, ranks about 45 000 root candidates of
+        # megabit templates (12 s unbudgeted to its first node): the clock
+        # read before each gain ends it within the half second.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(
+                GridDims(300, 300), BroadcastParams(300, 2), 2, SearchBudget(max_seconds=0.5)
+            )
+        assert time.perf_counter() - start < 3.0
+        assert exhausted.value.nodes_expanded == 0
 
     def test_deep_search_is_not_limited_by_recursion(self):
         # A level of 2800 towers on 150x150 (the deficit bound is 2500) keeps
@@ -646,13 +655,26 @@ class TestMaxUnitCoverage:
 class TestTableFreeSetup:
     """A level's setup builds no per-cell table, so the budget bounds the work."""
 
-    def test_large_grid_expands_its_one_node_at_once(self):
+    @pytest.mark.parametrize("m,n,t", [(300, 300, 6), (60, 60, 60)])
+    def test_large_grid_expands_its_one_node_at_once(self, m, n, t):
+        # The level search at the deficit bound, whose root is not pruned.
+        dims, params = GridDims(m, n), BroadcastParams(t, 2)
+        lower = -(-2 * m * n // max_unit_coverage(dims, params))
         start = time.perf_counter()
-        result = exact_gamma(
-            GridDims(300, 300), BroadcastParams(6, 2), SearchBudget(max_nodes=1)
-        )
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(dims, params, lower, SearchBudget(max_nodes=1))
         assert time.perf_counter() - start < 1.0
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 1)
+        assert exhausted.value.nodes_expanded == 1
+
+    @pytest.mark.parametrize("m,n,t", [(300, 300, 6), (60, 60, 60)])
+    def test_large_grid_solve_expands_its_one_node_at_once(self, m, n, t):
+        # exact_gamma spends its node on the swap search's first placement.
+        start = time.perf_counter()
+        result = exact_gamma(GridDims(m, n), BroadcastParams(t, 2), SearchBudget(max_nodes=1))
+        assert time.perf_counter() - start < 1.0
+        assert (result.status, result.nodes_expanded, result.upper_nodes) == (
+            "budget_exhausted", 1, 1
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
@@ -744,6 +766,36 @@ class TestDeficitBoundStart:
         start = -(-r * m * n // max_unit_coverage(dims, params))
         assert result.lower == start
         assert searched and min(searched) >= start
+
+    def test_huge_strength_searches_one_node_at_the_bound(self):
+        # Levels 1..100 of this instance have a pruned root. At level 101,
+        # the deficit bound, t = 10^4 exceeds the box: ranking the root
+        # counts one term per candidate for the k <= t - box, not 10^4
+        # template passes, so one node of budget ends the level at once.
+        dims, params = GridDims(20, 20), BroadcastParams(10_000, 1_000_000)
+        start = -(-params.r * 400 // max_unit_coverage(dims, params))
+        assert start == 101
+        assert find_broadcast_of_size(dims, params, start - 1) == (None, 0)
+        begin = time.perf_counter()
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(dims, params, start, SearchBudget(max_nodes=1))
+        assert time.perf_counter() - begin < 1.0
+        assert exhausted.value.nodes_expanded == 1
+
+    def test_huge_strength_spends_one_node_in_the_swap_search(self, monkeypatch):
+        # exact_gamma spends the same node on the swap search's first
+        # placement, whose gains count the terms k <= t - (m+n-2) once per
+        # grid as well, and no level is searched.
+        searched = []
+        monkeypatch.setattr(solver, "find_broadcast_of_size", lambda *args: searched.append(args))
+        dims, params = GridDims(20, 20), BroadcastParams(10_000, 1_000_000)
+        begin = time.perf_counter()
+        result = exact_gamma(dims, params, SearchBudget(max_nodes=1))
+        assert time.perf_counter() - begin < 1.0
+        assert (result.status, result.nodes_expanded, result.upper_nodes) == (
+            "budget_exhausted", 1, 1
+        )
+        assert (result.lower, result.level_nodes, searched) == (101, (), [])
 
     @pytest.mark.parametrize("m,n,t,r", [(5, 1, 4, 2), (3, 3, 4, 2), (4, 4, 4, 2), (2, 6, 4, 2)])
     def test_no_level_is_searched_at_the_deficit_bound(self, monkeypatch, m, n, t, r):
@@ -911,18 +963,17 @@ def _reference_field(m: int, n: int, t: int, cells) -> np.ndarray:
 
 
 def _upper_bound_with(m: int, n: int, t: int, r: int, cells) -> "solver._UpperBound":
-    """An upper-bound search holding towers on `cells`, its gains refreshed."""
+    """An upper-bound search holding towers on `cells`."""
     search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), 10**9, None)
     for c in cells:
         search._move(c, 1)
     search.deficit = int(np.maximum(r - _reference_field(m, n, t, cells), 0).sum())
-    search._refresh(list(range(m * n)))
     return search
 
 
 class TestUpperBound:
     """The swap search's field, gains, losses and moves against references
-    that sum tower by tower; windows slide wherever 6(t-1)+1 < m or n."""
+    that sum tower by tower."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -936,9 +987,8 @@ class TestUpperBound:
         expected = [
             int(np.minimum(lacking, _reference_field(m, n, t, [u])).sum()) for u in range(m * n)
         ]
-        assert (search.padded[search.pad_x : search.pad_x + m, search.pad_y : search.pad_y + n]
-                == field).all()
-        assert search.gain.tolist() == expected
+        assert (search.field == field).all()
+        assert search._gains(lacking[None]).ravel().tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
