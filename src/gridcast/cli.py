@@ -134,7 +134,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if result.status == "optimal":
         print(f"gamma={result.gamma} nodes={result.nodes_expanded}")
         return 0
-    print(f"UNSOLVED nodes={result.nodes_expanded}")
+    upper = "?" if result.upper is None else result.upper
+    print(f"UNSOLVED lower={result.lower} upper={upper} nodes={result.nodes_expanded}")
     return 3
 
 

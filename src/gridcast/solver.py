@@ -5,15 +5,28 @@ gives a broadcast of U towers, which check_broadcast must accept before U
 bounds anything. The complete depth-first search then runs only at level
 U-1, where a level means "at most k towers": a refuted level certifies that
 U is optimal, and a witness found there becomes the new U, one level lower.
-The deficit bound ceil(r*m*n / max_unit_coverage) is the floor: a level below
-it has a pruned root, so it is never searched, and a U at the bound is
-optimal without any search. The swap search aims no lower than one tower
-above the bound: the bound's own level is the one the deficit bound prunes
-hardest, so the level search settles it. Within a level the search branches
-on the lexicographically first deficient vertex; its candidate towers are
-the grid vertices that supply it positive signal, tried in order of
-decreasing marginal deficiency coverage (ties broken lexicographically), with
-candidates already refuted at a branch point excluded from the subtree.
+The lower bound is the floor: no level below it is searched, the swap
+search aims no lower, and a U at the bound is optimal without any search.
+
+The lower bound is the larger of the deficit bound ceil(r*m*n /
+max_unit_coverage), below which a level's root is pruned, and a certified
+weighted bound. For any integer weights w >= 0 on the grid's cells, let W
+be the most sum_v min(r, signal(u, v)) * w_v over every grid cell u. Every
+vertex v of a broadcast S receives r, so sum_{u in S} min(r, signal(u, v))
+>= r; weighting by w_v and summing over v gives r * sum(w) <= |S| * W, so
+|S| >= ceil(r * sum(w) / W). Weight 1 everywhere gives W =
+max_unit_coverage, the deficit bound itself. The weights come from the
+fractional-broadcast LP over the cells' symmetry classes, solved by a small
+dense simplex in floats, rounded down to multiples of 2**-20, and W is
+recomputed from them in int64: the floats can weaken the bound but never
+make it unsound. The LP is skipped above _LP_CLASSES classes, and the clock
+is read before each of its at most _LP_PIVOTS pivots.
+
+Within a level the search branches on the lexicographically first deficient
+vertex; its candidate towers are the grid vertices that supply it positive
+signal, tried in order of decreasing marginal deficiency coverage (ties
+broken lexicographically), with candidates already refuted at a branch point
+excluded from the subtree.
 
 Every child is counted as one node expansion, but only interior children are
 placed. A child's gain (the deficiency it would repair) is computed once, when
@@ -115,21 +128,27 @@ class SolveResult:
     nodes_expanded: int
     # (k, nodes expanded at level k) for every level searched, in order.
     level_nodes: tuple[tuple[int, int], ...] = ()
-    # The deficit bound, the size of the verified upper-bound broadcast (None
-    # if the budget ran out first) and the nodes its search took:
-    # upper_nodes + the level nodes == nodes_expanded.
+    # The lower bound (the larger of the deficit bound and the certified LP
+    # bound), the size of the verified upper-bound broadcast (None if the
+    # budget ran out first) and the nodes its search took: upper_nodes + the
+    # level nodes == nodes_expanded.
     lower: int | None = None
     upper: int | None = None
     upper_nodes: int = 0
+    # What proves gamma optimal: "lp" (it equals a certified bound above the
+    # deficit bound), "bound" (it equals the deficit bound), "refuted" (a
+    # level search refuted gamma - 1), or None when the budget ran out.
+    certificate: str | None = None
 
 
-def _cell_images(u: int, m: int, n: int) -> list[int]:
-    """The images of cell u = x*n + y under the grid's 4 or 8 automorphisms."""
-    x, y = divmod(u, n)
+def _cell_images(cells: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The images of cells u = x*n + y under the grid's 4 or 8 automorphisms,
+    one row per automorphism, the identity first."""
+    x, y = np.divmod(cells, n)
     images = [(x, y), (m - 1 - x, y), (x, n - 1 - y), (m - 1 - x, n - 1 - y)]
     if m == n:
         images += [(y, x), (m - 1 - y, x), (y, m - 1 - x), (m - 1 - y, m - 1 - x)]
-    return [a * n + b for a, b in images]
+    return np.array([a * n + b for a, b in images])
 
 
 def _one_tower_field(dims: GridDims, t: int, x: int, y: int) -> np.ndarray:
@@ -155,8 +174,120 @@ def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
     return int(np.minimum(field, min(params.r, params.t)).sum())
 
 
+# The LP bound is solved only on grids of at most _LP_CLASSES symmetry
+# classes, by at most _LP_PIVOTS simplex pivots; its weights are rounded down
+# to multiples of 2**-_WEIGHT_BITS before the integer check.
+_LP_CLASSES = 136
+_LP_PIVOTS = 1000
+_WEIGHT_BITS = 20
+_EPS = 1e-9
+
+
+def _sent(dims: GridDims, t: int, top: int, dtype: type) -> np.ndarray:
+    """sent[m-1-x, n-1-y] is the signal, capped at top, that a tower on (x, y)
+    sends each grid cell: a view of one kernel of (2m-1) x (2n-1) cells, what
+    a tower on (m-1, n-1) sends."""
+    m, n = dims.m, dims.n
+    dx, dy = np.abs(np.arange(1 - m, m)), np.abs(np.arange(1 - n, n))
+    kernel = np.maximum(t - dx[:, None] - dy, 0)
+    np.minimum(kernel, top, out=kernel)
+    return np.lib.stride_tricks.sliding_window_view(kernel.astype(dtype, copy=False), (m, n))
+
+
+def _weighted_coverage(dims: GridDims, params: BroadcastParams, weights: np.ndarray) -> int:
+    """W, the most sum_v min(r, signal(u, v)) * weights[v] over every grid cell
+    u, in int64: it holds while m*n * min(r, t) * max(weights) < 2**63."""
+    sent = _sent(dims, params.t, min(params.r, params.t), np.int64)
+    return int(np.einsum("abij,ij->ab", sent, weights).max())
+
+
+def _weighted_bound(dims: GridDims, params: BroadcastParams, y: np.ndarray) -> int:
+    """ceil(r * sum(w) / W) for the integer weights w = floor(y * 2**20) of the
+    grid's cells, y clipped to [0, 1]; 0 when W is 0.
+
+    It is a lower bound on every broadcast S for any w >= 0, whatever y
+    was: each vertex v receives r, so sum_{u in S} min(r, signal(u, v)) >= r;
+    weighting by w_v and summing over v gives r * sum(w) <= sum_{u in S}
+    sum_v min(r, signal(u, v)) * w_v <= |S| * W. Only integers enter it, so
+    the LP's floats can weaken it but never make it unsound.
+    """
+    w = np.floor(np.clip(np.nan_to_num(y), 0.0, 1.0) * (1 << _WEIGHT_BITS)).astype(np.int64)
+    most = _weighted_coverage(dims, params, w)
+    return 0 if most == 0 else -(-params.r * int(w.sum()) // most)
+
+
+def _simplex(a: np.ndarray, c: np.ndarray, deadline: float | None) -> np.ndarray | None:
+    """A y >= 0 maximising c.y subject to a @ y <= 1, or None if the clock
+    passes the deadline first.
+
+    Dense primal simplex from the slack basis, which is feasible since the
+    right-hand side is 1, so it needs no phase 1: the entering column has
+    the most negative reduced cost and the ratio test takes the lowest row,
+    ties going to the lowest index. It stops after _LP_PIVOTS pivots with
+    the basic solution it holds, and the clock is read before each pivot.
+    """
+    rows, cols = a.shape
+    table = np.zeros((rows + 1, cols + rows + 1))
+    table[:rows, :cols] = a
+    table[np.arange(rows), cols + np.arange(rows)] = 1.0
+    table[:rows, -1] = 1.0
+    table[-1, :cols] = -c
+    basis = np.arange(cols, cols + rows)
+    ratios = np.empty(rows)
+    for _ in range(_LP_PIVOTS):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        j = int(table[-1, :-1].argmin())
+        if table[-1, j] >= -_EPS:
+            break
+        column = table[:rows, j]
+        ratios.fill(np.inf)
+        np.divide(table[:rows, -1], column, out=ratios, where=column > _EPS)
+        i = int(ratios.argmin())
+        if ratios[i] == np.inf:
+            break
+        pivot = table[i] / table[i, j]
+        table -= np.outer(table[:, j], pivot)
+        table[i] = pivot
+        basis[i] = j
+    y = np.zeros(cols + rows)
+    y[basis] = table[:rows, -1]
+    return y[:cols]
+
+
+def _lp_bound(dims: GridDims, params: BroadcastParams, deadline: float | None) -> int:
+    """The certified weighted bound from the fractional-broadcast LP, or 0
+    when the LP is skipped or the clock passes the deadline inside it.
+
+    The grid's cells fall into classes under its 4 or 8 automorphisms, and
+    the LP maximises sum_c r*|c|*y_c subject to sum_c (sum_{v in c} min(r,
+    signal(u, v))) * y_c <= 1 for one cell u of each class, y >= 0: the dual
+    of the broadcast relaxation, symmetrised, with its x <= 1 bounds
+    dropped. Its y is checked only through _weighted_bound's integers.
+    """
+    m, n = dims.m, dims.n
+    # A class holds at most 8 cells, so a larger grid has too many classes.
+    if m * n > 8 * _LP_CLASSES:
+        return 0
+    least = _cell_images(np.arange(m * n), m, n).min(axis=0)
+    reps, classes = np.unique(least, return_inverse=True)
+    if len(reps) > _LP_CLASSES:
+        return 0
+    x, y = np.divmod(reps, n)
+    sent = _sent(dims, params.t, min(params.r, params.t), np.int64)
+    rows = sent[m - 1 - x, n - 1 - y].reshape(len(reps), m * n)
+    # Sum each row over the cells of each class, in integers.
+    order = np.argsort(classes, kind="stable")
+    starts = np.searchsorted(classes[order], np.arange(len(reps)))
+    a = np.add.reduceat(rows[:, order], starts, axis=1)
+    # Scaling the objective by r changes no optimum, so it is left out.
+    solved = _simplex(a, np.bincount(classes).astype(np.float64), deadline)
+    return 0 if solved is None else _weighted_bound(dims, params, solved[classes].reshape(m, n))
+
+
 class SolverInvariantError(RuntimeError):
-    """A witness the search returned failed the independent verifier."""
+    """A witness the search returned failed the independent verifier, or a
+    lower bound exceeded the size of a verified broadcast."""
 
 
 def _bits(cells: np.ndarray) -> int:
@@ -286,10 +417,12 @@ class _Search:
     def _root_representatives(self, ranked: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Keep the first-ranked candidate of each symmetry orbit."""
         rank = {u: i for i, (_, u) in enumerate(ranked)}
+        cells = np.array([u for _, u in ranked], dtype=np.int64)
+        images = _cell_images(cells, self.m, self.n).T.tolist()
         return [
             (g, u)
-            for i, (g, u) in enumerate(ranked)
-            if all(rank.get(w, i) >= i for w in _cell_images(u, self.m, self.n))
+            for i, ((g, u), orbit) in enumerate(zip(ranked, images))
+            if all(rank.get(w, i) >= i for w in orbit)
         ]
 
     def _ranked(self, planes: tuple[int, ...], v: int, forbidden: set[int]) -> list[tuple[int, int]]:
@@ -452,9 +585,7 @@ class _UpperBound:
     _TABU_SWAPS swaps. Ties go to the lowest flat index, towers out before
     towers in. A descent fails when its swaps run out, when no cell may move
     in, or when a swap would return to a tower set it has already held. The
-    search stops at the first failed descent, or one tower above the
-    deficit bound: at the bound itself the deficit bound prunes the level
-    search hardest, so that level is left to it.
+    search stops at the first failed descent, or at the lower bound.
 
     Every placement, drop and swap is one node, counted against the
     budget's max_nodes before it is chosen, and the clock is read before
@@ -470,12 +601,8 @@ class _UpperBound:
         self.nodes = 0
         self.best: list[int] | None = None
         self.field = np.zeros((m, n), dtype=np.int64)
-        # What a tower on (m-1, n-1) sends, in int16 since no signal exceeds
-        # t <= 10000: sent[m-1-x, n-1-y] is the grid's slice of it, what a
-        # tower on (x, y) sends the grid.
-        dx, dy = np.abs(np.arange(1 - m, m)), np.abs(np.arange(1 - n, n))
-        kernel = np.maximum(t - dx[:, None] - dy, 0).astype(np.int16)
-        self.sent = np.lib.stride_tricks.sliding_window_view(kernel, (m, n))
+        # In int16, since no signal exceeds t <= 10000.
+        self.sent = _sent(dims, t, t, np.int16)
         self.deficit = r * m * n
         self.towers = np.zeros(m * n, dtype=bool)
         self.batch = max(1, _BATCH_CELLS // (m * n))
@@ -604,9 +731,9 @@ class _UpperBound:
 
     def run(self, lower: int) -> None:
         """Set `best` to the smallest broadcast found; no descent aims below
-        lower + 1, the deficit bound's level being the level search's."""
+        the lower bound."""
         self._greedy()
-        while len(self.best) > lower + 1 and self._descend():
+        while len(self.best) > lower and self._descend():
             pass
 
 
@@ -654,13 +781,28 @@ def exact_gamma(
     broadcast of U towers, which check_broadcast must accept before U is
     used. The complete search then runs only at level U-1: a refuted level
     certifies that U is optimal, and a witness found there becomes the new
-    U, one level lower. No level below the deficit bound
-    ceil(r*m*n / max_unit_coverage) is searched, since its root is pruned,
-    so a U at that bound is optimal without any search; the swap search
-    aims no lower than one tower above it. The budget covers
-    the whole solve: the upper-bound search counts its placements, drops
-    and swaps as nodes, and each level gets the nodes and seconds left
-    before it.
+    U, one level lower. No level below the lower bound is searched, and the
+    swap search aims no lower, so a U at the bound is optimal without any
+    search. The budget covers the whole solve: the LP behind the lower
+    bound reads the clock before each pivot, the upper-bound search counts
+    its placements, drops and swaps as nodes, and each level gets the nodes
+    and seconds left before it.
+
+    The lower bound is the larger of the deficit bound ceil(r*m*n /
+    max_unit_coverage) and the certified weighted bound ceil(r * sum(w) / W).
+    The weights w >= 0 are the LP's, floor(y * 2**20) on every cell, and W
+    is the most sum_v min(r, signal(u, v)) * w_v over every grid cell u,
+    recomputed in integers. It is sound for every r and every w: each
+    vertex v of a broadcast S has sum_{u in S} min(r, signal(u, v)) >= r,
+    and weighting by w_v and summing gives |S| * W >= r * sum(w). The LP
+    maximises that bound's fractional form over weights constant on the
+    cells' symmetry classes; it is skipped on grids of more than
+    _LP_CLASSES classes, and a run out of clock or a W of 0 leaves the
+    deficit bound, which w = 1 reproduces. A lower bound above the
+    verified U raises SolverInvariantError. The result's certificate says
+    what proves gamma: "lp" or "bound" when it equals the lower bound (above
+    the deficit bound, or at it), "refuted" when level gamma - 1 was
+    refuted.
 
     A broadcast exists iff towers on every vertex are one. With towers
     everywhere, vertex (x, y) receives the sum of t - |x-a| - |y-b| over the
@@ -680,7 +822,8 @@ def exact_gamma(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"
         )
-    lower = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
+    deficit_bound = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
+    lower = max(deficit_bound, _lp_bound(dims, params, deadline))
     search = _UpperBound(dims, params, budget.max_nodes, deadline)
     try:
         search.run(lower)
@@ -689,6 +832,11 @@ def exact_gamma(
         exhausted = True
     witness = None if search.best is None else _checked_upper(dims, params, search.best)
     upper = None if witness is None else len(witness)
+    if upper is not None and upper < lower:
+        raise SolverInvariantError(
+            f"the lower bound {lower} on {dims.m}x{dims.n} exceeds the verified "
+            f"{upper}-tower ({params.t},{params.r}) broadcast"
+        )
     total_nodes = search.nodes
     levels: list[tuple[int, int]] = []
 
@@ -713,10 +861,14 @@ def exact_gamma(
         total_nodes += nodes
         levels.append((k, nodes))
         if found is None:
+            certificate = "refuted"
             break
         witness = found
+    else:
+        certificate = "lp" if lower > deficit_bound else "bound"
     return SolveResult(
-        "optimal", len(witness), witness, total_nodes, tuple(levels), lower, upper, search.nodes
+        "optimal", len(witness), witness, total_nodes, tuple(levels), lower, upper, search.nodes,
+        certificate,
     )
 
 

@@ -4,7 +4,9 @@ Distances come from breadth-first search on the explicit grid graph and the
 domination number from exhaustive subset enumeration. The scalar helpers
 manhattan_dist and signal give one vertex pair's distance and signal, for
 tests that sum a field tower by tower; the grid tests check the distance
-against breadth-first search. Nothing here shares a code path with the
+against breadth-first search. naive_weighted_coverage recomputes the
+weighted coverage behind the solver's certified lower bound, one tower at a
+time. Nothing here shares a code path with the
 library's array arithmetic or its search.
 """
 
@@ -51,6 +53,15 @@ def bfs_distances(m: int, n: int) -> np.ndarray:
 def coverage_matrix(m: int, n: int, t: int) -> np.ndarray:
     """coverage[tower_index, cell_index] = signal supplied, from BFS distances."""
     return np.maximum(t - bfs_distances(m, n), 0)
+
+
+def naive_weighted_coverage(m: int, n: int, t: int, r: int, weights) -> int:
+    """The most sum_v min(r, signal) * weights[v] one tower sends, tower by tower."""
+    coverage = np.minimum(coverage_matrix(m, n, t), r)
+    flat = [int(w) for w in np.asarray(weights).ravel()]
+    return max(
+        sum(int(coverage[u, v]) * flat[v] for v in range(m * n)) for u in range(m * n)
+    )
 
 
 def naive_signal_totals(m: int, n: int, t: int, towers) -> dict[tuple[int, int], int]:

@@ -490,11 +490,23 @@ class TestExactCommand:
             "--budget", "2",
         )
         assert code == 3
-        assert out.startswith("UNSOLVED nodes=")
+        # The swap search had not finished: the upper bound is unknown.
+        assert out == "UNSOLVED lower=2 upper=? nodes=2\n"
+
+    def test_unsolved_prints_the_bracket(self, capsys):
+        # On 6x6, t=3, r=3 the swap search reaches 9 in 55 nodes, one above
+        # the LP bound 8, and refuting level 8 takes more than the 45 left.
+        argv = ["exact", "--m", "6", "--n", "6", "--t", "3", "--r", "3", "--budget", "100"]
+        assert run_cli(capsys, *argv) == (3, "UNSOLVED lower=8 upper=9 nodes=100\n", "")
+
+    def test_lp_bound_closes_the_solve_within_a_small_budget(self, capsys):
+        # The swap search reaches the LP bound 12, so no level is searched.
+        argv = ["exact", "--m", "9", "--n", "9", "--t", "3", "--r", "2", "--budget", "100"]
+        assert run_cli(capsys, *argv) == (0, "gamma=12 nodes=29\n", "")
 
     def test_large_grid_setup_stays_within_the_budget(self, capsys):
         argv = ["exact", "--m", "300", "--n", "300", "--t", "6", "--r", "2", "--budget", "1"]
-        assert run_cli(capsys, *argv) == (3, "UNSOLVED nodes=1\n", "")
+        assert run_cli(capsys, *argv) == (3, "UNSOLVED lower=1765 upper=? nodes=1\n", "")
 
     def test_max_seconds_caps_the_solve(self, capsys, monkeypatch):
         # A clock that advances 1 s per reading: 1.5 s runs out before any node.
@@ -506,14 +518,16 @@ class TestExactCommand:
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         argv = ["exact", "--m", "3", "--n", "3", "--t", "3", "--r", "2"]
-        assert run_cli(capsys, *argv, "--max-seconds", "1.5") == (3, "UNSOLVED nodes=0\n", "")
-        assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=11\n")
+        assert run_cli(capsys, *argv, "--max-seconds", "1.5") == (
+            3, "UNSOLVED lower=2 upper=? nodes=0\n", ""
+        )
+        assert run_cli(capsys, *argv, "--max-seconds", "1e9")[:2] == (0, "gamma=2 nodes=5\n")
 
     def test_deep_search_exhausts_the_budget(self, capsys):
         # The greedy placements of the upper bound are nodes: a broadcast of
         # thousands of towers spends the budget before any level is searched.
         argv = ["exact", "--m", "150", "--n", "150", "--t", "3", "--r", "2", "--budget", "3000"]
-        assert run_cli(capsys, *argv) == (3, "UNSOLVED nodes=3000\n", "")
+        assert run_cli(capsys, *argv) == (3, "UNSOLVED lower=2500 upper=? nodes=3000\n", "")
 
     def test_invalid_upper_bound_is_exit_1(self, capsys, monkeypatch):
         def claimed(self, lower):
@@ -551,7 +565,7 @@ class TestExactCommand:
             env={**os.environ, "PYTHONPATH": path},
             timeout=60,
         )
-        assert (proc.returncode, proc.stdout) == (3, "UNSOLVED nodes=1\n")
+        assert (proc.returncode, proc.stdout) == (3, "UNSOLVED lower=2 upper=? nodes=1\n")
         assert int(proc.stderr) < 64 * 1024  # KiB
 
     @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])

@@ -25,7 +25,7 @@ from gridcast import (
 )
 from gridcast import solver
 from gridcast.solver import max_unit_coverage
-from naive_oracle import coverage_matrix, naive_gamma
+from naive_oracle import coverage_matrix, naive_gamma, naive_weighted_coverage
 
 SEARCH_TREES = Path(__file__).parent / "data" / "solver_tree.txt"
 LEVEL_SEARCHES = Path(__file__).parent / "data" / "solver_levels.txt"
@@ -106,9 +106,13 @@ class TestExactGamma:
         assert result.gamma == expected
 
     def test_witnesses_are_deterministic(self):
-        first = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
-        second = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
-        assert first.witness == second.witness == TowerSet([Coord(0, 1), Coord(2, 1)])
+        # The swap search stops at 5 towers on 5x5, so level 4 finds the witness.
+        first = exact_gamma(GridDims(5, 5), BroadcastParams(3, 2))
+        second = exact_gamma(GridDims(5, 5), BroadcastParams(3, 2))
+        assert first.level_nodes == ((4, 10),)
+        assert first.witness == second.witness == TowerSet(
+            [Coord(0, 2), Coord(2, 0), Coord(2, 4), Coord(4, 2)]
+        )
 
     def test_path_witness_matches_construction(self):
         result = exact_gamma(GridDims(17, 1), BroadcastParams(4, 2))
@@ -162,16 +166,17 @@ class TestExactGamma:
             # upper bound's broadcast, here the witness, and nothing else.
             assert result.upper == result.gamma
             assert seen == [(GridDims(m, n), result.witness)]
-            # The upper bound's towers come from an array, and the refuted
-            # level returns none, so the solver makes no Coord at all.
+            # The upper bound's towers come from an array, and it meets the
+            # LP bound, so no level is searched and the solver makes no
+            # Coord at all.
             assert built == []
-        # On 3x3 the upper bound is 3 and level 2 finds the witness: each of
+        # On 5x5 the upper bound is 5 and level 4 finds the witness: each of
         # the two broadcasts is checked once, and a Coord is made only for
         # each tower of the level's witness, none per vertex.
         seen.clear()
-        result = exact_gamma(GridDims(3, 3), BroadcastParams(3, 2))
-        assert (result.gamma, result.upper, len(seen)) == (2, 3, 2)
-        assert len(seen[0][1]) == 3 and seen[1] == (GridDims(3, 3), result.witness)
+        result = exact_gamma(GridDims(5, 5), BroadcastParams(3, 2))
+        assert (result.gamma, result.upper, len(seen)) == (4, 5, 2)
+        assert len(seen[0][1]) == 5 and seen[1] == (GridDims(5, 5), result.witness)
         assert TowerSet(Coord(*c) for c in built) == result.witness
         assert len(built) == result.gamma
 
@@ -233,10 +238,12 @@ class TestExactGamma:
         assert (result.lower, result.upper, result.level_nodes) == (2500, None, ())
 
     def test_invalid_witness_is_refused(self, monkeypatch):
-        # A search that claims one tower in the corner covers the grid.
+        # A search that claims one tower in the corner covers the grid. On
+        # 6x6, t=3, r=3 the swap search stops at 9 above the lower bound 8,
+        # so level 8 is searched.
         monkeypatch.setattr(solver._Search, "run", lambda self, slots: [0])
-        with pytest.raises(solver.SolverInvariantError, match="is not a \\(3,2\\) broadcast"):
-            exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
+        with pytest.raises(solver.SolverInvariantError, match="is not a \\(3,3\\) broadcast"):
+            exact_gamma(GridDims(6, 6), BroadcastParams(3, 3))
 
     @pytest.mark.parametrize("cells", [[0], [5, 40, 47]])
     def test_invalid_upper_bound_is_refused(self, monkeypatch, cells):
@@ -308,8 +315,8 @@ class TestExactGamma:
         assert result.status == "optimal"
         assert result.gamma == naive_gamma(m, n, t, r)
 
-    # Each of these grids has a child that the packing bound refutes; the
-    # last six have r > t.
+    # Each of these grids has a child that the packing bound refutes in the
+    # level searches from level 0 up to gamma; the last six have r > t.
     @pytest.mark.parametrize(
         "m,n,t,r",
         [
@@ -337,9 +344,10 @@ class TestExactGamma:
             return refuted[-1]
 
         monkeypatch.setattr(solver._Search, "_packed", recorded)
-        result = exact_gamma(GridDims(m, n), BroadcastParams(t, r))
-        assert result.status == "optimal"
-        assert result.gamma == naive_gamma(m, n, t, r)
+        gamma = 0
+        while find_broadcast_of_size(GridDims(m, n), BroadcastParams(t, r), gamma)[0] is None:
+            gamma += 1
+        assert gamma == naive_gamma(m, n, t, r)
         assert any(refuted)
 
     @pytest.mark.parametrize("m,n,t", [(4, 4, 3), (5, 5, 3), (6, 6, 4), (5, 3, 4)])
@@ -367,33 +375,33 @@ class TestSolveWideBudget:
     every level after it."""
 
     def test_node_cap_spans_levels(self):
-        # Unbudgeted, the upper bound takes 35 nodes to reach gamma = 10 and
-        # refuting level 9 takes 6619.
+        # Unbudgeted, the upper bound takes 51 nodes to reach gamma = 17 and
+        # refuting level 16 takes 67 537 (the lower bound is 15).
         result = exact_gamma(
-            GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=6653)
+            GridDims(4, 9), BroadcastParams(2, 2), SearchBudget(max_nodes=67587)
         )
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 6653)
-        assert (result.upper_nodes, result.level_nodes) == (35, ((9, 6618),))
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 67587)
+        assert (result.upper_nodes, result.level_nodes) == (51, ((16, 67536),))
 
-    # 6x8, t=3, r=2: the upper bound takes 33 nodes to reach gamma = 8, and
-    # refuting level 7 takes 2167.
+    # 6x6, t=3, r=3: the upper bound takes 55 nodes to reach gamma = 9, one
+    # above the lower bound 8, and refuting level 8 takes 10 556.
     @pytest.mark.parametrize(
         "max_nodes,status,nodes",
         [
-            (2200, "optimal", 2200),
-            (2199, "budget_exhausted", 2199),
-            (34, "budget_exhausted", 34),
-            (33, "budget_exhausted", 33),
-            (32, "budget_exhausted", 32),
+            (10611, "optimal", 10611),
+            (10610, "budget_exhausted", 10610),
+            (56, "budget_exhausted", 56),
+            (55, "budget_exhausted", 55),
+            (54, "budget_exhausted", 54),
         ],
     )
     def test_node_cap_boundaries(self, max_nodes, status, nodes):
         result = exact_gamma(
-            GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=max_nodes)
+            GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_nodes=max_nodes)
         )
         assert (result.status, result.nodes_expanded) == (status, nodes)
 
-    @pytest.mark.parametrize("max_nodes,levels", [(33, []), (34, [(7, 1)])])
+    @pytest.mark.parametrize("max_nodes,levels", [(55, []), (56, [(8, 1)])])
     def test_no_level_starts_once_the_nodes_are_spent(self, monkeypatch, max_nodes, levels):
         searched = []
         original = solver.find_broadcast_of_size
@@ -404,15 +412,15 @@ class TestSolveWideBudget:
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", recorded)
         result = exact_gamma(
-            GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=max_nodes)
+            GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_nodes=max_nodes)
         )
-        assert (result.status, result.upper) == ("budget_exhausted", 8)
+        assert (result.status, result.upper) == ("budget_exhausted", 9)
         assert searched == levels
 
     def test_seconds_span_levels(self, monkeypatch):
         # A clock that stands still but advances 10 s per level: each level
-        # gets what is left. On 4x9, t=2, r=2 the upper bound is 17 and the
-        # deficit bound 12; each stand-in level finds k towers, so the next
+        # gets what is left. On 8x8, t=2, r=2 the upper bound is 31 and the
+        # lower bound 24; each stand-in level finds k towers, so the next
         # searches one less, until the fourth finds no seconds left.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
@@ -421,21 +429,22 @@ class TestSolveWideBudget:
         def level(dims, params, k, budget):
             given.append((k, budget.max_seconds))
             clock.now += 10.0
-            return TowerSet([Coord(*divmod(u, 9)) for u in range(k)]), 1
+            return TowerSet([Coord(*divmod(u, 8)) for u in range(k)]), 1
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", level)
-        result = exact_gamma(GridDims(4, 9), BroadcastParams(2, 2), SearchBudget(max_seconds=25))
-        assert given == [(16, 25.0), (15, 15.0), (14, 5.0)]
-        assert (result.status, result.upper) == ("budget_exhausted", 17)
+        result = exact_gamma(GridDims(8, 8), BroadcastParams(2, 2), SearchBudget(max_seconds=25))
+        assert given == [(30, 25.0), (29, 15.0), (28, 5.0)]
+        assert (result.status, result.lower, result.upper) == ("budget_exhausted", 24, 31)
         assert result.nodes_expanded == result.upper_nodes + 3
 
     def test_upper_bound_stops_on_the_seconds(self, monkeypatch):
         # Each reading of this clock advances it 1 s; exact_gamma's first
-        # reading sets the deadline at 17.5. On 8x8 each gain refresh reads
-        # it five times (once per row of segments: three rows for k = 1,
-        # two for k = 2) and each placement once: readings 2-6 refresh the
-        # empty grid, 7 and 13 count two placements, and the refresh after
-        # the second passes the deadline at 18.
+        # reading sets the deadline at 27.5, and the LP bound's nine pivots
+        # and its optimality check take readings 2-11. On 8x8 each gain
+        # refresh reads it five times (once per row of segments: three rows
+        # for k = 1, two for k = 2) and each placement once: readings 12-16
+        # refresh the empty grid, 17 and 23 count two placements, and the
+        # refresh after the second passes the deadline at 28.
         clock = SimpleNamespace(now=0.0)
 
         def tick():
@@ -445,11 +454,31 @@ class TestSolveWideBudget:
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         searched = []
         monkeypatch.setattr(solver, "find_broadcast_of_size", lambda *args: searched.append(args))
-        result = exact_gamma(GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_seconds=16.5))
+        result = exact_gamma(GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_seconds=26.5))
         assert (result.status, result.nodes_expanded, result.upper_nodes) == (
             "budget_exhausted", 2, 2
         )
-        assert (result.upper, result.level_nodes, searched, clock.now) == (None, (), [], 18.0)
+        assert (result.lower, result.upper, result.level_nodes, searched, clock.now) == (
+            10, None, (), [], 28.0
+        )
+
+    def test_lp_bound_stops_on_the_seconds(self, monkeypatch):
+        # The LP bound reads the clock before each pivot. exact_gamma's first
+        # reading sets the deadline at 4.5, so the reading before the fourth
+        # pivot passes it: the lower bound falls back to the deficit bound 8
+        # (the LP's is 10), and the swap search's first reading ends the
+        # solve before any node.
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        result = exact_gamma(GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_seconds=3.5))
+        assert (result.status, result.nodes_expanded, result.lower, clock.now) == (
+            "budget_exhausted", 0, 8, 6.0
+        )
 
     def test_level_setup_is_charged_to_the_seconds(self, monkeypatch):
         clock = SimpleNamespace(now=0.0)
@@ -747,10 +776,12 @@ class TestPackingBound:
 
 
 class TestDeficitBoundStart:
-    """No level below the deficit bound is searched: its root is pruned."""
+    """No level below the lower bound is searched: the lower bound is at
+    least the deficit bound, below which a level's root is pruned."""
 
+    # Grids whose swap search stops above the lower bound, so levels are searched.
     @pytest.mark.parametrize(
-        "m,n,t,r", [(6, 8, 3, 2), (5, 7, 3, 3), (6, 6, 3, 1), (4, 9, 2, 2), (12, 6, 4, 2)]
+        "m,n,t,r", [(6, 6, 3, 3), (5, 5, 3, 2), (6, 7, 3, 1), (4, 9, 2, 2), (4, 4, 2, 2)]
     )
     def test_hopeless_levels_are_not_searched(self, monkeypatch, m, n, t, r):
         searched = []
@@ -764,8 +795,8 @@ class TestDeficitBoundStart:
         dims, params = GridDims(m, n), BroadcastParams(t, r)
         result = exact_gamma(dims, params)
         start = -(-r * m * n // max_unit_coverage(dims, params))
-        assert result.lower == start
-        assert searched and min(searched) >= start
+        assert result.lower >= start
+        assert searched and min(searched) >= result.lower
 
     def test_huge_strength_searches_one_node_at_the_bound(self):
         # Levels 1..100 of this instance have a pruned root. At level 101,
@@ -808,14 +839,14 @@ class TestDeficitBoundStart:
         assert result.gamma == result.lower == result.upper
         assert (result.level_nodes, result.nodes_expanded, searched) == ((), result.upper_nodes, [])
 
-    @pytest.mark.parametrize("m,n,area,start", [(5, 7, 5, 6), (6, 6, 5, 6)])
+    @pytest.mark.parametrize("m,n,area,start", [(5, 7, 5, 8), (6, 6, 5, 8)])
     def test_skipped_level_expands_no_node(self, m, n, area, start):
         dims, params = GridDims(m, n), BroadcastParams(3, 3)
         assert lower_t2(m, n, 3) == area
         assert find_broadcast_of_size(dims, params, area) == (None, 0)
         result = exact_gamma(dims, params)
         assert result.lower == start
-        assert min(k for k, _ in result.level_nodes) >= start
+        assert min((k for k, _ in result.level_nodes), default=start) >= start
 
     def test_pruned_root_builds_no_search(self):
         # Level 1 of 1000x1000, t = r = 1000 is pruned: one tower repairs far
@@ -837,32 +868,133 @@ class TestDeficitBoundStart:
         assert elapsed < 1.0
 
 
+class TestCertifiedBound:
+    """The lower bound ceil(r * sum(w) / W) from integer weights w, W being
+    the most weighted coverage of any tower, recomputed in integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(1, 5), st.data()
+    )
+    def test_weighted_coverage_is_the_most_of_any_tower(self, m, n, t, r, data):
+        weights = np.array(
+            data.draw(st.lists(st.integers(0, 2**20), min_size=m * n, max_size=m * n)),
+            dtype=np.int64,
+        ).reshape(m, n)
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        expected = naive_weighted_coverage(m, n, t, r, weights)
+        assert solver._weighted_coverage(dims, params, weights) == expected
+
+    @pytest.mark.parametrize(
+        "m,n,t,r,lower",
+        [
+            # The nine exact-search instances: gamma on all but 6x6 r=3 (9).
+            (6, 8, 3, 2, 8),
+            (7, 7, 3, 2, 8),
+            (5, 7, 3, 3, 8),
+            (7, 9, 3, 2, 10),
+            (9, 9, 4, 2, 7),
+            (6, 6, 3, 3, 8),
+            (8, 8, 3, 2, 10),
+            (10, 10, 4, 2, 8),
+            (9, 9, 3, 2, 12),
+            (4, 4, 3, 2, 3),
+            (10, 10, 3, 2, 14),
+            (8, 10, 3, 2, 12),
+            (12, 12, 4, 2, 11),
+        ],
+    )
+    def test_pinned_lower_bounds(self, m, n, t, r, lower):
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        assert -(-r * m * n // max_unit_coverage(dims, params)) < lower
+        assert solver._lp_bound(dims, params, None) == lower
+
+    @pytest.mark.parametrize(
+        "m,n,t,r,gamma", [(6, 8, 3, 2, 8), (7, 9, 3, 2, 10), (9, 9, 4, 2, 7)]
+    )
+    def test_catalog_solves_close_at_the_swap_search(self, m, n, t, r, gamma):
+        result = exact_gamma(GridDims(m, n), BroadcastParams(t, r))
+        assert (result.gamma, result.lower, result.upper) == (gamma, gamma, gamma)
+        assert (result.level_nodes, result.certificate) == ((), "lp")
+
+    def test_infeasible_weights_give_the_recomputed_bound(self):
+        # Weight 1 on every cell breaks every LP constraint: its objective
+        # would claim r*m*n = 96. The integers give W = max_unit_coverage *
+        # 2**20, so the bound is the deficit bound.
+        dims, params = GridDims(6, 8), BroadcastParams(3, 2)
+        assert solver._weighted_bound(dims, params, np.ones((6, 8))) == 6
+        # Weights only on the four corners: each tower reaches one corner at
+        # most, at min(r, 3 - 0) = 2 from a corner tower, so W = 2 * 2**20
+        # and the bound is ceil(2 * 4 / 2) = 4, whatever the floats summed to.
+        corners = np.zeros((6, 8))
+        corners[[0, 0, 5, 5], [0, 7, 0, 7]] = 5.0
+        assert solver._weighted_bound(dims, params, corners) == 4
+        # Negative, not-a-number and zero weights count as zero: W = 0 gives 0.
+        assert solver._weighted_bound(dims, params, np.full((6, 8), -1.0)) == 0
+        assert solver._weighted_bound(dims, params, np.full((6, 8), np.nan)) == 0
+
+    def test_lp_is_skipped_above_the_class_cap(self, monkeypatch):
+        solved = []
+        original = solver._simplex
+
+        def recorded(a, c, deadline):
+            solved.append(len(c))
+            return original(a, c, deadline)
+
+        monkeypatch.setattr(solver, "_simplex", recorded)
+        # 32x32 has 16*17/2 = 136 classes under its 8 automorphisms, 33x33
+        # has 153; a 1 x n path has ceil(n/2) under its 4.
+        for m, n in [(32, 32), (33, 33), (1, 272), (1, 273), (300, 300)]:
+            solver._lp_bound(GridDims(m, n), BroadcastParams(3, 2), None)
+        assert solved == [136, 136]
+        assert solver._LP_CLASSES == 136
+
+    def test_certificates(self):
+        cases = [
+            ((6, 8, 3, 2), None, "optimal", "lp"),
+            ((3, 3, 3, 2), None, "optimal", "bound"),
+            ((6, 6, 3, 3), None, "optimal", "refuted"),
+            ((6, 6, 3, 3), 100, "budget_exhausted", None),
+        ]
+        for (m, n, t, r), cap, status, certificate in cases:
+            budget = SearchBudget() if cap is None else SearchBudget(max_nodes=cap)
+            result = exact_gamma(GridDims(m, n), BroadcastParams(t, r), budget)
+            assert (result.status, result.certificate) == (status, certificate), (m, n, t, r)
+
+    def test_a_bound_above_the_verified_upper_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(solver, "_lp_bound", lambda dims, params, deadline: 9)
+        message = "the lower bound 9 on 6x8 exceeds the verified 8-tower \\(3,2\\) broadcast"
+        with pytest.raises(solver.SolverInvariantError, match=message):
+            exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
+
+
 class TestLevelNodes:
-    # 6x8, t=3, r=2 (see TestSolveWideBudget).
+    # 6x6, t=3, r=3 (see TestSolveWideBudget).
     @pytest.mark.parametrize(
         "max_nodes,levels",
         [
-            (None, ((7, 2167),)),
-            (2199, ((7, 2166),)),
-            (50, ((7, 17),)),
-            (33, ()),
-            (20, ()),
+            (None, ((8, 10556),)),
+            (10610, ((8, 10555),)),
+            (72, ((8, 17),)),
+            (55, ()),
+            (30, ()),
         ],
     )
     def test_one_entry_per_level_tried(self, max_nodes, levels):
         budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
-        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2), budget)
+        result = exact_gamma(GridDims(6, 6), BroadcastParams(3, 3), budget)
         assert result.level_nodes == levels
 
     @pytest.mark.parametrize(
-        "m,n,t,r", [(6, 8, 3, 2), (5, 7, 3, 3), (6, 6, 3, 1), (4, 9, 2, 2), (7, 1, 4, 2)]
+        "m,n,t,r", [(6, 6, 3, 3), (5, 5, 3, 2), (6, 7, 3, 1), (4, 9, 2, 2), (7, 1, 4, 2)]
     )
     @pytest.mark.parametrize("max_nodes", [None, 40, 60])
     def test_counts_sum_to_the_total_below_the_upper_bound(self, m, n, t, r, max_nodes):
         dims, params = GridDims(m, n), BroadcastParams(t, r)
         budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
         result = exact_gamma(dims, params, budget)
-        assert result.lower == -(-r * m * n // max_unit_coverage(dims, params))
+        deficit = -(-r * m * n // max_unit_coverage(dims, params))
+        assert result.lower == max(deficit, solver._lp_bound(dims, params, None))
         assert result.upper_nodes + sum(nodes for _, nodes in result.level_nodes) == (
             result.nodes_expanded
         )
@@ -876,11 +1008,12 @@ class TestLevelNodes:
             assert result.gamma in ({ks[-1] + 1, result.lower} if ks else {result.upper})
 
     def test_brackets_are_set_when_the_budget_runs_out(self):
-        result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2), SearchBudget(max_nodes=50))
+        result = exact_gamma(GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_nodes=72))
         assert (result.status, result.gamma, result.witness) == ("budget_exhausted", None, None)
         assert (result.lower, result.upper, result.upper_nodes, result.nodes_expanded) == (
-            6, 8, 33, 50
+            8, 9, 55, 72
         )
+        assert result.certificate is None
 
 
 class TestSearchTreeGolden:
@@ -951,6 +1084,12 @@ def test_exact_gamma_agrees_with_the_oracle(t, r):
             assert (result.status, result.gamma) == ("optimal", expected), (m, n)
             assert result.lower <= expected <= result.upper, (m, n)
             assert check_broadcast(dims, params, result.witness).valid, (m, n)
+            # A gamma at the lower bound needs no refutation, any other does.
+            deficit = -(-r * m * n // max_unit_coverage(dims, params))
+            certificate = "refuted" if expected > result.lower else (
+                "lp" if result.lower > deficit else "bound"
+            )
+            assert result.certificate == certificate, (m, n)
 
 
 def _reference_field(m: int, n: int, t: int, cells) -> np.ndarray:
