@@ -74,6 +74,7 @@ read before each move and each pass over a batch of grids.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -110,6 +111,23 @@ class SearchBudget:
             math.isfinite(self.max_seconds) and self.max_seconds > 0
         ):
             raise ValueError(f"max_seconds must be finite and > 0, got {self.max_seconds}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Weights:
+    """Integer weights w >= 0 on the grid's cells, (m, n) int64, and W, the
+    most sum_v min(r, signal(u, v)) * w_v over every grid cell u."""
+
+    cells: np.ndarray
+    most: int
+
+
+@dataclass(frozen=True)
+class _LevelBudget(SearchBudget):
+    """A level's share of an exact_gamma budget, with the LP weights
+    exact_gamma solved once for every level (None: no weighted check)."""
+
+    weights: _Weights | None = dataclasses.field(default=None, compare=False)
 
 
 class BudgetExhaustedError(Exception):
@@ -181,6 +199,9 @@ _LP_CLASSES = 136
 _LP_PIVOTS = 1000
 _WEIGHT_BITS = 20
 _EPS = 1e-9
+# The level search's weighted check stacks a frame's planes in groups of at
+# most this many bits (and at least one plane).
+_STACK_BITS = 1 << 12
 
 
 def _sent(dims: GridDims, t: int, top: int, dtype: type) -> np.ndarray:
@@ -201,9 +222,11 @@ def _weighted_coverage(dims: GridDims, params: BroadcastParams, weights: np.ndar
     return int(np.einsum("abij,ij->ab", sent, weights).max())
 
 
-def _weighted_bound(dims: GridDims, params: BroadcastParams, y: np.ndarray) -> int:
+def _weighted_bound(
+    dims: GridDims, params: BroadcastParams, y: np.ndarray
+) -> tuple[int, _Weights]:
     """ceil(r * sum(w) / W) for the integer weights w = floor(y * 2**20) of the
-    grid's cells, y clipped to [0, 1]; 0 when W is 0.
+    grid's cells, y clipped to [0, 1] (0 when W is 0), and the weights.
 
     It is a lower bound on every broadcast S for any w >= 0, whatever y
     was: each vertex v receives r, so sum_{u in S} min(r, signal(u, v)) >= r;
@@ -213,7 +236,7 @@ def _weighted_bound(dims: GridDims, params: BroadcastParams, y: np.ndarray) -> i
     """
     w = np.floor(np.clip(np.nan_to_num(y), 0.0, 1.0) * (1 << _WEIGHT_BITS)).astype(np.int64)
     most = _weighted_coverage(dims, params, w)
-    return 0 if most == 0 else -(-params.r * int(w.sum()) // most)
+    return 0 if most == 0 else -(-params.r * int(w.sum()) // most), _Weights(w, most)
 
 
 def _simplex(a: np.ndarray, c: np.ndarray, deadline: float | None) -> np.ndarray | None:
@@ -255,9 +278,12 @@ def _simplex(a: np.ndarray, c: np.ndarray, deadline: float | None) -> np.ndarray
     return y[:cols]
 
 
-def _lp_bound(dims: GridDims, params: BroadcastParams, deadline: float | None) -> int:
-    """The certified weighted bound from the fractional-broadcast LP, or 0
-    when the LP is skipped or the clock passes the deadline inside it.
+def _lp_bound(
+    dims: GridDims, params: BroadcastParams, deadline: float | None
+) -> tuple[int, _Weights | None]:
+    """The certified weighted bound from the fractional-broadcast LP and its
+    weights, or (0, None) when the LP is skipped, the clock passes the
+    deadline inside it or its W is 0.
 
     The grid's cells fall into classes under its 4 or 8 automorphisms, and
     the LP maximises sum_c r*|c|*y_c subject to sum_c (sum_{v in c} min(r,
@@ -268,11 +294,11 @@ def _lp_bound(dims: GridDims, params: BroadcastParams, deadline: float | None) -
     m, n = dims.m, dims.n
     # A class holds at most 8 cells, so a larger grid has too many classes.
     if m * n > 8 * _LP_CLASSES:
-        return 0
+        return 0, None
     least = _cell_images(np.arange(m * n), m, n).min(axis=0)
     reps, classes = np.unique(least, return_inverse=True)
     if len(reps) > _LP_CLASSES:
-        return 0
+        return 0, None
     x, y = np.divmod(reps, n)
     sent = _sent(dims, params.t, min(params.r, params.t), np.int64)
     rows = sent[m - 1 - x, n - 1 - y].reshape(len(reps), m * n)
@@ -282,7 +308,10 @@ def _lp_bound(dims: GridDims, params: BroadcastParams, deadline: float | None) -
     a = np.add.reduceat(rows[:, order], starts, axis=1)
     # Scaling the objective by r changes no optimum, so it is left out.
     solved = _simplex(a, np.bincount(classes).astype(np.float64), deadline)
-    return 0 if solved is None else _weighted_bound(dims, params, solved[classes].reshape(m, n))
+    if solved is None:
+        return 0, None
+    bound, weights = _weighted_bound(dims, params, solved[classes].reshape(m, n))
+    return (bound, weights) if weights.most else (0, None)
 
 
 class SolverInvariantError(RuntimeError):
@@ -314,13 +343,20 @@ class _Search:
     ring[s-1] those it sends exactly s.
     """
 
-    def __init__(self, dims: GridDims, params: BroadcastParams, budget: SearchBudget):
-        # The clock starts before setup, so setup is charged to max_seconds.
-        # It is read before each template too: for large t and r the
-        # templates take gigabytes in all.
-        self.deadline = (
-            None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-        )
+    def __init__(
+        self,
+        dims: GridDims,
+        params: BroadcastParams,
+        budget: SearchBudget,
+        weights: _Weights | None = None,
+        deadline: float | None = None,
+    ):
+        # The clock starts before setup (or at the given deadline's start), so
+        # setup is charged to max_seconds. It is read before each template
+        # too: for large t and r the templates take gigabytes in all.
+        if deadline is None and budget.max_seconds is not None:
+            deadline = time.monotonic() + budget.max_seconds
+        self.deadline = deadline
         m, n, t, r = self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
         self.budget = budget
         self.max_unit_coverage = max_unit_coverage(dims, params)
@@ -375,10 +411,74 @@ class _Search:
         self.far = ~(_bits(near) >> reach)
         # _packed runs on every placement, where a lookup beats the formula.
         self.fits = [self._fit(rows) for rows in range(min(4 * t - 2, m) + 1)]
+        self.weights = weights
+        if weights is not None:
+            self._weigh(weights)
 
     def _check_clock(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhaustedError(self.nodes)
+
+    def _weigh(self, weights: _Weights) -> None:
+        """Set up the weighted check: the bits of the weights, one grid-wide
+        int per weight bit, and the weight owed by each row and those below."""
+        w = weights.cells
+        m, n, width = self.m, self.n, self.width
+        # owed[x] = r * (the weight of rows x, x+1, ..., m-1).
+        owed = np.cumsum(w.sum(axis=1)[::-1])[::-1].tolist()
+        self.owed = [self.r * int(o) for o in owed]
+        # Bit b of grid[b] holds cell (x, y) at bit x*width + y if bit b of
+        # its weight is set; the clock is read before each.
+        self.grid = []
+        cells = np.zeros((m, width), dtype=bool)
+        for bit in range(int(w.max()).bit_length()):
+            self._check_clock()
+            cells[:, :n] = (w >> bit) & 1
+            self.grid.append(_bits(cells))
+        # A frame's planes are stacked in groups of `reps`, `stride` bits
+        # apart, and each weight bit's band mask is repeated as often.
+        self.reps = max(1, min(self.r, _STACK_BITS // self.stride))
+        self.masks: list[list[tuple[int, int]] | None] = [None] * m
+
+    def _band_masks(self, x0: int) -> list[tuple[int, int]]:
+        """(b, mask) for each weight bit b set in the band from row x0: mask
+        holds the band's cells whose weight has bit b, repeated `reps` times
+        `stride` bits apart. Built once per band row."""
+        size, width, lift = self.stride // 8, self.width, self.lift
+        band = (1 << (self.height * width)) - 1
+        masks = []
+        for bit, grid in enumerate(self.grid):
+            mask = ((grid >> (x0 * width)) & band) << lift
+            if mask:
+                masks.append((bit, int.from_bytes(mask.to_bytes(size, "little") * self.reps, "little")))
+        self.masks[x0] = masks
+        return masks
+
+    def _weighted_deficit(self, planes: tuple[int, ...], x0: int) -> int:
+        """sum_v w_v * max(0, r - received_v) over the grid, for a frame
+        whose band starts at row x0.
+
+        Rows above the band are satisfied and rows below it receive
+        nothing, so the sum is r times the weight of rows x0 and below, less
+        sum_v w_v * min(r, received_v) over the band, which is sum_j sum_v
+        w_v * [v in plane j]. Split by weight bit, that is one popcount per
+        bit b of the stacked planes against b's repeated band mask, times
+        2**b. The clock is read before each plane is stacked.
+        """
+        masks = self.masks[x0]
+        if masks is None:
+            masks = self._band_masks(x0)
+        stride, reps, deadline = self.stride, self.reps, self.deadline
+        received = 0
+        for start in range(0, len(planes), reps):
+            stacked = 0
+            for plane in reversed(planes[start : start + reps]):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExhaustedError(self.nodes)
+                stacked = (stacked << stride) | plane
+            for bit, mask in masks:
+                received += (stacked & mask).bit_count() << bit
+        return self.owed[x0] - received
 
     def _rows(self, rows: int) -> int:
         """The grid cells of a band's first `rows` rows, at most min(4t-2, m)."""
@@ -618,6 +718,67 @@ class _UpperBound:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhaustedError(self.nodes)
 
+    def _weigh(self, weights: _Weights) -> None:
+        """Set up the weighted check: the bits of the weights, one grid-wide
+        int per weight bit, and the weight owed by each row and those below."""
+        w = weights.cells
+        m, n, width = self.m, self.n, self.width
+        # owed[x] = r * (the weight of rows x, x+1, ..., m-1).
+        owed = np.cumsum(w.sum(axis=1)[::-1])[::-1].tolist()
+        self.owed = [self.r * int(o) for o in owed]
+        # Bit b of grid[b] holds cell (x, y) at bit x*width + y if bit b of
+        # its weight is set; the clock is read before each.
+        self.grid = []
+        cells = np.zeros((m, width), dtype=bool)
+        for bit in range(int(w.max()).bit_length()):
+            self._check_clock()
+            cells[:, :n] = (w >> bit) & 1
+            self.grid.append(_bits(cells))
+        # A frame's planes are stacked in groups of `reps`, `stride` bits
+        # apart, and each weight bit's band mask is repeated as often.
+        self.reps = max(1, min(self.r, _STACK_BITS // self.stride))
+        self.masks: list[list[tuple[int, int]] | None] = [None] * m
+
+    def _band_masks(self, x0: int) -> list[tuple[int, int]]:
+        """(b, mask) for each weight bit b set in the band from row x0: mask
+        holds the band's cells whose weight has bit b, repeated `reps` times
+        `stride` bits apart. Built once per band row."""
+        size, width, lift = self.stride // 8, self.width, self.lift
+        band = (1 << (self.height * width)) - 1
+        masks = []
+        for bit, grid in enumerate(self.grid):
+            mask = ((grid >> (x0 * width)) & band) << lift
+            if mask:
+                masks.append((bit, int.from_bytes(mask.to_bytes(size, "little") * self.reps, "little")))
+        self.masks[x0] = masks
+        return masks
+
+    def _weighted_deficit(self, planes: tuple[int, ...], x0: int) -> int:
+        """sum_v w_v * max(0, r - received_v) over the grid, for a frame
+        whose band starts at row x0.
+
+        Rows above the band are satisfied and rows below it receive
+        nothing, so the sum is r times the weight of rows x0 and below, less
+        sum_v w_v * min(r, received_v) over the band, which is sum_j sum_v
+        w_v * [v in plane j]. Split by weight bit, that is one popcount per
+        bit b of the stacked planes against b's repeated band mask, times
+        2**b. The clock is read before each plane is stacked.
+        """
+        masks = self.masks[x0]
+        if masks is None:
+            masks = self._band_masks(x0)
+        stride, reps, deadline = self.stride, self.reps, self.deadline
+        received = 0
+        for start in range(0, len(planes), reps):
+            stacked = 0
+            for plane in reversed(planes[start : start + reps]):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExhaustedError(self.nodes)
+                stacked = (stacked << stride) | plane
+            for bit, mask in masks:
+                received += (stacked & mask).bit_count() << bit
+        return self.owed[x0] - received
+
     def _gains(self, lacking: np.ndarray) -> np.ndarray:
         """The capped gain of a tower on each grid cell, for each of a batch
         of grids given what each cell lacks. A diamond of radius m+n-2 or
@@ -757,7 +918,14 @@ def find_broadcast_of_size(
         raise ValueError(f"tower count k must be >= 0, got {k}")
     if params.r * dims.m * dims.n > k * max_unit_coverage(dims, params):
         return None, 0
-    search = _Search(dims, params, budget or SearchBudget())
+    budget = budget or SearchBudget()
+    # The clock starts before the LP, so the LP is charged to max_seconds.
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    if isinstance(budget, _LevelBudget):
+        weights = budget.weights
+    else:
+        weights = _lp_bound(dims, params, deadline)[1]
+    search = _Search(dims, params, budget, weights, deadline)
     found = search.run(k)
     if found is None:
         return None, search.nodes
@@ -823,7 +991,8 @@ def exact_gamma(
             "even towers on every vertex fall short"
         )
     deficit_bound = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
-    lower = max(deficit_bound, _lp_bound(dims, params, deadline))
+    lp_bound, weights = _lp_bound(dims, params, deadline)
+    lower = max(deficit_bound, lp_bound)
     search = _UpperBound(dims, params, budget.max_nodes, deadline)
     try:
         search.run(lower)
@@ -852,7 +1021,7 @@ def exact_gamma(
         if total_nodes >= budget.max_nodes or (seconds is not None and seconds <= 0):
             return unsolved(total_nodes)
         k = len(witness) - 1
-        left = SearchBudget(budget.max_nodes - total_nodes, seconds)
+        left = _LevelBudget(budget.max_nodes - total_nodes, seconds, weights)
         try:
             found, nodes = find_broadcast_of_size(dims, params, k, left)
         except BudgetExhaustedError as exc:

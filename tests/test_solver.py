@@ -907,7 +907,7 @@ class TestCertifiedBound:
     def test_pinned_lower_bounds(self, m, n, t, r, lower):
         dims, params = GridDims(m, n), BroadcastParams(t, r)
         assert -(-r * m * n // max_unit_coverage(dims, params)) < lower
-        assert solver._lp_bound(dims, params, None) == lower
+        assert solver._lp_bound(dims, params, None)[0] == lower
 
     @pytest.mark.parametrize(
         "m,n,t,r,gamma", [(6, 8, 3, 2, 8), (7, 9, 3, 2, 10), (9, 9, 4, 2, 7)]
@@ -922,16 +922,16 @@ class TestCertifiedBound:
         # would claim r*m*n = 96. The integers give W = max_unit_coverage *
         # 2**20, so the bound is the deficit bound.
         dims, params = GridDims(6, 8), BroadcastParams(3, 2)
-        assert solver._weighted_bound(dims, params, np.ones((6, 8))) == 6
+        assert solver._weighted_bound(dims, params, np.ones((6, 8)))[0] == 6
         # Weights only on the four corners: each tower reaches one corner at
         # most, at min(r, 3 - 0) = 2 from a corner tower, so W = 2 * 2**20
         # and the bound is ceil(2 * 4 / 2) = 4, whatever the floats summed to.
         corners = np.zeros((6, 8))
         corners[[0, 0, 5, 5], [0, 7, 0, 7]] = 5.0
-        assert solver._weighted_bound(dims, params, corners) == 4
+        assert solver._weighted_bound(dims, params, corners)[0] == 4
         # Negative, not-a-number and zero weights count as zero: W = 0 gives 0.
-        assert solver._weighted_bound(dims, params, np.full((6, 8), -1.0)) == 0
-        assert solver._weighted_bound(dims, params, np.full((6, 8), np.nan)) == 0
+        assert solver._weighted_bound(dims, params, np.full((6, 8), -1.0))[0] == 0
+        assert solver._weighted_bound(dims, params, np.full((6, 8), np.nan))[0] == 0
 
     def test_lp_is_skipped_above_the_class_cap(self, monkeypatch):
         solved = []
@@ -962,7 +962,7 @@ class TestCertifiedBound:
             assert (result.status, result.certificate) == (status, certificate), (m, n, t, r)
 
     def test_a_bound_above_the_verified_upper_bound_is_refused(self, monkeypatch):
-        monkeypatch.setattr(solver, "_lp_bound", lambda dims, params, deadline: 9)
+        monkeypatch.setattr(solver, "_lp_bound", lambda dims, params, deadline: (9, None))
         message = "the lower bound 9 on 6x8 exceeds the verified 8-tower \\(3,2\\) broadcast"
         with pytest.raises(solver.SolverInvariantError, match=message):
             exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
@@ -994,7 +994,7 @@ class TestLevelNodes:
         budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
         result = exact_gamma(dims, params, budget)
         deficit = -(-r * m * n // max_unit_coverage(dims, params))
-        assert result.lower == max(deficit, solver._lp_bound(dims, params, None))
+        assert result.lower == max(deficit, solver._lp_bound(dims, params, None)[0])
         assert result.upper_nodes + sum(nodes for _, nodes in result.level_nodes) == (
             result.nodes_expanded
         )
