@@ -435,6 +435,17 @@ class _Search:
             self._check_clock()
             cells[:, :n] = (w >> bit) & 1
             self.grid.append(_bits(cells))
+        # heaviest[u] is the largest weight within distance t-1 of cell u:
+        # grow each cell's reach one step at a time.
+        heaviest = w.copy()
+        for _ in range(min(self.t - 1, m + n - 2)):
+            grown = heaviest.copy()
+            np.maximum(grown[1:], heaviest[:-1], out=grown[1:])
+            np.maximum(grown[:-1], heaviest[1:], out=grown[:-1])
+            np.maximum(grown[:, 1:], heaviest[:, :-1], out=grown[:, 1:])
+            np.maximum(grown[:, :-1], heaviest[:, 1:], out=grown[:, :-1])
+            heaviest = grown
+        self.heaviest = heaviest.ravel().tolist()
         # A frame's planes are stacked in groups of `reps`, `stride` bits
         # apart, and each weight bit's band mask is repeated as often.
         self.reps = max(1, min(self.r, _STACK_BITS // self.stride))
@@ -619,6 +630,13 @@ class _Search:
         """
         r, n, unit = self.r, self.n, self.max_unit_coverage
         max_nodes, deadline = self.budget.max_nodes, self.deadline
+        weights = self.weights
+        # The weighted deficit of the root, its W and the heaviest weight
+        # each cell reaches; without weights, 0 > 0 never prunes.
+        if weights is None:
+            owed, most, heaviest = 0, 0, []
+        else:
+            owed, most, heaviest = self.owed[0], weights.most, self.heaviest
         # r >= 1, so the empty grid is deficient; prune a hopeless root.
         deficit = r * self.m * n
         if deficit > slots * unit:
@@ -627,9 +645,9 @@ class _Search:
         placed: list[int] = []
         # Only the root's candidates are reduced by the grid's symmetries.
         ranked = self._root_representatives(self._ranked((), 0, forbidden))
-        frames = [(iter(ranked), ranked, 0, (), deficit, slots)]
+        frames = [(iter(ranked), ranked, 0, (), deficit, owed, slots)]
         while frames:
-            children, ranked, x0, planes, deficit, slots = frames[-1]
+            children, ranked, x0, planes, deficit, owed, slots = frames[-1]
             for neg_gain, u in children:
                 if self.nodes >= max_nodes:
                     raise BudgetExhaustedError(self.nodes)
@@ -641,12 +659,20 @@ class _Search:
                     return placed + [u]
                 forbidden.add(u)
                 if left <= (slots - 1) * unit:
+                    # u repairs at most its gain times the heaviest weight
+                    # it reaches: a child refuted by that bound is refuted
+                    # by the weighted check below, and is not placed.
+                    if weights is not None and owed + neg_gain * heaviest[u] > (slots - 1) * most:
+                        continue
                     child, v, lacking = self._place(planes, x0, u)
+                    child_owed = 0 if weights is None else self._weighted_deficit(child, v // n)
+                    if child_owed > (slots - 1) * most:
+                        continue
                     if self._packed(lacking, x0, slots - 1):
                         continue
                     placed.append(u)
                     ranked = self._ranked(child, v, forbidden)
-                    frames.append((iter(ranked), ranked, v // n, child, left, slots - 1))
+                    frames.append((iter(ranked), ranked, v // n, child, left, child_owed, slots - 1))
                     break
             else:
                 frames.pop()
@@ -734,6 +760,17 @@ class _UpperBound:
             self._check_clock()
             cells[:, :n] = (w >> bit) & 1
             self.grid.append(_bits(cells))
+        # heaviest[u] is the largest weight within distance t-1 of cell u:
+        # grow each cell's reach one step at a time.
+        heaviest = w.copy()
+        for _ in range(min(self.t - 1, m + n - 2)):
+            grown = heaviest.copy()
+            np.maximum(grown[1:], heaviest[:-1], out=grown[1:])
+            np.maximum(grown[:-1], heaviest[1:], out=grown[:-1])
+            np.maximum(grown[:, 1:], heaviest[:, :-1], out=grown[:, 1:])
+            np.maximum(grown[:, :-1], heaviest[:, 1:], out=grown[:, :-1])
+            heaviest = grown
+        self.heaviest = heaviest.ravel().tolist()
         # A frame's planes are stacked in groups of `reps`, `stride` bits
         # apart, and each weight bit's band mask is repeated as often.
         self.reps = max(1, min(self.r, _STACK_BITS // self.stride))

@@ -321,11 +321,11 @@ class TestExactGamma:
         "m,n,t,r",
         [
             (3, 5, 3, 2),
-            (4, 5, 4, 2),
+            (5, 5, 4, 2),
             (4, 4, 2, 2),
             (3, 4, 3, 3),
             (4, 5, 4, 3),
-            (2, 3, 2, 3),
+            (4, 4, 2, 3),
             (3, 3, 2, 3),
             (2, 5, 2, 3),
             (3, 4, 2, 3),
@@ -376,20 +376,20 @@ class TestSolveWideBudget:
 
     def test_node_cap_spans_levels(self):
         # Unbudgeted, the upper bound takes 51 nodes to reach gamma = 17 and
-        # refuting level 16 takes 67 537 (the lower bound is 15).
+        # refuting level 16 takes 17 733 (the lower bound is 15).
         result = exact_gamma(
-            GridDims(4, 9), BroadcastParams(2, 2), SearchBudget(max_nodes=67587)
+            GridDims(4, 9), BroadcastParams(2, 2), SearchBudget(max_nodes=17783)
         )
-        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 67587)
-        assert (result.upper_nodes, result.level_nodes) == (51, ((16, 67536),))
+        assert (result.status, result.nodes_expanded) == ("budget_exhausted", 17783)
+        assert (result.upper_nodes, result.level_nodes) == (51, ((16, 17732),))
 
     # 6x6, t=3, r=3: the upper bound takes 55 nodes to reach gamma = 9, one
-    # above the lower bound 8, and refuting level 8 takes 10 556.
+    # above the lower bound 8, and refuting level 8 takes 308.
     @pytest.mark.parametrize(
         "max_nodes,status,nodes",
         [
-            (10611, "optimal", 10611),
-            (10610, "budget_exhausted", 10610),
+            (363, "optimal", 363),
+            (362, "budget_exhausted", 362),
             (56, "budget_exhausted", 56),
             (55, "budget_exhausted", 55),
             (54, "budget_exhausted", 54),
@@ -973,8 +973,8 @@ class TestLevelNodes:
     @pytest.mark.parametrize(
         "max_nodes,levels",
         [
-            (None, ((8, 10556),)),
-            (10610, ((8, 10555),)),
+            (None, ((8, 308),)),
+            (362, ((8, 307),)),
             (72, ((8, 17),)),
             (55, ()),
             (30, ()),
