@@ -22,6 +22,16 @@ recomputed from them in int64: the floats can weaken the bound but never
 make it unsound. The LP is skipped above _LP_CLASSES classes, and the clock
 is read before each of its at most _LP_PIVOTS pivots.
 
+The level search prunes by the same weights. For towers S placed so far,
+let D(S) = sum_v w_v * max(0, r - received_v) be their weighted deficit. A
+further tower u raises each received_v by signal(u, v), so it lowers
+max(0, r - received_v) by at most min(r, signal(u, v)), and D by at most
+sum_v min(r, signal(u, v)) * w_v <= W. A broadcast has D = 0, so S extends
+to one with j more towers only if D(S) <= j * W: a placed child whose D
+exceeds (slots - 1) * W is refuted. Weight 1 everywhere is the deficit
+prune below. Without weights (the LP skipped, out of clock, or W = 0) there
+is no weighted check, and the search is the unweighted one, node for node.
+
 Within a level the search branches on the lexicographically first deficient
 vertex; its candidate towers are the grid vertices that supply it positive
 signal, tried in order of decreasing marginal deficiency coverage (ties
@@ -36,6 +46,14 @@ repair (each repairs at most `max_unit_coverage`) is refuted, both without
 touching the signal totals. The same bound prunes a whole level's root, and
 find_broadcast_of_size returns at once for such a level, before it builds
 any search state.
+
+Before a child is placed, it is refuted when even its gain times the
+heaviest weight within its reach cannot bring the frame's weighted deficit
+down to (slots - 1) * W: that bounds what it repairs of D, so this refutes
+only children the weighted check would, unplaced. A placed child is then
+refuted by its weighted deficit, one popcount per weight bit of its stacked
+planes against the bit's mask of the band, plus r times the weight of the
+untouched rows below the band.
 
 A placed child is also refuted by the packing bound. The deficient cells of
 the 4t-2 rows from the parent's branch cell are picked greedily in row-major
@@ -60,7 +78,9 @@ undoes nothing. A candidate's gain is a popcount of its diamond templates
 against the deficient cells, and a placement ORs shifted templates into new
 planes. Setup builds only the templates and masks of one band, and symmetry
 images are computed only for the root's candidates, so the work per node and
-the memory per frame grow with t, n and r, never with m. For large t and r
+the memory per frame grow with t, n and r, never with m (the weighted
+check's masks, one set per band row, exist only on grids small enough for
+the LP). For large t and r
 one template, one gain or one plane of a placement is a pass over megabytes,
 and ranking one cell computes up to (2t-1)^2 gains before a node is counted,
 so max_seconds is read before each of those steps as well as once per node.
@@ -147,9 +167,10 @@ class SolveResult:
     # (k, nodes expanded at level k) for every level searched, in order.
     level_nodes: tuple[tuple[int, int], ...] = ()
     # The lower bound (the larger of the deficit bound and the certified LP
-    # bound), the size of the verified upper-bound broadcast (None if the
-    # budget ran out first) and the nodes its search took: upper_nodes + the
-    # level nodes == nodes_expanded.
+    # bound), the size of the smallest verified broadcast found so far (None
+    # if the budget ran out before the upper-bound search had one; gamma when
+    # optimal) and the upper-bound search's nodes: upper_nodes + the level
+    # nodes == nodes_expanded.
     lower: int | None = None
     upper: int | None = None
     upper_nodes: int = 0
@@ -340,7 +361,8 @@ class _Search:
     reach of the band is shifted left, never right; bits outside the band's
     grid cells are ignored. Templates are diamonds around the centre of a
     (2R+1) x width box: dia[k-1] holds the cells a tower sends at least k,
-    ring[s-1] those it sends exactly s.
+    ring[s-1] those it sends exactly s. Given LP weights, each frame also
+    keeps its weighted deficit, for the weighted check.
     """
 
     def __init__(
@@ -427,8 +449,8 @@ class _Search:
         # owed[x] = r * (the weight of rows x, x+1, ..., m-1).
         owed = np.cumsum(w.sum(axis=1)[::-1])[::-1].tolist()
         self.owed = [self.r * int(o) for o in owed]
-        # Bit b of grid[b] holds cell (x, y) at bit x*width + y if bit b of
-        # its weight is set; the clock is read before each.
+        # grid[b] holds cell (x, y) at bit x*width + y if bit b of its
+        # weight is set; the clock is read before each.
         self.grid = []
         cells = np.zeros((m, width), dtype=bool)
         for bit in range(int(w.max()).bit_length()):
@@ -461,7 +483,8 @@ class _Search:
         for bit, grid in enumerate(self.grid):
             mask = ((grid >> (x0 * width)) & band) << lift
             if mask:
-                masks.append((bit, int.from_bytes(mask.to_bytes(size, "little") * self.reps, "little")))
+                repeated = mask.to_bytes(size, "little") * self.reps
+                masks.append((bit, int.from_bytes(repeated, "little")))
         self.masks[x0] = masks
         return masks
 
@@ -620,13 +643,15 @@ class _Search:
 
         A frame is one branch point: its ranked children still to try, its
         band's first row, its planes, the deficit (the total shortfall,
-        positive) and the towers left. Each child is counted as a node; one
-        that covers the whole deficit, or leaves more than the remaining
-        towers could repair, is decided from its gain without being placed.
-        Any other is placed, and the frame of its subtree branches on the
-        first deficient cell, which is at or after the parent's because
-        cells before it are satisfied. Tried children stay forbidden until
-        their frame is done.
+        positive), its weighted deficit (0 without weights) and the towers
+        left. Each child is counted as a node; one that covers the whole
+        deficit, or leaves more than the remaining towers could repair, is
+        decided from its gain without being placed, and so is one that the
+        weighted screen refutes. Any other is placed and refuted if its
+        weighted deficit or the packing bound says so; otherwise the frame
+        of its subtree branches on the first deficient cell, which is at or
+        after the parent's because cells before it are satisfied. Tried
+        children stay forbidden until their frame is done.
         """
         r, n, unit = self.r, self.n, self.max_unit_coverage
         max_nodes, deadline = self.budget.max_nodes, self.deadline
@@ -672,7 +697,9 @@ class _Search:
                         continue
                     placed.append(u)
                     ranked = self._ranked(child, v, forbidden)
-                    frames.append((iter(ranked), ranked, v // n, child, left, child_owed, slots - 1))
+                    frames.append(
+                        (iter(ranked), ranked, v // n, child, left, child_owed, slots - 1)
+                    )
                     break
             else:
                 frames.pop()
@@ -752,8 +779,8 @@ class _UpperBound:
         # owed[x] = r * (the weight of rows x, x+1, ..., m-1).
         owed = np.cumsum(w.sum(axis=1)[::-1])[::-1].tolist()
         self.owed = [self.r * int(o) for o in owed]
-        # Bit b of grid[b] holds cell (x, y) at bit x*width + y if bit b of
-        # its weight is set; the clock is read before each.
+        # grid[b] holds cell (x, y) at bit x*width + y if bit b of its
+        # weight is set; the clock is read before each.
         self.grid = []
         cells = np.zeros((m, width), dtype=bool)
         for bit in range(int(w.max()).bit_length()):
@@ -786,7 +813,8 @@ class _UpperBound:
         for bit, grid in enumerate(self.grid):
             mask = ((grid >> (x0 * width)) & band) << lift
             if mask:
-                masks.append((bit, int.from_bytes(mask.to_bytes(size, "little") * self.reps, "little")))
+                repeated = mask.to_bytes(size, "little") * self.reps
+                masks.append((bit, int.from_bytes(repeated, "little")))
         self.masks[x0] = masks
         return masks
 
@@ -946,10 +974,13 @@ def find_broadcast_of_size(
     Returns (witness, nodes_expanded); the witness is None when no broadcast
     of size k exists, which doubles as an optimality certificate for k+1 and
     above. A level whose root is pruned (r*m*n > k * max_unit_coverage)
-    returns (None, 0) before any search state is built. Raises
-    BudgetExhaustedError (carrying the node count) if the budget runs out
-    before the level is decided. Every witness is re-checked with
-    check_broadcast first; one that fails raises SolverInvariantError.
+    returns (None, 0) before any search state is built. Otherwise the
+    fractional-broadcast LP is solved for the weighted prune, its clock
+    started with the level's (exact_gamma hands its levels the weights it
+    solved once instead). Raises BudgetExhaustedError (carrying the node
+    count) if the budget runs out before the level is decided. Every witness
+    is re-checked with check_broadcast first; one that fails raises
+    SolverInvariantError.
     """
     if k < 0:
         raise ValueError(f"tower count k must be >= 0, got {k}")
@@ -991,7 +1022,7 @@ def exact_gamma(
     search. The budget covers the whole solve: the LP behind the lower
     bound reads the clock before each pivot, the upper-bound search counts
     its placements, drops and swaps as nodes, and each level gets the nodes
-    and seconds left before it.
+    and seconds left before it, with the LP's weights for its weighted prune.
 
     The lower bound is the larger of the deficit bound ceil(r*m*n /
     max_unit_coverage) and the certified weighted bound ceil(r * sum(w) / W).
@@ -1037,16 +1068,17 @@ def exact_gamma(
     except BudgetExhaustedError:
         exhausted = True
     witness = None if search.best is None else _checked_upper(dims, params, search.best)
-    upper = None if witness is None else len(witness)
-    if upper is not None and upper < lower:
+    if witness is not None and len(witness) < lower:
         raise SolverInvariantError(
             f"the lower bound {lower} on {dims.m}x{dims.n} exceeds the verified "
-            f"{upper}-tower ({params.t},{params.r}) broadcast"
+            f"{len(witness)}-tower ({params.t},{params.r}) broadcast"
         )
     total_nodes = search.nodes
     levels: list[tuple[int, int]] = []
 
     def unsolved(nodes: int) -> SolveResult:
+        # upper is the smallest verified broadcast so far: the last witness.
+        upper = None if witness is None else len(witness)
         return SolveResult(
             "budget_exhausted", None, None, nodes, tuple(levels), lower, upper, search.nodes
         )
@@ -1072,8 +1104,9 @@ def exact_gamma(
         witness = found
     else:
         certificate = "lp" if lower > deficit_bound else "bound"
+    gamma = len(witness)
     return SolveResult(
-        "optimal", len(witness), witness, total_nodes, tuple(levels), lower, upper, search.nodes,
+        "optimal", gamma, witness, total_nodes, tuple(levels), lower, gamma, search.nodes,
         certificate,
     )
 

@@ -499,6 +499,19 @@ class TestExactCommand:
         argv = ["exact", "--m", "6", "--n", "6", "--t", "3", "--r", "3", "--budget", "100"]
         assert run_cli(capsys, *argv) == (3, "UNSOLVED lower=8 upper=9 nodes=100\n", "")
 
+    def test_weighted_prune_refutes_within_a_small_budget(self, capsys):
+        # The same instance: the LP-weighted deficit refutes level 8 in 308
+        # nodes, so a budget of 1000 proves gamma = 9.
+        argv = ["exact", "--m", "6", "--n", "6", "--t", "3", "--r", "3", "--budget", "1000"]
+        assert run_cli(capsys, *argv) == (0, "gamma=9 nodes=363\n", "")
+
+    def test_unsolved_upper_is_the_smallest_verified_broadcast(self, capsys):
+        # The swap search stops at 26; levels 25 and 24 find broadcasts of
+        # 25 and 24 towers, and level 23 runs out: the bracket's upper end
+        # is the 24-tower witness, not the swap search's 26.
+        argv = ["exact", "--m", "7", "--n", "8", "--t", "2", "--r", "2", "--budget", "20000"]
+        assert run_cli(capsys, *argv) == (3, "UNSOLVED lower=21 upper=24 nodes=20000\n", "")
+
     def test_lp_bound_closes_the_solve_within_a_small_budget(self, capsys):
         # The swap search reaches the LP bound 12, so no level is searched.
         argv = ["exact", "--m", "9", "--n", "9", "--t", "3", "--r", "2", "--budget", "100"]

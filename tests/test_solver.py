@@ -170,12 +170,12 @@ class TestExactGamma:
             # LP bound, so no level is searched and the solver makes no
             # Coord at all.
             assert built == []
-        # On 5x5 the upper bound is 5 and level 4 finds the witness: each of
-        # the two broadcasts is checked once, and a Coord is made only for
-        # each tower of the level's witness, none per vertex.
+        # On 5x5 the swap search stops at 5 and level 4 finds the witness:
+        # each of the two broadcasts is checked once, and a Coord is made
+        # only for each tower of the level's witness, none per vertex.
         seen.clear()
         result = exact_gamma(GridDims(5, 5), BroadcastParams(3, 2))
-        assert (result.gamma, result.upper, len(seen)) == (4, 5, 2)
+        assert (result.gamma, result.upper, len(seen)) == (4, 4, 2)
         assert len(seen[0][1]) == 5 and seen[1] == (GridDims(5, 5), result.witness)
         assert TowerSet(Coord(*c) for c in built) == result.witness
         assert len(built) == result.gamma
@@ -419,9 +419,10 @@ class TestSolveWideBudget:
 
     def test_seconds_span_levels(self, monkeypatch):
         # A clock that stands still but advances 10 s per level: each level
-        # gets what is left. On 8x8, t=2, r=2 the upper bound is 31 and the
-        # lower bound 24; each stand-in level finds k towers, so the next
-        # searches one less, until the fourth finds no seconds left.
+        # gets what is left. On 8x8, t=2, r=2 the swap search stops at 31 and
+        # the lower bound is 24; each stand-in level finds k towers, so the
+        # next searches one less, until the fourth finds no seconds left, and
+        # the smallest broadcast found, 28, is the upper bound.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         given = []
@@ -434,7 +435,7 @@ class TestSolveWideBudget:
         monkeypatch.setattr(solver, "find_broadcast_of_size", level)
         result = exact_gamma(GridDims(8, 8), BroadcastParams(2, 2), SearchBudget(max_seconds=25))
         assert given == [(30, 25.0), (29, 15.0), (28, 5.0)]
-        assert (result.status, result.lower, result.upper) == ("budget_exhausted", 24, 31)
+        assert (result.status, result.lower, result.upper) == ("budget_exhausted", 24, 28)
         assert result.nodes_expanded == result.upper_nodes + 3
 
     def test_upper_bound_stops_on_the_seconds(self, monkeypatch):
@@ -1000,10 +1001,11 @@ class TestLevelNodes:
         )
         ks = [k for k, _ in result.level_nodes]
         if ks:
-            # The first level is one below the upper bound, and each next
-            # one below the witness the level before found.
-            assert ks[0] == result.upper - 1
+            # Each level is one below the smallest broadcast verified before
+            # it, so the last is one below the upper bound, unless its own
+            # witness met the lower bound.
             assert ks == sorted(set(ks), reverse=True) and ks[-1] >= result.lower
+            assert ks[-1] == result.upper - 1 or result.upper == result.lower
         if result.status == "optimal":
             assert result.gamma in ({ks[-1] + 1, result.lower} if ks else {result.upper})
 
