@@ -496,8 +496,8 @@ class _Search:
         nothing, so the sum is r times the weight of rows x0 and below, less
         sum_v w_v * min(r, received_v) over the band, which is sum_j sum_v
         w_v * [v in plane j]. Split by weight bit, that is one popcount per
-        bit b of the stacked planes against b's repeated band mask, times
-        2**b. The clock is read before each plane is stacked.
+        bit b of the stacked planes against b's band mask, repeated once per
+        plane, times 2**b. The clock is read before each plane is stacked.
         """
         masks = self.masks[x0]
         if masks is None:
@@ -506,7 +506,7 @@ class _Search:
         received = 0
         for start in range(0, len(planes), reps):
             stacked = 0
-            for plane in reversed(planes[start : start + reps]):
+            for plane in planes[start : start + reps]:
                 if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExhaustedError(self.nodes)
                 stacked = (stacked << stride) | plane
@@ -770,79 +770,6 @@ class _UpperBound:
     def _check_clock(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhaustedError(self.nodes)
-
-    def _weigh(self, weights: _Weights) -> None:
-        """Set up the weighted check: the bits of the weights, one grid-wide
-        int per weight bit, and the weight owed by each row and those below."""
-        w = weights.cells
-        m, n, width = self.m, self.n, self.width
-        # owed[x] = r * (the weight of rows x, x+1, ..., m-1).
-        owed = np.cumsum(w.sum(axis=1)[::-1])[::-1].tolist()
-        self.owed = [self.r * int(o) for o in owed]
-        # grid[b] holds cell (x, y) at bit x*width + y if bit b of its
-        # weight is set; the clock is read before each.
-        self.grid = []
-        cells = np.zeros((m, width), dtype=bool)
-        for bit in range(int(w.max()).bit_length()):
-            self._check_clock()
-            cells[:, :n] = (w >> bit) & 1
-            self.grid.append(_bits(cells))
-        # heaviest[u] is the largest weight within distance t-1 of cell u:
-        # grow each cell's reach one step at a time.
-        heaviest = w.copy()
-        for _ in range(min(self.t - 1, m + n - 2)):
-            grown = heaviest.copy()
-            np.maximum(grown[1:], heaviest[:-1], out=grown[1:])
-            np.maximum(grown[:-1], heaviest[1:], out=grown[:-1])
-            np.maximum(grown[:, 1:], heaviest[:, :-1], out=grown[:, 1:])
-            np.maximum(grown[:, :-1], heaviest[:, 1:], out=grown[:, :-1])
-            heaviest = grown
-        self.heaviest = heaviest.ravel().tolist()
-        # A frame's planes are stacked in groups of `reps`, `stride` bits
-        # apart, and each weight bit's band mask is repeated as often.
-        self.reps = max(1, min(self.r, _STACK_BITS // self.stride))
-        self.masks: list[list[tuple[int, int]] | None] = [None] * m
-
-    def _band_masks(self, x0: int) -> list[tuple[int, int]]:
-        """(b, mask) for each weight bit b set in the band from row x0: mask
-        holds the band's cells whose weight has bit b, repeated `reps` times
-        `stride` bits apart. Built once per band row."""
-        size, width, lift = self.stride // 8, self.width, self.lift
-        band = (1 << (self.height * width)) - 1
-        masks = []
-        for bit, grid in enumerate(self.grid):
-            mask = ((grid >> (x0 * width)) & band) << lift
-            if mask:
-                repeated = mask.to_bytes(size, "little") * self.reps
-                masks.append((bit, int.from_bytes(repeated, "little")))
-        self.masks[x0] = masks
-        return masks
-
-    def _weighted_deficit(self, planes: tuple[int, ...], x0: int) -> int:
-        """sum_v w_v * max(0, r - received_v) over the grid, for a frame
-        whose band starts at row x0.
-
-        Rows above the band are satisfied and rows below it receive
-        nothing, so the sum is r times the weight of rows x0 and below, less
-        sum_v w_v * min(r, received_v) over the band, which is sum_j sum_v
-        w_v * [v in plane j]. Split by weight bit, that is one popcount per
-        bit b of the stacked planes against b's repeated band mask, times
-        2**b. The clock is read before each plane is stacked.
-        """
-        masks = self.masks[x0]
-        if masks is None:
-            masks = self._band_masks(x0)
-        stride, reps, deadline = self.stride, self.reps, self.deadline
-        received = 0
-        for start in range(0, len(planes), reps):
-            stacked = 0
-            for plane in reversed(planes[start : start + reps]):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExhaustedError(self.nodes)
-                stacked = (stacked << stride) | plane
-            for bit, mask in masks:
-                received += (stacked & mask).bit_count() << bit
-        return self.owed[x0] - received
 
     def _gains(self, lacking: np.ndarray) -> np.ndarray:
         """The capped gain of a tower on each grid cell, for each of a batch

@@ -6,7 +6,8 @@ manhattan_dist and signal give one vertex pair's distance and signal, for
 tests that sum a field tower by tower; the grid tests check the distance
 against breadth-first search. naive_weighted_coverage recomputes the
 weighted coverage behind the solver's certified lower bound, one tower at a
-time. Nothing here shares a code path with the
+time, and naive_weighted_deficit the weighted shortfall behind its weighted
+prune, vertex by vertex. Nothing here shares a code path with the
 library's array arithmetic or its search.
 """
 
@@ -62,6 +63,12 @@ def naive_weighted_coverage(m: int, n: int, t: int, r: int, weights) -> int:
     return max(
         sum(int(coverage[u, v]) * flat[v] for v in range(m * n)) for u in range(m * n)
     )
+
+
+def naive_weighted_deficit(m: int, n: int, t: int, r: int, towers, weights) -> int:
+    """sum_v weights[v] * max(0, r - total_v) for towers given as (x, y) pairs."""
+    totals = naive_signal_totals(m, n, t, towers)
+    return sum(int(weights[x][y]) * max(0, r - total) for (x, y), total in totals.items())
 
 
 def naive_signal_totals(m: int, n: int, t: int, towers) -> dict[tuple[int, int], int]:

@@ -25,7 +25,13 @@ from gridcast import (
 )
 from gridcast import solver
 from gridcast.solver import max_unit_coverage
-from naive_oracle import coverage_matrix, naive_gamma, naive_weighted_coverage
+from naive_oracle import (
+    coverage_matrix,
+    naive_gamma,
+    naive_signal_totals,
+    naive_weighted_coverage,
+    naive_weighted_deficit,
+)
 
 SEARCH_TREES = Path(__file__).parent / "data" / "solver_tree.txt"
 LEVEL_SEARCHES = Path(__file__).parent / "data" / "solver_levels.txt"
@@ -967,6 +973,184 @@ class TestCertifiedBound:
         message = "the lower bound 9 on 6x8 exceeds the verified 8-tower \\(3,2\\) broadcast"
         with pytest.raises(solver.SolverInvariantError, match=message):
             exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
+
+
+def _reaching(m: int, n: int, t: int, v: int, cells) -> list[int]:
+    """The cells among `cells` within distance t-1 of cell v, in order."""
+    x, y = divmod(v, n)
+    return [c for c in cells if abs(c // n - x) + abs(c % n - y) < t]
+
+
+class TestWeightedPrune:
+    """A placed child is refuted when its deficit weighted by the LP's
+    weights exceeds (slots - 1) * W: no tower repairs more than W of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from([None, 1, 2]),
+        st.data(),
+    )
+    def test_weighted_deficit_matches_the_oracle(self, m, n, t, r, reps, data):
+        # Random weights and a random search path: each tower reaches the
+        # first deficient cell, as the search's own children do.
+        weights = np.array(
+            data.draw(st.lists(st.integers(0, 2**20), min_size=m * n, max_size=m * n)),
+            dtype=np.int64,
+        ).reshape(m, n)
+        search = solver._Search(
+            GridDims(m, n), BroadcastParams(t, r), SearchBudget(), solver._Weights(weights, 1)
+        )
+        if reps is not None:
+            # Planes stacked in groups of one or two, as at large strengths.
+            search.reps = reps
+        assert search._weighted_deficit((), 0) == naive_weighted_deficit(m, n, t, r, [], weights)
+        placed, planes, x0, v = [], (), 0, 0
+        owed = search.owed[0]
+        for _ in range(8):
+            reach = _reaching(m, n, t, v, [c for c in range(m * n) if c not in placed])
+            if not reach:
+                break
+            u = data.draw(st.sampled_from(reach))
+            towers = [divmod(c, n) for c in placed + [u]]
+            if min(naive_signal_totals(m, n, t, towers).values()) >= r:
+                break
+            # The screen's bound: u repairs at most its gain times the
+            # heaviest weight within its reach.
+            before = naive_weighted_deficit(m, n, t, r, [divmod(c, n) for c in placed], weights)
+            gain = sum(
+                max(0, r - a) - max(0, r - b)
+                for a, b in zip(
+                    naive_signal_totals(m, n, t, [divmod(c, n) for c in placed]).values(),
+                    naive_signal_totals(m, n, t, towers).values(),
+                )
+            )
+            heaviest = max(int(weights[c // n, c % n]) for c in _reaching(m, n, t, u, range(m * n)))
+            assert search.heaviest[u] == heaviest
+            planes, v, _ = search._place(planes, x0, u)
+            placed.append(u)
+            x0 = v // n
+            expected = naive_weighted_deficit(m, n, t, r, towers, weights)
+            assert owed == before
+            owed = search._weighted_deficit(planes, x0)
+            assert owed == expected
+            assert before - gain * heaviest <= owed
+
+    @pytest.mark.parametrize("shape", sorted(FROZEN_TREES), ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_no_prefix_of_an_optimal_witness_is_pruned(self, shape):
+        # Each frame places the first witness tower that reaches its branch
+        # cell, so the witness's towers form one path of the search at
+        # level gamma; no bound may refute any child on it.
+        m, n = shape
+        optimal = {(t, r): w for t, r, _, (status, _, w) in FROZEN_TREES[shape] if status == "optimal"}
+        for (t, r), text in optimal.items():
+            dims, params = GridDims(m, n), BroadcastParams(t, r)
+            weights = solver._lp_bound(dims, params, None)[1]
+            if weights is None:
+                continue
+            cells = [int(x) * n + int(y) for x, y in (p.split(",") for p in text.split(";"))]
+            search = solver._Search(dims, params, SearchBudget(), weights)
+            slots, deficit, owed = len(cells), r * m * n, search.owed[0]
+            placed, planes, x0, v = [], (), 0, 0
+            while True:
+                u = _reaching(m, n, t, v, [c for c in cells if c not in placed])[0]
+                gain = -dict((c, g) for g, c in search._ranked(planes, v, set()))[u]
+                if gain == deficit:
+                    break
+                room = (slots - 1) * weights.most
+                assert deficit - gain <= (slots - 1) * search.max_unit_coverage, (t, r)
+                assert owed - gain * search.heaviest[u] <= room, (t, r)
+                child, v, lacking = search._place(planes, x0, u)
+                owed = search._weighted_deficit(child, v // n)
+                assert owed <= room, (t, r, placed)
+                assert not search._packed(lacking, x0, slots - 1), (t, r, placed)
+                placed.append(u)
+                planes, x0, deficit, slots = child, v // n, deficit - gain, slots - 1
+
+    def test_seconds_are_checked_per_stacked_plane(self, monkeypatch):
+        # Setup and the first placement run on a stopped clock; after them,
+        # each reading advances it 1 s. A tower on (0, 0) with t = r = 3
+        # leaves three planes, and the weighted check reads the clock before
+        # it stacks each: the third reading passes the deadline 2.5.
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        dims, params = GridDims(6, 6), BroadcastParams(3, 3)
+        weights = solver._lp_bound(dims, params, None)[1]
+        search = solver._Search(dims, params, SearchBudget(max_seconds=2.5), weights)
+        planes, v, _ = search._place((), 0, 0)
+        search._band_masks(v // 6)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        with pytest.raises(BudgetExhaustedError):
+            search._weighted_deficit(planes, v // 6)
+        assert (len(planes), clock.now) == (3, 3.0)
+
+    def test_exact_gamma_solves_the_lp_once_for_its_levels(self, monkeypatch):
+        solved, given = [], []
+        original_lp = solver._lp_bound
+        original_init = solver._Search.__init__
+
+        def lp(dims, params, deadline):
+            solved.append(dims)
+            return original_lp(dims, params, deadline)
+
+        def init(self, dims, params, budget, weights=None, deadline=None):
+            given.append(weights)
+            original_init(self, dims, params, budget, weights, deadline)
+
+        monkeypatch.setattr(solver, "_lp_bound", lp)
+        monkeypatch.setattr(solver._Search, "__init__", init)
+        dims, params = GridDims(6, 6), BroadcastParams(3, 3)
+        result = exact_gamma(dims, params)
+        assert (result.gamma, result.level_nodes) == (9, ((8, 308),))
+        assert len(solved) == 1 and len(given) == 1 and given[0] is not None
+        # Called on its own, the level search solves the LP itself.
+        assert find_broadcast_of_size(dims, params, 8) == (None, 308)
+        assert len(solved) == 2 and (given[1].cells == given[0].cells).all()
+
+    def test_no_weighted_check_above_the_class_cap(self, monkeypatch):
+        # 33x33 has 153 symmetry classes: the LP is skipped, and the level
+        # search has no weights.
+        given = []
+        original_init = solver._Search.__init__
+
+        def init(self, dims, params, budget, weights=None, deadline=None):
+            given.append(weights)
+            original_init(self, dims, params, budget, weights, deadline)
+
+        monkeypatch.setattr(solver._Search, "__init__", init)
+        dims, params = GridDims(33, 33), BroadcastParams(3, 2)
+        lower = -(-2 * 33 * 33 // max_unit_coverage(dims, params))
+        with pytest.raises(BudgetExhaustedError):
+            find_broadcast_of_size(dims, params, lower, SearchBudget(max_nodes=1))
+        assert given == [None]
+
+    def test_huge_strength_checks_its_one_node_at_once(self, monkeypatch):
+        # At the deficit bound of 20x20, t = 10^4, r = 10^6, the root's first
+        # child is placed with 10^4 planes, which the weighted check stacks
+        # one at a time, 3048 bits each: one node of budget still ends the
+        # level at once.
+        checked = []
+        original = solver._Search._weighted_deficit
+
+        def recorded(self, planes, x0):
+            checked.append(len(planes))
+            return original(self, planes, x0)
+
+        monkeypatch.setattr(solver._Search, "_weighted_deficit", recorded)
+        dims, params = GridDims(20, 20), BroadcastParams(10_000, 1_000_000)
+        begin = time.perf_counter()
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(dims, params, 101, SearchBudget(max_nodes=1))
+        assert time.perf_counter() - begin < 1.0
+        assert (exhausted.value.nodes_expanded, checked) == (1, [10_000])
 
 
 class TestLevelNodes:
