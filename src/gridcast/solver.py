@@ -94,10 +94,10 @@ read before each move and each pass over a batch of grids.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +133,7 @@ class SearchBudget:
             raise ValueError(f"max_seconds must be finite and > 0, got {self.max_seconds}")
 
 
-@dataclass(frozen=True, eq=False)
-class _Weights:
+class _Weights(NamedTuple):
     """Integer weights w >= 0 on the grid's cells, (m, n) int64, and W, the
     most sum_v min(r, signal(u, v)) * w_v over every grid cell u."""
 
@@ -142,12 +141,14 @@ class _Weights:
     most: int
 
 
-@dataclass(frozen=True)
 class _LevelBudget(SearchBudget):
     """A level's share of an exact_gamma budget, with the LP weights
-    exact_gamma solved once for every level (None: no weighted check)."""
+    exact_gamma solved once for every level (None: no weighted check).
+    A plain subclass: a dataclass costs a millisecond more to import."""
 
-    weights: _Weights | None = dataclasses.field(default=None, compare=False)
+    def __init__(self, max_nodes: int, max_seconds: float | None, weights: _Weights | None):
+        super().__init__(max_nodes, max_seconds)
+        object.__setattr__(self, "weights", weights)
 
 
 class BudgetExhaustedError(Exception):
