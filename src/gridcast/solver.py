@@ -444,20 +444,21 @@ class _Search:
 
     def _weigh(self, weights: _Weights) -> None:
         """Set up the weighted check: the bits of the weights, one grid-wide
-        int per weight bit, and the weight owed by each row and those below."""
+        int per weight bit, the weight owed from each row down, and the
+        heaviest weight each cell reaches."""
         w = weights.cells
         m, n, width = self.m, self.n, self.width
-        # owed[x] = r * (the weight of rows x, x+1, ..., m-1).
-        owed = np.cumsum(w.sum(axis=1)[::-1])[::-1].tolist()
-        self.owed = [self.r * int(o) for o in owed]
-        # grid[b] holds cell (x, y) at bit x*width + y if bit b of its
+        # owed_from[x] = r * (the weight of rows x, x+1, ..., m-1).
+        suffix = np.cumsum(w.sum(axis=1)[::-1])[::-1].tolist()
+        self.owed_from = [self.r * int(total) for total in suffix]
+        # weight_bits[b] holds cell (x, y) at bit x*width + y if bit b of its
         # weight is set; the clock is read before each.
-        self.grid = []
+        self.weight_bits = []
         cells = np.zeros((m, width), dtype=bool)
         for bit in range(int(w.max()).bit_length()):
             self._check_clock()
             cells[:, :n] = (w >> bit) & 1
-            self.grid.append(_bits(cells))
+            self.weight_bits.append(_bits(cells))
         # heaviest[u] is the largest weight within distance t-1 of cell u:
         # grow each cell's reach one step at a time.
         heaviest = w.copy()
@@ -481,8 +482,8 @@ class _Search:
         size, width, lift = self.stride // 8, self.width, self.lift
         band = (1 << (self.height * width)) - 1
         masks = []
-        for bit, grid in enumerate(self.grid):
-            mask = ((grid >> (x0 * width)) & band) << lift
+        for bit, cells in enumerate(self.weight_bits):
+            mask = ((cells >> (x0 * width)) & band) << lift
             if mask:
                 repeated = mask.to_bytes(size, "little") * self.reps
                 masks.append((bit, int.from_bytes(repeated, "little")))
@@ -513,7 +514,7 @@ class _Search:
                 stacked = (stacked << stride) | plane
             for bit, mask in masks:
                 received += (stacked & mask).bit_count() << bit
-        return self.owed[x0] - received
+        return self.owed_from[x0] - received
 
     def _rows(self, rows: int) -> int:
         """The grid cells of a band's first `rows` rows, at most min(4t-2, m)."""
@@ -662,7 +663,7 @@ class _Search:
         if weights is None:
             owed, most, heaviest = 0, 0, []
         else:
-            owed, most, heaviest = self.owed[0], weights.most, self.heaviest
+            owed, most, heaviest = self.owed_from[0], weights.most, self.heaviest
         # r >= 1, so the empty grid is deficient; prune a hopeless root.
         deficit = r * self.m * n
         if deficit > slots * unit:

@@ -1009,7 +1009,7 @@ class TestWeightedPrune:
             search.reps = reps
         assert search._weighted_deficit((), 0) == naive_weighted_deficit(m, n, t, r, [], weights)
         placed, planes, x0, v = [], (), 0, 0
-        owed = search.owed[0]
+        owed = search.owed_from[0]
         for _ in range(8):
             reach = _reaching(m, n, t, v, [c for c in range(m * n) if c not in placed])
             if not reach:
@@ -1053,7 +1053,7 @@ class TestWeightedPrune:
                 continue
             cells = [int(x) * n + int(y) for x, y in (p.split(",") for p in text.split(";"))]
             search = solver._Search(dims, params, SearchBudget(), weights)
-            slots, deficit, owed = len(cells), r * m * n, search.owed[0]
+            slots, deficit, owed = len(cells), r * m * n, search.owed_from[0]
             placed, planes, x0, v = [], (), 0, 0
             while True:
                 u = _reaching(m, n, t, v, [c for c in cells if c not in placed])[0]
