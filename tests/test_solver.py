@@ -1049,8 +1049,7 @@ class TestWeightedPrune:
         for (t, r), text in optimal.items():
             dims, params = GridDims(m, n), BroadcastParams(t, r)
             weights = solver._lp_bound(dims, params, None)[1]
-            if weights is None:
-                continue
+            assert weights is not None, (t, r)
             cells = [int(x) * n + int(y) for x, y in (p.split(",") for p in text.split(";"))]
             search = solver._Search(dims, params, SearchBudget(), weights)
             slots, deficit, owed = len(cells), r * m * n, search.owed_from[0]
