@@ -83,13 +83,18 @@ check's masks, one set per band row, exist only on grids small enough for
 the LP). For large t and r
 one template, one gain or one plane of a placement is a pass over megabytes,
 and ranking one cell computes up to (2t-1)^2 gains before a node is counted,
-so max_seconds is read before each of those steps as well as once per node.
+so the clock is read before each of those steps as well as once per node.
 Every witness is re-checked by check_broadcast before it is returned.
 
 The upper-bound search's placements, drops and swaps are nodes of the same
 budget. It keeps one int64 field of the grid and evaluates every gain and
 loss over the whole grid: its memory per step is O(m*n), and the clock is
 read before each move and each pass over a batch of grids.
+
+Seconds are a deadline set once, as the first step of exact_gamma or of
+find_broadcast_of_size called on its own: the root prune, the LP, the swap
+search and every level's setup and search all run to it, and no phase
+starts a clock of its own.
 """
 
 from __future__ import annotations
@@ -101,14 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    BroadcastParams,
-    Coord,
-    GridDims,
-    TowerSet,
-    check_broadcast,
-    signal_field,
-)
+from .grid import BroadcastParams, GridDims, TowerSet, check_broadcast, signal_field
 
 DEFAULT_MAX_NODES = 10_000_000
 
@@ -118,7 +116,10 @@ class SearchBudget:
     """Caps on node expansions and, optionally, wall-clock seconds.
 
     Passed to exact_gamma, they bound the whole solve; passed to
-    find_broadcast_of_size, one level including its setup.
+    find_broadcast_of_size, one level. Either entry turns the seconds into
+    one deadline as its first step, and every phase after it (the root
+    prune, the LP, the swap search, each level's setup and search) runs to
+    that deadline.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
@@ -141,14 +142,27 @@ class _Weights(NamedTuple):
     most: int
 
 
-class _LevelBudget(SearchBudget):
-    """A level's share of an exact_gamma budget, with the LP weights
-    exact_gamma solved once for every level (None: no weighted check).
-    A plain subclass: a dataclass costs a millisecond more to import."""
+class _LevelBudget(NamedTuple):
+    """What exact_gamma hands a level: the nodes left, the solve's deadline
+    (a time.monotonic() reading, or None) and the LP weights it solved once
+    for every level (None: no weighted check).
 
-    def __init__(self, max_nodes: int, max_seconds: float | None, weights: _Weights | None):
-        super().__init__(max_nodes, max_seconds)
-        object.__setattr__(self, "weights", weights)
+    It rides in find_broadcast_of_size's budget argument because exact_gamma
+    must reach each level through the module attribute
+    solver.find_broadcast_of_size, which the benchmark's trace patches to
+    time and count the level searches. Once the trace covers a private
+    level entry, the deadline and weights can be plain arguments of it.
+    """
+
+    max_nodes: int
+    deadline: float | None
+    weights: _Weights | None
+
+
+def _deadline(budget: SearchBudget) -> float | None:
+    """The time.monotonic() reading at which the budget's seconds run out,
+    counted from now, or None without a limit."""
+    return None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
 
 
 class BudgetExhaustedError(Exception):
@@ -246,9 +260,9 @@ def _weighted_coverage(dims: GridDims, params: BroadcastParams, weights: np.ndar
 
 def _weighted_bound(
     dims: GridDims, params: BroadcastParams, y: np.ndarray
-) -> tuple[int, _Weights]:
+) -> tuple[int, _Weights | None]:
     """ceil(r * sum(w) / W) for the integer weights w = floor(y * 2**20) of the
-    grid's cells, y clipped to [0, 1] (0 when W is 0), and the weights.
+    grid's cells, y clipped to [0, 1], and the weights; (0, None) when W is 0.
 
     It is a lower bound on every broadcast S for any w >= 0, whatever y
     was: each vertex v receives r, so sum_{u in S} min(r, signal(u, v)) >= r;
@@ -258,7 +272,7 @@ def _weighted_bound(
     """
     w = np.floor(np.clip(np.nan_to_num(y), 0.0, 1.0) * (1 << _WEIGHT_BITS)).astype(np.int64)
     most = _weighted_coverage(dims, params, w)
-    return 0 if most == 0 else -(-params.r * int(w.sum()) // most), _Weights(w, most)
+    return (0, None) if most == 0 else (-(-params.r * int(w.sum()) // most), _Weights(w, most))
 
 
 def _simplex(a: np.ndarray, c: np.ndarray, deadline: float | None) -> np.ndarray | None:
@@ -332,8 +346,7 @@ def _lp_bound(
     solved = _simplex(a, np.bincount(classes).astype(np.float64), deadline)
     if solved is None:
         return 0, None
-    bound, weights = _weighted_bound(dims, params, solved[classes].reshape(m, n))
-    return (bound, weights) if weights.most else (0, None)
+    return _weighted_bound(dims, params, solved[classes].reshape(m, n))
 
 
 class SolverInvariantError(RuntimeError):
@@ -370,19 +383,15 @@ class _Search:
         self,
         dims: GridDims,
         params: BroadcastParams,
-        budget: SearchBudget,
-        weights: _Weights | None = None,
-        deadline: float | None = None,
+        max_nodes: int,
+        deadline: float | None,
+        weights: _Weights | None,
     ):
-        # The clock starts before setup (or at the given deadline's start), so
-        # setup is charged to max_seconds. It is read before each template
-        # too: for large t and r the templates take gigabytes in all.
-        if deadline is None and budget.max_seconds is not None:
-            deadline = time.monotonic() + budget.max_seconds
-        self.deadline = deadline
+        # The deadline was set before the level began, so setup is charged
+        # to it. The clock is read before each template too: for large t
+        # and r the templates take gigabytes in all.
+        self.max_nodes, self.deadline, self.weights = max_nodes, deadline, weights
         m, n, t, r = self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
-        self.budget = budget
-        self.max_unit_coverage = max_unit_coverage(dims, params)
         self.nodes = 0
         rows, cols = min(t, m) - 1, min(t, n) - 1
         self.rows = rows
@@ -434,7 +443,6 @@ class _Search:
         self.far = ~(_bits(near) >> reach)
         # _packed runs on every placement, where a lookup beats the formula.
         self.fits = [self._fit(rows) for rows in range(min(4 * t - 2, m) + 1)]
-        self.weights = weights
         if weights is not None:
             self._weigh(weights)
 
@@ -640,8 +648,9 @@ class _Search:
             placed.pop()
         return tuple(placed), (x0 + drop) * n + column, lacking
 
-    def run(self, slots: int) -> list[int] | None:
-        """The cells of a broadcast of at most `slots` towers, or None.
+    def run(self, slots: int, unit: int) -> list[int] | None:
+        """The cells of a broadcast of at most `slots` towers, or None; `unit`
+        is max_unit_coverage, and the caller has pruned a hopeless root.
 
         A frame is one branch point: its ranked children still to try, its
         band's first row, its planes, the deficit (the total shortfall,
@@ -655,19 +664,15 @@ class _Search:
         after the parent's because cells before it are satisfied. Tried
         children stay forbidden until their frame is done.
         """
-        r, n, unit = self.r, self.n, self.max_unit_coverage
-        max_nodes, deadline = self.budget.max_nodes, self.deadline
-        weights = self.weights
+        n, max_nodes, deadline, weights = self.n, self.max_nodes, self.deadline, self.weights
         # The weighted deficit of the root, its W and the heaviest weight
         # each cell reaches; without weights, 0 > 0 never prunes.
         if weights is None:
             owed, most, heaviest = 0, 0, []
         else:
             owed, most, heaviest = self.owed_from[0], weights.most, self.heaviest
-        # r >= 1, so the empty grid is deficient; prune a hopeless root.
-        deficit = r * self.m * n
-        if deficit > slots * unit:
-            return None
+        # r >= 1, so the empty grid is deficient.
+        deficit = self.r * self.m * n
         forbidden: set[int] = set()
         placed: list[int] = []
         # Only the root's candidates are reduced by the grid's symmetries.
@@ -902,36 +907,28 @@ def find_broadcast_of_size(
 
     Returns (witness, nodes_expanded); the witness is None when no broadcast
     of size k exists, which doubles as an optimality certificate for k+1 and
-    above. A level whose root is pruned (r*m*n > k * max_unit_coverage)
-    returns (None, 0) before any search state is built. Otherwise the
-    fractional-broadcast LP is solved for the weighted prune, its clock
-    started with the level's (exact_gamma hands its levels the weights it
-    solved once instead). Raises BudgetExhaustedError (carrying the node
-    count) if the budget runs out before the level is decided. Every witness
-    is re-checked with check_broadcast first; one that fails raises
-    SolverInvariantError.
+    above. The clock starts first, so the budget's seconds cover the root
+    prune, the LP and the search's setup as well as its nodes. A level whose
+    root is pruned (r*m*n > k * max_unit_coverage) returns (None, 0) before
+    any search state is built. Otherwise the fractional-broadcast LP is
+    solved for the weighted prune (exact_gamma hands its levels the weights
+    it solved once, and its own deadline, instead). Raises
+    BudgetExhaustedError (carrying the node count) if the budget runs out
+    before the level is decided. Every witness is re-checked with
+    check_broadcast first; one that fails raises SolverInvariantError.
     """
+    level = isinstance(budget, _LevelBudget)
+    budget = budget or SearchBudget()
+    deadline = budget.deadline if level else _deadline(budget)
     if k < 0:
         raise ValueError(f"tower count k must be >= 0, got {k}")
-    if params.r * dims.m * dims.n > k * max_unit_coverage(dims, params):
+    unit = max_unit_coverage(dims, params)
+    if params.r * dims.m * dims.n > k * unit:
         return None, 0
-    budget = budget or SearchBudget()
-    # The clock starts before the LP, so the LP is charged to max_seconds.
-    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    if isinstance(budget, _LevelBudget):
-        weights = budget.weights
-    else:
-        weights = _lp_bound(dims, params, deadline)[1]
-    search = _Search(dims, params, budget, weights, deadline)
-    found = search.run(k)
-    if found is None:
-        return None, search.nodes
-    witness = TowerSet(Coord(u // dims.n, u % dims.n) for u in found)
-    if not check_broadcast(dims, params, witness).valid:
-        raise SolverInvariantError(
-            f"the solver's {len(witness)}-tower witness on {dims.m}x{dims.n} "
-            f"is not a ({params.t},{params.r}) broadcast"
-        )
+    weights = budget.weights if level else _lp_bound(dims, params, deadline)[1]
+    search = _Search(dims, params, budget.max_nodes, deadline, weights)
+    found = search.run(k, unit)
+    witness = None if found is None else _checked(dims, params, found, "solver's", "witness")
     return witness, search.nodes
 
 
@@ -948,10 +945,11 @@ def exact_gamma(
     certifies that U is optimal, and a witness found there becomes the new
     U, one level lower. No level below the lower bound is searched, and the
     swap search aims no lower, so a U at the bound is optimal without any
-    search. The budget covers the whole solve: the LP behind the lower
-    bound reads the clock before each pivot, the upper-bound search counts
-    its placements, drops and swaps as nodes, and each level gets the nodes
-    and seconds left before it, with the LP's weights for its weighted prune.
+    search. The budget covers the whole solve, and its seconds become one
+    deadline as the first step: the LP behind the lower bound checks it
+    before each pivot, the upper-bound search counts its placements, drops
+    and swaps as nodes, and each level gets the nodes left before it, the
+    same deadline and the LP's weights for its weighted prune.
 
     The lower bound is the larger of the deficit bound ceil(r*m*n /
     max_unit_coverage) and the certified weighted bound ceil(r * sum(w) / W).
@@ -981,7 +979,7 @@ def exact_gamma(
     receives one tower's field summed over the min(m,t) x min(n,t) box.
     """
     budget = budget or SearchBudget()
-    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    deadline = _deadline(budget)
     if int(_one_tower_field(dims, params.t, 0, 0).sum()) < params.r:
         raise ValueError(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
@@ -996,56 +994,53 @@ def exact_gamma(
         exhausted = False
     except BudgetExhaustedError:
         exhausted = True
-    witness = None if search.best is None else _checked_upper(dims, params, search.best)
-    if witness is not None and len(witness) < lower:
-        raise SolverInvariantError(
-            f"the lower bound {lower} on {dims.m}x{dims.n} exceeds the verified "
-            f"{len(witness)}-tower ({params.t},{params.r}) broadcast"
-        )
-    total_nodes = search.nodes
-    levels: list[tuple[int, int]] = []
-
-    def unsolved(nodes: int) -> SolveResult:
-        # upper is the smallest verified broadcast so far: the last witness.
-        upper = None if witness is None else len(witness)
-        return SolveResult(
-            "budget_exhausted", None, None, nodes, tuple(levels), lower, upper, search.nodes
-        )
-
-    if exhausted:
-        return unsolved(total_nodes)
-    while len(witness) > lower:
-        seconds = None if deadline is None else deadline - time.monotonic()
-        if total_nodes >= budget.max_nodes or (seconds is not None and seconds <= 0):
-            return unsolved(total_nodes)
+    witness = None
+    if search.best is not None:
+        witness = _checked(dims, params, search.best, "upper-bound search's", "set")
+        if len(witness) < lower:
+            raise SolverInvariantError(
+                f"the lower bound {lower} on {dims.m}x{dims.n} exceeds the verified "
+                f"{len(witness)}-tower ({params.t},{params.r}) broadcast"
+            )
+    nodes, levels, certificate = search.nodes, [], None
+    while not exhausted and certificate is None:
         k = len(witness) - 1
-        left = _LevelBudget(budget.max_nodes - total_nodes, seconds, weights)
-        try:
-            found, nodes = find_broadcast_of_size(dims, params, k, left)
-        except BudgetExhaustedError as exc:
-            levels.append((k, exc.nodes_expanded))
-            return unsolved(total_nodes + exc.nodes_expanded)
-        total_nodes += nodes
-        levels.append((k, nodes))
-        if found is None:
-            certificate = "refuted"
-            break
-        witness = found
-    else:
-        certificate = "lp" if lower > deficit_bound else "bound"
-    gamma = len(witness)
+        if k < lower:
+            certificate = "lp" if lower > deficit_bound else "bound"
+        elif nodes >= budget.max_nodes or (deadline is not None and time.monotonic() > deadline):
+            exhausted = True
+        else:
+            try:
+                found, spent = find_broadcast_of_size(
+                    dims, params, k, _LevelBudget(budget.max_nodes - nodes, deadline, weights)
+                )
+            except BudgetExhaustedError as exc:
+                found, spent, exhausted = None, exc.nodes_expanded, True
+            nodes += spent
+            levels.append((k, spent))
+            if found is not None:
+                witness = found
+            elif not exhausted:
+                certificate = "refuted"
+    # upper is the smallest verified broadcast so far: the last witness.
+    upper = None if witness is None else len(witness)
     return SolveResult(
-        "optimal", gamma, witness, total_nodes, tuple(levels), lower, gamma, search.nodes,
-        certificate,
+        "budget_exhausted" if exhausted else "optimal",
+        None if exhausted else upper,
+        None if exhausted else witness,
+        nodes, tuple(levels), lower, upper, search.nodes, certificate,
     )
 
 
-def _checked_upper(dims: GridDims, params: BroadcastParams, cells: list[int]) -> TowerSet:
-    """The upper-bound search's towers, accepted by check_broadcast."""
+def _checked(
+    dims: GridDims, params: BroadcastParams, cells: list[int], who: str, what: str
+) -> TowerSet:
+    """The towers on `cells`, accepted by check_broadcast, or
+    SolverInvariantError naming the search (`who`) and the set (`what`)."""
     towers = TowerSet(np.array(np.divmod(cells, dims.n)).T.reshape(-1, 2))
     if not check_broadcast(dims, params, towers).valid:
         raise SolverInvariantError(
-            f"the upper-bound search's {len(towers)}-tower set on {dims.m}x{dims.n} "
+            f"the {who} {len(towers)}-tower {what} on {dims.m}x{dims.n} "
             f"is not a ({params.t},{params.r}) broadcast"
         )
     return towers

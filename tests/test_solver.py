@@ -149,10 +149,11 @@ class TestExactGamma:
 
     def test_only_the_witness_is_checked_and_built(self, monkeypatch):
         built = []
+        original_init = Coord.__init__
 
-        def counted(x, y):
+        def counted(self, x, y):
             built.append((x, y))
-            return Coord(x, y)
+            original_init(self, x, y)
 
         seen = []
         original = solver.check_broadcast
@@ -161,30 +162,26 @@ class TestExactGamma:
             seen.append((dims, towers))
             return original(dims, params, towers)
 
-        monkeypatch.setattr(solver, "Coord", counted)
+        # Every Coord made anywhere during a solve is counted.
+        monkeypatch.setattr(Coord, "__init__", counted)
         monkeypatch.setattr(solver, "check_broadcast", recorded)
         for m, n, t in [(3, 4, 3), (6, 7, 4)]:
             seen.clear()
-            built.clear()
             result = exact_gamma(GridDims(m, n), BroadcastParams(t, 2))
             assert result.status == "optimal"
             # Existence needs no verifier call: check_broadcast checks the
             # upper bound's broadcast, here the witness, and nothing else.
             assert result.upper == result.gamma
             assert seen == [(GridDims(m, n), result.witness)]
-            # The upper bound's towers come from an array, and it meets the
-            # LP bound, so no level is searched and the solver makes no
-            # Coord at all.
-            assert built == []
         # On 5x5 the swap search stops at 5 and level 4 finds the witness:
-        # each of the two broadcasts is checked once, and a Coord is made
-        # only for each tower of the level's witness, none per vertex.
+        # each of the two broadcasts is checked once.
         seen.clear()
         result = exact_gamma(GridDims(5, 5), BroadcastParams(3, 2))
-        assert (result.gamma, result.upper, len(seen)) == (4, 4, 2)
+        assert (result.gamma, result.upper, result.level_nodes, len(seen)) == (4, 4, ((4, 10),), 2)
         assert len(seen[0][1]) == 5 and seen[1] == (GridDims(5, 5), result.witness)
-        assert TowerSet(Coord(*c) for c in built) == result.witness
-        assert len(built) == result.gamma
+        # Both broadcasts' towers come from arrays: no solve makes a Coord,
+        # neither per vertex nor per tower of a witness.
+        assert built == []
 
     @pytest.mark.parametrize("m,n,t,r", [(3, 4, 3, 2), (6, 7, 4, 2), (40, 30, 12, 5)])
     def test_existence_check_reads_one_tower(self, monkeypatch, m, n, t, r):
@@ -247,7 +244,7 @@ class TestExactGamma:
         # A search that claims one tower in the corner covers the grid. On
         # 6x6, t=3, r=3 the swap search stops at 9 above the lower bound 8,
         # so level 8 is searched.
-        monkeypatch.setattr(solver._Search, "run", lambda self, slots: [0])
+        monkeypatch.setattr(solver._Search, "run", lambda self, slots, unit: [0])
         with pytest.raises(solver.SolverInvariantError, match="is not a \\(3,3\\) broadcast"):
             exact_gamma(GridDims(6, 6), BroadcastParams(3, 3))
 
@@ -425,24 +422,118 @@ class TestSolveWideBudget:
 
     def test_seconds_span_levels(self, monkeypatch):
         # A clock that stands still but advances 10 s per level: each level
-        # gets what is left. On 8x8, t=2, r=2 the swap search stops at 31 and
-        # the lower bound is 24; each stand-in level finds k towers, so the
-        # next searches one less, until the fourth finds no seconds left, and
-        # the smallest broadcast found, 28, is the upper bound.
+        # runs to the solve's deadline, 25. On 8x8, t=2, r=2 the swap search
+        # stops at 31 and the lower bound is 24; each stand-in level finds k
+        # towers, so the next searches one less, until the fourth finds the
+        # deadline passed, and the smallest broadcast found, 28, is the
+        # upper bound.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         given = []
 
         def level(dims, params, k, budget):
-            given.append((k, budget.max_seconds))
+            given.append((k, budget.deadline))
             clock.now += 10.0
             return TowerSet([Coord(*divmod(u, 8)) for u in range(k)]), 1
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", level)
         result = exact_gamma(GridDims(8, 8), BroadcastParams(2, 2), SearchBudget(max_seconds=25))
-        assert given == [(30, 25.0), (29, 15.0), (28, 5.0)]
+        assert given == [(30, 25.0), (29, 25.0), (28, 25.0)]
         assert (result.status, result.lower, result.upper) == ("budget_exhausted", 24, 28)
         assert result.nodes_expanded == result.upper_nodes + 3
+
+    def test_a_level_runs_to_the_solve_deadline(self, monkeypatch):
+        # The clock stands still except in the level's root prune, whose
+        # max_unit_coverage takes 10 s of the solve's 5. On 6x6, t=3, r=3 the
+        # swap search stops at 9, one above the lower bound 8, so level 8 is
+        # searched; it runs to the solve's deadline, already passed, and its
+        # setup ends it before any node. A level that started its own clock
+        # after the prune would refute level 8 and return gamma = 9, 5 s late.
+        clock = SimpleNamespace(now=0.0, pruning=False)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        original_level, original_coverage = solver.find_broadcast_of_size, solver.max_unit_coverage
+
+        def level(*args):
+            clock.pruning = True
+            return original_level(*args)
+
+        def slow_prune(dims, params):
+            if clock.pruning:
+                clock.pruning = False
+                clock.now += 10.0
+            return original_coverage(dims, params)
+
+        monkeypatch.setattr(solver, "find_broadcast_of_size", level)
+        monkeypatch.setattr(solver, "max_unit_coverage", slow_prune)
+        result = exact_gamma(GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_seconds=5))
+        assert (result.status, result.level_nodes) == ("budget_exhausted", ((8, 0),))
+        assert (result.lower, result.upper, result.nodes_expanded, clock.now) == (
+            8, 9, result.upper_nodes, 10.0
+        )
+
+    def test_a_slow_root_prune_is_charged_to_the_seconds(self, monkeypatch):
+        # Called on its own, the level search starts its clock before its
+        # root prune: a prune that takes 10 s of 5 ends the level before
+        # any node (unbudgeted, level 8 is refuted in 308). Only the first
+        # max_unit_coverage call, the prune's, is slow.
+        clock = SimpleNamespace(now=0.0, pruning=True)
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        original_coverage = solver.max_unit_coverage
+
+        def slow_prune(dims, params):
+            if clock.pruning:
+                clock.pruning = False
+                clock.now += 10.0
+            return original_coverage(dims, params)
+
+        monkeypatch.setattr(solver, "max_unit_coverage", slow_prune)
+        with pytest.raises(BudgetExhaustedError) as exhausted:
+            find_broadcast_of_size(
+                GridDims(6, 6), BroadcastParams(3, 3), 8, SearchBudget(max_seconds=5)
+            )
+        assert (exhausted.value.nodes_expanded, clock.now) == (0, 10.0)
+
+    def test_every_phase_runs_to_the_deadline_set_first(self, monkeypatch):
+        # Each reading of this clock advances it 2**-10 s. The entry's first
+        # reading sets the deadline, and the LP, the swap search and the
+        # level search are each handed that one value; a phase that re-read
+        # the clock to turn the seconds left back into a deadline would get
+        # a later one.
+        tick = 2.0**-10
+        clock = SimpleNamespace(now=0.0)
+
+        def ticking():
+            clock.now += tick
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=ticking))
+        given = []
+        original_simplex, original_upper = solver._simplex, solver._UpperBound.__init__
+        original_search = solver._Search.__init__
+
+        def simplex(a, c, deadline):
+            given.append(("lp", deadline))
+            return original_simplex(a, c, deadline)
+
+        def upper(self, dims, params, max_nodes, deadline):
+            given.append(("upper", deadline))
+            original_upper(self, dims, params, max_nodes, deadline)
+
+        def search(self, dims, params, max_nodes, deadline, weights):
+            given.append(("level", deadline))
+            original_search(self, dims, params, max_nodes, deadline, weights)
+
+        monkeypatch.setattr(solver, "_simplex", simplex)
+        monkeypatch.setattr(solver._UpperBound, "__init__", upper)
+        monkeypatch.setattr(solver._Search, "__init__", search)
+        dims, params, budget = GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_seconds=25)
+        assert exact_gamma(dims, params, budget).level_nodes == ((8, 308),)
+        assert given == [("lp", 25 + tick), ("upper", 25 + tick), ("level", 25 + tick)]
+        # Called on its own, the level search solves the LP to its own deadline.
+        given.clear()
+        deadline = clock.now + tick + 25
+        assert find_broadcast_of_size(dims, params, 8, budget) == (None, 308)
+        assert given == [("lp", deadline), ("level", deadline)]
 
     def test_upper_bound_stops_on_the_seconds(self, monkeypatch):
         # Each reading of this clock advances it 1 s; exact_gamma's first
@@ -565,9 +656,8 @@ class TestSolveWideBudget:
         # before the ranking returns.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        search = solver._Search(
-            GridDims(8, 8), BroadcastParams(8, 2), SearchBudget(max_seconds=10.5)
-        )
+        dims, params = GridDims(8, 8), BroadcastParams(8, 2)
+        search = solver._Search(dims, params, 10**9, 10.5, None)
 
         def tick():
             clock.now += 1.0
@@ -584,7 +674,7 @@ class TestSolveWideBudget:
 
         monkeypatch.setattr(solver._Search, "_ranked", counted)
         with pytest.raises(BudgetExhaustedError) as exhausted:
-            search.run(5)
+            search.run(5, max_unit_coverage(dims, params))
         assert (exhausted.value.nodes_expanded, returned, clock.now) == (0, [], 11.0)
 
     def test_seconds_are_checked_within_one_placement(self, monkeypatch):
@@ -594,7 +684,7 @@ class TestSolveWideBudget:
         # of a first tower with t = r = 3 passes the deadline 2.5.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        search = solver._Search(GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_seconds=2.5))
+        search = solver._Search(GridDims(6, 6), BroadcastParams(3, 3), 10**9, 2.5, None)
 
         def tick():
             clock.now += 1.0
@@ -629,11 +719,12 @@ class TestSolveWideBudget:
         monkeypatch.setattr(solver._Search, "_ranked", stopping(solver._Search._ranked))
         monkeypatch.setattr(solver._Search, "_place", stopping(solver._Search._place))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        search = solver._Search(GridDims(4, 4), BroadcastParams(3, 2), SearchBudget(max_seconds=2.5))
+        dims, params = GridDims(4, 4), BroadcastParams(3, 2)
+        search = solver._Search(dims, params, 10**9, 2.5, None)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         # Level 3 of this grid takes 22 nodes without a deadline.
         with pytest.raises(BudgetExhaustedError) as exhausted:
-            search.run(3)
+            search.run(3, max_unit_coverage(dims, params))
         assert exhausted.value.nodes_expanded == search.nodes == 2
 
 
@@ -733,7 +824,7 @@ class TestTableFreeSetup:
             for i, (g, u) in enumerate(ranked)
             if all(rank.get(perm[u], i) >= i for perm in tables)
         ]
-        search = solver._Search(GridDims(m, n), BroadcastParams(2, 1), SearchBudget())
+        search = solver._Search(GridDims(m, n), BroadcastParams(2, 1), 10**9, None, None)
         assert search._root_representatives(ranked) == expected
 
 
@@ -758,7 +849,7 @@ class TestPackingBound:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6), st.integers(1, 4), st.data())
     def test_far_cells_need_one_tower_each(self, m, n, t, r, data):
-        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), SearchBudget())
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), 10**9, None, None)
         rows = min(4 * t - 2, m)
         cell = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))
         far = _greedy_packing(data.draw(st.lists(cell, min_size=1, max_size=12)), t)
@@ -769,7 +860,7 @@ class TestPackingBound:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6), st.data())
     def test_picks_are_the_greedy_packing_and_fit_their_rows(self, m, n, t, data):
-        search = solver._Search(GridDims(m, n), BroadcastParams(t, 2), SearchBudget())
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, 2), 10**9, None, None)
         x0 = data.draw(st.integers(0, m - 1))
         rows = min(4 * t - 2, m - x0)
         cells = data.draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))))
@@ -1002,7 +1093,7 @@ class TestWeightedPrune:
             dtype=np.int64,
         ).reshape(m, n)
         search = solver._Search(
-            GridDims(m, n), BroadcastParams(t, r), SearchBudget(), solver._Weights(weights, 1)
+            GridDims(m, n), BroadcastParams(t, r), 10**9, None, solver._Weights(weights, 1)
         )
         if reps is not None:
             # Planes stacked in groups of one or two, as at large strengths.
@@ -1051,7 +1142,8 @@ class TestWeightedPrune:
             weights = solver._lp_bound(dims, params, None)[1]
             assert weights is not None, (t, r)
             cells = [int(x) * n + int(y) for x, y in (p.split(",") for p in text.split(";"))]
-            search = solver._Search(dims, params, SearchBudget(), weights)
+            search = solver._Search(dims, params, 10**9, None, weights)
+            unit = max_unit_coverage(dims, params)
             slots, deficit, owed = len(cells), r * m * n, search.owed_from[0]
             placed, planes, x0, v = [], (), 0, 0
             while True:
@@ -1060,7 +1152,7 @@ class TestWeightedPrune:
                 if gain == deficit:
                     break
                 room = (slots - 1) * weights.most
-                assert deficit - gain <= (slots - 1) * search.max_unit_coverage, (t, r)
+                assert deficit - gain <= (slots - 1) * unit, (t, r)
                 assert owed - gain * search.heaviest[u] <= room, (t, r)
                 child, v, lacking = search._place(planes, x0, u)
                 owed = search._weighted_deficit(child, v // n)
@@ -1078,7 +1170,7 @@ class TestWeightedPrune:
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         dims, params = GridDims(6, 6), BroadcastParams(3, 3)
         weights = solver._lp_bound(dims, params, None)[1]
-        search = solver._Search(dims, params, SearchBudget(max_seconds=2.5), weights)
+        search = solver._Search(dims, params, 10**9, 2.5, weights)
         planes, v, _ = search._place((), 0, 0)
         search._band_masks(v // 6)
 
@@ -1100,9 +1192,9 @@ class TestWeightedPrune:
             solved.append(dims)
             return original_lp(dims, params, deadline)
 
-        def init(self, dims, params, budget, weights=None, deadline=None):
+        def init(self, dims, params, max_nodes, deadline, weights):
             given.append(weights)
-            original_init(self, dims, params, budget, weights, deadline)
+            original_init(self, dims, params, max_nodes, deadline, weights)
 
         monkeypatch.setattr(solver, "_lp_bound", lp)
         monkeypatch.setattr(solver._Search, "__init__", init)
@@ -1120,9 +1212,9 @@ class TestWeightedPrune:
         given = []
         original_init = solver._Search.__init__
 
-        def init(self, dims, params, budget, weights=None, deadline=None):
+        def init(self, dims, params, max_nodes, deadline, weights):
             given.append(weights)
-            original_init(self, dims, params, budget, weights, deadline)
+            original_init(self, dims, params, max_nodes, deadline, weights)
 
         monkeypatch.setattr(solver._Search, "__init__", init)
         dims, params = GridDims(33, 33), BroadcastParams(3, 2)
