@@ -13,20 +13,18 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .bounds import bound_report, lower_t2, upper_t2
-from .construct import (
-    ConstructionInvariantError,
-    best_anchor_construct,
-    construct,
-    letterbox_construct,
-)
+from .construct import best_anchor_construct, construct, letterbox_construct
 from .document import BroadcastDocument, load_document, serialize_document
-from .grid import BroadcastParams, Coord, GridDims
+from .grid import BroadcastParams, Coord, GridDims, InvariantError
 from .lattice import DiamondLattice, window_density
 from .render import document_verdict, render_ascii, render_svg
-from .solver import DEFAULT_MAX_NODES, SearchBudget, SolverInvariantError, exact_gamma
+
+if TYPE_CHECKING:
+    from .solver import SearchBudget, SolveResult
 
 
 def _parse_coord(text: str) -> Coord:
@@ -121,8 +119,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+def exact_gamma(dims: GridDims, params: BroadcastParams, budget: SearchBudget) -> SolveResult:
+    """solver.exact_gamma, with the solver imported on the first call.
+
+    It stays a module attribute because perfbench's SolveCapture and its
+    ``solver.exact_gamma`` trace span patch ``cli.exact_gamma``.
+    """
+    from .solver import exact_gamma as solve
+
+    return solve(dims, params, budget)
+
+
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(max_nodes=args.budget, max_seconds=args.max_seconds)
+    from .solver import DEFAULT_MAX_NODES, SearchBudget
+
+    max_nodes = DEFAULT_MAX_NODES if args.budget is None else args.budget
+    return SearchBudget(max_nodes=max_nodes, max_seconds=args.max_seconds)
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
@@ -217,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES, help="node expansion cap")
+    p.add_argument("--budget", type=int, help="node expansion cap")
     p.add_argument("--max-seconds", type=float, help="wall-clock cap on the whole solve")
     p.set_defaults(handler=_cmd_exact)
 
@@ -232,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="also solve each cell exactly")
-    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--budget", type=int)
     p.add_argument("--max-seconds", type=float, help="wall-clock cap on each exact solve")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(handler=_cmd_sweep)
@@ -260,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ConstructionInvariantError, SolverInvariantError) as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

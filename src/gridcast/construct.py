@@ -20,6 +20,7 @@ from .grid import (
     BroadcastParams,
     Coord,
     GridDims,
+    InvariantError,
     TowerSet,
     check_broadcast,
     check_strength,
@@ -32,7 +33,7 @@ from .lattice import (
 )
 
 
-class ConstructionInvariantError(RuntimeError):
+class ConstructionInvariantError(InvariantError):
     """A construction consistency check failed: a replacement collided, the
     result failed verification, or it exceeded the upper bound.
 

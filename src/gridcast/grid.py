@@ -174,6 +174,14 @@ class _Field(np.ndarray):
         return self.view(np.ndarray)
 
 
+class InvariantError(RuntimeError):
+    """An internal result failed its independent check against the verifier.
+
+    The base of ConstructionInvariantError and SolverInvariantError, so the
+    CLI names one class for exit 1 and need not load the solver to catch it.
+    """
+
+
 @dataclass(frozen=True, eq=False)
 class BroadcastVerdict:
     """Outcome of check_broadcast, as int64 arrays.

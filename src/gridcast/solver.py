@@ -106,7 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import BroadcastParams, GridDims, TowerSet, check_broadcast, signal_field
+from .grid import BroadcastParams, GridDims, InvariantError, TowerSet, check_broadcast, signal_field
 
 DEFAULT_MAX_NODES = 10_000_000
 
@@ -349,7 +349,7 @@ def _lp_bound(
     return _weighted_bound(dims, params, solved[classes].reshape(m, n))
 
 
-class SolverInvariantError(RuntimeError):
+class SolverInvariantError(InvariantError):
     """A witness the search returned failed the independent verifier, or a
     lower bound exceeded the size of a verified broadcast."""
 

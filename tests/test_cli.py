@@ -710,6 +710,32 @@ class TestSweepCommand:
         assert out_path.read_text(encoding="utf-8").startswith("m,n,t,")
 
 
+EXACT_ARGV = ["exact", "--m", "3", "--n", "3", "--t", "3", "--r", "2"]
+SWEEP_EXACT_ARGV = ["sweep", "--m-range", "3", "--n-range", "3", "--t", "3", "--exact"]
+
+
+class TestBudgetDefault:
+    """--budget defaults to None; the solve still gets DEFAULT_MAX_NODES."""
+
+    @pytest.mark.parametrize("argv", [EXACT_ARGV, SWEEP_EXACT_ARGV], ids=["exact", "sweep"])
+    def test_no_budget_gives_the_default_cap(self, capsys, monkeypatch, argv):
+        budgets = []
+
+        def record(dims, params, budget):
+            budgets.append(budget)
+            return solver.exact_gamma(dims, params, budget)
+
+        monkeypatch.setattr(cli, "exact_gamma", record)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert budgets == [solver.SearchBudget(max_nodes=solver.DEFAULT_MAX_NODES)]
+
+    @pytest.mark.parametrize("argv", [EXACT_ARGV, SWEEP_EXACT_ARGV], ids=["exact", "sweep"])
+    def test_zero_budget_is_exit_2(self, capsys, argv):
+        assert run_cli(capsys, *argv, "--budget", "0") == (
+            2, "", "error: max_nodes must be >= 1, got 0\n"
+        )
+
+
 class TestDensityCommand:
     def test_rectilinear(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--t", "3", "--side", "8")
