@@ -6,8 +6,8 @@ instances exactly with a budgeted complete search.
 
 The solver loads on first use: its names (and the ``solver`` submodule) are
 resolved by the module ``__getattr__`` below the first time one is read. It
-is the largest module and only the ``exact`` and ``sweep`` commands use it,
-so ``construct``, ``verify`` and the others never compile or run it.
+is the largest module and only ``exact`` and ``sweep --exact`` use it, so
+``construct``, ``verify`` and the others never compile or run it.
 """
 
 __version__ = "0.1.0"

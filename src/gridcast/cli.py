@@ -131,7 +131,7 @@ def exact_gamma(dims: GridDims, params: BroadcastParams, budget: SearchBudget) -
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    from .solver import DEFAULT_MAX_NODES, SearchBudget
+    from ._budget import DEFAULT_MAX_NODES, SearchBudget
 
     max_nodes = DEFAULT_MAX_NODES if args.budget is None else args.budget
     return SearchBudget(max_nodes=max_nodes, max_seconds=args.max_seconds)

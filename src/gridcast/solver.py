@@ -88,8 +88,14 @@ Every witness is re-checked by check_broadcast before it is returned.
 
 The upper-bound search's placements, drops and swaps are nodes of the same
 budget. It keeps one int64 field of the grid and evaluates every gain and
-loss over the whole grid: its memory per step is O(m*n), and the clock is
-read before each move and each pass over a batch of grids.
+loss over the whole grid. A batch of gains whose count * min(r, t) *
+(m*n)**2 multiply-adds is within _CONTRACT_MACS is one integer einsum
+against a reach table of at most 4 * _CONTRACT_MACS bytes (512 KiB), built
+once per search, and reads the clock once; any larger batch is summed from
+prefix sums in O(m*n) memory and reads it once per pass over the batch. The
+clock is also read before each move and each batch of losses. No BLAS is
+called: a threaded float product on a matrix this small can cost whole
+scheduler ticks.
 
 Seconds are a deadline set once, as the first step of exact_gamma or of
 find_broadcast_of_size called on its own: the root prune, the LP, the swap
@@ -99,39 +105,14 @@ starts a clock of its own.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._budget import DEFAULT_MAX_NODES, SearchBudget  # noqa: F401 -- re-exported
 from .grid import BroadcastParams, GridDims, InvariantError, TowerSet, check_broadcast, signal_field
-
-DEFAULT_MAX_NODES = 10_000_000
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps on node expansions and, optionally, wall-clock seconds.
-
-    Passed to exact_gamma, they bound the whole solve; passed to
-    find_broadcast_of_size, one level. Either entry turns the seconds into
-    one deadline as its first step, and every phase after it (the root
-    prune, the LP, the swap search, each level's setup and search) runs to
-    that deadline.
-    """
-
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.max_seconds is not None and not (
-            math.isfinite(self.max_seconds) and self.max_seconds > 0
-        ):
-            raise ValueError(f"max_seconds must be finite and > 0, got {self.max_seconds}")
 
 
 class _Weights(NamedTuple):
@@ -718,6 +699,10 @@ class _Search:
 
 # The most grid cells _UpperBound evaluates in one batch.
 _BATCH_CELLS = 1 << 16
+# The most multiply-adds of a gain contraction: below it one integer einsum
+# beats the prefix sums' per-row numpy calls, and its reach table is at
+# most 4 * _CONTRACT_MACS bytes.
+_CONTRACT_MACS = 1 << 17
 # Swaps per target size, and how many swaps a moved-out cell stays tabu.
 _SWAP_CAP = 24
 _TABU_SWAPS = 4
@@ -731,11 +716,17 @@ class _UpperBound:
     The received signal is one int64 field over the grid, and what a tower
     sends the grid is a slice of one int16 kernel. The gain of a tower on a
     cell is the sum over k <= min(r, t) of the cells lacking at least k
-    within t-k of it, summed as row segments from one prefix sum per k. Every
-    gain and loss is evaluated over the whole grid: for each tower out of a
-    swap, at most min(r, t, m+n-2) prefix sums of 2*min(t, m)-1 segment rows
-    each, in batches of at most _BATCH_CELLS cells, so the memory per step is
-    O(m * n).
+    within t-k of it. Every gain and loss is evaluated over the whole grid,
+    in batches of at most _BATCH_CELLS cells. On small grids a batch's
+    gains are one integer einsum of [lacking >= k] against the reach table
+    [signal(u, v) >= k], when its multiply-adds are within _CONTRACT_MACS:
+    the table is int32, at most 4 * _CONTRACT_MACS bytes, and built from the
+    kernel on the first such batch. Otherwise they are row segments from one
+    prefix sum per k: for each tower out of a swap, at most min(r, t, m+n-2)
+    prefix sums of 2*min(t, m)-1 segment rows each, so the memory per step
+    is O(m * n). Both give the same integers, so the choice never changes a
+    move. The einsum keeps numpy's own loop (no optimize, no BLAS): a
+    threaded float product costs more than the whole contraction here.
 
     The greedy phase places the tower of largest gain until nothing lacks
     signal. Then each descent tries for one tower less: it drops the tower
@@ -749,8 +740,8 @@ class _UpperBound:
 
     Every placement, drop and swap is one node, counted against the
     budget's max_nodes before it is chosen, and the clock is read before
-    each of them, before each batch of losses and before each row of
-    segments, one pass over a batch.
+    each of them, before each batch of losses, before each contraction and
+    before each row of segments, one pass over a batch.
     """
 
     def __init__(
@@ -766,6 +757,7 @@ class _UpperBound:
         self.deficit = r * m * n
         self.towers = np.zeros(m * n, dtype=bool)
         self.batch = max(1, _BATCH_CELLS // (m * n))
+        self.reach: np.ndarray | None = None
 
     def _tick(self) -> None:
         """Count one node, or raise BudgetExhaustedError if none is left."""
@@ -780,11 +772,14 @@ class _UpperBound:
 
     def _gains(self, lacking: np.ndarray) -> np.ndarray:
         """The capped gain of a tower on each grid cell, for each of a batch
-        of grids given what each cell lacks. A diamond of radius m+n-2 or
-        more is the whole grid wherever its centre is, so the terms
-        k <= t - (m+n-2) are one count per grid."""
+        of grids given what each cell lacks: one contraction when its
+        multiply-adds are within _CONTRACT_MACS, else prefix sums. A diamond
+        of radius m+n-2 or more is the whole grid wherever its centre is, so
+        the prefix sums' terms k <= t - (m+n-2) are one count per grid."""
         count, m, n = lacking.shape
         top, same = min(self.r, self.t), max(min(self.r, self.t - (m + n - 2)), 0)
+        if count * top * (m * n) ** 2 <= _CONTRACT_MACS:
+            return self._contracted(lacking, top)
         total = np.zeros(lacking.shape, dtype=np.int64)
         if same:
             total += np.minimum(lacking, same).sum(axis=(1, 2))[:, None, None]
@@ -810,6 +805,19 @@ class _UpperBound:
                 total += band[:, :, cols + half + 1 : cols + half + 1 + n]
                 total -= band[:, :, cols - half : cols - half + n]
         return total
+
+    def _contracted(self, lacking: np.ndarray, top: int) -> np.ndarray:
+        """_gains as one integer einsum of [lacking >= k] against the reach
+        table, reach[u, k-1, v] = [signal(u, v) >= k] for k <= top, built on
+        the first call. No BLAS: einsum's own loop, not optimize's dot."""
+        count, m, n = lacking.shape
+        levels = np.arange(1, top + 1, dtype=np.int16)[:, None]
+        if self.reach is None:
+            signal = self.sent[::-1, ::-1].reshape(m * n, m * n)
+            self.reach = (signal[:, None] >= levels).astype(np.int32)
+        self._check_clock()
+        below = (lacking.reshape(count, 1, m * n) >= levels).astype(np.int32)
+        return np.einsum("bkv,ukv->bu", below, self.reach).reshape(lacking.shape)
 
     def _move(self, cell: int, sign: int) -> None:
         """Place (sign 1) or remove (sign -1) the tower on `cell`."""

@@ -729,7 +729,10 @@ class TestBudgetDefault:
         assert run_cli(capsys, *argv)[0] == 0
         assert budgets == [solver.SearchBudget(max_nodes=solver.DEFAULT_MAX_NODES)]
 
-    @pytest.mark.parametrize("argv", [EXACT_ARGV, SWEEP_EXACT_ARGV], ids=["exact", "sweep"])
+    @pytest.mark.parametrize(
+        "argv", [EXACT_ARGV, SWEEP_EXACT_ARGV, SWEEP_EXACT_ARGV[:-1]],
+        ids=["exact", "sweep", "sweep-without-exact"],
+    )
     def test_zero_budget_is_exit_2(self, capsys, argv):
         assert run_cli(capsys, *argv, "--budget", "0") == (
             2, "", "error: max_nodes must be >= 1, got 0\n"

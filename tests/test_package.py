@@ -23,8 +23,9 @@ PUBLIC_NAMES = [
     "validate_pattern", "window_density",
 ]
 
-# Runs in a fresh interpreter: every command but exact must leave the solver
-# unloaded, and exact must load it; the package then reads its names from it.
+# Runs in a fresh interpreter: every command but exact and sweep --exact must
+# leave the solver unloaded, and exact must load it; the package then reads
+# its names from it.
 IMPORT_CONTRACT = """
 import sys
 from contextlib import redirect_stdout
@@ -41,6 +42,7 @@ commands = [
     ["render", doc, "--format", "svg"],
     ["bounds", "--m", "12", "--n", "6", "--t", "4"],
     ["density", "--t", "3", "--side", "8"],
+    ["sweep", "--m-range", "2", "--n-range", "2", "--t", "3"],
 ]
 with redirect_stdout(StringIO()):
     for argv in commands:

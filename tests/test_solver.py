@@ -537,12 +537,12 @@ class TestSolveWideBudget:
 
     def test_upper_bound_stops_on_the_seconds(self, monkeypatch):
         # Each reading of this clock advances it 1 s; exact_gamma's first
-        # reading sets the deadline at 27.5, and the LP bound's nine pivots
+        # reading sets the deadline at 15.5, and the LP bound's nine pivots
         # and its optimality check take readings 2-11. On 8x8 each gain
-        # refresh reads it five times (once per row of segments: three rows
-        # for k = 1, two for k = 2) and each placement once: readings 12-16
-        # refresh the empty grid, 17 and 23 count two placements, and the
-        # refresh after the second passes the deadline at 28.
+        # refresh is one contraction (2 * 64**2 multiply-adds) that reads it
+        # once, and each placement reads it once: reading 12 refreshes the
+        # empty grid, 13 and 15 count two placements, and the refresh after
+        # the second passes the deadline at 16.
         clock = SimpleNamespace(now=0.0)
 
         def tick():
@@ -552,13 +552,32 @@ class TestSolveWideBudget:
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         searched = []
         monkeypatch.setattr(solver, "find_broadcast_of_size", lambda *args: searched.append(args))
-        result = exact_gamma(GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_seconds=26.5))
+        result = exact_gamma(GridDims(8, 8), BroadcastParams(3, 2), SearchBudget(max_seconds=14.5))
         assert (result.status, result.nodes_expanded, result.upper_nodes) == (
             "budget_exhausted", 2, 2
         )
         assert (result.lower, result.upper, result.level_nodes, searched, clock.now) == (
-            10, None, (), [], 28.0
+            10, None, (), [], 16.0
         )
+
+    def test_prefix_gains_read_the_clock_per_row(self, monkeypatch):
+        # On 17x17 one gain refresh is 2 * 289**2 multiply-adds, above
+        # _CONTRACT_MACS, so it is summed from prefix sums and reads this
+        # clock once per row of segments: three rows for k = 1, two for
+        # k = 2. Readings 1-5 refresh the empty grid, 6 and 12 count two
+        # placements, and the fourth row of the third refresh passes the
+        # deadline at 16.
+        clock = SimpleNamespace(now=0.0)
+
+        def tick():
+            clock.now += 1.0
+            return clock.now
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
+        search = solver._UpperBound(GridDims(17, 17), BroadcastParams(3, 2), 10**9, 15.5)
+        with pytest.raises(BudgetExhaustedError) as raised:
+            search.run(1)
+        assert (raised.value.nodes_expanded, clock.now, search.reach) == (2, 16.0, None)
 
     def test_lp_bound_stops_on_the_seconds(self, monkeypatch):
         # The LP bound reads the clock before each pivot. exact_gamma's first
@@ -1387,6 +1406,27 @@ def _upper_bound_with(m: int, n: int, t: int, r: int, cells) -> "solver._UpperBo
     return search
 
 
+# (m, n, t, r) for the two gain branches: small grids; one-row and
+# one-column grids; strengths beyond the grid's diameter m+n-2, where the
+# low terms are one count per grid; and r above t.
+_SIDES = st.integers(1, 12)
+GAIN_SHAPES = {
+    "small": st.tuples(_SIDES, _SIDES, st.integers(1, 8), st.integers(1, 9)),
+    "thin": st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40), st.integers(1, 8), st.integers(1, 9)),
+        st.tuples(st.integers(1, 40), st.just(1), st.integers(1, 8), st.integers(1, 9)),
+    ),
+    "beyond": st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6)).flatmap(
+        lambda s: st.tuples(
+            st.just(s[0]), st.just(s[1]), st.just(s[0] + s[1] - 1 + s[2]), st.integers(1, 9)
+        )
+    ),
+    "r_above_t": st.tuples(_SIDES, _SIDES, st.integers(1, 6)).flatmap(
+        lambda s: st.tuples(st.just(s[0]), st.just(s[1]), st.just(s[2]), st.integers(s[2] + 1, 9))
+    ),
+}
+
+
 class TestUpperBound:
     """The swap search's field, gains, losses and moves against references
     that sum tower by tower."""
@@ -1405,6 +1445,30 @@ class TestUpperBound:
         ]
         assert (search.field == field).all()
         assert search._gains(lacking[None]).ravel().tolist() == expected
+
+    @pytest.mark.parametrize("kind", sorted(GAIN_SHAPES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_contraction_matches_the_prefix_sums(self, kind, data):
+        m, n, t, r = data.draw(GAIN_SHAPES[kind])
+        count, seed = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 2**32 - 1))
+        lacking = np.random.default_rng(seed).integers(0, r + 1, size=(count, m, n))
+        gains = {}
+        for macs in (0, 1 << 62):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "_CONTRACT_MACS", macs)
+                search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), 10**9, None)
+                gains[macs] = search._gains(lacking).tolist()
+            assert (search.reach is None) == (macs == 0)
+        assert gains[0] == gains[1 << 62]
+
+    def test_no_reach_table_above_the_bound(self):
+        # One greedy placement on 60x60 t=60: 2 * 3600**2 multiply-adds per
+        # refresh, so the table would take about 99 MiB.
+        search = solver._UpperBound(GridDims(60, 60), BroadcastParams(60, 2), 1, None)
+        with pytest.raises(BudgetExhaustedError):
+            search.run(1)
+        assert (search.nodes, search.reach) == (1, None)
 
     @settings(max_examples=100, deadline=None)
     @given(
