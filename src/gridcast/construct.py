@@ -121,7 +121,9 @@ def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> Construction
     lo, hi = Coord(-halo, -halo), Coord(dims.m - 1 + halo, dims.n - 1 + halo)
     raw = towers_in_window(lattice, lo, hi)
     clamped = np.clip(raw.xy, 0, (dims.m - 1, dims.n - 1))
-    moved = (clamped != raw.xy).any(axis=1)
+    # A tower moved iff its x or y changed: the two bools of a row, read as
+    # one uint16, are nonzero.
+    moved = (clamped != raw.xy).view(np.uint16).ravel() != 0
     replacements = np.empty((np.count_nonzero(moved), 2, 2), dtype=np.int64)
     replacements[:, 0], replacements[:, 1] = raw.xy[moved], clamped[moved]
     replacements.flags.writeable = False

@@ -4,14 +4,15 @@ A document is one flat JSON object with keys in fixed order (m, n, t, r,
 towers, metadata), towers sorted lexicographically, UTF-8, one line. The
 byte-exact output makes golden-file tests possible; parse(serialize(d)) == d.
 
-The tower list is written by a numpy digit writer into one byte buffer, so
-no Python-level call is made per tower or per coordinate. Each coordinate's
-width (digits, plus one for a sign) comes from one ``searchsorted`` on the
-powers of ten; cumulative widths place the brackets and commas, signs are
-set by index, and each digit place is written in one vectorised pass. The
-magnitudes are uint64, so every int64 coordinate is written, -2**63
-included. The metadata is kept in the fixed key order and written by one
-``json.dumps``.
+The tower list is written as fixed-width records, so no Python-level call
+is made per tower or per coordinate. Each tower is one row "[x,y]," of a
+zero-filled uint8 array, its numbers right-aligned in fields as wide as the
+widest magnitude (one more when some coordinate is negative). Each digit
+place is one vectorised pass over the (2, k) magnitudes, uint32 when they
+allow and uint64 otherwise (so -2**63 is written), with two column stores;
+digits before a number's first are masked to NUL. Signs are set by index,
+and one ``bytes.replace`` drops the NUL padding. The metadata is kept in
+the fixed key order and written by one ``json.dumps``.
 
 On reading, a canonical tower list, as serialize_document writes it after
 the header it writes, is read by a numpy byte reader. The list is one uint8
@@ -101,33 +102,52 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 
 
 def _tower_list(xy: np.ndarray) -> str:
-    """'[[x,y],...]' for a (k, 2) int64 array, written into one byte buffer."""
-    flat = xy.ravel()
-    neg = flat < 0
-    # The uint64 negation of a negative v is its magnitude, -2**63 included.
-    mag = flat.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)
-    width = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1 + neg
-    # Tower i is "[x,y]," after the list's "[", and it ends where the first
-    # i + 1 towers' sizes sum to; the list's "]" replaces the last ",". pos
-    # is where each coordinate's last digit goes.
-    pos = np.empty_like(flat)
-    pos[1::2] = np.cumsum(width[::2] + width[1::2] + 4) - 2
-    pos[::2] = pos[1::2] - width[1::2] - 1
-    buf = np.full(pos[-1] + 3 if len(pos) else 2, ord(","), dtype=np.uint8)
+    """'[[x,y],...]' for a (k, 2) int64 array, written as fixed-width records.
+
+    Tower i is the record "[x,y]," in row i of one zero-filled uint8 array,
+    each number right-aligned in a field as wide as the widest magnitude,
+    plus one for a sign when any coordinate is negative. The NUL bytes
+    before the shorter numbers, and in place of the last ",", are dropped
+    once the records are joined between the list's "[" and "]".
+    """
+    k = len(xy)
+    lo, hi = int(xy.min(initial=0)), int(xy.max(initial=0))
+    digits = len(str(max(hi, -lo)))
+    field = digits + (lo < 0)
+    buf = np.zeros(k * (2 * field + 4) + 2, dtype=np.uint8)
     buf[0], buf[-1] = ord("["), ord("]")
-    buf[pos[::2] - width[::2]] = ord("[")
-    buf[pos[1::2] + 1] = ord("]")
-    buf[pos[neg] - width[neg] + 1] = ord("-")
-    del neg, width
-    # One pass per digit place, last digits first, over the numbers that have one.
-    while len(mag):
+    records = buf[1:-1].reshape(k, 2 * field + 4)
+    records[:, 0], records[:, field + 1] = ord("["), ord(",")
+    records[:, -2], records[:-1, -1] = ord("]"), ord(",")
+    # mag[0] and mag[1] are the x and y magnitudes: a negative v cast to the
+    # unsigned type and negated there is -v, -2**63 included.
+    mag = xy.T.astype(np.uint32 if max(hi, -lo) < 2**32 else np.uint64, order="C")
+    if lo < 0:
+        at = np.flatnonzero(xy < 0)
+        tower, axis = at >> 1, at & 1
+        mag[axis, tower] = -mag[axis, tower]
+        # Each "-" goes just before its number's first digit, once the digit
+        # passes below have masked that column to NUL.
+        sign = field + (field + 1) * axis - 1
+        sign -= np.searchsorted(_POWERS_OF_TEN, mag[axis, tower], side="right")
+    # One pass per digit place, last digits first: x's last digit goes in
+    # column field, y's in 2 * field + 1. Past a number's first digit its
+    # quotient is 0, and the digit is masked to NUL.
+    for place in range(digits):
         quotient = mag // 10
-        mag -= quotient * 10
-        buf[pos] = mag.astype(np.uint8) + ord("0")
-        more = quotient > 0
-        mag, pos = quotient[more], pos[more] - 1
-    return buf.tobytes().decode("ascii")
+        # The last digit, mag - 10 * quotient, computed modulo 256.
+        digit = mag.astype(np.uint8)
+        digit -= quotient.astype(np.uint8) * np.uint8(10)
+        digit += ord("0")
+        if place:
+            digit *= mag != 0
+        records[:, field - place] = digit[0]
+        records[:, 2 * field + 1 - place] = digit[1]
+        mag = quotient
+    if lo < 0:
+        records[tower, sign] = ord("-")
+    del mag, quotient, digit
+    return buf.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def serialize_document(doc: BroadcastDocument) -> str:

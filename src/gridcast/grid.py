@@ -129,7 +129,9 @@ class TowerSet:
             else:
                 xy = xy[np.lexsort((y, x))]
                 distinct = np.ones(len(xy), dtype=bool)
-                distinct[1:] = (xy[1:] != xy[:-1]).any(axis=1)
+                # A row differs from the last iff its two bools, read as one
+                # uint16, are nonzero.
+                distinct[1:] = (xy[1:] != xy[:-1]).view(np.uint16).ravel() != 0
                 xy = xy[distinct]
             xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)

@@ -48,7 +48,8 @@ def render_ascii(doc: BroadcastDocument) -> str:
     text[:, -1] = ord("\n")
     cells = text[::-1, :-1].T
     xy = doc.towers.xy
-    inside = (xy >= 0).all(axis=1) & (xy < (doc.m, doc.n)).all(axis=1)
+    x, y = xy[:, 0], xy[:, 1]
+    inside = (x >= 0) & (x < doc.m) & (y >= 0) & (y < doc.n)
     cells[tuple(xy[inside].T)] = ord("T")
     cells[tuple(bad.T)] = ord("!")
     return text.tobytes().decode("ascii")

@@ -238,6 +238,17 @@ class TestReplacementArray:
             replacements[:, 1], np.clip(replacements[:, 0], 0, (dims.m - 1, dims.n - 1))
         )
 
+    @pytest.mark.parametrize("dims", [GridDims(12, 6), GridDims(6, 12)])
+    def test_replaced_rows_are_those_clamped_in_x_or_in_y(self, dims):
+        lattice = rectilinear_lattice(4, Coord(1, 4))
+        raw = towers_in_window(lattice, *halo_window(dims, lattice.t))
+        moved = [(v, clamp_to_grid(v, dims)) for v in raw if clamp_to_grid(v, dims) != v]
+        # Each grid, in either orientation, clamps towers in x only, in y only and in both.
+        kinds = {(v.x != c.x, v.y != c.y) for v, c in moved}
+        assert kinds == {(True, False), (False, True), (True, True)}
+        replacements = letterbox_construct(dims, lattice).replacements.tolist()
+        assert [(Coord(*v), Coord(*c)) for v, c in replacements] == moved
+
     def test_builds_no_coord_per_tower(self, monkeypatch):
         # A best-anchor construct builds a fixed number of Coords (the anchor
         # and the halo corners), however many towers it replaces.

@@ -11,8 +11,10 @@ from gridcast import (
     BroadcastDocument,
     Coord,
     DocumentError,
+    GridDims,
     TowerSet,
     parse_document,
+    path_construct,
     serialize_document,
 )
 from gridcast import document
@@ -293,9 +295,12 @@ coordinates = st.one_of(
     st.sampled_from(INT64_EDGES),
     st.integers(-(2**70), 2**70),
 )
+# Where the writer changes: 2**32 is the least magnitude it holds as uint64,
+# and 10**k the least with k + 1 digits.
+WRITER_EDGES = [2**32 - 1, 2**32] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
 int64s = st.one_of(
     st.integers(-5, 5),
-    st.sampled_from([2**63 - 1, -(2**63)]),
+    st.sampled_from([2**63 - 1, -(2**63)] + WRITER_EDGES + [-v for v in WRITER_EDGES]),
     st.integers(-(2**63), 2**63 - 1),
 )
 junk = st.one_of(
@@ -354,6 +359,38 @@ class TestWholeListPasses:
         m, n, t, r = dims
         doc = BroadcastDocument(m=m, n=n, t=t, r=r, towers=towers, metadata=metadata)
         assert serialize_document(doc) == reference_serialize(doc)
+
+
+class TestFixedWidthWriter:
+    @staticmethod
+    def assert_one_json_dumps(xy):
+        doc = make_doc(m=3, n=3, towers=np.array(xy, dtype=np.int64).reshape(-1, 2), metadata={})
+        assert serialize_document(doc) == reference_serialize(doc)
+
+    @pytest.mark.parametrize("edge", WRITER_EDGES)
+    def test_edges(self, edge):
+        # Alone, beside shorter numbers (which the writer pads) and negated.
+        self.assert_one_json_dumps([(edge, 0)])
+        self.assert_one_json_dumps([(0, edge), (7, 10), (edge, edge)])
+        self.assert_one_json_dumps([(-edge, 3), (1, -edge), (edge, -1)])
+
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            [(-3, -1), (-12, -100), (-(2**63), -5), (-(2**32), -(10**18))],
+            [(-(2**63), 0), (1, 2), (10**18, 5), (2**63 - 1, 2**32)],
+            [(7, 9)],
+        ],
+        ids=["all-negative", "only-int64-min-negative", "one-tower"],
+    )
+    def test_lists(self, xy):
+        self.assert_one_json_dumps(xy)
+
+    def test_path_shape(self):
+        # A 1 x n path: x is always 0, so every x field is padded.
+        xy = path_construct(GridDims(1, 40_000), 3).towers.xy
+        assert (xy[:, 0] == 0).all()
+        self.assert_one_json_dumps(xy)
 
 
 def json_path_outcome(text):
