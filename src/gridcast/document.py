@@ -104,36 +104,47 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 def _tower_list(xy: np.ndarray) -> str:
     """'[[x,y],...]' for a (k, 2) int64 array, written as fixed-width records.
 
-    Tower i is the record "[x,y]," in row i of one zero-filled uint8 array,
-    each number right-aligned in a field as wide as the widest magnitude,
-    plus one for a sign when any coordinate is negative. The NUL bytes
-    before the shorter numbers, and in place of the last ",", are dropped
-    once the records are joined between the list's "[" and "]".
+    Tower i is the record "[x,y]," in row i of one zero-filled uint8 array.
+    Each axis has its own field, right-aligned and as wide as that axis's
+    widest magnitude, plus one for a sign when that axis has a negative
+    value. The NUL bytes before the shorter numbers, and in place of the
+    last ",", are dropped once the records are joined between the list's
+    "[" and "]".
     """
     k = len(xy)
-    lo, hi = int(xy.min(initial=0)), int(xy.max(initial=0))
-    digits = len(str(max(hi, -lo)))
-    field = digits + (lo < 0)
-    buf = np.zeros(k * (2 * field + 4) + 2, dtype=np.uint8)
+    # Column by column: numpy reduces a (k, 2) array over axis 0 two
+    # elements at a time, about 30x slower.
+    columns = xy[:, 0], xy[:, 1]
+    lo = [int(c.min(initial=0)) for c in columns]
+    widest = [max(int(c.max(initial=0)), -low) for c, low in zip(columns, lo)]
+    digits = [len(str(w)) for w in widest]
+    fx, fy = (d + (low < 0) for d, low in zip(digits, lo))
+    buf = np.zeros(k * (fx + fy + 4) + 2, dtype=np.uint8)
     buf[0], buf[-1] = ord("["), ord("]")
-    records = buf[1:-1].reshape(k, 2 * field + 4)
-    records[:, 0], records[:, field + 1] = ord("["), ord(",")
+    records = buf[1:-1].reshape(k, fx + fy + 4)
+    records[:, 0], records[:, fx + 1] = ord("["), ord(",")
     records[:, -2], records[:-1, -1] = ord("]"), ord(",")
+    # x's last digit goes in column fx, y's in fx + fy + 1.
+    last = [fx, fx + fy + 1]
     # mag[0] and mag[1] are the x and y magnitudes: a negative v cast to the
     # unsigned type and negated there is -v, -2**63 included.
-    mag = xy.T.astype(np.uint32 if max(hi, -lo) < 2**32 else np.uint64, order="C")
-    if lo < 0:
+    mag = xy.T.astype(np.uint32 if max(widest) < 2**32 else np.uint64, order="C")
+    if min(lo) < 0:
         at = np.flatnonzero(xy < 0)
         tower, axis = at >> 1, at & 1
         mag[axis, tower] = -mag[axis, tower]
         # Each "-" goes just before its number's first digit, once the digit
         # passes below have masked that column to NUL.
-        sign = field + (field + 1) * axis - 1
+        sign = np.array(last)[axis] - 1
         sign -= np.searchsorted(_POWERS_OF_TEN, mag[axis, tower], side="right")
-    # One pass per digit place, last digits first: x's last digit goes in
-    # column field, y's in 2 * field + 1. Past a number's first digit its
-    # quotient is 0, and the digit is masked to NUL.
-    for place in range(digits):
+    # One pass per digit place, last digits first, over the axes that have
+    # that many digits. Past a number's first digit its quotient is 0, and
+    # the digit is masked to NUL.
+    for place in range(max(digits)):
+        if place == min(digits):
+            # Only the axis with more digits goes on.
+            longer = int(digits[1] > digits[0])
+            mag, last = mag[longer : longer + 1], last[longer : longer + 1]
         quotient = mag // 10
         # The last digit, mag - 10 * quotient, computed modulo 256.
         digit = mag.astype(np.uint8)
@@ -141,10 +152,11 @@ def _tower_list(xy: np.ndarray) -> str:
         digit += ord("0")
         if place:
             digit *= mag != 0
-        records[:, field - place] = digit[0]
-        records[:, 2 * field + 1 - place] = digit[1]
+        # Rows of digit indexed, not iterated: iterating costs more.
+        for row, column in enumerate(last):
+            records[:, column - place] = digit[row]
         mag = quotient
-    if lo < 0:
+    if min(lo) < 0:
         records[tower, sign] = ord("-")
     del mag, quotient, digit
     return buf.tobytes().replace(b"\0", b"").decode("ascii")

@@ -397,7 +397,8 @@ def check_broadcast(
         towers = _as_xy(towers)
     values = signal_field(dims, params.t, towers).view(np.ndarray).reshape(-1)
     flat = np.flatnonzero(values < params.r) if values.min() < params.r else np.empty(0, np.intp)
-    short = np.stack(divmod(flat, dims.n), axis=1)
+    short = np.empty((len(flat), 2), dtype=np.int64)
+    np.divmod(flat, dims.n, out=(short[:, 0], short[:, 1]))
     xy = _as_xy(towers)
     x, y = xy[:, 0], xy[:, 1]
     outside = xy[(x < 0) | (x >= dims.m) | (y < 0) | (y >= dims.n)]

@@ -75,15 +75,15 @@ by Python's recursion limit. The received signal is held as bit planes, one
 Python int per total 1..r, over the live band of rows that the frame's
 subtree can still change; each frame keeps its own planes, so backtracking
 undoes nothing. A candidate's gain is a popcount of its diamond templates
-against the deficient cells, and a placement ORs shifted templates into new
-planes. Setup builds only the templates and masks of one band, and symmetry
-images are computed only for the root's candidates, so the work per node and
-the memory per frame grow with t, n and r, never with m (the weighted
-check's masks, one set per band row, exist only on grids small enough for
-the LP). For large t and r
-one template, one gain or one plane of a placement is a pass over megabytes,
-and ranking one cell computes up to (2t-1)^2 gains before a node is counted,
-so the clock is read before each of those steps as well as once per node.
+against the deficient cells, and a placement ORs the same templates, shifted
+and masked by the planes, into new planes. Setup builds only the templates
+and masks of one band, and symmetry images are computed only for the root's
+candidates, so the work per node and the memory per frame grow with t, n
+and r, never with m (the weighted check's masks, one set per band row, exist
+only on grids small enough for the LP). For large t and r one template, one
+gain or one plane of a placement is a pass over megabytes, and ranking one
+cell computes up to (2t-1)^2 gains before a node is counted, so the clock is
+read before each of those steps as well as once per node.
 Every witness is re-checked by check_broadcast before it is returned.
 
 The upper-bound search's placements, drops and swaps are nodes of the same
@@ -112,7 +112,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._budget import DEFAULT_MAX_NODES, SearchBudget  # noqa: F401 -- re-exported
-from .grid import BroadcastParams, GridDims, InvariantError, TowerSet, check_broadcast, signal_field
+from .grid import BroadcastParams, GridDims, InvariantError, TowerSet, check_broadcast
 
 
 class _Weights(NamedTuple):
@@ -186,12 +186,20 @@ def _cell_images(cells: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.array([a * n + b for a, b in images])
 
 
-def _one_tower_field(dims: GridDims, t: int, x: int, y: int) -> np.ndarray:
-    """One tower's signal_field on the at most (2t-1)^2 vertices it reaches."""
-    reach = t - 1
-    x0, y0 = max(x - reach, 0), max(y - reach, 0)
-    box = GridDims(min(x + reach, dims.m - 1) - x0 + 1, min(y + reach, dims.n - 1) - y0 + 1)
-    return signal_field(box, t, np.array([[x - x0, y - y0]]))
+def _coverage(dims: GridDims, params: BroadcastParams, x: int, y: int) -> int:
+    """sum_v min(r, signal(u, v)) for a tower on u = (x, y), over the at most
+    (2t-1)^2 grid vertices it reaches.
+
+    The signal t - |dx| - |dy| is built from the box's two int16 offset
+    vectors (t <= 10000 and |dx|, |dy| <= t-1, so every value fits), capped
+    to [0, min(r, t)] in place and summed in int64.
+    """
+    t = params.t
+    dx = np.abs(np.arange(-min(x, t - 1), min(t, dims.m - x), dtype=np.int16))
+    dy = np.abs(np.arange(-min(y, t - 1), min(t, dims.n - y), dtype=np.int16))
+    signal = (t - dx)[:, None] - dy
+    np.clip(signal, 0, min(params.r, t), out=signal)
+    return int(signal.sum(dtype=np.int64))
 
 
 def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
@@ -203,10 +211,9 @@ def max_unit_coverage(dims: GridDims, params: BroadcastParams) -> int:
     (per axis, min(d, x) + min(d, m-1-x) is largest when x is central), and
     the capped signal is a non-increasing function of the distance, so no
     tower covers more. Placed towers only shrink what a later one can repair.
+    The sum is _coverage's, over the box of cells the tower reaches.
     """
-    field = _one_tower_field(dims, params.t, (dims.m - 1) // 2, (dims.n - 1) // 2)
-    # Signals never exceed t, so capping at min(r, t) keeps the sum in int64.
-    return int(np.minimum(field, min(params.r, params.t)).sum())
+    return _coverage(dims, params, (dims.m - 1) // 2, (dims.n - 1) // 2)
 
 
 # The LP bound is solved only on grids of at most _LP_CLASSES symmetry
@@ -355,9 +362,9 @@ class _Search:
     lift = 2R*width + min(t-1, n-1), so that a template placed anywhere in
     reach of the band is shifted left, never right; bits outside the band's
     grid cells are ignored. Templates are diamonds around the centre of a
-    (2R+1) x width box: dia[k-1] holds the cells a tower sends at least k,
-    ring[s-1] those it sends exactly s. Given LP weights, each frame also
-    keeps its weighted deficit, for the weighted check.
+    (2R+1) x width box: dia[k-1] holds the cells a tower sends at least k.
+    Given LP weights, each frame also keeps its weighted deficit, for the
+    weighted check.
     """
 
     def __init__(
@@ -394,10 +401,6 @@ class _Search:
                 dia.append(_bits(dy <= np.minimum(t - k - dx, cols)[:, None]))
         # Nothing receives more than t, and no grid cell less than t - box.
         self.least = max(t - self.box, 1)
-        self.ring = []
-        for s in range(1, min(r - 1, t) + 1):
-            self._check_clock()
-            self.ring.append(dia[s - 1] ^ (dia[s] if s < top else 0))
         # Ranking stacks the gain's terms k = top, ..., 1 in one int, term k
         # `stride` bits above term k + 1, so that one popcount sums them:
         # every band cell and every shifted template is below (4R+2)*width.
@@ -599,10 +602,12 @@ class _Search:
         deficient cells of rows [x0, x0 + 4t - 2).
 
         A cell reaches total j if it had j already, if u sends it j, or if
-        it had j - s and u sends it exactly s. The planes are returned in
-        the band of the deficient cell's row.
+        it had j - s and u sends it at least s: the planes are nested, so
+        the s that u sends exactly is among those terms, and no term adds a
+        cell short of j. The planes are returned in the band of the
+        deficient cell's row.
         """
-        n, t, r, width, dia, ring = self.n, self.t, self.r, self.width, self.dia, self.ring
+        n, t, r, width, dia = self.n, self.t, self.r, self.width, self.dia
         a, b = divmod(u, n)
         shift = (a - x0 + self.rows) * width + b
         count = len(planes)
@@ -617,7 +622,7 @@ class _Search:
             if j <= t:
                 plane |= dia[j - 1] << shift
             for s in range(j - count if j - count > least else least, j if j <= t else t + 1):
-                plane |= planes[j - s - 1] & (ring[s - 1] << shift)
+                plane |= planes[j - s - 1] & (dia[s - 1] << shift)
             placed.append(plane)
         lacking = self.region if x0 + 4 * t - 2 <= self.m else self._rows(self.m - x0)
         if total == r:
@@ -984,11 +989,13 @@ def exact_gamma(
     receives less than a corner: the grid is valid iff (0, 0) receives r.
     Only towers with a < t and b < t reach (0, 0), and by symmetry the tower
     on (a, b) sends (0, 0) what a tower on (0, 0) sends (a, b). So (0, 0)
-    receives one tower's field summed over the min(m,t) x min(n,t) box.
+    receives the signal of one tower on (0, 0) summed over the grid. Capping
+    each term at r changes no answer: a term of r or more takes both sums to
+    at least r, and otherwise the two sums are equal.
     """
     budget = budget or SearchBudget()
     deadline = _deadline(budget)
-    if int(_one_tower_field(dims, params.t, 0, 0).sum()) < params.r:
+    if _coverage(dims, params, 0, 0) < params.r:
         raise ValueError(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"

@@ -380,14 +380,26 @@ class TestFixedWidthWriter:
             [(-3, -1), (-12, -100), (-(2**63), -5), (-(2**32), -(10**18))],
             [(-(2**63), 0), (1, 2), (10**18, 5), (2**63 - 1, 2**32)],
             [(7, 9)],
+            [(0, 0), (0, 7), (0, 10**8), (0, 99_999_999), (0, 12_345)],
+            [(-5, 3), (-123_456, 7), (42, 0), (-1, 10**6)],
+            [(3, -5), (7, -123_456), (0, 42), (10**6, -1)],
+            [(2**32, 1), (-(2**40), 2), (2**63 - 1, 0), (5, 9)],
         ],
-        ids=["all-negative", "only-int64-min-negative", "one-tower"],
+        ids=[
+            "all-negative",
+            "only-int64-min-negative",
+            "one-tower",
+            "x-zero-y-to-1e8",
+            "negatives-only-in-x",
+            "negatives-only-in-y",
+            "x-past-2**32-small-y",
+        ],
     )
     def test_lists(self, xy):
         self.assert_one_json_dumps(xy)
 
     def test_path_shape(self):
-        # A 1 x n path: x is always 0, so every x field is padded.
+        # A 1 x n path: x is always 0, so its field is one column wide.
         xy = path_construct(GridDims(1, 40_000), 3).towers.xy
         assert (xy[:, 0] == 0).all()
         self.assert_one_json_dumps(xy)

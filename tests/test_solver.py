@@ -23,7 +23,7 @@ from gridcast import (
     find_broadcast_of_size,
     lower_t2,
 )
-from gridcast import solver
+from gridcast import grid, solver
 from gridcast.solver import max_unit_coverage
 from naive_oracle import (
     coverage_matrix,
@@ -185,19 +185,26 @@ class TestExactGamma:
 
     @pytest.mark.parametrize("m,n,t,r", [(3, 4, 3, 2), (6, 7, 4, 2), (40, 30, 12, 5)])
     def test_existence_check_reads_one_tower(self, monkeypatch, m, n, t, r):
-        fields = []
-        original = solver.signal_field
+        calls, fields = [], []
+        original, original_field = solver._coverage, grid.signal_field
 
-        def recorded(dims, t, towers):
-            fields.append((dims, len(towers)))
-            return original(dims, t, towers)
+        def recorded(dims, params, x, y):
+            calls.append((dims, params, x, y))
+            return original(dims, params, x, y)
 
-        monkeypatch.setattr(solver, "signal_field", recorded)
-        exact_gamma(GridDims(m, n), BroadcastParams(t, r), SearchBudget(max_nodes=1))
-        # The existence check reads the first field, max_unit_coverage the
-        # others; each holds a single tower.
-        assert fields[0] == (GridDims(min(m, t), min(n, t)), 1)
-        assert {count for _, count in fields} == {1}
+        def counted(*args):
+            fields.append(args)
+            return original_field(*args)
+
+        monkeypatch.setattr(solver, "_coverage", recorded)
+        monkeypatch.setattr(grid, "signal_field", counted)
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        result = exact_gamma(dims, params, SearchBudget(max_nodes=1))
+        assert result.status == "budget_exhausted"
+        # The existence check sums one tower on (0, 0), max_unit_coverage one
+        # on the centre; neither builds a field, and no witness is checked.
+        assert calls == [(dims, params, 0, 0), (dims, params, (m - 1) // 2, (n - 1) // 2)]
+        assert fields == []
 
     def test_existence_check_does_not_grow_with_t_squared(self):
         # The deficit bound is 2 and two greedy placements cover the grid,
@@ -637,7 +644,7 @@ class TestSolveWideBudget:
     def test_setup_is_stopped_between_templates(self, monkeypatch):
         # With t = r = 1000 on 1000x1000, level 10's root is not pruned (level
         # 1's is, and returns before any setup), and setup would build 1000
-        # diamond templates of 4 Mbit each, their rings and a stacked copy:
+        # diamond templates of 4 Mbit each and a stacked copy:
         # gigabytes and about a minute before the first node. The clock is
         # read before each template, so a deadline that passes during setup
         # ends it: on a clock that advances 1 s per reading, the deadline is
@@ -786,16 +793,37 @@ class TestMaxUnitCoverage:
         params = BroadcastParams(4, 2**80)
         assert max_unit_coverage(GridDims(3, 3), params) == 4 + 4 * 3 + 4 * 2
 
-    @pytest.mark.parametrize("t,dtype", [(127, np.int8), (128, np.int16)])
+    @pytest.mark.parametrize("t", [127, 128])
     @pytest.mark.parametrize("r", [1, 100, 127, 128, 2**15, 2**80])
-    def test_one_tower_field_crosses_int8_to_int16(self, t, dtype, r):
-        # One tower's field is int8 up to t = 127 and int16 from t = 128; the
-        # capped sum is compared with an int64 one.
+    def test_capped_sum_across_the_int8_boundary(self, t, r):
+        # Signals up to 127 fit int8 and 128 does not; the capped sum is
+        # compared with an int64 one.
         m, n = 300, 261
-        assert solver._one_tower_field(GridDims(m, n), t, 149, 130).dtype == dtype
         dist = np.abs(np.arange(m) - 149)[:, None] + np.abs(np.arange(n) - 130)
         expected = int(np.minimum(np.maximum(t - dist, 0), min(r, t)).sum())
         assert max_unit_coverage(GridDims(m, n), BroadcastParams(t, r)) == expected
+
+    def test_far_reaching_tower_takes_one_int16_box(self):
+        # The tower reaches all of the 4000x4000 grid: one int16 box of
+        # 31 MiB, capped in place, and no field or stamp kernel.
+        tracemalloc.start()
+        try:
+            value = max_unit_coverage(GridDims(4000, 4000), BroadcastParams(10000, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 2 * 4000 * 4000
+        assert peak < 80 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 15), st.integers(1, 20), st.data()
+    )
+    def test_coverage_is_the_distance_based_sum(self, m, n, t, r, data):
+        x, y = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+        # The signal a tower on (x, y) sends each cell, from BFS distances.
+        expected = int(np.minimum(coverage_matrix(m, n, t)[x * n + y], r).sum())
+        assert solver._coverage(GridDims(m, n), BroadcastParams(t, r), x, y) == expected
 
 
 class TestTableFreeSetup:
@@ -890,6 +918,45 @@ class TestPackingBound:
         assert picks <= search._fit(rows)
         for slots in range(picks + 2):
             assert search._packed(lacking, x0, slots) == (picks > slots)
+
+
+class TestPlacement:
+    """A placement's planes hold, for each j <= r, the band cells whose
+    total is at least j."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 5), st.data())
+    def test_planes_are_the_threshold_sets(self, m, n, t, data):
+        # r up to 2t + 1, so that a plane j takes every term s <= min(j - 1, t).
+        r = data.draw(st.integers(1, 2 * t + 1))
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), 10**9, None, None)
+        placed, planes, x0, v = [], (), 0, 0
+        for _ in range(8):
+            # Each tower reaches the branch cell, as the search's children do;
+            # one that would leave nothing deficient is never placed.
+            reach = _reaching(m, n, t, v, [c for c in range(m * n) if c not in placed])
+            if not reach:
+                break
+            u = data.draw(st.sampled_from(reach))
+            totals = naive_signal_totals(m, n, t, [divmod(c, n) for c in placed + [u]])
+            short = sorted(cell for cell, total in totals.items() if total < r)
+            if not short:
+                break
+            planes, v, lacking = search._place(planes, x0, u)
+            placed.append(u)
+            rows = min(4 * t - 2, m - x0)
+            assert lacking == _band_bits(search, [(a - x0, b) for a, b in short if a < x0 + rows])
+            assert divmod(v, n) == short[0]
+            x0 = v // n
+            # Bits off the band's grid cells are ignored.
+            band = [(a - x0, b) for a, b in totals if 0 <= a - x0 < search.height]
+            assert len(planes) <= r
+            for j in range(1, r + 1):
+                plane = planes[j - 1] if j <= len(planes) else 0
+                expected = [(a - x0, b) for (a, b), total in totals.items() if total >= j]
+                assert plane & _band_bits(search, band) == _band_bits(
+                    search, [cell for cell in expected if cell in band]
+                ), (placed, j)
 
 
 class TestDeficitBoundStart:
