@@ -90,7 +90,11 @@ class BroadcastParams:
 
 
 def _as_xy(towers: Iterable[Coord] | np.ndarray) -> np.ndarray:
-    """Towers as a (k, 2) int64 array, in input order and with duplicates kept."""
+    """Towers as a (k, 2) int64 array, in input order and with duplicates kept.
+
+    An array of any other shape is refused: reshaping it would pair the
+    coordinates of different towers.
+    """
     if isinstance(towers, TowerSet):
         return towers.xy
     try:
@@ -98,9 +102,11 @@ def _as_xy(towers: Iterable[Coord] | np.ndarray) -> np.ndarray:
             return np.array([(c.x, c.y) for c in towers], dtype=np.int64).reshape(-1, 2)
         if not np.issubdtype(towers.dtype, np.integer):
             raise ValueError(f"tower arrays must hold integers, got {towers.dtype}")
+        if towers.ndim != 2 or towers.shape[1] != 2:
+            raise ValueError(f"tower arrays must have shape (k, 2), got {towers.shape}")
         if towers.dtype == np.uint64 and towers.max(initial=0) >= 2**63:
             raise OverflowError  # the cast to int64 would wrap it
-        return np.asarray(towers, dtype=np.int64).reshape(-1, 2)
+        return np.asarray(towers, dtype=np.int64)
     except OverflowError:
         raise ValueError("tower coordinates must fit in 64-bit integers") from None
 

@@ -17,10 +17,13 @@ vertex v of a broadcast S receives r, so sum_{u in S} min(r, signal(u, v))
 |S| >= ceil(r * sum(w) / W). Weight 1 everywhere gives W =
 max_unit_coverage, the deficit bound itself. The weights come from the
 fractional-broadcast LP over the cells' symmetry classes, solved by a small
-dense simplex in floats, rounded down to multiples of 2**-20, and W is
-recomputed from them in int64: the floats can weaken the bound but never
-make it unsound. The LP is skipped above _LP_CLASSES classes, and the clock
-is read before each of its at most _LP_PIVOTS pivots.
+dense simplex in floats and rounded down to multiples of 2**-20. W is
+recomputed from them in int64 over each class representative's row of the
+signal kernel: every automorphism maps each class onto itself and keeps
+every signal, so any cell's weighted coverage is its representative's. The
+floats can weaken the bound but never make it unsound. The LP is skipped
+above _LP_CLASSES classes, and the clock is read before each of its at
+most _LP_PIVOTS pivots.
 
 The level search prunes by the same weights. For towers S placed so far,
 let D(S) = sum_v w_v * max(0, r - received_v) be their weighted deficit. A
@@ -176,14 +179,15 @@ class SolveResult:
     certificate: str | None = None
 
 
-def _cell_images(cells: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The images of cells u = x*n + y under the grid's 4 or 8 automorphisms,
-    one row per automorphism, the identity first."""
+def _orbits(cells: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The name of each cell u = x*n + y's orbit under the grid's 4 or 8
+    automorphisms: the least of its images, a cell of the orbit. Two cells
+    share an orbit iff they get the same name."""
     x, y = np.divmod(cells, n)
     images = [(x, y), (m - 1 - x, y), (x, n - 1 - y), (m - 1 - x, n - 1 - y)]
     if m == n:
         images += [(y, x), (m - 1 - y, x), (y, m - 1 - x), (m - 1 - y, m - 1 - x)]
-    return np.array([a * n + b for a, b in images])
+    return np.array([a * n + b for a, b in images]).min(axis=0)
 
 
 def _coverage(dims: GridDims, params: BroadcastParams, x: int, y: int) -> int:
@@ -228,39 +232,14 @@ _EPS = 1e-9
 _STACK_BITS = 1 << 12
 
 
-def _sent(dims: GridDims, t: int, top: int, dtype: type) -> np.ndarray:
-    """sent[m-1-x, n-1-y] is the signal, capped at top, that a tower on (x, y)
-    sends each grid cell: a view of one kernel of (2m-1) x (2n-1) cells, what
-    a tower on (m-1, n-1) sends."""
+def _sent(dims: GridDims, t: int) -> np.ndarray:
+    """sent[m-1-x, n-1-y] is the signal that a tower on (x, y) sends each grid
+    cell, in int16 since no signal exceeds t <= 10000: a view of one kernel
+    of (2m-1) x (2n-1) cells, what a tower on (m-1, n-1) sends."""
     m, n = dims.m, dims.n
     dx, dy = np.abs(np.arange(1 - m, m)), np.abs(np.arange(1 - n, n))
-    kernel = np.maximum(t - dx[:, None] - dy, 0)
-    np.minimum(kernel, top, out=kernel)
-    return np.lib.stride_tricks.sliding_window_view(kernel.astype(dtype, copy=False), (m, n))
-
-
-def _weighted_coverage(dims: GridDims, params: BroadcastParams, weights: np.ndarray) -> int:
-    """W, the most sum_v min(r, signal(u, v)) * weights[v] over every grid cell
-    u, in int64: it holds while m*n * min(r, t) * max(weights) < 2**63."""
-    sent = _sent(dims, params.t, min(params.r, params.t), np.int64)
-    return int(np.einsum("abij,ij->ab", sent, weights).max())
-
-
-def _weighted_bound(
-    dims: GridDims, params: BroadcastParams, y: np.ndarray
-) -> tuple[int, _Weights | None]:
-    """ceil(r * sum(w) / W) for the integer weights w = floor(y * 2**20) of the
-    grid's cells, y clipped to [0, 1], and the weights; (0, None) when W is 0.
-
-    It is a lower bound on every broadcast S for any w >= 0, whatever y
-    was: each vertex v receives r, so sum_{u in S} min(r, signal(u, v)) >= r;
-    weighting by w_v and summing over v gives r * sum(w) <= sum_{u in S}
-    sum_v min(r, signal(u, v)) * w_v <= |S| * W. Only integers enter it, so
-    the LP's floats can weaken it but never make it unsound.
-    """
-    w = np.floor(np.clip(np.nan_to_num(y), 0.0, 1.0) * (1 << _WEIGHT_BITS)).astype(np.int64)
-    most = _weighted_coverage(dims, params, w)
-    return (0, None) if most == 0 else (-(-params.r * int(w.sum()) // most), _Weights(w, most))
+    kernel = np.maximum(t - dx[:, None] - dy, 0).astype(np.int16)
+    return np.lib.stride_tricks.sliding_window_view(kernel, (m, n))
 
 
 def _simplex(a: np.ndarray, c: np.ndarray, deadline: float | None) -> np.ndarray | None:
@@ -313,28 +292,45 @@ def _lp_bound(
     the LP maximises sum_c r*|c|*y_c subject to sum_c (sum_{v in c} min(r,
     signal(u, v))) * y_c <= 1 for one cell u of each class, y >= 0: the dual
     of the broadcast relaxation, symmetrised, with its x <= 1 bounds
-    dropped. Its y is checked only through _weighted_bound's integers.
+    dropped. Its y, clipped to [0, 1], gives each class the integer weight
+    floor(y * 2**20), and the bound is ceil(r * sum(w) / W).
+
+    It is a lower bound on every broadcast S for any w >= 0, whatever y
+    was: each vertex v receives r, so sum_{u in S} min(r, signal(u, v)) >= r;
+    weighting by w_v and summing over v gives r * sum(w) <= sum_{u in S}
+    sum_v min(r, signal(u, v)) * w_v <= |S| * W. W is the most over the
+    class representatives' kernel rows, which is the most over every cell
+    (see the module docstring). Only integers enter W, so the LP's floats
+    can weaken the bound but never make it unsound.
     """
     m, n = dims.m, dims.n
     # A class holds at most 8 cells, so a larger grid has too many classes.
     if m * n > 8 * _LP_CLASSES:
         return 0, None
-    least = _cell_images(np.arange(m * n), m, n).min(axis=0)
-    reps, classes = np.unique(least, return_inverse=True)
+    reps, classes = np.unique(_orbits(np.arange(m * n), m, n), return_inverse=True)
     if len(reps) > _LP_CLASSES:
         return 0, None
     x, y = np.divmod(reps, n)
-    sent = _sent(dims, params.t, min(params.r, params.t), np.int64)
-    rows = sent[m - 1 - x, n - 1 - y].reshape(len(reps), m * n)
-    # Sum each row over the cells of each class, in integers.
+    # The fancy index copies the rows, so they are capped in place; min(r,
+    # t) fits int16 where r may not.
+    rows = _sent(dims, params.t)[m - 1 - x, n - 1 - y].reshape(len(reps), m * n)
+    np.minimum(rows, min(params.r, params.t), out=rows)
+    # Sum each row over the cells of each class, in int64: a class sum can
+    # reach 8 * 10000.
     order = np.argsort(classes, kind="stable")
     starts = np.searchsorted(classes[order], np.arange(len(reps)))
-    a = np.add.reduceat(rows[:, order], starts, axis=1)
+    a = np.add.reduceat(rows[:, order], starts, axis=1, dtype=np.int64)
     # Scaling the objective by r changes no optimum, so it is left out.
     solved = _simplex(a, np.bincount(classes).astype(np.float64), deadline)
     if solved is None:
         return 0, None
-    return _weighted_bound(dims, params, solved[classes].reshape(m, n))
+    w = np.floor(np.clip(np.nan_to_num(solved), 0.0, 1.0) * (1 << _WEIGHT_BITS))
+    cells = w.astype(np.int64)[classes]
+    # int16 rows against int64 weights: the products are summed in int64.
+    most = int((rows @ cells).max())
+    if most == 0:
+        return 0, None
+    return -(-params.r * int(cells.sum()) // most), _Weights(cells.reshape(m, n), most)
 
 
 class SolverInvariantError(InvariantError):
@@ -544,14 +540,9 @@ class _Search:
 
     def _root_representatives(self, ranked: list[tuple[int, int]]) -> list[tuple[int, int]]:
         """Keep the first-ranked candidate of each symmetry orbit."""
-        rank = {u: i for i, (_, u) in enumerate(ranked)}
-        cells = np.array([u for _, u in ranked], dtype=np.int64)
-        images = _cell_images(cells, self.m, self.n).T.tolist()
-        return [
-            (g, u)
-            for i, ((g, u), orbit) in enumerate(zip(ranked, images))
-            if all(rank.get(w, i) >= i for w in orbit)
-        ]
+        names = _orbits(np.array([u for _, u in ranked], dtype=np.int64), self.m, self.n)
+        first = np.unique(names, return_index=True)[1]
+        return [ranked[i] for i in np.sort(first).tolist()]
 
     def _ranked(self, planes: tuple[int, ...], v: int, forbidden: set[int]) -> list[tuple[int, int]]:
         """(-gain, u) for each allowed u reaching v, sorted; gain is the deficiency repaired.
@@ -757,8 +748,7 @@ class _UpperBound:
         self.nodes = 0
         self.best: list[int] | None = None
         self.field = np.zeros((m, n), dtype=np.int64)
-        # In int16, since no signal exceeds t <= 10000.
-        self.sent = _sent(dims, t, t, np.int16)
+        self.sent = _sent(dims, t)
         self.deficit = r * m * n
         self.towers = np.zeros(m * n, dtype=bool)
         self.batch = max(1, _BATCH_CELLS // (m * n))
@@ -968,7 +958,8 @@ def exact_gamma(
     max_unit_coverage) and the certified weighted bound ceil(r * sum(w) / W).
     The weights w >= 0 are the LP's, floor(y * 2**20) on every cell, and W
     is the most sum_v min(r, signal(u, v)) * w_v over every grid cell u,
-    recomputed in integers. It is sound for every r and every w: each
+    recomputed in integers over one representative u per symmetry class
+    (see the module docstring). It is sound for every r and every w: each
     vertex v of a broadcast S has sum_{u in S} min(r, signal(u, v)) >= r,
     and weighting by w_v and summing gives |S| * W >= r * sum(w). The LP
     maximises that bound's fractional form over weights constant on the

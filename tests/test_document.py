@@ -150,6 +150,13 @@ class TestConstructionRefusesWhatParsingRefuses:
         in_range = np.array([[2, 0]], dtype=np.uint64)
         assert make_doc(towers=in_range) == make_doc()
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 1)], ids=["2x3", "4", "2x2x1"])
+    def test_refuses_tower_arrays_not_of_pairs(self, shape):
+        towers = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(DocumentError, match=r"must have shape \(k, 2\), got "):
+            make_doc(towers=towers)
+        assert make_doc(towers=np.empty((0, 2), dtype=np.int64)).towers == TowerSet()
+
     def test_keeps_the_anchor_as_a_tuple(self):
         doc = make_doc(metadata={"anchor": [3, -1]})
         assert doc.metadata == {"anchor": (3, -1)}

@@ -714,6 +714,19 @@ class TestTowerSet:
         with pytest.raises(ValueError, match="integers"):
             TowerSet(np.array([[0.5, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 1)], ids=["2x3", "4", "2x2x1"])
+    def test_refuses_arrays_not_of_pairs(self, shape):
+        # Read as (-1, 2), (2, 3) would be three towers and (4,) two, each
+        # pairing coordinates of different towers.
+        xy = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
+        message = r"^tower arrays must have shape \(k, 2\), got "
+        with pytest.raises(ValueError, match=message):
+            TowerSet(xy)
+        with pytest.raises(ValueError, match=message):
+            signal_field(GridDims(2, 2), 3, xy)
+        with pytest.raises(ValueError, match=message):
+            check_broadcast(GridDims(2, 2), BroadcastParams(3, 2), xy)
+
     @pytest.mark.parametrize(
         "rows", [[[2**63, 0]], [[2**64 - 1, 0], [0, 0]]], ids=["2^63", "2^64-1"]
     )

@@ -853,15 +853,7 @@ class TestTableFreeSetup:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     def test_root_representatives_match_permutation_tables(self, m, n, data):
-        # The 4 or 8 automorphisms as flips and transposes of the index array.
-        idx = np.arange(m * n).reshape(m, n)
-        views = [idx.T] if m == n else []
-        tables = [
-            v[::sx, ::sy].ravel().tolist()
-            for v in [idx, *views]
-            for sx in (1, -1)
-            for sy in (1, -1)
-        ]
+        tables = _automorphism_tables(m, n)
         cells = data.draw(st.permutations(range(m * n)))
         cells = cells[: data.draw(st.integers(0, m * n))]
         ranked = [(-data.draw(st.integers(0, 3)), u) for u in cells]
@@ -873,6 +865,24 @@ class TestTableFreeSetup:
         ]
         search = solver._Search(GridDims(m, n), BroadcastParams(2, 1), 10**9, None, None)
         assert search._root_representatives(ranked) == expected
+
+    def test_orbit_names_match_permutation_tables(self):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                tables = _automorphism_tables(m, n)
+                names = solver._orbits(np.arange(m * n), m, n).tolist()
+                for u in range(m * n):
+                    orbit = {perm[u] for perm in tables}
+                    assert {v for v in range(m * n) if names[v] == names[u]} == orbit
+
+
+def _automorphism_tables(m: int, n: int) -> list[list[int]]:
+    """The grid's 4 or 8 automorphisms as flips and transposes of the index array."""
+    idx = np.arange(m * n).reshape(m, n)
+    views = [idx.T] if m == n else []
+    return [
+        v[::sx, ::sy].ravel().tolist() for v in [idx, *views] for sx in (1, -1) for sy in (1, -1)
+    ]
 
 
 def _band_bits(search, cells) -> int:
@@ -1061,13 +1071,38 @@ class TestCertifiedBound:
         st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(1, 5), st.data()
     )
     def test_weighted_coverage_is_the_most_of_any_tower(self, m, n, t, r, data):
-        weights = np.array(
-            data.draw(st.lists(st.integers(0, 2**20), min_size=m * n, max_size=m * n)),
-            dtype=np.int64,
-        ).reshape(m, n)
-        dims, params = GridDims(m, n), BroadcastParams(t, r)
-        expected = naive_weighted_coverage(m, n, t, r, weights)
-        assert solver._weighted_coverage(dims, params, weights) == expected
+        # Class-level weights k / 2**20 stand in for the simplex's y, so the
+        # integer weights are the drawn k, each on every cell of its class.
+        drawn = {}
+
+        def simplex(a, c, deadline):
+            k = st.lists(st.integers(0, 2**20), min_size=len(c), max_size=len(c))
+            drawn["k"] = data.draw(k)
+            drawn["sizes"] = c.astype(np.int64)
+            return np.array(drawn["k"], dtype=np.float64) / 2**20
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_simplex", simplex)
+            bound, weights = solver._lp_bound(GridDims(m, n), BroadcastParams(t, r), None)
+        if not any(drawn["k"]):
+            assert (bound, weights) == (0, None)
+            return
+        cells = weights.cells
+        expected = np.repeat(drawn["k"], drawn["sizes"])
+        assert sorted(cells.ravel().tolist()) == sorted(expected.tolist())
+        for image in [cells[::-1], cells[:, ::-1], *([cells.T] if m == n else [])]:
+            assert (image == cells).all()
+        assert weights.most == naive_weighted_coverage(m, n, t, r, cells)
+        assert bound == -(-r * int(cells.sum()) // weights.most)
+
+    def test_lp_weighted_coverage_is_the_most_of_any_tower(self):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                for t in range(2, 6):
+                    for r in range(1, 4):
+                        weights = solver._lp_bound(GridDims(m, n), BroadcastParams(t, r), None)[1]
+                        expected = naive_weighted_coverage(m, n, t, r, weights.cells)
+                        assert weights.most == expected, (m, n, t, r)
 
     @pytest.mark.parametrize(
         "m,n,t,r,lower",
@@ -1101,21 +1136,26 @@ class TestCertifiedBound:
         assert (result.gamma, result.lower, result.upper) == (gamma, gamma, gamma)
         assert (result.level_nodes, result.certificate) == ((), "lp")
 
-    def test_infeasible_weights_give_the_recomputed_bound(self):
+    def test_infeasible_weights_give_the_recomputed_bound(self, monkeypatch):
+        # The simplex is replaced by one that returns y(class sizes); 6x8 has
+        # 12 classes, and class 0 holds the four corners.
+        def bound(y):
+            monkeypatch.setattr(solver, "_simplex", lambda a, c, deadline: y(c))
+            return solver._lp_bound(GridDims(6, 8), BroadcastParams(3, 2), None)
+
         # Weight 1 on every cell breaks every LP constraint: its objective
         # would claim r*m*n = 96. The integers give W = max_unit_coverage *
         # 2**20, so the bound is the deficit bound.
-        dims, params = GridDims(6, 8), BroadcastParams(3, 2)
-        assert solver._weighted_bound(dims, params, np.ones((6, 8)))[0] == 6
+        assert bound(np.ones_like)[0] == 6
         # Weights only on the four corners: each tower reaches one corner at
         # most, at min(r, 3 - 0) = 2 from a corner tower, so W = 2 * 2**20
         # and the bound is ceil(2 * 4 / 2) = 4, whatever the floats summed to.
-        corners = np.zeros((6, 8))
-        corners[[0, 0, 5, 5], [0, 7, 0, 7]] = 5.0
-        assert solver._weighted_bound(dims, params, corners)[0] == 4
+        corners = np.zeros(12)
+        corners[0] = 5.0
+        assert bound(lambda c: corners)[0] == 4
         # Negative, not-a-number and zero weights count as zero: W = 0 gives 0.
-        assert solver._weighted_bound(dims, params, np.full((6, 8), -1.0))[0] == 0
-        assert solver._weighted_bound(dims, params, np.full((6, 8), np.nan))[0] == 0
+        assert bound(lambda c: np.full(len(c), -1.0)) == (0, None)
+        assert bound(lambda c: np.full(len(c), np.nan)) == (0, None)
 
     def test_lp_is_skipped_above_the_class_cap(self, monkeypatch):
         solved = []
