@@ -6,13 +6,18 @@ is never materialized) and the validity check that a candidate tower set
 supplies at least ``r`` total signal to every grid vertex.
 
 The signal field is exact in the narrowest integer dtype that holds it
-(see signal_field): int8 for any TowerSet at t <= 5, int16 at t <= 36. It
-is built in one of three layouts: a row-tent recurrence (each diamond row
-is a tent along y) in about 5t passes over an image with one row per padded
-grid row that holds towers, the same over an image with a row for every
-padded row, or one stamp per tower. The paper's pattern puts towers on one
-row in t - 1, so its image is small; sparse towers that fill many rows are
-stamped. The three are priced side by side and the cheapest is chosen once.
+(see signal_field): t times the most towers on any 2t - 1 consecutive rows,
+the only towers one grid row hears, and for a TowerSet at most
+(2t^3 + t) / 3. So any TowerSet is int8 at t <= 5 and int16 at t <= 36, and
+the paper's pattern, a few towers to a window, is int16 up to t = 60 on the
+benchmark's grids. It is built in one of three layouts: a row-tent
+recurrence (each diamond row is a tent along y) in about 5t passes over an
+image with one row per padded grid row that holds towers, the same over an
+image with a row for every padded row, or one stamp per tower. The paper's
+pattern puts towers on one row in t - 1, so its image is small; sparse
+towers that fill many rows are stamped. The three are priced side by side,
+from costs measured on int8 and int16 fields, and the cheapest is chosen
+once.
 A tower's image row is found by one lookup, the count of image rows before
 its own. The verifier's reported totals are always int64.
 """
@@ -207,14 +212,18 @@ class BroadcastVerdict:
     outside_towers: np.ndarray
 
 
-# Rough fixed cost of one Python-level step (a stamp, or one pass or strided
-# add of the tents), in array-element operations; it only decides which
-# field layout signal_field takes. A stamp costs 5-7 us, about 20 000
-# int32 element adds of a whole-array pass (0.25-0.45 ns each). The tents
-# are priced by the padded rows that hold towers and by the runs of evenly
-# spaced rows they form, so the paper's pattern, whose towers lie on one row
-# in t - 1, is priced by those rows alone.
+# Measured costs that decide which field layout signal_field takes, in
+# element operations of an int8 or int16 tent pass (about 0.09 ns each), the
+# dtypes of nearly every field: one Python-level step of the tents
+# (one pass, or one strided add) costs about 1.8 us, one stamp 3.2 us, each
+# stamp row 15 ns more, since each row slice of a 2-D add is its own inner
+# loop, and each stamp cell about 0.2 ns, two elements. The tents are priced
+# by the padded rows that hold towers and by the runs of evenly spaced rows
+# they form, so the paper's pattern, whose towers lie on one row in t - 1,
+# is priced by those rows alone.
 _STEP_OVERHEAD = 20_000
+_STAMP_OVERHEAD = 34_000
+_ROW_OVERHEAD = 160
 
 
 def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
@@ -225,12 +234,18 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     A tower repeated in a plain list counts once per copy.
 
     The totals are exact in the narrowest of int8, int16, int32 and int64
-    that holds t * len(towers), since no vertex receives more than t from
-    each tower. For a TowerSet it need hold only the smaller of that and
-    (2t^3 + t) / 3: its towers are distinct, so no vertex receives more than
-    t + sum(4d(t - d) for d in 1..t-1), a tower on every cell within reach.
-    No partial sum exceeds the bound: a tent row is at most t * len(towers),
-    and at most t^2 for distinct towers.
+    that holds the least of these bounds on what one vertex receives, at
+    most t from each tower it hears. A vertex in grid row x hears only the
+    towers on padded rows x..x + 2t - 2, so t times the most towers on any
+    2t - 1 consecutive rows bounds it, and so does t * len(towers). For a
+    TowerSet so does (2t^3 + t) / 3: its towers are distinct, so no vertex
+    receives more than t + sum(4d(t - d) for d in 1..t-1), a tower on every
+    cell within reach. The window is tested only for a dtype the other two
+    miss, by one pass over the towers' sorted rows. No partial sum exceeds
+    the bound: an image count or box is at most the towers on one row, which
+    one window holds, a tent row at most t times them (and t^2 for distinct
+    towers), and the strided adds and the stamps (each at most t per cell)
+    only add to totals that end at most the bound.
 
     Towers on few rows, or dense: row a of a tower's diamond is a tent of
     height t - |a| along y. The tents of every height are built in about 3t
@@ -240,9 +255,9 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     rows: about 5t passes in all. A tower's image row is the number of
     image rows before its own, read from one running count over the padded
     rows. Sparse towers on many rows with large t: each tower's diamond is
-    stamped on its own. The three layouts are priced side by side, from the
-    grid size, t, the tower count and the rows that hold towers, and the
-    cheapest is taken.
+    stamped on its own, one row slice at a time. The three layouts are
+    priced side by side, from the grid size, t, the tower count and the
+    rows that hold towers, and the cheapest is taken.
     """
     check_strength(t)
     if not isinstance(towers, (TowerSet, np.ndarray)):
@@ -261,10 +276,16 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     most = t * len(xy)
     if isinstance(towers, TowerSet):
         most = min(most, (2 * t**3 + t) // 3)
-    dtype = next((d for top, d in _FIELD_DTYPES if most <= top), np.int64)
+    near_x = near[:, 0]
+    if most > _FIELD_DTYPES[0][0] and not isinstance(towers, TowerSet):
+        near_x = np.sort(near_x)  # a TowerSet's rows are already in order
+    dtype = next(
+        (d for top, d in _FIELD_DTYPES if most <= top or _window_holds(near_x, top // t, radius)),
+        np.int64,
+    )
     values = np.zeros((m, n), dtype=dtype)
     held = np.zeros(m + 2 * radius, dtype=bool)
-    held[near[:, 0] + radius] = True
+    held[near_x + radius] = True
     rows = np.flatnonzero(held)
     runs = _row_runs(rows)
     layout = _field_layout(m, n, t, len(near), len(rows), len(runs))
@@ -275,6 +296,14 @@ def signal_field(dims: GridDims, t: int, towers: Iterable[Coord]) -> np.ndarray:
     else:
         _add_tents(values, near, held, rows, runs)
     return values.view(_Field)
+
+
+def _window_holds(x: np.ndarray, most: int, radius: int) -> bool:
+    # Whether no 2 * radius + 1 consecutive rows, the rows whose towers reach
+    # one grid row, hold more than ``most`` of the towers on the sorted rows
+    # x: most + 1 of them do iff some x[i + most] - x[i] <= 2 * radius. One
+    # pass over the towers, run only for a dtype the other bounds miss.
+    return most >= len(x) or (x[most:] - x[: len(x) - most]).min() > 2 * radius
 
 
 def _row_runs(rows: np.ndarray) -> np.ndarray:
@@ -300,9 +329,11 @@ def _field_layout(m: int, n: int, t: int, towers: int, rows: int, runs: int) -> 
     # rows number ``rows`` in ``runs`` runs: tents on those "occupied rows",
     # tents on "every row" of the m + 2t - 2 padded rows (one run), or
     # "stamps", each covering at most its diamond's bounding box clipped to
-    # the grid. Ties go to the tents, and between them to the occupied rows.
+    # the grid, ``high`` row slices of ``wide`` cells. Ties go to the tents,
+    # and between them to the occupied rows.
     occupied, every = _tent_cost(rows, runs, n, t), _tent_cost(m + 2 * t - 2, 1, n, t)
-    stamps = towers * (_STEP_OVERHEAD + min(2 * t - 1, m) * min(2 * t - 1, n))
+    high, wide = min(2 * t - 1, m), min(2 * t - 1, n)
+    stamps = towers * (_STAMP_OVERHEAD + high * (_ROW_OVERHEAD + 2 * wide))
     if stamps < min(occupied, every):
         return "stamps"
     return "every row" if every < occupied else "occupied rows"

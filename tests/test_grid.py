@@ -27,16 +27,23 @@ coords = st.builds(Coord, st.integers(-6, 6), st.integers(-6, 6))
 FIELD_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
-def expected_dtype(t, count, distinct=False):
-    """signal_field's dtype: the narrowest of FIELD_DTYPES that holds t *
-    count, or for ``distinct`` towers (a TowerSet) at most (2t^3 + t) / 3."""
-    most = min(t * count, (2 * t**3 + t) // 3) if distinct else t * count
+def expected_dtype(m, n, t, towers):
+    """signal_field's dtype on an m x n grid: the narrowest of FIELD_DTYPES
+    that holds t times the most towers that reach one grid row (those within
+    t - 1 rows of it and in reach of a column), and for a TowerSet, whose
+    towers are distinct, at most (2t^3 + t) / 3."""
+    xy = grid._as_xy(towers)
+    x, y = xy[:, 0], xy[:, 1]
+    columns = (y > -t) & (y < n + t - 1)
+    most = t * max((np.count_nonzero(columns & (abs(x - row) < t)) for row in range(m)))
+    if isinstance(towers, TowerSet):
+        most = min(most, (2 * t**3 + t) // 3)
     return next(d for d in FIELD_DTYPES if most <= np.iinfo(d).max)
 
 
-def exact_dtypes(t, count, distinct=False):
+def exact_dtypes(m, n, t, towers):
     """The dtypes that hold every total and partial sum: expected_dtype and wider."""
-    return FIELD_DTYPES[FIELD_DTYPES.index(expected_dtype(t, count, distinct)) :]
+    return FIELD_DTYPES[FIELD_DTYPES.index(expected_dtype(m, n, t, towers)) :]
 
 
 def field_choices(monkeypatch, dims, t, towers):
@@ -163,7 +170,7 @@ class TestSignalField:
     def test_returns_the_narrowest_exact_dtype(self):
         field = signal_field(GridDims(4, 2), 3, [Coord(0, 0)] * 7)
         assert isinstance(field, np.ndarray)
-        assert (field.shape, field.dtype) == ((4, 2), expected_dtype(3, 7))
+        assert (field.shape, field.dtype) == ((4, 2), expected_dtype(4, 2, 3, [Coord(0, 0)] * 7))
         assert field[0, 0] == 21
 
     @pytest.mark.parametrize(
@@ -197,7 +204,7 @@ class TestSignalField:
         towers = np.ones((copies, 2), dtype=np.int64)
         field = signal_field(dims, t, towers)
         expected = copies * per_tower_field(3, 3, t, [Coord(1, 1)])
-        assert field.dtype == dtype == expected_dtype(t, copies)
+        assert field.dtype == dtype == expected_dtype(3, 3, t, towers)
         assert np.array_equal(field, expected) and field[1, 1] == total
         for layout in LAYOUTS:
             assert np.array_equal(forced_field(3, 3, t, towers, layout, dtype), expected)
@@ -217,7 +224,7 @@ class TestSignalField:
         towers = TowerSet(np.indices((side, side)).reshape(2, -1).T)
         field = signal_field(GridDims(side, side), t, towers)
         assert (2 * t**3 + t) // 3 == total
-        assert field.dtype == dtype == expected_dtype(t, len(towers), distinct=True)
+        assert field.dtype == dtype == expected_dtype(side, side, t, towers)
         assert field.max() == field[t - 1, t - 1] == total
         assert np.array_equal(field, per_tower_field(side, side, t, towers))
         for layout in LAYOUTS:
@@ -240,10 +247,92 @@ class TestSignalField:
         keep = np.random.default_rng(seed).random(len(cells)) < density
         towers = TowerSet(cells[keep])
         field = signal_field(GridDims(m, n), t, towers)
-        assert field.dtype == expected_dtype(t, len(towers), distinct=True)
+        assert field.dtype == expected_dtype(m, n, t, towers)
         assert np.array_equal(field, per_tower_field(m, n, t, towers))
         for layout in LAYOUTS:
             assert np.array_equal(forced_field(m, n, t, towers, layout, field.dtype), field)
+
+    @pytest.mark.parametrize(
+        "step,dtype", [(127, np.int8), (126, np.int16)], ids=["2t-1-apart", "2t-2-apart"]
+    )
+    @pytest.mark.parametrize("as_set", [False, True], ids=["list", "TowerSet"])
+    def test_towers_a_window_apart_are_sized_by_one_window(self, step, dtype, as_set):
+        # At t=64 a tower sends at most 64, and 2t - 1 = 127 consecutive rows
+        # are the most whose towers one grid row hears. Four towers 127 rows
+        # apart (t * |towers| = 256) never share a window: int8 holds 64.
+        # 126 apart, two share one: 128 takes int16.
+        m, n, t = 3 * step + 1, 3, 64
+        towers = [Coord(x, 1) for x in range(0, m, step)]
+        towers = TowerSet(towers) if as_set else towers
+        field = signal_field(GridDims(m, n), t, towers)
+        expected = per_tower_field(m, n, t, towers)
+        assert field.dtype == dtype == expected_dtype(m, n, t, towers)
+        assert np.array_equal(field, expected)
+        for layout in LAYOUTS:
+            for wider in exact_dtypes(m, n, t, towers):
+                assert np.array_equal(forced_field(m, n, t, towers, layout, wider), expected)
+
+    @pytest.mark.parametrize(
+        "t,copies,dtype",
+        [(1, 127, np.int8), (1, 128, np.int16), (7, 4681, np.int16), (7, 4682, np.int32)],
+        ids=["127", "128", "32767", "32768"],
+    )
+    def test_repeated_towers_in_one_window_are_exact_at_the_narrow_boundaries(
+        self, t, copies, dtype
+    ):
+        # Two clusters of ``copies`` towers, each spread over the 2t - 1 rows
+        # of one window and out of the other's: t * copies = 127 | 128 and
+        # 32 767 | 32 768 per window, twice that in all.
+        span = 2 * t - 1
+        m, n = 3 * span, 3
+        rows = np.arange(copies) % span
+        towers = np.stack([np.concatenate([rows, rows + 2 * span]), np.ones(2 * copies, int)], axis=1)
+        field = signal_field(GridDims(m, n), t, towers)
+        unique, count = np.unique(towers, axis=0, return_counts=True)
+        expected = sum(
+            c * per_tower_field(m, n, t, [Coord(*map(int, xy))]) for xy, c in zip(unique, count)
+        )
+        assert field.dtype == dtype == expected_dtype(m, n, t, towers)
+        assert np.array_equal(field, expected)
+        for layout in LAYOUTS:
+            for wider in exact_dtypes(m, n, t, towers):
+                assert np.array_equal(forced_field(m, n, t, towers, layout, wider), expected)
+
+    @pytest.mark.parametrize("as_set", [False, True], ids=["list", "TowerSet"])
+    def test_towers_out_of_reach_do_not_widen_the_dtype(self, as_set):
+        # Two towers reach the 5x5 grid at t=10 (20 at most on a vertex), and
+        # 600 more lie beyond reach: past the rows, or on the grid's rows but
+        # past the columns. t * |towers| (6020) and, for the TowerSet,
+        # (2t^3 + t) / 3 (670) would take int16.
+        m, n, t = 5, 5, 10
+        far = [Coord(40 + i, i % 7) for i in range(300)] + [Coord(i % 5, 30 + i) for i in range(300)]
+        towers = [Coord(2, 2), Coord(-9, 4)] + far
+        towers = TowerSet(towers) if as_set else towers * 2
+        field = signal_field(GridDims(m, n), t, towers)
+        expected = per_tower_field(m, n, t, towers)
+        assert field.dtype == np.int8 == expected_dtype(m, n, t, towers)
+        assert np.array_equal(field, expected)
+        for layout in LAYOUTS:
+            for wider in exact_dtypes(m, n, t, towers):
+                assert np.array_equal(forced_field(m, n, t, towers, layout, wider), expected)
+
+    @pytest.mark.parametrize("t,dtype,peak_mib", [(3, np.int8, 70.0), (7, np.int8, 61.0)])
+    def test_path_field_peak_stays_pinned(self, t, dtype, peak_mib):
+        # The 2^22 x 1 best-anchor path: the window bound reads the towers'
+        # rows and allocates nothing per padded row, so signal_field's
+        # traced peak stays within 1% of its pin: 70.0 MiB at t=3, and
+        # 61.0 MiB at t=7, measured when that field was int16.
+        dims = GridDims(2**22, 1)
+        towers = best_anchor_construct(dims, t).towers
+        tracemalloc.start()
+        try:
+            field = signal_field(dims, t, towers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.dtype == dtype
+        assert peak <= 1.01 * peak_mib * 2**20, peak / 2**20
+        assert field.min() >= 2
 
     def test_stamp_kernel_is_bounded_by_the_grid(self):
         # A (2t-1)^2 kernel at t=1000 alone would take 61 MiB.
@@ -413,10 +502,10 @@ class TestSignalField:
         near = st.builds(Coord, st.integers(-t - 2, m + t + 1), st.integers(-t - 2, n + t + 1))
         towers = data.draw(st.lists(near, max_size=12))
         expected = per_tower_field(m, n, t, towers)
-        for dtype in exact_dtypes(t, len(towers)):
+        for dtype in exact_dtypes(m, n, t, towers):
             assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), expected)
         field = signal_field(GridDims(m, n), t, towers)
-        assert field.dtype == expected_dtype(t, len(towers))
+        assert field.dtype == expected_dtype(m, n, t, towers)
         assert np.array_equal(field, expected)
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
@@ -440,7 +529,7 @@ class TestSignalField:
             patch.setattr(grid, "_field_layout", lambda *args: layout)
             verdict = check_broadcast(GridDims(m, n), BroadcastParams(t, r), xy)
         field = per_tower_field(m, n, t, towers)
-        for dtype in exact_dtypes(t, len(towers)):
+        for dtype in exact_dtypes(m, n, t, towers):
             assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), field)
         assert verdict.valid == bool((field >= r).all())
         assert np.array_equal(verdict.deficiencies, np.argwhere(field < r))
@@ -475,7 +564,7 @@ class TestSignalField:
         expected = per_tower_field(m, n, t, towers)
         # Every dtype that holds t * len(towers): int64 is what signal_field
         # uses once that reaches 2**31.
-        for dtype in exact_dtypes(t, len(towers)):
+        for dtype in exact_dtypes(m, n, t, towers):
             assert np.array_equal(forced_field(m, n, t, towers, layout, dtype), expected)
 
     @pytest.mark.parametrize(
@@ -518,6 +607,9 @@ class TestSignalField:
             # runs that the gaps cut cost more strided adds than the passes
             # over the 20 extra padded rows.
             ("random 500x500 t=10", "every row"),
+            # 300 random towers on 262 rows at t=40: the gaps cut them into
+            # 221 runs, two strided adds per run in each of 40 steps.
+            ("random 1000x1000 t=40", "stamps"),
         ],
     )
     def test_field_algorithm_of_pinned_tower_sets(self, monkeypatch, case, choice):
@@ -527,10 +619,13 @@ class TestSignalField:
         elif case.startswith("sheared"):
             dims, t = GridDims(1000, 1000), 60
             towers = letterbox_construct(dims, DiamondLattice(t, Coord(0, 0), 7)).towers
-        else:
+        elif case == "random 500x500 t=10":
             dims, t = GridDims(500, 500), 10
             xy = np.random.default_rng(3).integers(0, 500, (3000, 2))
             towers = TowerSet(xy[xy[:, 0] != 250])
+        else:
+            dims, t = GridDims(1000, 1000), 40
+            towers = TowerSet(np.random.default_rng(0).integers(0, 1000, (300, 2)))
         field = signal_field(dims, t, towers)
         assert field_choices(monkeypatch, dims, t, towers) == [choice]
         # The other layouts give the same totals.
@@ -541,15 +636,16 @@ class TestSignalField:
     @pytest.mark.parametrize(
         "side,t,choice",
         # The benchmark's unjittered construct shapes, best-anchor towers:
-        # the dense shapes (t = 3, 4) and the pattern at t = 20-32 take the
-        # tents on the occupied rows; at t = 44-60 it holds few enough
-        # towers for the stamps.
+        # the dense shapes (t = 3, 4, int8) and the pattern at t = 20-60
+        # (int16) take the tents on the occupied rows, except at 840x840
+        # t=52, whose 162 towers are stamped: a near tie (1.15-1.17 ms
+        # against 1.19-1.21 ms for the tents, int16).
         [(side, 3, "occupied rows") for side in (220, 280, 440, 500, 580)]
         + [(side, 4, "occupied rows") for side in (260, 350, 520, 720)]
         + [(1340, 20, "occupied rows"), (980, 24, "occupied rows")]
         + [(1200, 28, "occupied rows"), (800, 32, "occupied rows")]
-        + [(900, 44, "stamps"), (1300, 48, "stamps"), (840, 52, "stamps")]
-        + [(1950, 56, "stamps"), (1900, 60, "stamps")],
+        + [(900, 44, "occupied rows"), (1300, 48, "occupied rows"), (840, 52, "stamps")]
+        + [(1950, 56, "occupied rows"), (1900, 60, "occupied rows")],
     )
     def test_field_layout_of_benchmark_shapes(self, monkeypatch, side, t, choice):
         dims = GridDims(side, side)
