@@ -53,10 +53,11 @@ any search state.
 Before a child is placed, it is refuted when even its gain times the
 heaviest weight within its reach cannot bring the frame's weighted deficit
 down to (slots - 1) * W: that bounds what it repairs of D, so this refutes
-only children the weighted check would, unplaced. A placed child is then
-refuted by its weighted deficit, one popcount per weight bit of its stacked
-planes against the bit's mask of the band, plus r times the weight of the
-untouched rows below the band.
+only children the weighted check would, unplaced. The heaviest weights come
+with the LP's, read off the same representative rows as W. A placed child
+is then refuted by its weighted deficit, one popcount per weight bit of its
+stacked planes against the bit's mask of the band, plus r times the weight
+of the untouched rows below the band.
 
 A placed child is also refuted by the packing bound. The deficient cells of
 the 4t-2 rows from the parent's branch cell are picked greedily in row-major
@@ -92,13 +93,12 @@ Every witness is re-checked by check_broadcast before it is returned.
 The upper-bound search's placements, drops and swaps are nodes of the same
 budget. It keeps one int64 field of the grid and evaluates every gain and
 loss over the whole grid. A batch of gains whose count * min(r, t) *
-(m*n)**2 multiply-adds is within _CONTRACT_MACS is one integer einsum
-against a reach table of at most 4 * _CONTRACT_MACS bytes (512 KiB), built
-once per search, and reads the clock once; any larger batch is summed from
-prefix sums in O(m*n) memory and reads it once per pass over the batch. The
-clock is also read before each move and each batch of losses. No BLAS is
-called: a threaded float product on a matrix this small can cost whole
-scheduler ticks.
+(m*n)**2 is within _CONTRACT_MACS is summed in one pass against one int16
+table of the capped signal min(signal(u, v), min(r, t)), (m*n) x (m*n) and
+at most 2 * _CONTRACT_MACS / min(r, t) bytes (128 KiB at min(r, t) = 2),
+built once per search, and reads the clock once; any larger batch is summed
+from prefix sums in O(m*n) memory and reads it once per pass over the
+batch. The clock is also read before each move and each batch of losses.
 
 Seconds are a deadline set once, as the first step of exact_gamma or of
 find_broadcast_of_size called on its own: the root prune, the LP, the swap
@@ -119,11 +119,13 @@ from .grid import BroadcastParams, GridDims, InvariantError, TowerSet, check_bro
 
 
 class _Weights(NamedTuple):
-    """Integer weights w >= 0 on the grid's cells, (m, n) int64, and W, the
-    most sum_v min(r, signal(u, v)) * w_v over every grid cell u."""
+    """Integer weights w >= 0 on the grid's cells, (m, n) int64; W, the most
+    sum_v min(r, signal(u, v)) * w_v over every grid cell u; and heaviest[u],
+    the largest w_v within distance t-1 of cell u = x*n + y."""
 
     cells: np.ndarray
     most: int
+    heaviest: list[int]
 
 
 class _LevelBudget(NamedTuple):
@@ -293,15 +295,14 @@ def _lp_bound(
     signal(u, v))) * y_c <= 1 for one cell u of each class, y >= 0: the dual
     of the broadcast relaxation, symmetrised, with its x <= 1 bounds
     dropped. Its y, clipped to [0, 1], gives each class the integer weight
-    floor(y * 2**20), and the bound is ceil(r * sum(w) / W).
+    floor(y * 2**20), and the bound is ceil(r * sum(w) / W): sound for any
+    w >= 0, whatever y was, by the module docstring's proof.
 
-    It is a lower bound on every broadcast S for any w >= 0, whatever y
-    was: each vertex v receives r, so sum_{u in S} min(r, signal(u, v)) >= r;
-    weighting by w_v and summing over v gives r * sum(w) <= sum_{u in S}
-    sum_v min(r, signal(u, v)) * w_v <= |S| * W. W is the most over the
-    class representatives' kernel rows, which is the most over every cell
-    (see the module docstring). Only integers enter W, so the LP's floats
-    can weaken the bound but never make it unsound.
+    W and the heaviest weights are read off the class representatives'
+    capped kernel rows. A representative's row is positive exactly on the
+    cells within distance t-1 of it, and every automorphism keeps distances
+    and signals and maps each class onto itself, so each cell takes its
+    representative's values.
     """
     m, n = dims.m, dims.n
     # A class holds at most 8 cells, so a larger grid has too many classes.
@@ -330,7 +331,8 @@ def _lp_bound(
     most = int((rows @ cells).max())
     if most == 0:
         return 0, None
-    return -(-params.r * int(cells.sum()) // most), _Weights(cells.reshape(m, n), most)
+    heaviest = np.where(rows > 0, cells, 0).max(axis=1)[classes].tolist()
+    return -(-params.r * int(cells.sum()) // most), _Weights(cells.reshape(m, n), most, heaviest)
 
 
 class SolverInvariantError(InvariantError):
@@ -432,8 +434,8 @@ class _Search:
 
     def _weigh(self, weights: _Weights) -> None:
         """Set up the weighted check: the bits of the weights, one grid-wide
-        int per weight bit, the weight owed from each row down, and the
-        heaviest weight each cell reaches."""
+        int per weight bit, and the weight owed from each row down. The
+        screen's heaviest weights are the LP's own (_Weights.heaviest)."""
         w = weights.cells
         m, n, width = self.m, self.n, self.width
         # owed_from[x] = r * (the weight of rows x, x+1, ..., m-1).
@@ -447,17 +449,6 @@ class _Search:
             self._check_clock()
             cells[:, :n] = (w >> bit) & 1
             self.weight_bits.append(_bits(cells))
-        # heaviest[u] is the largest weight within distance t-1 of cell u:
-        # grow each cell's reach one step at a time.
-        heaviest = w.copy()
-        for _ in range(min(self.t - 1, m + n - 2)):
-            grown = heaviest.copy()
-            np.maximum(grown[1:], heaviest[:-1], out=grown[1:])
-            np.maximum(grown[:-1], heaviest[1:], out=grown[:-1])
-            np.maximum(grown[:, 1:], heaviest[:, :-1], out=grown[:, 1:])
-            np.maximum(grown[:, :-1], heaviest[:, 1:], out=grown[:, :-1])
-            heaviest = grown
-        self.heaviest = heaviest.ravel().tolist()
         # A frame's planes are stacked in groups of `reps`, `stride` bits
         # apart, and each weight bit's band mask is repeated as often.
         self.reps = max(1, min(self.r, _STACK_BITS // self.stride))
@@ -647,7 +638,7 @@ class _Search:
         if weights is None:
             owed, most, heaviest = 0, 0, []
         else:
-            owed, most, heaviest = self.owed_from[0], weights.most, self.heaviest
+            owed, most, heaviest = self.owed_from[0], weights.most, weights.heaviest
         # r >= 1, so the empty grid is deficient.
         deficit = self.r * self.m * n
         forbidden: set[int] = set()
@@ -695,9 +686,10 @@ class _Search:
 
 # The most grid cells _UpperBound evaluates in one batch.
 _BATCH_CELLS = 1 << 16
-# The most multiply-adds of a gain contraction: below it one integer einsum
-# beats the prefix sums' per-row numpy calls, and its reach table is at
-# most 4 * _CONTRACT_MACS bytes.
+# The most count * min(r, t) * (m*n)**2 of a gain contraction: below it one
+# pass over the capped table beats the prefix sums' per-row numpy calls. The
+# table, and the batch's minima against it, are int16 of at most
+# 2 * _CONTRACT_MACS / min(r, t) bytes each.
 _CONTRACT_MACS = 1 << 17
 # Swaps per target size, and how many swaps a moved-out cell stays tabu.
 _SWAP_CAP = 24
@@ -713,16 +705,15 @@ class _UpperBound:
     sends the grid is a slice of one int16 kernel. The gain of a tower on a
     cell is the sum over k <= min(r, t) of the cells lacking at least k
     within t-k of it. Every gain and loss is evaluated over the whole grid,
-    in batches of at most _BATCH_CELLS cells. On small grids a batch's
-    gains are one integer einsum of [lacking >= k] against the reach table
-    [signal(u, v) >= k], when its multiply-adds are within _CONTRACT_MACS:
-    the table is int32, at most 4 * _CONTRACT_MACS bytes, and built from the
-    kernel on the first such batch. Otherwise they are row segments from one
-    prefix sum per k: for each tower out of a swap, at most min(r, t, m+n-2)
-    prefix sums of 2*min(t, m)-1 segment rows each, so the memory per step
-    is O(m * n). Both give the same integers, so the choice never changes a
-    move. The einsum keeps numpy's own loop (no optimize, no BLAS): a
-    threaded float product costs more than the whole contraction here.
+    in batches of at most _BATCH_CELLS cells. On small grids, when count *
+    min(r, t) * (m*n)**2 is within _CONTRACT_MACS, a batch's gains are
+    sum_v min(lacking_v, reach[u, v]) against the capped table reach[u, v]
+    = min(signal(u, v), min(r, t)): int16, (m*n) x (m*n), and built from
+    the kernel on the first such batch. Otherwise they are row segments
+    from one prefix sum per k: for each tower out of a swap, at most min(r,
+    t, m+n-2) prefix sums of 2*min(t, m)-1 segment rows each, so the memory
+    per step is O(m * n). Both give the same integers, so the choice never
+    changes a move.
 
     The greedy phase places the tower of largest gain until nothing lacks
     signal. Then each descent tries for one tower less: it drops the tower
@@ -802,17 +793,17 @@ class _UpperBound:
         return total
 
     def _contracted(self, lacking: np.ndarray, top: int) -> np.ndarray:
-        """_gains as one integer einsum of [lacking >= k] against the reach
-        table, reach[u, k-1, v] = [signal(u, v) >= k] for k <= top, built on
-        the first call. No BLAS: einsum's own loop, not optimize's dot."""
+        """_gains as sum_v min(lacking_v, reach[u, v]) against the capped
+        table reach[u, v] = min(signal(u, v), top), int16 and built on the
+        first call. A tower repairs min(lacking_v, signal(u, v)) of cell v,
+        and no cell lacks more than r, so capping both at top changes no
+        term. The batch is capped before its int16 cast: r may not fit."""
         count, m, n = lacking.shape
-        levels = np.arange(1, top + 1, dtype=np.int16)[:, None]
         if self.reach is None:
-            signal = self.sent[::-1, ::-1].reshape(m * n, m * n)
-            self.reach = (signal[:, None] >= levels).astype(np.int32)
+            self.reach = np.minimum(self.sent[::-1, ::-1].reshape(m * n, m * n), top)
         self._check_clock()
-        below = (lacking.reshape(count, 1, m * n) >= levels).astype(np.int32)
-        return np.einsum("bkv,ukv->bu", below, self.reach).reshape(lacking.shape)
+        capped = np.minimum(lacking, top).astype(np.int16).reshape(count, 1, m * n)
+        return np.minimum(capped, self.reach).sum(axis=2, dtype=np.int64).reshape(lacking.shape)
 
     def _move(self, cell: int, sign: int) -> None:
         """Place (sign 1) or remove (sign -1) the tower on `cell`."""
@@ -955,21 +946,14 @@ def exact_gamma(
     same deadline and the LP's weights for its weighted prune.
 
     The lower bound is the larger of the deficit bound ceil(r*m*n /
-    max_unit_coverage) and the certified weighted bound ceil(r * sum(w) / W).
-    The weights w >= 0 are the LP's, floor(y * 2**20) on every cell, and W
-    is the most sum_v min(r, signal(u, v)) * w_v over every grid cell u,
-    recomputed in integers over one representative u per symmetry class
-    (see the module docstring). It is sound for every r and every w: each
-    vertex v of a broadcast S has sum_{u in S} min(r, signal(u, v)) >= r,
-    and weighting by w_v and summing gives |S| * W >= r * sum(w). The LP
-    maximises that bound's fractional form over weights constant on the
-    cells' symmetry classes; it is skipped on grids of more than
-    _LP_CLASSES classes, and a run out of clock or a W of 0 leaves the
-    deficit bound, which w = 1 reproduces. A lower bound above the
-    verified U raises SolverInvariantError. The result's certificate says
-    what proves gamma: "lp" or "bound" when it equals the lower bound (above
-    the deficit bound, or at it), "refuted" when level gamma - 1 was
-    refuted.
+    max_unit_coverage) and the certified weighted bound ceil(r * sum(w) / W)
+    of the LP's weights, sound for every r and every w >= 0 by the module
+    docstring's proof. The LP is skipped on grids of more than _LP_CLASSES
+    classes, and a run out of clock or a W of 0 leaves the deficit bound,
+    which w = 1 reproduces. A lower bound above the verified U raises
+    SolverInvariantError. The result's certificate says what proves gamma:
+    "lp" or "bound" when it equals the lower bound (above the deficit bound,
+    or at it), "refuted" when level gamma - 1 was refuted.
 
     A broadcast exists iff towers on every vertex are one. With towers
     everywhere, vertex (x, y) receives the sum of t - |x-a| - |y-b| over the

@@ -1218,8 +1218,15 @@ class TestWeightedPrune:
             data.draw(st.lists(st.integers(0, 2**20), min_size=m * n, max_size=m * n)),
             dtype=np.int64,
         ).reshape(m, n)
+        # The screen's bound: u repairs at most its gain times the heaviest
+        # weight within its reach.
+        heaviest = [
+            max(int(weights[c // n, c % n]) for c in _reaching(m, n, t, u, range(m * n)))
+            for u in range(m * n)
+        ]
         search = solver._Search(
-            GridDims(m, n), BroadcastParams(t, r), 10**9, None, solver._Weights(weights, 1)
+            GridDims(m, n), BroadcastParams(t, r), 10**9, None,
+            solver._Weights(weights, 1, heaviest),
         )
         if reps is not None:
             # Planes stacked in groups of one or two, as at large strengths.
@@ -1235,8 +1242,6 @@ class TestWeightedPrune:
             towers = [divmod(c, n) for c in placed + [u]]
             if min(naive_signal_totals(m, n, t, towers).values()) >= r:
                 break
-            # The screen's bound: u repairs at most its gain times the
-            # heaviest weight within its reach.
             before = naive_weighted_deficit(m, n, t, r, [divmod(c, n) for c in placed], weights)
             gain = sum(
                 max(0, r - a) - max(0, r - b)
@@ -1245,8 +1250,6 @@ class TestWeightedPrune:
                     naive_signal_totals(m, n, t, towers).values(),
                 )
             )
-            heaviest = max(int(weights[c // n, c % n]) for c in _reaching(m, n, t, u, range(m * n)))
-            assert search.heaviest[u] == heaviest
             planes, v, _ = search._place(planes, x0, u)
             placed.append(u)
             x0 = v // n
@@ -1254,7 +1257,28 @@ class TestWeightedPrune:
             assert owed == before
             owed = search._weighted_deficit(planes, x0)
             assert owed == expected
-            assert before - gain * heaviest <= owed
+            assert before - gain * heaviest[u] <= owed
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 10), st.integers(1, 10), st.integers(1, 8), st.integers(1, 5), st.data()
+    )
+    def test_heaviest_is_the_most_weight_in_reach(self, m, n, t, r, data):
+        # The LP's own weights, or random ones constant on the classes in
+        # place of the simplex's y, as in TestCertifiedBound.
+        def simplex(a, c, deadline):
+            k = data.draw(st.lists(st.integers(0, 2**20), min_size=len(c), max_size=len(c)))
+            return np.array(k, dtype=np.float64) / 2**20
+
+        with pytest.MonkeyPatch.context() as patch:
+            if data.draw(st.booleans()):
+                patch.setattr(solver, "_simplex", simplex)
+            weights = solver._lp_bound(GridDims(m, n), BroadcastParams(t, r), None)[1]
+        if weights is None:
+            return
+        cells = weights.cells.ravel().tolist()
+        expected = [max(cells[c] for c in _reaching(m, n, t, u, range(m * n))) for u in range(m * n)]
+        assert weights.heaviest == expected
 
     @pytest.mark.parametrize("shape", sorted(FROZEN_TREES), ids=lambda s: f"{s[0]}x{s[1]}")
     def test_no_prefix_of_an_optimal_witness_is_pruned(self, shape):
@@ -1279,7 +1303,7 @@ class TestWeightedPrune:
                     break
                 room = (slots - 1) * weights.most
                 assert deficit - gain <= (slots - 1) * unit, (t, r)
-                assert owed - gain * search.heaviest[u] <= room, (t, r)
+                assert owed - gain * weights.heaviest[u] <= room, (t, r)
                 child, v, lacking = search._place(planes, x0, u)
                 owed = search._weighted_deficit(child, v // n)
                 assert owed <= room, (t, r, placed)
@@ -1531,6 +1555,8 @@ GAIN_SHAPES = {
     "r_above_t": st.tuples(_SIDES, _SIDES, st.integers(1, 6)).flatmap(
         lambda s: st.tuples(st.just(s[0]), st.just(s[1]), st.just(s[2]), st.integers(s[2] + 1, 9))
     ),
+    # What a cell lacks does not fit the table's int16 here.
+    "r_above_int16": st.tuples(_SIDES, _SIDES, st.integers(1, 8), st.integers(2**15, 10**6)),
 }
 
 
@@ -1576,6 +1602,29 @@ class TestUpperBound:
         with pytest.raises(BudgetExhaustedError):
             search.run(1)
         assert (search.nodes, search.reach) == (1, None)
+
+    @pytest.mark.parametrize("m,n,t,r", [(1, 1, 1, 1), (6, 8, 3, 2), (5, 7, 4, 9), (4, 4, 3, 2**20)])
+    def test_reach_is_the_capped_signal(self, m, n, t, r):
+        search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), 10**9, None)
+        search._gains(np.full((1, m, n), r))
+        signal = np.array([_reference_field(m, n, t, [u]).ravel() for u in range(m * n)])
+        assert search.reach.dtype == np.int16
+        assert search.reach.shape == (m * n, m * n)
+        assert (search.reach == np.minimum(signal, min(r, t))).all()
+
+    def test_a_contracted_refresh_stays_small(self):
+        # One greedy refresh on 16x16 t=3 r=2 is one contraction: the
+        # int16 table and the batch's minima take 128 KiB each.
+        search = solver._UpperBound(GridDims(16, 16), BroadcastParams(3, 2), 10**9, None)
+        lacking = np.maximum(search.r - search.field, 0)[None]
+        tracemalloc.start()
+        try:
+            search._gains(lacking)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert search.reach is not None
+        assert peak <= 400 * 2**10, f"peak {peak / 2**10:.0f} KiB"
 
     @settings(max_examples=100, deadline=None)
     @given(
