@@ -113,8 +113,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if verdict.valid:
         print("VALID")
         return 0
-    print(f"INVALID: {len(verdict.deficiencies)} deficient vertices")
-    for (x, y), got in zip(verdict.deficiencies[:10].tolist(), verdict.received[:10].tolist()):
+    print(f"INVALID: {verdict.count} deficient vertices")
+    short, received = verdict.first(10)
+    for (x, y), got in zip(short.tolist(), received.tolist()):
         print(f"({x},{y}) signal={got}")
     return 1
 

@@ -76,10 +76,11 @@ def _verified(dims: GridDims, t: int, result: ConstructionResult) -> Constructio
     """
     verdict = check_broadcast(dims, BroadcastParams(t, 2), result.towers)
     if not verdict.valid:
+        short, received = verdict.first(1)
         raise ConstructionInvariantError(
             f"{result.generator} result failed verification on {dims.m}x{dims.n}, t={t}, "
             f"anchor={result.anchor}; first deficiency "
-            f"({Coord(*verdict.deficiencies[0].tolist())!r}, {verdict.received[0]})"
+            f"({Coord(*short[0].tolist())!r}, {received[0]})"
         )
     return result
 
@@ -120,7 +121,10 @@ def letterbox_construct(dims: GridDims, lattice: DiamondLattice) -> Construction
     halo = t - 2
     lo, hi = Coord(-halo, -halo), Coord(dims.m - 1 + halo, dims.n - 1 + halo)
     raw = towers_in_window(lattice, lo, hi)
-    clamped = np.clip(raw.xy, 0, (dims.m - 1, dims.n - 1))
+    # Column by column: a (k, 2) clip runs a two-element inner loop per tower.
+    clamped = np.empty_like(raw.xy)
+    np.clip(raw.xy[:, 0], 0, dims.m - 1, out=clamped[:, 0])
+    np.clip(raw.xy[:, 1], 0, dims.n - 1, out=clamped[:, 1])
     # A tower moved iff its x or y changed: the two bools of a row, read as
     # one uint16, are nonzero.
     moved = (clamped != raw.xy).view(np.uint16).ravel() != 0

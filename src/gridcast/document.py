@@ -19,10 +19,11 @@ the header it writes, is read by a numpy byte reader. The list is one uint8
 buffer; its numbers are the runs of digits and "-", the bytes between them
 must be exactly "[[", ",", "],[" and "]]" in turn, and each digit place is
 converted in one vectorised pass. json.loads then reads the document with
-that list blanked to "[", spaces and "]", so the header and metadata checks,
-repeated keys and the positions in JSON errors are exactly those of a whole
-read. Any other text (other key orders, whitespace, 19-digit coordinates,
-anything malformed) is read whole by json.loads, and its tower list is
+that list replaced by "[]", so the header and metadata checks and repeated
+keys are exactly those of a whole read; a JSON error is raised by a whole
+read, so its message and position are too. Any other text (other key
+orders, whitespace, 19-digit coordinates, anything malformed) is read
+whole by json.loads, and its tower list is
 checked in whole-list passes (every entry a list, every length 2, every
 coordinate an int and not a bool). Only when a pass fails are the pairs
 walked one by one, to name the first bad one. A repeated key in any object,
@@ -288,14 +289,21 @@ def _read_tower_list(text: str) -> tuple[int, int, np.ndarray] | None:
 
 def parse_document(text: str) -> BroadcastDocument:
     # A canonical tower list is read by _read_tower_list; json.loads then reads
-    # the document with that list blanked to "[", spaces and "]", so every
-    # other check, and every error's position, is the one of the JSON path.
+    # the document with that list replaced by "[]", so every other check is
+    # the one of the JSON path. The list is valid JSON, so a JSON error lies
+    # outside it, and the whole text is read again to raise that error at
+    # its own position.
     read = _read_tower_list(text)
-    if read is not None:
-        start, end, xy = read
-        text = f"{text[:start]}[{' ' * (end - start - 2)}]{text[end:]}"
     try:
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
+        if read is None:
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
+        else:
+            start, end, xy = read
+            rest = f"{text[:start]}[]{text[end:]}"
+            try:
+                payload = json.loads(rest, object_pairs_hook=_unique_keys)
+            except json.JSONDecodeError:
+                payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     except RecursionError:

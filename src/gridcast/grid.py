@@ -24,7 +24,8 @@ its own. The verifier's reported totals are always int64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -197,19 +198,73 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BroadcastVerdict:
-    """Outcome of check_broadcast, as int64 arrays.
+    """Outcome of check_broadcast; every array it gives is int64.
 
-    ``deficiencies`` is the (k, 2) array of vertices receiving less than r, in
-    lexicographic order, and ``received`` the (k,) array of their totals.
     ``outside_towers`` (j, 2) is a warning, not an error: towers outside the
     grid still radiate signal inward, but a final broadcast must lie inside
-    the grid.
+    the grid. The deficient vertices, those receiving less than r, are read
+    from the signal field, which the verdict keeps only while it is invalid:
+    ``count`` is how many there are, ``first(k)`` the first k of them with
+    their totals, and ``deficiencies`` (k, 2) and ``received`` (k,) all of
+    them and their totals. All are in lexicographic order. Each is built on
+    its first read; ``count``, ``deficiencies`` and ``received`` are then
+    cached, the arrays read-only.
     """
 
     valid: bool
-    deficiencies: np.ndarray
-    received: np.ndarray
     outside_towers: np.ndarray
+    _field: np.ndarray | None = field(default=None, repr=False)
+    _r: int = field(default=0, repr=False)
+
+    @cached_property
+    def count(self) -> int:
+        return 0 if self._field is None else int(np.count_nonzero(self._field < self._r))
+
+    def first(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first min(k, count) deficient vertices, (k, 2), and their totals.
+
+        The field is scanned a band of rows at a time, each band twice as
+        tall as the last, until k are found.
+        """
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        field = self._field
+        if field is None or not k:
+            return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+        found, start, rows, left = [], 0, 1, k
+        while left and start < len(field):
+            hits = np.flatnonzero(field[start : start + rows] < self._r)[:left]
+            found.append(hits + start * field.shape[1])
+            start, rows, left = start + rows, 2 * rows, left - len(hits)
+        flat = np.concatenate(found)
+        return self._coordinates(flat), field.reshape(-1)[flat].astype(np.int64)
+
+    @cached_property
+    def deficiencies(self) -> np.ndarray:
+        if self._field is None:
+            return _read_only(np.empty((0, 2), dtype=np.int64))
+        return _read_only(self._coordinates(np.flatnonzero(self._field < self._r)))
+
+    @cached_property
+    def received(self) -> np.ndarray:
+        if self._field is None:
+            return _read_only(np.empty(0, dtype=np.int64))
+        return _read_only(self._field[self._field < self._r].astype(np.int64))
+
+    def _coordinates(self, flat: np.ndarray) -> np.ndarray:
+        # Row-major indices x * n + y as (k, 2) int64 rows (x, y): x by floor
+        # division, y as flat - x * n, written in place.
+        n = self._field.shape[1]
+        xy = np.empty((len(flat), 2), dtype=np.int64)
+        np.floor_divide(flat, n, out=xy[:, 0])
+        np.multiply(xy[:, 0], n, out=xy[:, 1])
+        np.subtract(flat, xy[:, 1], out=xy[:, 1])
+        return xy
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # Measured costs that decide which field layout signal_field takes, in
@@ -421,23 +476,19 @@ def check_broadcast(
 ) -> BroadcastVerdict:
     """Decide whether ``towers`` is a (t,r) broadcast on the grid.
 
-    Valid iff every vertex receives total signal >= r. Deficient vertices are
-    reported lexicographically with their received totals: they come from one
-    scan of the flattened field, whose ascending indices x*n + y are already
-    in (x, y) order, split back into coordinates by divmod with n. That scan
-    runs only when the field's minimum is below r, so a valid broadcast costs
-    one reduction over the field. Towers given as any other iterable than a
-    TowerSet or an array are read once, into an int64 array, so an
-    iterator's outside towers are still reported.
+    Valid iff every vertex receives total signal >= r, which costs one
+    reduction over the field. An invalid verdict keeps the field, and reads
+    its deficient vertices from it only when asked: lexicographically, since
+    the field's row-major order is (x, y) order. Towers given as any other
+    iterable than a TowerSet or an array are read once, into an int64 array,
+    so an iterator's outside towers are still reported.
     """
     if not isinstance(towers, (TowerSet, np.ndarray)):
         towers = _as_xy(towers)
-    values = signal_field(dims, params.t, towers).view(np.ndarray).reshape(-1)
-    flat = np.flatnonzero(values < params.r) if values.min() < params.r else np.empty(0, np.intp)
-    short = np.empty((len(flat), 2), dtype=np.int64)
-    np.divmod(flat, dims.n, out=(short[:, 0], short[:, 1]))
+    values = signal_field(dims, params.t, towers).view(np.ndarray)
     xy = _as_xy(towers)
     x, y = xy[:, 0], xy[:, 1]
     outside = xy[(x < 0) | (x >= dims.m) | (y < 0) | (y >= dims.n)]
-    received = values[flat].astype(np.int64)
-    return BroadcastVerdict(not len(flat), short, received, outside)
+    if values.min() >= params.r:
+        return BroadcastVerdict(True, outside)
+    return BroadcastVerdict(False, outside, values, params.r)

@@ -203,5 +203,5 @@ def validate_pattern(lattice: DiamondLattice) -> PatternVerdict:
     verdict = check_broadcast(GridDims(m, n), BroadcastParams(lattice.t, 2), shifted)
     if verdict.valid:
         return PatternVerdict(True, None)
-    x, y = verdict.deficiencies[0].tolist()
+    x, y = verdict.first(1)[0][0].tolist()
     return PatternVerdict(False, Coord(lo.x + x, lo.y + y))

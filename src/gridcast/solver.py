@@ -797,13 +797,14 @@ class _UpperBound:
         table reach[u, v] = min(signal(u, v), top), int16 and built on the
         first call. A tower repairs min(lacking_v, signal(u, v)) of cell v,
         and no cell lacks more than r, so capping both at top changes no
-        term. The batch is capped before its int16 cast: r may not fit."""
+        term. The batch is capped before its int16 cast: r may not fit. A
+        gain is at most m*n*top <= _CONTRACT_MACS, so int32 sums hold it."""
         count, m, n = lacking.shape
         if self.reach is None:
             self.reach = np.minimum(self.sent[::-1, ::-1].reshape(m * n, m * n), top)
         self._check_clock()
         capped = np.minimum(lacking, top).astype(np.int16).reshape(count, 1, m * n)
-        return np.minimum(capped, self.reach).sum(axis=2, dtype=np.int64).reshape(lacking.shape)
+        return np.minimum(capped, self.reach).sum(axis=2, dtype=np.int32).reshape(lacking.shape)
 
     def _move(self, cell: int, sign: int) -> None:
         """Place (sign 1) or remove (sign -1) the tower on `cell`."""

@@ -6,8 +6,9 @@ manhattan_dist and signal give one vertex pair's distance and signal, for
 tests that sum a field tower by tower; the grid tests check the distance
 against breadth-first search. naive_weighted_coverage recomputes the
 weighted coverage behind the solver's certified lower bound, one tower at a
-time, and naive_weighted_deficit the weighted shortfall behind its weighted
-prune, vertex by vertex. Nothing here shares a code path with the
+time, naive_weighted_deficit the weighted shortfall behind its weighted
+prune, vertex by vertex, and naive_field the totals behind the verifier's
+report of deficient vertices. Nothing here shares a code path with the
 library's array arithmetic or its search.
 """
 
@@ -79,6 +80,20 @@ def naive_signal_totals(m: int, n: int, t: int, towers) -> dict[tuple[int, int],
         for y in range(n):
             totals[(x, y)] = int(sum(coverage[tx * n + ty, x * n + y] for tx, ty in towers))
     return totals
+
+
+def naive_field(m: int, n: int, t: int, towers) -> np.ndarray:
+    """The (m, n) int64 totals, vertex by vertex and tower by tower.
+
+    Towers are (x, y) pairs anywhere, inside the grid or not; each copy of a
+    repeated tower counts.
+    """
+    totals = [
+        sum(max(t - abs(x - tx) - abs(y - ty), 0) for tx, ty in towers)
+        for x in range(m)
+        for y in range(n)
+    ]
+    return np.array(totals, dtype=np.int64).reshape(m, n)
 
 
 def naive_gamma(m: int, n: int, t: int, r: int) -> int | None:

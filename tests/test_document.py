@@ -539,3 +539,41 @@ class TestByteReader:
             assert calls == []
             assert parse_document(pretty) == doc
         assert calls == [len(doc.towers)]
+
+
+def whole_read_error(text):
+    """The DocumentError text of one json.loads of the whole text."""
+    try:
+        json.loads(text, object_pairs_hook=document._unique_keys)
+    except json.JSONDecodeError as exc:
+        return f"{NOT_JSON}: {exc}"
+    except DocumentError as exc:
+        return str(exc)
+    raise AssertionError("the whole text is a JSON document")
+
+
+class TestCorruptedCanonicalDocuments:
+    # The byte reader reads the list of each; json.loads reads the rest with
+    # the list replaced by "[]", and a JSON error is raised by a whole read.
+    TEXT = serialize_document(
+        make_doc(m=1, n=400, t=3, towers=path_construct(GridDims(1, 400), 3).towers)
+    )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text.replace('"generator":"', '"generator":x"'),
+            lambda text: text.replace("}}\n", "}\n"),
+            lambda text: text.replace("]],", ']],"m":1,', 1),
+        ],
+        ids=["bad-metadata-byte", "missing-closing-brace", "repeated-key-after-the-list"],
+    )
+    def test_errors_are_those_of_a_whole_read(self, corrupt):
+        text = corrupt(self.TEXT)
+        assert text != self.TEXT
+        assert document._read_tower_list(text) is not None
+        expected = whole_read_error(text)
+        with pytest.raises(DocumentError) as raised:
+            parse_document(text)
+        assert str(raised.value) == expected
+        assert outcome(parse_document, text) == json_path_outcome(text)

@@ -19,7 +19,7 @@ from gridcast import (
     signal_field,
 )
 from gridcast import grid
-from naive_oracle import bfs_distances, manhattan_dist, signal
+from naive_oracle import bfs_distances, manhattan_dist, naive_field, signal
 
 coords = st.builds(Coord, st.integers(-6, 6), st.integers(-6, 6))
 
@@ -770,6 +770,89 @@ class TestCheckBroadcast:
         assert verdict.received.dtype == np.int64
         assert np.array_equal(verdict.received, field[field < r])
         assert verdict.valid == (len(short) == 0)
+
+
+class TestVerdictReport:
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        t=st.integers(1, 6),
+        r=st.integers(1, 10),
+        data=st.data(),
+    )
+    @example(m=12, n=12, t=1, r=2, data=None)  # every vertex deficient
+    @example(m=4, n=7, t=6, r=1, data=None)  # valid
+    @settings(max_examples=150, deadline=None)
+    def test_report_matches_the_naive_field(self, m, n, t, r, data):
+        # Towers up to t + 1 outside the grid, some repeated: each copy counts.
+        # A missing draw means one tower in the middle of the grid.
+        if data is None:
+            towers = [(m // 2, n // 2)]
+        else:
+            near = st.tuples(st.integers(-t - 1, m + t), st.integers(-t - 1, n + t))
+            towers = data.draw(st.lists(near, max_size=10))
+            if towers:
+                towers += data.draw(st.lists(st.sampled_from(towers), max_size=4))
+        field = naive_field(m, n, t, towers)
+        short, received = np.argwhere(field < r), field[field < r]
+        count = len(short)
+        dims, params = GridDims(m, n), BroadcastParams(t, r)
+        xy = np.array(towers, dtype=np.int64).reshape(-1, 2)
+
+        def read_first(verdict):
+            assert verdict.count == count
+            for k in (0, 1, 10, count + 5):
+                got_short, got_received = verdict.first(k)
+                assert got_short.dtype == got_received.dtype == np.int64
+                assert got_short.shape == (min(k, count), 2)
+                assert np.array_equal(got_short, short[:k])
+                assert np.array_equal(got_received, received[:k])
+
+        def read_all(verdict):
+            assert verdict.deficiencies.dtype == verdict.received.dtype == np.int64
+            assert verdict.deficiencies.shape == (count, 2)
+            assert np.array_equal(verdict.deficiencies, short)
+            assert np.array_equal(verdict.received, received)
+
+        for reads in ((read_first, read_all), (read_all, read_first)):
+            verdict = check_broadcast(dims, params, xy)
+            assert verdict.valid == (count == 0)
+            for read in reads:
+                read(verdict)
+                read(verdict)
+
+    def test_only_an_invalid_verdict_holds_its_field(self):
+        # The 1000^2 t=3 construction receives exactly 2 somewhere: valid at
+        # r=2, invalid at r=3. Its field is 1 MB of int8.
+        dims = GridDims(1000, 1000)
+        towers = best_anchor_construct(dims, 3).towers
+        held = {}
+        for r in (2, 3):
+            tracemalloc.start()
+            try:
+                verdict = check_broadcast(dims, BroadcastParams(3, r), towers)
+                held[r], _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert verdict.valid == (r == 2)
+        assert held[2] < 2**16 and held[3] >= 10**6, held
+
+    def test_count_and_first_build_no_full_report(self):
+        # Every vertex of 2000^2 is deficient: the int8 field takes 3.8 MiB,
+        # its comparison with r as many bytes, and a full report of the
+        # 4 M vertices 92 MiB.
+        verdict = check_broadcast(GridDims(2000, 2000), BroadcastParams(10_000, 2), [])
+        tracemalloc.start()
+        try:
+            count = verdict.count
+            short, received = verdict.first(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak / 2**20
+        assert count == 4_000_000
+        assert short.tolist() == [[0, y] for y in range(10)]
+        assert received.tolist() == [0] * 10
 
 
 class TestTowerSet:
