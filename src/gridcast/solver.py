@@ -100,10 +100,13 @@ built once per search, and reads the clock once; any larger batch is summed
 from prefix sums in O(m*n) memory and reads it once per pass over the
 batch. The clock is also read before each move and each batch of losses.
 
-Seconds are a deadline set once, as the first step of exact_gamma or of
-find_broadcast_of_size called on its own: the root prune, the LP, the swap
-search and every level's setup and search all run to it, and no phase
-starts a clock of its own.
+One meter (_Meter) bounds a solve. It is made from the caller's
+SearchBudget as the first step of exact_gamma, or of find_broadcast_of_size
+called on its own, and holds the nodes expanded so far, the node cap and the
+deadline the budget's seconds give. The root prune, the LP, the swap search
+and every level's setup and search run on that one meter: the swap search
+and the levels count their nodes on it, every clock reading is against its
+deadline, and no phase keeps a count or starts a clock of its own.
 """
 
 from __future__ import annotations
@@ -128,27 +131,52 @@ class _Weights(NamedTuple):
     heaviest: list[int]
 
 
+class _Meter:
+    """One solve's budget, made from its SearchBudget as the first step of
+    exact_gamma, or of find_broadcast_of_size called on its own: the nodes
+    expanded so far, the node cap and the deadline (a time.monotonic()
+    reading, or None). The LP reads its deadline, and the swap search and
+    every level count their nodes on it. A BudgetExhaustedError it raises
+    carries its count, the solve's nodes so far."""
+
+    # tick runs once per node of every search; slots keep its reads cheap.
+    __slots__ = ("nodes", "cap", "deadline")
+
+    def __init__(self, budget: SearchBudget):
+        self.nodes, self.cap, seconds = 0, budget.max_nodes, budget.max_seconds
+        self.deadline = None if seconds is None else time.monotonic() + seconds
+
+    def late(self) -> bool:
+        """Whether the deadline has passed."""
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def check(self) -> None:
+        """Raise BudgetExhaustedError if the deadline has passed."""
+        if self.late():
+            raise BudgetExhaustedError(self.nodes)
+
+    def tick(self) -> None:
+        """Count one node, or raise BudgetExhaustedError if the cap is reached
+        or the deadline has passed."""
+        deadline = self.deadline
+        if self.nodes >= self.cap or (deadline is not None and time.monotonic() > deadline):
+            raise BudgetExhaustedError(self.nodes)
+        self.nodes += 1
+
+
 class _LevelBudget(NamedTuple):
-    """What exact_gamma hands a level: the nodes left, the solve's deadline
-    (a time.monotonic() reading, or None) and the LP weights it solved once
-    for every level (None: no weighted check).
+    """What exact_gamma hands a level: the solve's meter and the LP weights
+    it solved once for every level (None: no weighted check).
 
     It rides in find_broadcast_of_size's budget argument because exact_gamma
     must reach each level through the module attribute
     solver.find_broadcast_of_size, which the benchmark's trace patches to
     time and count the level searches. Once the trace covers a private
-    level entry, the deadline and weights can be plain arguments of it.
+    level entry, the meter and weights can be plain arguments of it.
     """
 
-    max_nodes: int
-    deadline: float | None
+    meter: _Meter
     weights: _Weights | None
-
-
-def _deadline(budget: SearchBudget) -> float | None:
-    """The time.monotonic() reading at which the budget's seconds run out,
-    counted from now, or None without a limit."""
-    return None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
 
 
 class BudgetExhaustedError(Exception):
@@ -239,8 +267,11 @@ def _sent(dims: GridDims, t: int) -> np.ndarray:
     cell, in int16 since no signal exceeds t <= 10000: a view of one kernel
     of (2m-1) x (2n-1) cells, what a tower on (m-1, n-1) sends."""
     m, n = dims.m, dims.n
-    dx, dy = np.abs(np.arange(1 - m, m)), np.abs(np.arange(1 - n, n))
-    kernel = np.maximum(t - dx[:, None] - dy, 0).astype(np.int16)
+    # |dx| and |dy| are capped at t, past which nothing is sent, so every
+    # t - |dx| - |dy| lies in [-t, t] and the kernel is built in int16.
+    dx, dy = (np.minimum(np.abs(np.arange(1 - c, c)), t).astype(np.int16) for c in (m, n))
+    kernel = np.subtract.outer(t - dx, dy)
+    np.maximum(kernel, 0, out=kernel)
     return np.lib.stride_tricks.sliding_window_view(kernel, (m, n))
 
 
@@ -366,19 +397,13 @@ class _Search:
     """
 
     def __init__(
-        self,
-        dims: GridDims,
-        params: BroadcastParams,
-        max_nodes: int,
-        deadline: float | None,
-        weights: _Weights | None,
+        self, dims: GridDims, params: BroadcastParams, meter: _Meter, weights: _Weights | None
     ):
-        # The deadline was set before the level began, so setup is charged
-        # to it. The clock is read before each template too: for large t
-        # and r the templates take gigabytes in all.
-        self.max_nodes, self.deadline, self.weights = max_nodes, deadline, weights
+        # The meter's deadline was set before the level began, so setup is
+        # charged to it. The clock is read before each template too: for
+        # large t and r the templates take gigabytes in all.
+        self.meter, self.weights = meter, weights
         m, n, t, r = self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
-        self.nodes = 0
         rows, cols = min(t, m) - 1, min(t, n) - 1
         self.rows = rows
         width = self.width = n + min(2 * t - 2, n - 1)
@@ -395,7 +420,7 @@ class _Search:
             if dia and t - k >= self.box:
                 dia.append(dia[0])
             else:
-                self._check_clock()
+                meter.check()
                 dia.append(_bits(dy <= np.minimum(t - k - dx, cols)[:, None]))
         # Nothing receives more than t, and no grid cell less than t - box.
         self.least = max(t - self.box, 1)
@@ -406,7 +431,7 @@ class _Search:
         self.stride = 8 * size
         pieces = []
         for d in reversed(dia):
-            self._check_clock()
+            meter.check()
             pieces.append(d.to_bytes(size, "little"))
         self.stacked = int.from_bytes(b"".join(pieces), "little")
         # A frame's band has 2R+1 rows. A placement looks for the next
@@ -428,10 +453,6 @@ class _Search:
         if weights is not None:
             self._weigh(weights)
 
-    def _check_clock(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExhaustedError(self.nodes)
-
     def _weigh(self, weights: _Weights) -> None:
         """Set up the weighted check: the bits of the weights, one grid-wide
         int per weight bit, and the weight owed from each row down. The
@@ -446,7 +467,7 @@ class _Search:
         self.weight_bits = []
         cells = np.zeros((m, width), dtype=bool)
         for bit in range(int(w.max()).bit_length()):
-            self._check_clock()
+            self.meter.check()
             cells[:, :n] = (w >> bit) & 1
             self.weight_bits.append(_bits(cells))
         # A frame's planes are stacked in groups of `reps`, `stride` bits
@@ -483,13 +504,13 @@ class _Search:
         masks = self.masks[x0]
         if masks is None:
             masks = self._band_masks(x0)
-        stride, reps, deadline = self.stride, self.reps, self.deadline
+        stride, reps, deadline = self.stride, self.reps, self.meter.deadline
         received = 0
         for start in range(0, len(planes), reps):
             stacked = 0
             for plane in planes[start : start + reps]:
                 if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExhaustedError(self.nodes)
+                    raise BudgetExhaustedError(self.meter.nodes)
                 stacked = (stacked << stride) | plane
             for bit, mask in masks:
                 received += (stacked & mask).bit_count() << bit
@@ -544,18 +565,19 @@ class _Search:
         band, and for k <= t - box u's diamond is the whole box: those terms
         are one count times one popcount.
         """
-        m, n, t, r, deadline = self.m, self.n, self.t, self.r, self.deadline
+        m, n, t, r, deadline = self.m, self.n, self.t, self.r, self.meter.deadline
         width, rows, top, stride = self.width, self.rows, self.top, self.stride
         x, y = divmod(v, n)
         band = self.band if x + self.height <= m else self._rows(m - x)
         empty = r - len(planes)
         same = max(min(top, empty, t - self.box), 0)
         # Stacking a term and computing a gain each cost up to min(r, t)
-        # template-sized passes, so the clock is read before each.
+        # template-sized passes, so the clock is read before each: inline,
+        # against the meter's deadline, since a call per gain costs time.
         lacking = 0
         for k in range(same + 1, top + 1):
             if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhaustedError(self.nodes)
+                raise BudgetExhaustedError(self.meter.nodes)
             lacking = (lacking << stride) | (band & ~planes[r - k] if k > empty else band)
         stacked = self.stacked & ((1 << ((top - same) * stride)) - 1) if same else self.stacked
         box = self.dia[0]
@@ -568,7 +590,7 @@ class _Search:
             for u in range(u, u + hi - lo):
                 if u not in forbidden:
                     if deadline is not None and time.monotonic() > deadline:
-                        raise BudgetExhaustedError(self.nodes)
+                        raise BudgetExhaustedError(self.meter.nodes)
                     gain = (lacking & (stacked << shift)).bit_count()
                     if same:
                         gain += same * (band & (box << shift)).bit_count()
@@ -594,12 +616,12 @@ class _Search:
         shift = (a - x0 + self.rows) * width + b
         count = len(planes)
         total = r if count + t > r else count + t
-        least, deadline = self.least, self.deadline
+        least, deadline = self.least, self.meter.deadline
         placed = []
         for j in range(1, total + 1):
             # A plane costs up to t template-sized passes; there are up to r.
             if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhaustedError(self.nodes)
+                raise BudgetExhaustedError(self.meter.nodes)
             plane = planes[j - 1] if j <= count else 0
             if j <= t:
                 plane |= dia[j - 1] << shift
@@ -632,7 +654,7 @@ class _Search:
         after the parent's because cells before it are satisfied. Tried
         children stay forbidden until their frame is done.
         """
-        n, max_nodes, deadline, weights = self.n, self.max_nodes, self.deadline, self.weights
+        n, tick, weights = self.n, self.meter.tick, self.weights
         # The weighted deficit of the root, its W and the heaviest weight
         # each cell reaches; without weights, 0 > 0 never prunes.
         if weights is None:
@@ -649,11 +671,7 @@ class _Search:
         while frames:
             children, ranked, x0, planes, deficit, owed, slots = frames[-1]
             for neg_gain, u in children:
-                if self.nodes >= max_nodes:
-                    raise BudgetExhaustedError(self.nodes)
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExhaustedError(self.nodes)
-                self.nodes += 1
+                tick()
                 left = deficit + neg_gain
                 if left == 0:
                     return placed + [u]
@@ -725,18 +743,15 @@ class _UpperBound:
     in, or when a swap would return to a tower set it has already held. The
     search stops at the first failed descent, or at the lower bound.
 
-    Every placement, drop and swap is one node, counted against the
-    budget's max_nodes before it is chosen, and the clock is read before
+    Every placement, drop and swap is one node, counted on the solve's
+    meter before it is chosen, and the meter's deadline is checked before
     each of them, before each batch of losses, before each contraction and
     before each row of segments, one pass over a batch.
     """
 
-    def __init__(
-        self, dims: GridDims, params: BroadcastParams, max_nodes: int, deadline: float | None
-    ):
+    def __init__(self, dims: GridDims, params: BroadcastParams, meter: _Meter):
         m, n, t, r = self.m, self.n, self.t, self.r = dims.m, dims.n, params.t, params.r
-        self.max_nodes, self.deadline = max_nodes, deadline
-        self.nodes = 0
+        self.meter = meter
         self.best: list[int] | None = None
         self.field = np.zeros((m, n), dtype=np.int64)
         self.sent = _sent(dims, t)
@@ -744,17 +759,6 @@ class _UpperBound:
         self.towers = np.zeros(m * n, dtype=bool)
         self.batch = max(1, _BATCH_CELLS // (m * n))
         self.reach: np.ndarray | None = None
-
-    def _tick(self) -> None:
-        """Count one node, or raise BudgetExhaustedError if none is left."""
-        if self.nodes >= self.max_nodes:
-            raise BudgetExhaustedError(self.nodes)
-        self._check_clock()
-        self.nodes += 1
-
-    def _check_clock(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExhaustedError(self.nodes)
 
     def _gains(self, lacking: np.ndarray) -> np.ndarray:
         """The capped gain of a tower on each grid cell, for each of a batch
@@ -783,7 +787,7 @@ class _UpperBound:
             # Rows dx and -dx from the tower take segments of one half-width;
             # the clock is read before each, a pass over the batch.
             for dx in range(rows + 1):
-                self._check_clock()
+                self.meter.check()
                 half = min(radius - dx, n)
                 band = prefix[:, rows + dx : rows + dx + m]
                 if dx:
@@ -802,7 +806,7 @@ class _UpperBound:
         count, m, n = lacking.shape
         if self.reach is None:
             self.reach = np.minimum(self.sent[::-1, ::-1].reshape(m * n, m * n), top)
-        self._check_clock()
+        self.meter.check()
         capped = np.minimum(lacking, top).astype(np.int16).reshape(count, 1, m * n)
         return np.minimum(capped, self.reach).sum(axis=2, dtype=np.int32).reshape(lacking.shape)
 
@@ -819,7 +823,7 @@ class _UpperBound:
         """Place the tower of largest gain until nothing lacks signal."""
         while self.deficit:
             gain = self._gains(np.maximum(self.r - self.field, 0)[None]).ravel()
-            self._tick()
+            self.meter.tick()
             u = int(np.argmax(np.where(self.towers, -1, gain)))
             self.deficit -= int(gain[u])
             self._move(u, 1)
@@ -828,7 +832,7 @@ class _UpperBound:
     def _losses(self, towers: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """For each tower of a batch: the deficit its removal adds, and what
         each grid cell then lacks."""
-        self._check_clock()
+        self.meter.check()
         x, y = np.divmod(np.array(towers), self.n)
         lacking = self.r - self.field
         without = np.maximum(lacking + self.sent[self.m - 1 - x, self.n - 1 - y], 0)
@@ -852,7 +856,7 @@ class _UpperBound:
     def _descend(self) -> bool:
         """Try for a broadcast of one tower less than the best; True if found."""
         towers = list(self.best)
-        self._tick()
+        self.meter.tick()
         loss = np.concatenate(
             [self._losses(towers[i : i + self.batch])[0] for i in range(0, len(towers), self.batch)]
         )
@@ -864,7 +868,7 @@ class _UpperBound:
         for swap in range(_SWAP_CAP):
             if not self.deficit:
                 break
-            self._tick()
+            self.meter.tick()
             banned = self.towers.copy()
             banned[[c for c, until in tabu.items() if until >= swap]] = True
             chosen = self._swap(towers, banned)
@@ -902,29 +906,28 @@ def find_broadcast_of_size(
 
     Returns (witness, nodes_expanded); the witness is None when no broadcast
     of size k exists, which doubles as an optimality certificate for k+1 and
-    above. The clock starts first, so the budget's seconds cover the root
-    prune, the LP and the search's setup as well as its nodes. A level whose
+    above. The budget becomes the level's meter first, so its seconds cover
+    the root prune, the LP and the search's setup as well as its nodes. A level whose
     root is pruned (r*m*n > k * max_unit_coverage) returns (None, 0) before
     any search state is built. Otherwise the fractional-broadcast LP is
     solved for the weighted prune (exact_gamma hands its levels the weights
-    it solved once, and its own deadline, instead). Raises
+    it solved once, and its own meter, instead). Raises
     BudgetExhaustedError (carrying the node count) if the budget runs out
     before the level is decided. Every witness is re-checked with
     check_broadcast first; one that fails raises SolverInvariantError.
     """
     level = isinstance(budget, _LevelBudget)
-    budget = budget or SearchBudget()
-    deadline = budget.deadline if level else _deadline(budget)
+    meter = budget.meter if level else _Meter(budget or SearchBudget())
+    start = meter.nodes
     if k < 0:
         raise ValueError(f"tower count k must be >= 0, got {k}")
     unit = max_unit_coverage(dims, params)
     if params.r * dims.m * dims.n > k * unit:
         return None, 0
-    weights = budget.weights if level else _lp_bound(dims, params, deadline)[1]
-    search = _Search(dims, params, budget.max_nodes, deadline, weights)
-    found = search.run(k, unit)
+    weights = budget.weights if level else _lp_bound(dims, params, meter.deadline)[1]
+    found = _Search(dims, params, meter, weights).run(k, unit)
     witness = None if found is None else _checked(dims, params, found, "solver's", "witness")
-    return witness, search.nodes
+    return witness, meter.nodes - start
 
 
 def exact_gamma(
@@ -940,11 +943,12 @@ def exact_gamma(
     certifies that U is optimal, and a witness found there becomes the new
     U, one level lower. No level below the lower bound is searched, and the
     swap search aims no lower, so a U at the bound is optimal without any
-    search. The budget covers the whole solve, and its seconds become one
-    deadline as the first step: the LP behind the lower bound checks it
-    before each pivot, the upper-bound search counts its placements, drops
-    and swaps as nodes, and each level gets the nodes left before it, the
-    same deadline and the LP's weights for its weighted prune.
+    search. The budget covers the whole solve: the first step makes it one
+    meter, whose deadline the LP behind the lower bound checks before each
+    pivot. The upper-bound search counts its placements, drops and swaps on
+    that meter, and each level runs on it too, so a level gets the nodes
+    left before it and the same deadline, with the LP's weights for its
+    weighted prune.
 
     The lower bound is the larger of the deficit bound ceil(r*m*n /
     max_unit_coverage) and the certified weighted bound ceil(r * sum(w) / W)
@@ -969,17 +973,16 @@ def exact_gamma(
     each term at r changes no answer: a term of r or more takes both sums to
     at least r, and otherwise the two sums are equal.
     """
-    budget = budget or SearchBudget()
-    deadline = _deadline(budget)
+    meter = _Meter(budget or SearchBudget())
     if _coverage(dims, params, 0, 0) < params.r:
         raise ValueError(
             f"no ({params.t},{params.r}) broadcast exists on {dims.m}x{dims.n}: "
             "even towers on every vertex fall short"
         )
     deficit_bound = -(-params.r * dims.m * dims.n // max_unit_coverage(dims, params))
-    lp_bound, weights = _lp_bound(dims, params, deadline)
+    lp_bound, weights = _lp_bound(dims, params, meter.deadline)
     lower = max(deficit_bound, lp_bound)
-    search = _UpperBound(dims, params, budget.max_nodes, deadline)
+    search = _UpperBound(dims, params, meter)
     try:
         search.run(lower)
         exhausted = False
@@ -993,20 +996,20 @@ def exact_gamma(
                 f"the lower bound {lower} on {dims.m}x{dims.n} exceeds the verified "
                 f"{len(witness)}-tower ({params.t},{params.r}) broadcast"
             )
-    nodes, levels, certificate = search.nodes, [], None
+    upper_nodes = nodes = meter.nodes
+    levels, certificate = [], None
     while not exhausted and certificate is None:
         k = len(witness) - 1
         if k < lower:
             certificate = "lp" if lower > deficit_bound else "bound"
-        elif nodes >= budget.max_nodes or (deadline is not None and time.monotonic() > deadline):
+        elif meter.nodes >= meter.cap or meter.late():
             exhausted = True
         else:
+            start = meter.nodes
             try:
-                found, spent = find_broadcast_of_size(
-                    dims, params, k, _LevelBudget(budget.max_nodes - nodes, deadline, weights)
-                )
-            except BudgetExhaustedError as exc:
-                found, spent, exhausted = None, exc.nodes_expanded, True
+                found, spent = find_broadcast_of_size(dims, params, k, _LevelBudget(meter, weights))
+            except BudgetExhaustedError:
+                found, spent, exhausted = None, meter.nodes - start, True
             nodes += spent
             levels.append((k, spent))
             if found is not None:
@@ -1019,7 +1022,7 @@ def exact_gamma(
         "budget_exhausted" if exhausted else "optimal",
         None if exhausted else upper,
         None if exhausted else witness,
-        nodes, tuple(levels), lower, upper, search.nodes, certificate,
+        nodes, tuple(levels), lower, upper, upper_nodes, certificate,
     )
 
 

@@ -53,6 +53,15 @@ def _frozen_trees() -> dict[tuple[int, int], list[tuple]]:
 FROZEN_TREES = _frozen_trees()
 
 
+def _meter(cap: int = 10**9, deadline: float | None = None) -> solver._Meter:
+    """A solve's meter with node cap `cap` and the absolute deadline
+    `deadline` (a time.monotonic() reading, or None), made without reading
+    the clock."""
+    meter = solver._Meter(SearchBudget(max_nodes=cap))
+    meter.deadline = deadline
+    return meter
+
+
 def _frozen_levels() -> dict[tuple[int, int], list[tuple]]:
     """The rows of the level-search table, grouped by grid shape."""
     rows: dict[tuple[int, int], list[tuple]] = {}
@@ -417,7 +426,7 @@ class TestSolveWideBudget:
         original = solver.find_broadcast_of_size
 
         def recorded(dims, params, k, budget):
-            searched.append((k, budget.max_nodes))
+            searched.append((k, budget.meter.cap - budget.meter.nodes))
             return original(dims, params, k, budget)
 
         monkeypatch.setattr(solver, "find_broadcast_of_size", recorded)
@@ -439,7 +448,7 @@ class TestSolveWideBudget:
         given = []
 
         def level(dims, params, k, budget):
-            given.append((k, budget.deadline))
+            given.append((k, budget.meter.deadline))
             clock.now += 10.0
             return TowerSet([Coord(*divmod(u, 8)) for u in range(k)]), 1
 
@@ -502,10 +511,10 @@ class TestSolveWideBudget:
 
     def test_every_phase_runs_to_the_deadline_set_first(self, monkeypatch):
         # Each reading of this clock advances it 2**-10 s. The entry's first
-        # reading sets the deadline, and the LP, the swap search and the
-        # level search are each handed that one value; a phase that re-read
-        # the clock to turn the seconds left back into a deadline would get
-        # a later one.
+        # reading sets the deadline of the solve's one meter: the swap search
+        # and the level search are each handed that meter, and the LP its
+        # deadline; a phase that re-read the clock to turn the seconds left
+        # back into a deadline would get a later one.
         tick = 2.0**-10
         clock = SimpleNamespace(now=0.0)
 
@@ -522,25 +531,28 @@ class TestSolveWideBudget:
             given.append(("lp", deadline))
             return original_simplex(a, c, deadline)
 
-        def upper(self, dims, params, max_nodes, deadline):
-            given.append(("upper", deadline))
-            original_upper(self, dims, params, max_nodes, deadline)
+        def upper(self, dims, params, meter):
+            given.append(("upper", meter))
+            original_upper(self, dims, params, meter)
 
-        def search(self, dims, params, max_nodes, deadline, weights):
-            given.append(("level", deadline))
-            original_search(self, dims, params, max_nodes, deadline, weights)
+        def search(self, dims, params, meter, weights):
+            given.append(("level", meter))
+            original_search(self, dims, params, meter, weights)
 
         monkeypatch.setattr(solver, "_simplex", simplex)
         monkeypatch.setattr(solver._UpperBound, "__init__", upper)
         monkeypatch.setattr(solver._Search, "__init__", search)
         dims, params, budget = GridDims(6, 6), BroadcastParams(3, 3), SearchBudget(max_seconds=25)
         assert exact_gamma(dims, params, budget).level_nodes == ((8, 308),)
-        assert given == [("lp", 25 + tick), ("upper", 25 + tick), ("level", 25 + tick)]
+        (lp, deadline), (upper, meter), (level, same) = given
+        assert (lp, upper, level) == ("lp", "upper", "level") and same is meter
+        assert deadline == meter.deadline == 25 + tick
         # Called on its own, the level search solves the LP to its own deadline.
         given.clear()
         deadline = clock.now + tick + 25
         assert find_broadcast_of_size(dims, params, 8, budget) == (None, 308)
-        assert given == [("lp", deadline), ("level", deadline)]
+        assert [name for name, _ in given] == ["lp", "level"]
+        assert given[0][1] == given[1][1].deadline == deadline
 
     def test_upper_bound_stops_on_the_seconds(self, monkeypatch):
         # Each reading of this clock advances it 1 s; exact_gamma's first
@@ -581,7 +593,7 @@ class TestSolveWideBudget:
             return clock.now
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
-        search = solver._UpperBound(GridDims(17, 17), BroadcastParams(3, 2), 10**9, 15.5)
+        search = solver._UpperBound(GridDims(17, 17), BroadcastParams(3, 2), _meter(deadline=15.5))
         with pytest.raises(BudgetExhaustedError) as raised:
             search.run(1)
         assert (raised.value.nodes_expanded, clock.now, search.reach) == (2, 16.0, None)
@@ -683,7 +695,7 @@ class TestSolveWideBudget:
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         dims, params = GridDims(8, 8), BroadcastParams(8, 2)
-        search = solver._Search(dims, params, 10**9, 10.5, None)
+        search = solver._Search(dims, params, _meter(deadline=10.5), None)
 
         def tick():
             clock.now += 1.0
@@ -710,7 +722,7 @@ class TestSolveWideBudget:
         # of a first tower with t = r = 3 passes the deadline 2.5.
         clock = SimpleNamespace(now=0.0)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
-        search = solver._Search(GridDims(6, 6), BroadcastParams(3, 3), 10**9, 2.5, None)
+        search = solver._Search(GridDims(6, 6), BroadcastParams(3, 3), _meter(deadline=2.5), None)
 
         def tick():
             clock.now += 1.0
@@ -746,12 +758,12 @@ class TestSolveWideBudget:
         monkeypatch.setattr(solver._Search, "_place", stopping(solver._Search._place))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         dims, params = GridDims(4, 4), BroadcastParams(3, 2)
-        search = solver._Search(dims, params, 10**9, 2.5, None)
+        search = solver._Search(dims, params, _meter(deadline=2.5), None)
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=tick))
         # Level 3 of this grid takes 22 nodes without a deadline.
         with pytest.raises(BudgetExhaustedError) as exhausted:
             search.run(3, max_unit_coverage(dims, params))
-        assert exhausted.value.nodes_expanded == search.nodes == 2
+        assert exhausted.value.nodes_expanded == search.meter.nodes == 2
 
 
 class TestSearchBudget:
@@ -863,7 +875,7 @@ class TestTableFreeSetup:
             for i, (g, u) in enumerate(ranked)
             if all(rank.get(perm[u], i) >= i for perm in tables)
         ]
-        search = solver._Search(GridDims(m, n), BroadcastParams(2, 1), 10**9, None, None)
+        search = solver._Search(GridDims(m, n), BroadcastParams(2, 1), _meter(), None)
         assert search._root_representatives(ranked) == expected
 
     def test_orbit_names_match_permutation_tables(self):
@@ -906,7 +918,7 @@ class TestPackingBound:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6), st.integers(1, 4), st.data())
     def test_far_cells_need_one_tower_each(self, m, n, t, r, data):
-        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), 10**9, None, None)
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), _meter(), None)
         rows = min(4 * t - 2, m)
         cell = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))
         far = _greedy_packing(data.draw(st.lists(cell, min_size=1, max_size=12)), t)
@@ -917,7 +929,7 @@ class TestPackingBound:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6), st.data())
     def test_picks_are_the_greedy_packing_and_fit_their_rows(self, m, n, t, data):
-        search = solver._Search(GridDims(m, n), BroadcastParams(t, 2), 10**9, None, None)
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, 2), _meter(), None)
         x0 = data.draw(st.integers(0, m - 1))
         rows = min(4 * t - 2, m - x0)
         cells = data.draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))))
@@ -939,7 +951,7 @@ class TestPlacement:
     def test_planes_are_the_threshold_sets(self, m, n, t, data):
         # r up to 2t + 1, so that a plane j takes every term s <= min(j - 1, t).
         r = data.draw(st.integers(1, 2 * t + 1))
-        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), 10**9, None, None)
+        search = solver._Search(GridDims(m, n), BroadcastParams(t, r), _meter(), None)
         placed, planes, x0, v = [], (), 0, 0
         for _ in range(8):
             # Each tower reaches the branch cell, as the search's children do;
@@ -1225,7 +1237,7 @@ class TestWeightedPrune:
             for u in range(m * n)
         ]
         search = solver._Search(
-            GridDims(m, n), BroadcastParams(t, r), 10**9, None,
+            GridDims(m, n), BroadcastParams(t, r), _meter(),
             solver._Weights(weights, 1, heaviest),
         )
         if reps is not None:
@@ -1292,7 +1304,7 @@ class TestWeightedPrune:
             weights = solver._lp_bound(dims, params, None)[1]
             assert weights is not None, (t, r)
             cells = [int(x) * n + int(y) for x, y in (p.split(",") for p in text.split(";"))]
-            search = solver._Search(dims, params, 10**9, None, weights)
+            search = solver._Search(dims, params, _meter(), weights)
             unit = max_unit_coverage(dims, params)
             slots, deficit, owed = len(cells), r * m * n, search.owed_from[0]
             placed, planes, x0, v = [], (), 0, 0
@@ -1320,7 +1332,7 @@ class TestWeightedPrune:
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: clock.now))
         dims, params = GridDims(6, 6), BroadcastParams(3, 3)
         weights = solver._lp_bound(dims, params, None)[1]
-        search = solver._Search(dims, params, 10**9, 2.5, weights)
+        search = solver._Search(dims, params, _meter(deadline=2.5), weights)
         planes, v, _ = search._place((), 0, 0)
         search._band_masks(v // 6)
 
@@ -1335,23 +1347,33 @@ class TestWeightedPrune:
 
     def test_exact_gamma_solves_the_lp_once_for_its_levels(self, monkeypatch):
         solved, given = [], []
-        original_lp = solver._lp_bound
+        original_lp, original_upper = solver._lp_bound, solver._UpperBound.__init__
         original_init = solver._Search.__init__
+        meters = []
 
         def lp(dims, params, deadline):
             solved.append(dims)
             return original_lp(dims, params, deadline)
 
-        def init(self, dims, params, max_nodes, deadline, weights):
+        def upper(self, dims, params, meter):
+            meters.append(meter)
+            original_upper(self, dims, params, meter)
+
+        def init(self, dims, params, meter, weights):
             given.append(weights)
-            original_init(self, dims, params, max_nodes, deadline, weights)
+            meters.append(meter)
+            original_init(self, dims, params, meter, weights)
 
         monkeypatch.setattr(solver, "_lp_bound", lp)
+        monkeypatch.setattr(solver._UpperBound, "__init__", upper)
         monkeypatch.setattr(solver._Search, "__init__", init)
         dims, params = GridDims(6, 6), BroadcastParams(3, 3)
         result = exact_gamma(dims, params)
         assert (result.gamma, result.level_nodes) == (9, ((8, 308),))
         assert len(solved) == 1 and len(given) == 1 and given[0] is not None
+        # The swap search and the level run on the solve's one meter.
+        assert len(meters) == 2 and meters[1] is meters[0]
+        assert meters[0].nodes == result.nodes_expanded
         # Called on its own, the level search solves the LP itself.
         assert find_broadcast_of_size(dims, params, 8) == (None, 308)
         assert len(solved) == 2 and (given[1].cells == given[0].cells).all()
@@ -1362,9 +1384,9 @@ class TestWeightedPrune:
         given = []
         original_init = solver._Search.__init__
 
-        def init(self, dims, params, max_nodes, deadline, weights):
+        def init(self, dims, params, meter, weights):
             given.append(weights)
-            original_init(self, dims, params, max_nodes, deadline, weights)
+            original_init(self, dims, params, meter, weights)
 
         monkeypatch.setattr(solver._Search, "__init__", init)
         dims, params = GridDims(33, 33), BroadcastParams(3, 2)
@@ -1530,7 +1552,7 @@ def _reference_field(m: int, n: int, t: int, cells) -> np.ndarray:
 
 def _upper_bound_with(m: int, n: int, t: int, r: int, cells) -> "solver._UpperBound":
     """An upper-bound search holding towers on `cells`."""
-    search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), 10**9, None)
+    search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), _meter())
     for c in cells:
         search._move(c, 1)
     search.deficit = int(np.maximum(r - _reference_field(m, n, t, cells), 0).sum())
@@ -1590,7 +1612,7 @@ class TestUpperBound:
         for macs in (0, 1 << 62):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(solver, "_CONTRACT_MACS", macs)
-                search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), 10**9, None)
+                search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), _meter())
                 gains[macs] = search._gains(lacking).tolist()
             assert (search.reach is None) == (macs == 0)
         assert gains[0] == gains[1 << 62]
@@ -1598,14 +1620,14 @@ class TestUpperBound:
     def test_no_reach_table_above_the_bound(self):
         # One greedy placement on 60x60 t=60: 2 * 3600**2 multiply-adds per
         # refresh, so the table would take about 99 MiB.
-        search = solver._UpperBound(GridDims(60, 60), BroadcastParams(60, 2), 1, None)
+        search = solver._UpperBound(GridDims(60, 60), BroadcastParams(60, 2), _meter(1))
         with pytest.raises(BudgetExhaustedError):
             search.run(1)
-        assert (search.nodes, search.reach) == (1, None)
+        assert (search.meter.nodes, search.reach) == (1, None)
 
     @pytest.mark.parametrize("m,n,t,r", [(1, 1, 1, 1), (6, 8, 3, 2), (5, 7, 4, 9), (4, 4, 3, 2**20)])
     def test_reach_is_the_capped_signal(self, m, n, t, r):
-        search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), 10**9, None)
+        search = solver._UpperBound(GridDims(m, n), BroadcastParams(t, r), _meter())
         search._gains(np.full((1, m, n), r))
         signal = np.array([_reference_field(m, n, t, [u]).ravel() for u in range(m * n)])
         assert search.reach.dtype == np.int16
@@ -1615,7 +1637,7 @@ class TestUpperBound:
     def test_a_contracted_refresh_stays_small(self):
         # One greedy refresh on 16x16 t=3 r=2 is one contraction: the
         # int16 table and the batch's minima take 128 KiB each.
-        search = solver._UpperBound(GridDims(16, 16), BroadcastParams(3, 2), 10**9, None)
+        search = solver._UpperBound(GridDims(16, 16), BroadcastParams(3, 2), _meter())
         lacking = np.maximum(search.r - search.field, 0)[None]
         tracemalloc.start()
         try:
@@ -1625,6 +1647,27 @@ class TestUpperBound:
             tracemalloc.stop()
         assert search.reach is not None
         assert peak <= 400 * 2**10, f"peak {peak / 2**10:.0f} KiB"
+
+    @pytest.mark.parametrize(
+        "m,n,t", [(1, 1, 1), (1, 7, 3), (6, 8, 3), (5, 9, 12), (3, 4, 10000), (9, 2, 5)]
+    )
+    def test_sent_is_each_towers_signal(self, m, n, t):
+        sent = solver._sent(GridDims(m, n), t)
+        assert sent.dtype == np.int16 and sent.shape == (m, n, m, n)
+        for u in range(m * n):
+            x, y = divmod(u, n)
+            assert (sent[m - 1 - x, n - 1 - y] == _reference_field(m, n, t, [u])).all()
+
+    def test_the_kernel_is_built_in_int16(self):
+        # The 1999 x 1999 int16 kernel takes 7.6 MiB; an int64 build cast to
+        # int16 would peak near 61 MiB.
+        tracemalloc.start()
+        try:
+            solver._sent(GridDims(1000, 1000), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1655,7 +1698,7 @@ class TestUpperBound:
     def test_reaches_its_pinned_size(self, m, n, t, r, upper):
         dims, params = GridDims(m, n), BroadcastParams(t, r)
         lower = -(-r * m * n // max_unit_coverage(dims, params))
-        search = solver._UpperBound(dims, params, 10**9, None)
+        search = solver._UpperBound(dims, params, _meter())
         search.run(lower)
         assert len(search.best) == upper
         towers = np.array([divmod(u, n) for u in search.best])
@@ -1663,12 +1706,12 @@ class TestUpperBound:
 
     def test_each_placement_drop_and_swap_is_one_node(self, monkeypatch):
         counted = []
-        original = solver._UpperBound._tick
+        original = solver._Meter.tick
 
         def tick(self):
             original(self)
             counted.append(self.nodes)
 
-        monkeypatch.setattr(solver._UpperBound, "_tick", tick)
+        monkeypatch.setattr(solver._Meter, "tick", tick)
         result = exact_gamma(GridDims(6, 8), BroadcastParams(3, 2))
         assert counted == list(range(1, result.upper_nodes + 1))
